@@ -10,24 +10,21 @@ from .errors import (
     ExprDomainError,
     ExprError,
     ExprSyntaxError,
-    ExtremalityError,
     GaugeCalcError,
     KernelViolationError,
     LpInfeasibleError,
-    NeighborhoodError,
     NoBracketError,
     NoFeasibleStepError,
     NonFiniteInputError,
     NotInSetError,
     SamplingUnstableError,
-    SpanMismatchError,
+    SetFormatError,
     SupportMismatchError,
     UnboundedFunctionError,
 )
 from .expr import evaluate, make_callable, parse, to_source
 from .functions import (
     ScalarFunction,
-    check_midpoint_convexity,
     max_of,
     product_of,
     sum_of,
@@ -94,7 +91,6 @@ from .symmetrize import (
 )
 from .weighted_l2 import (
     EXAMPLES,
-    GridFunction,
     WeightedGrid,
     make_function,
     make_gauge,

@@ -17,6 +17,11 @@ class NotInSetError(GaugeCalcError):
     pass
 
 
+class SetFormatError(GaugeCalcError):
+    """A set document is malformed: a missing key, an unknown
+    representation or a value of the wrong type."""
+
+
 class EmptySublevelError(GaugeCalcError):
     pass
 
@@ -38,22 +43,13 @@ class NoFeasibleStepError(GaugeCalcError):
     pass
 
 
-class NeighborhoodError(GaugeCalcError):
-    pass
-
-
 class DegenerateGaugeError(GaugeCalcError):
     """Every span direction has gauge zero; subdifferential extraction is
     meaningless for such a gauge."""
 
 
 class LpInfeasibleError(GaugeCalcError):
-    """The sampled support constraints admit no subgradient.  Carries the
-    offending constraint data when available."""
-
-    def __init__(self, message, constraints=None):
-        super().__init__(message)
-        self.constraints = constraints
+    """The sampled support constraints admit no subgradient."""
 
 
 class SupportMismatchError(GaugeCalcError):
@@ -61,15 +57,7 @@ class SupportMismatchError(GaugeCalcError):
     objective direction."""
 
 
-class ExtremalityError(GaugeCalcError):
-    pass
-
-
 class NoBracketError(GaugeCalcError):
-    pass
-
-
-class SpanMismatchError(GaugeCalcError):
     pass
 
 

@@ -236,7 +236,10 @@ def evaluate(node: Node, x, path: str = "") -> float:
         base = evaluate(node.base, x, path + ".pow")
         if node.exponent < 0 and base == 0.0:
             raise ExprDomainError("zero raised to a negative power", path or "<root>")
-        return float(base ** node.exponent)
+        try:
+            return float(base ** node.exponent)
+        except OverflowError:
+            raise ExprDomainError("power overflows", path or "<root>") from None
     if isinstance(node, Dot):
         return float(np.dot(node.coeffs, x[: len(node.coeffs)]))
     if isinstance(node, Call):
@@ -245,7 +248,10 @@ def evaluate(node: Node, x, path: str = "") -> float:
         if node.name == "abs":
             return abs(vals[0])
         if node.name == "exp":
-            return math.exp(vals[0])
+            try:
+                return math.exp(vals[0])
+            except OverflowError:
+                raise ExprDomainError("exp overflows", f"{path}.exp") from None
         if node.name == "sqrt":
             if vals[0] < 0.0:
                 raise ExprDomainError("sqrt of a negative value", f"{path}.sqrt")

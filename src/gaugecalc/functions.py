@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import expr as expr_mod
 from .errors import NonFiniteInputError
-from .geometry import ConvexSet, as_vector
+from .geometry import ConvexSet
 
 
 @dataclass
 class ScalarFunction:
     """An evaluation oracle on a declared convex domain.
 
-    ``convex`` and ``lipschitz_const`` are caller-supplied knowledge flags;
-    ``lipschitz_const`` is understood with respect to a named gauge.
+    ``convex`` is a caller-supplied knowledge flag.
     """
 
     fn: Callable[[np.ndarray], float]
     domain: ConvexSet
     convex: bool = False
-    lipschitz_const: Optional[float] = None
     name: str = ""
 
     def __call__(self, x) -> float:
@@ -39,23 +37,6 @@ class ScalarFunction:
         ast = expr_mod.parse(source, domain.dim)
         return cls(fn=expr_mod.make_callable(ast), domain=domain, convex=convex,
                    name=name or source)
-
-
-def check_midpoint_convexity(f: ScalarFunction, rng: Optional[np.random.Generator] = None,
-                             trials: int = 32, tol: float = 1e-9) -> bool:
-    """Sampled midpoint-convexity check backing the ``convex`` flag."""
-    rng = rng or np.random.default_rng(0)
-    pts = f.domain.sample_members(rng, 2 * trials)
-    for i in range(trials):
-        u, v = pts[2 * i], pts[2 * i + 1]
-        mid = 0.5 * (u + v)
-        if not f.domain.contains(mid):
-            continue
-        lhs = f(mid)
-        rhs = 0.5 * (f(u) + f(v))
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
-            return False
-    return True
 
 
 def sum_of(f: ScalarFunction, g: ScalarFunction, name: str = "") -> ScalarFunction:

@@ -1,17 +1,22 @@
 """Vectors, subspaces, convex-set representations and Minkowski gauges.
 
 Convex sets carry one of four representations (halfspaces, vertex hull,
-sublevel set of a scalar function, or a raw membership oracle).  Gauges are
-Minkowski functionals of a set translated so that its claimed center sits at
-the origin; they are finite exactly on the linear span of the translated set
-and vanish exactly on its lineality directions.
+sublevel set of a scalar function, or a raw membership oracle), and each
+representation answers the geometric questions about its set.  The base
+class :class:`Representation` answers them from membership alone (halving
+probes, reflection sampling, bracket-and-bisect gauges); sublevel and oracle
+sets use it as is, while halfspaces and vertex hulls override it where an
+exact formula or LP exists.  Gauges are Minkowski functionals of a set
+translated so that its claimed center sits at the origin; they are finite
+exactly on the linear span of the translated set and vanish exactly on its
+lineality directions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteInputError,
     NotInSetError,
+    SetFormatError,
 )
 
 RANK_TOL = 1e-10
@@ -27,6 +33,14 @@ DEFAULT_TOL = 1e-9
 
 #: step sizes used when shrinking a probe toward a point of the set
 _SHRINK_FLOOR = 1e-12
+#: membership chords per dimension drawn when probing a span
+SPAN_SAMPLES_PER_DIM = 4
+#: reflected members drawn when symmetry is checked from membership alone
+SYMMETRY_SAMPLES = 128
+#: tolerance of the exact (LP) symmetry checks
+SYMMETRY_TOL = 1e-8
+#: radius of the two-sided membership probes that find kernel directions
+KERNEL_PROBE_RADIUS = 1e8
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -123,8 +137,151 @@ def _null_space(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class Representation:
+    """Geometry from membership alone.
+
+    Subclasses supply ``contains(s, x, tol)`` and ``radius(s)`` (the radius
+    of a ball about the anchor enclosing the set); every method here needs
+    only membership tests of the owning set ``s`` and is overridden where a
+    representation has an exact formula.
+    """
+
+    def anchor(self, s: "ConvexSet") -> np.ndarray:
+        origin = np.zeros(s.dim)
+        if s.contains(origin):
+            return origin
+        raise NotInSetError("oracle set without center: no anchor found")
+
+    def sample(self, s: "ConvexSet", rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        """Rejection from the bounding ball, falling back to shrinking."""
+        anchor = s.anchor()
+        radius = self.radius(s)
+        out: list[np.ndarray] = []
+        for _ in range(n):
+            for _ in range(50):
+                cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+                if s.contains(cand):
+                    break
+            else:
+                cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+                cand = _pull_inside(s, anchor, cand)
+            out.append(cand)
+        return out
+
+    def span(self, s: "ConvexSet", base: np.ndarray) -> Subspace:
+        """Coordinate directions reachable from ``base`` plus chords to
+        sampled members."""
+        rng = np.random.default_rng(0)
+        axes = [np.eye(s.dim)[i] * sgn for i in range(s.dim) for sgn in (+1.0, -1.0)]
+        dirs = [d for d in axes if _reaches(s, base, d)]
+        for y in s.sample_members(rng, SPAN_SAMPLES_PER_DIM * s.dim):
+            dirs.append(y - base)
+        return Subspace.from_spanning(dirs, s.dim)
+
+    def in_icr(self, s: "ConvexSet", x: np.ndarray) -> bool:
+        """Sampled verdict: both ways along every span direction stay in the
+        set for some step (may report false positives on cusps)."""
+        span = self.span(s, x)
+        return all(_reaches(s, x, d) for b in span.basis for d in (b, -b))
+
+    def is_symmetric(self, s: "ConvexSet", p: np.ndarray) -> bool:
+        rng = np.random.default_rng(0)
+        return all(s.contains(2.0 * p - y) for y in s.sample_members(rng, SYMMETRY_SAMPLES))
+
+    def gauge(self, g: "Gauge", x: np.ndarray) -> float:
+        """Bracket and bisect the monotone membership predicate."""
+        if not g.span.contains(x, max(g.tol, 1e-8)):
+            return math.inf
+        if g.kernel.dim > 0 and g.kernel.contains(x, 1e-10):
+            return 0.0
+
+        def pred(t: float) -> bool:
+            return g.set.contains(g.set.center + x / t)
+
+        t = 1.0
+        if pred(t):
+            while pred(t * 0.5):
+                t *= 0.5
+                if t <= g.tol * 1e-3:
+                    return 0.0
+            lo, hi = 0.5 * t, t
+        else:
+            while not pred(t * 2.0):
+                t *= 2.0
+                if t >= 1e15:
+                    return math.inf
+            lo, hi = t, 2.0 * t
+        while hi - lo > g.tol * hi:
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    def kernel(self, g: "Gauge") -> Subspace:
+        """Large-radius membership probes over span basis directions, the
+        ambient axes projected into the span (the probed basis can come back
+        in a rotated frame) and pairwise basis combinations."""
+        s, p = g.set, g.set.center
+        basis = g.span.basis
+        probe_dirs: list[np.ndarray] = list(basis)
+        for a in (g.span.project(e) for e in np.eye(g.dim)):
+            if np.linalg.norm(a) > 1e-10:
+                probe_dirs.append(a / np.linalg.norm(a))
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                probe_dirs.append((basis[i] + basis[j]) / math.sqrt(2))
+                probe_dirs.append((basis[i] - basis[j]) / math.sqrt(2))
+        r = KERNEL_PROBE_RADIUS
+        cands = [d for d in probe_dirs if s.contains(p + r * d) and s.contains(p - r * d)]
+        return Subspace.from_spanning(cands, g.dim)
+
+    def scaled(self, s: "ConvexSet", p: np.ndarray, factor: float,
+               q: np.ndarray) -> "ConvexSet":
+        """``factor * (s - p) + q``."""
+        copy = Oracle(member=lambda x: s.contains(p + (x - q) / factor),
+                      bounding_radius=factor * s.bounding_radius_estimate())
+        return ConvexSet(s.dim, copy, center=q)
+
+    def symmetric_core(self, s: "ConvexSet", x0: np.ndarray) -> "ConvexSet":
+        """``s ∩ (2 x0 - s)``."""
+        core = Oracle(member=lambda x: s.contains(x) and s.contains(2.0 * x0 - x),
+                      bounding_radius=s.bounding_radius_estimate())
+        return ConvexSet(s.dim, core, center=x0)
+
+    def extreme_points(self) -> list[np.ndarray]:
+        """Points known to include every extreme point of the set (empty when
+        unknown); a convex function attains its sup over the set there."""
+        return []
+
+
+def _reaches(s: "ConvexSet", x: np.ndarray, d: np.ndarray) -> bool:
+    """Does some halving step ``t <= 1`` keep ``x + t d`` in the set?"""
+    t = 1.0
+    while t >= _SHRINK_FLOOR:
+        if s.contains(x + t * d):
+            return True
+        t *= 0.5
+    return False
+
+
+def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest point of [anchor, y] still in the set, by bisection."""
+    if s.contains(y):
+        return y
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if s.contains(anchor + mid * (y - anchor)):
+            lo = mid
+        else:
+            hi = mid
+    return anchor + lo * (y - anchor)
+
+
 @dataclass(frozen=True)
-class Halfspaces:
+class Halfspaces(Representation):
     """Intersection of halfspaces ``normal . x <= offset``."""
 
     normals: np.ndarray  # (m, n)
@@ -134,9 +291,121 @@ class Halfspaces:
         object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float).ravel())
 
+    def contains(self, s, x, tol):
+        slack = self.offsets - self.normals @ x
+        return bool(np.all(slack >= -tol * (1.0 + np.abs(self.offsets))))
+
+    def anchor(self, s):
+        """Chebyshev center."""
+        n = s.dim
+        a_ub = np.hstack([self.normals, np.linalg.norm(self.normals, axis=1)[:, None]])
+        c = np.append(np.zeros(n), -1.0)
+        res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
+                      method="highs")
+        if res.status != 0:
+            raise NotInSetError("halfspace system has no interior point")
+        return res.x[:n]
+
+    def _reach(self, slack: np.ndarray, d: np.ndarray) -> float:
+        """Longest step along ``d`` from a point with the given slacks."""
+        rates = self.normals @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-300), np.inf)
+        return float(np.min(steps))
+
+    def sample(self, s, rng, n):
+        """Uniform steps along random chords from the anchor."""
+        anchor = s.anchor()
+        slack0 = self.offsets - self.normals @ anchor
+        out: list[np.ndarray] = []
+        for _ in range(n):
+            d = rng.standard_normal(s.dim)
+            nd = np.linalg.norm(d)
+            if nd < 1e-14:
+                out.append(anchor.copy())
+                continue
+            d /= nd
+            tmax = min(self._reach(slack0, d), 1e3)
+            out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
+        return out
+
+    def radius(self, s):
+        """Twice the longest chord probed from the anchor."""
+        anchor = s.anchor()
+        rng = np.random.default_rng(0)
+        best = 1.0
+        slack0 = self.offsets - self.normals @ anchor
+        for _ in range(8 * s.dim):
+            d = rng.standard_normal(s.dim)
+            d /= max(np.linalg.norm(d), 1e-14)
+            best = max(best, min(self._reach(slack0, d), 1e9))
+        return 2.0 * best
+
+    def in_icr(self, s, x):
+        """No active constraint may block a span direction."""
+        slack = self.offsets - self.normals @ x
+        active = slack <= 1e-9 * (1.0 + np.abs(self.offsets))
+        if not np.any(active):
+            return True
+        a = self.normals[active]
+        tol = 1e-9 * (1.0 + np.linalg.norm(a, axis=1))
+        span = self.span(s, x)
+        return not any(np.any(a @ d > tol) for b in span.basis for d in (b, -b))
+
+    def is_symmetric(self, s, p):
+        """``2p - s`` lies in ``s``: for every row, ``2 a.p - min_s a.y <= b``
+        (one support LP per row)."""
+        norms = np.linalg.norm(self.normals, axis=1)
+        keep = norms > 1e-14
+        for a, b in zip(self.normals[keep] / norms[keep, None], self.offsets[keep] / norms[keep]):
+            low = linprog(a, A_ub=self.normals, b_ub=self.offsets,
+                          bounds=[(None, None)] * s.dim, method="highs")
+            if low.status != 0 or 2.0 * (a @ p) - low.fun > b + SYMMETRY_TOL * (1.0 + abs(b)):
+                return False
+        return True
+
+    def gauge(self, g, x):
+        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``."""
+        nx = float(np.linalg.norm(x))
+        den = self.offsets - self.normals @ g.set.center
+        val = 0.0
+        for ni, di, bi in zip(self.normals @ x, den, self.offsets):
+            if ni <= g.tol * nx * 1e-3:
+                continue
+            if di <= g.tol * (1.0 + abs(bi)):
+                return math.inf
+            val = max(val, ni / di)
+        return val
+
+    def kernel(self, g):
+        """Null space of the normals, inside the gauge span."""
+        null = _null_space(self.normals)
+        inside = [v for v in null if g.span.contains(v, 1e-8)]
+        return Subspace.from_spanning(inside, g.dim)
+
+    def scaled(self, s, p, factor, q):
+        # y = q + factor (z - p), z in s  <=>  a.y <= factor b + a.(q - factor p)
+        offsets = factor * self.offsets + self.normals @ (q - factor * p)
+        return ConvexSet(s.dim, Halfspaces(self.normals.copy(), offsets), center=q)
+
+    def symmetric_core(self, s, x0):
+        refl_offsets = self.offsets - 2.0 * (self.normals @ x0)
+        return ConvexSet(s.dim, Halfspaces(np.vstack([self.normals, -self.normals]),
+                                           np.concatenate([self.offsets, refl_offsets])),
+                         center=x0)
+
+    def to_json(self) -> dict:
+        return {"halfspaces": [{"normal": list(map(float, n)), "offset": float(b)}
+                               for n, b in zip(self.normals, self.offsets)]}
+
+    @classmethod
+    def from_json(cls, body, dim: int, fn_registry=None) -> "Halfspaces":
+        normals = np.array([as_vector(h["normal"], dim) for h in body]).reshape(-1, dim)
+        return cls(normals, as_vector([h["offset"] for h in body]))
+
 
 @dataclass(frozen=True)
-class Vertices:
+class Vertices(Representation):
     """Convex hull of a finite point list; membership via linear feasibility."""
 
     points: np.ndarray  # (m, n)
@@ -144,18 +413,143 @@ class Vertices:
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
 
+    def contains(self, s, x, tol):
+        return _hull_contains(self.points, x, tol)
+
+    def anchor(self, s):
+        return self.points.mean(axis=0)
+
+    def sample(self, s, rng, n):
+        """Dirichlet-weighted combinations of the vertices."""
+        m = self.points.shape[0]
+        return [self.points.T @ rng.dirichlet(np.ones(m)) for _ in range(n)]
+
+    def radius(self, s):
+        c = s.anchor()
+        return 2.0 * float(np.max(np.linalg.norm(self.points - c, axis=1))) + 1.0
+
+    def span(self, s, base):
+        return Subspace.from_spanning(self.points - base, s.dim)
+
+    def in_icr(self, s, x):
+        """x in ri(conv points) iff a representation with all weights > 0 exists."""
+        m, n = self.points.shape
+        # variables (lambda, t): maximize t subject to lambda_i >= t
+        a_eq = np.block([[self.points.T, np.zeros((n, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
+        a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+        res = linprog(np.append(np.zeros(m), -1.0), A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
+                      b_eq=np.append(x, 1.0), bounds=[(0, None)] * m + [(None, 1.0)],
+                      method="highs")
+        if res.status != 0:
+            raise NotInSetError("point is not in the hull (LP infeasible)")
+        return bool(res.x[-1] > 1e-9)
+
+    def is_symmetric(self, s, p):
+        """Every reflected vertex ``2p - v`` lies in the hull."""
+        return all(_hull_contains(self.points, 2.0 * p - v, SYMMETRY_TOL) for v in self.points)
+
+    def gauge(self, g, x):
+        """One LP: ``min sum(mu)`` s.t. ``sum mu_i (v_i - p) = x, mu >= 0``;
+        infeasible means ``inf``."""
+        if not g.span.contains(x, max(g.tol, 1e-8)):
+            return math.inf
+        if g.span.dim < g.dim:
+            x = g.span.project(x)
+        m = self.points.shape[0]
+        res = linprog(np.ones(m), A_eq=(self.points - g.set.center).T, b_eq=x,
+                      bounds=[(0, None)] * m, method="highs")
+        return float(res.fun) if res.status == 0 else math.inf
+
+    def kernel(self, g):
+        return Subspace.zero(g.dim)  # a hull is bounded
+
+    def scaled(self, s, p, factor, q):
+        return ConvexSet(s.dim, Vertices(q + factor * (self.points - p)), center=q)
+
+    def extreme_points(self):
+        return list(self.points)
+
+    def to_json(self) -> dict:
+        return {"vertices": [list(map(float, v)) for v in self.points]}
+
+    @classmethod
+    def from_json(cls, body, dim: int, fn_registry=None) -> "Vertices":
+        points = np.array([as_vector(v, dim) for v in body]).reshape(-1, dim)
+        if points.shape[0] == 0:
+            raise SetFormatError("a vertex set needs at least one vertex")
+        return cls(points)
+
+
+def _hull_contains(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Is the L1 distance from ``x`` to conv(points) at most ``tol (1 + |x|)``?
+    An LP over (weights, residual+, residual-) finds the nearest weights; the
+    residual is recomputed from them clipped, so the LP's own feasibility
+    tolerance cannot hide a distance larger than ``tol``."""
+    m, n = points.shape
+    a_eq = np.block([[points.T, np.eye(n), -np.eye(n)], [np.ones((1, m)), np.zeros((1, 2 * n))]])
+    c = np.concatenate([np.zeros(m), np.ones(2 * n)])
+    res = linprog(c, A_eq=a_eq, b_eq=np.append(x, 1.0), bounds=[(0, None)] * (m + 2 * n),
+                  method="highs")
+    if res.status != 0:
+        return False
+    lam = np.maximum(res.x[:m], 0.0)
+    residual = float(np.abs(points.T @ (lam / lam.sum()) - x).sum())
+    return residual <= tol * (1.0 + float(np.linalg.norm(x)))
+
 
 @dataclass(frozen=True)
-class Sublevel:
+class Sublevel(Representation):
     """``{x in base_domain : fn(x) <= level}`` for a convex scalar function."""
 
     fn: Callable[[np.ndarray], float]
     level: float
     base_domain: "ConvexSet"
 
+    def contains(self, s, x, tol):
+        if not self.base_domain.contains(x, tol):
+            return False
+        return float(self.fn(x)) <= self.level + tol * (1.0 + abs(self.level))
+
+    def anchor(self, s):
+        cand = self.base_domain.anchor()
+        if s.contains(cand):
+            return cand
+        for y in self.base_domain.sample_members(np.random.default_rng(0), 64):
+            if s.contains(y):
+                return y
+        raise NotInSetError("could not locate a member of the sublevel set")
+
+    def sample(self, s, rng, n):
+        """Members of the base domain pulled toward the anchor."""
+        anchor = s.anchor()
+        return [_pull_inside(s, anchor, y) for y in self.base_domain.sample_members(rng, n)]
+
+    def radius(self, s):
+        return self.base_domain.bounding_radius_estimate()
+
+    def to_json(self) -> dict:
+        inner = {"level": float(self.level), "base_domain": set_to_json(self.base_domain)}
+        name = getattr(self.fn, "source", None) or getattr(self.fn, "__name__", None)
+        if name:
+            inner["fn"] = name
+        return {"sublevel": inner}
+
+    @classmethod
+    def from_json(cls, body, dim: int, fn_registry=None) -> "Sublevel":
+        base = set_from_json(body["base_domain"], fn_registry)
+        if base.dim != dim:
+            raise DimensionMismatchError(f"base domain has dimension {base.dim}, expected {dim}")
+        fn_name = body["fn"]
+        if fn_registry and fn_name in fn_registry:
+            fn = fn_registry[fn_name]
+        else:
+            from .expr import make_callable, parse
+            fn = make_callable(parse(fn_name, dim))
+        return cls(fn, float(as_vector(body["level"], 1)[0]), base)
+
 
 @dataclass(frozen=True)
-class Oracle:
+class Oracle(Representation):
     """Raw membership callback; convexity is a caller contract.
 
     ``bounding_radius`` must enclose the set so ray searches terminate.
@@ -164,8 +558,14 @@ class Oracle:
     member: Callable[[np.ndarray], bool]
     bounding_radius: float
 
+    def contains(self, s, x, tol):
+        return bool(self.member(x))
 
-Representation = Union[Halfspaces, Vertices, Sublevel, Oracle]
+    def radius(self, s):
+        return self.bounding_radius
+
+    def to_json(self) -> dict:
+        raise ValueError("oracle sets are not serializable")
 
 
 @dataclass(frozen=True)
@@ -178,153 +578,21 @@ class ConvexSet:
         if self.center is not None:
             object.__setattr__(self, "center", as_vector(self.center, self.dim))
 
-    # -- membership --------------------------------------------------------
-
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        x = as_vector(x, self.dim)
-        r = self.representation
-        if isinstance(r, Halfspaces):
-            slack = r.offsets - r.normals @ x
-            return bool(np.all(slack >= -tol * (1.0 + np.abs(r.offsets))))
-        if isinstance(r, Vertices):
-            return _hull_contains(r.points, x, tol)
-        if isinstance(r, Sublevel):
-            if not r.base_domain.contains(x, tol):
-                return False
-            val = float(r.fn(x))
-            return val <= r.level + tol * (1.0 + abs(r.level))
-        return bool(r.member(x))
+        return self.representation.contains(self, as_vector(x, self.dim), tol)
 
     __contains__ = contains
 
-    # -- anchors and sampling ----------------------------------------------
-
     def anchor(self) -> np.ndarray:
         """A member point used as the base for ray searches and sampling."""
-        if self.center is not None:
-            return self.center
-        r = self.representation
-        if isinstance(r, Vertices):
-            return r.points.mean(axis=0)
-        if isinstance(r, Halfspaces):
-            return _chebyshev_center(r)
-        if isinstance(r, Sublevel):
-            cand = r.base_domain.anchor()
-            if self.contains(cand):
-                return cand
-            for y in r.base_domain.sample_members(np.random.default_rng(0), 64):
-                if self.contains(y):
-                    return y
-            raise NotInSetError("could not locate a member of the sublevel set")
-        origin = np.zeros(self.dim)
-        if self.contains(origin):
-            return origin
-        raise NotInSetError("oracle set without center: no anchor found")
+        return self.center if self.center is not None else self.representation.anchor(self)
 
     def sample_members(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Draw ``n`` member points (not uniform; good span/extreme coverage)."""
-        r = self.representation
-        out: list[np.ndarray] = []
-        if isinstance(r, Vertices):
-            m = r.points.shape[0]
-            for _ in range(n):
-                w = rng.dirichlet(np.ones(m))
-                out.append(r.points.T @ w)
-            return out
-        anchor = self.anchor()
-        if isinstance(r, Halfspaces):
-            slack0 = r.offsets - r.normals @ anchor
-            for _ in range(n):
-                d = rng.standard_normal(self.dim)
-                nd = np.linalg.norm(d)
-                if nd < 1e-14:
-                    out.append(anchor.copy())
-                    continue
-                d /= nd
-                rates = r.normals @ d
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    steps = np.where(rates > 1e-14, slack0 / np.maximum(rates, 1e-300), np.inf)
-                tmax = float(min(np.min(steps), 1e3))
-                out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
-            return out
-        if isinstance(r, Sublevel):
-            base_pts = r.base_domain.sample_members(rng, n)
-            for y in base_pts:
-                out.append(self._pull_inside(anchor, y))
-            return out
-        # Oracle: rejection from the bounding ball, fall back to shrinking
-        for _ in range(n):
-            pt = None
-            for _ in range(50):
-                cand = anchor + r.bounding_radius * rng.standard_normal(self.dim) / math.sqrt(self.dim)
-                if self.contains(cand):
-                    pt = cand
-                    break
-            if pt is None:
-                cand = anchor + r.bounding_radius * rng.standard_normal(self.dim) / math.sqrt(self.dim)
-                pt = self._pull_inside(anchor, cand)
-            out.append(pt)
-        return out
-
-    def _pull_inside(self, anchor: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Largest point of [anchor, y] still in the set, by bisection."""
-        if self.contains(y):
-            return y
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self.contains(anchor + mid * (y - anchor)):
-                lo = mid
-            else:
-                hi = mid
-        return anchor + lo * (y - anchor)
+        return self.representation.sample(self, rng, n)
 
     def bounding_radius_estimate(self) -> float:
-        r = self.representation
-        if isinstance(r, Vertices):
-            c = self.anchor()
-            return 2.0 * float(np.max(np.linalg.norm(r.points - c, axis=1))) + 1.0
-        if isinstance(r, Oracle):
-            return r.bounding_radius
-        if isinstance(r, Sublevel):
-            return r.base_domain.bounding_radius_estimate()
-        # halfspaces: probe max chord length from the anchor
-        anchor = self.anchor()
-        rng = np.random.default_rng(0)
-        best = 1.0
-        slack0 = r.offsets - r.normals @ anchor
-        for _ in range(8 * self.dim):
-            d = rng.standard_normal(self.dim)
-            d /= max(np.linalg.norm(d), 1e-14)
-            rates = r.normals @ d
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(rates > 1e-14, slack0 / np.maximum(rates, 1e-300), np.inf)
-            best = max(best, float(min(np.min(steps), 1e9)))
-        return 2.0 * best
-
-
-def _hull_contains(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    m = points.shape[0]
-    if m == 1:
-        return bool(np.linalg.norm(points[0] - x) <= tol * (1 + np.linalg.norm(x)))
-    a_eq = np.vstack([points.T, np.ones((1, m))])
-    b_eq = np.concatenate([x, [1.0]])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m,
-                  method="highs")
-    return bool(res.status == 0)
-
-
-def _chebyshev_center(r: Halfspaces) -> np.ndarray:
-    m, n = r.normals.shape
-    norms = np.linalg.norm(r.normals, axis=1)
-    a_ub = np.hstack([r.normals, norms[:, None]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(-1e7, 1e7)] * n + [(0.0, 1e6)]
-    res = linprog(c, A_ub=a_ub, b_ub=r.offsets, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise NotInSetError("halfspace system has no interior point")
-    return res.x[:n]
+        return self.representation.radius(self)
 
 
 # ---------------------------------------------------------------------------
@@ -332,137 +600,43 @@ def _chebyshev_center(r: Halfspaces) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def span_of_difference(s: ConvexSet, base, samples: Optional[int] = None,
-                       seed: int = 0) -> Subspace:
+def _member(s: ConvexSet, x, what: str) -> np.ndarray:
+    x = as_vector(x, s.dim)
+    if not s.contains(x):
+        raise NotInSetError(f"{what} is not a member of the set")
+    return x
+
+
+def span_of_difference(s: ConvexSet, base) -> Subspace:
     """Orthonormal basis of span(S - base).
 
     Exact from the vertex list when available; otherwise probed from
     membership chords (coordinate directions plus random chords through
     sampled members).
     """
-    base = as_vector(base, s.dim)
-    if not s.contains(base):
-        raise NotInSetError("base point is not a member of the set")
-    r = s.representation
-    if isinstance(r, Vertices):
-        return Subspace.from_spanning(r.points - base, s.dim)
-    if samples is None:
-        samples = 4 * s.dim
-    rng = np.random.default_rng(seed)
-    dirs: list[np.ndarray] = []
-    probes = [np.eye(s.dim)[i] * sgn for i in range(s.dim) for sgn in (+1.0, -1.0)]
-    for d in probes:
-        t = 1.0
-        while t >= _SHRINK_FLOOR:
-            if s.contains(base + t * d):
-                dirs.append(d)
-                break
-            t *= 0.5
-    for y in s.sample_members(rng, samples):
-        dirs.append(y - base)
-    return Subspace.from_spanning(dirs, s.dim)
+    base = _member(s, base, "base point")
+    return s.representation.span(s, base)
 
 
-def in_icr(s: ConvexSet, x, probe_dirs: int = 0) -> bool:
+def in_icr(s: ConvexSet, x) -> bool:
     """Relative-algebraic-interior test.
 
     Exact for halfspace and vertex representations; membership-sampled for
     sublevel and oracle sets (may report false positives on cusps).
     """
-    x = as_vector(x, s.dim)
-    if not s.contains(x):
-        raise NotInSetError("point is not a member of the set")
-    r = s.representation
-    if isinstance(r, Vertices):
-        return _vertex_relative_interior(r.points, x)
-    span = span_of_difference(s, x, samples=max(probe_dirs, 4 * s.dim))
-    if span.dim == 0:
-        return True
-    if isinstance(r, Halfspaces):
-        slack = r.offsets - r.normals @ x
-        active = slack <= 1e-9 * (1.0 + np.abs(r.offsets))
-        if not np.any(active):
-            return True
-        a = r.normals[active]
-        for b in span.basis:
-            for d in (b, -b):
-                if np.any(a @ d > 1e-9 * (1.0 + np.linalg.norm(a, axis=1))):
-                    return False
-        return True
-    # sampled verdict for oracle-like representations
-    for b in span.basis:
-        for d in (b, -b):
-            t = 1.0
-            ok = False
-            while t >= _SHRINK_FLOOR:
-                if s.contains(x + t * d):
-                    ok = True
-                    break
-                t *= 0.5
-            if not ok:
-                return False
-    return True
+    x = _member(s, x, "point")
+    return s.representation.in_icr(s, x)
 
 
-def _vertex_relative_interior(points: np.ndarray, x: np.ndarray) -> bool:
-    """x in ri(conv points) iff a representation with all weights > 0 exists."""
-    m = points.shape[0]
-    if m == 1:
-        return bool(np.linalg.norm(points[0] - x) <= 1e-9 * (1 + np.linalg.norm(x)))
-    # variables (lambda, t): maximize t subject to lambda_i >= t
-    a_eq = np.hstack([np.vstack([points.T, np.ones((1, m))]), np.zeros((points.shape[1] + 1, 1))])
-    b_eq = np.concatenate([x, [1.0]])
-    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * m + [(None, 1.0)], method="highs")
-    if res.status != 0:
-        raise NotInSetError("point is not in the hull (LP infeasible)")
-    return bool(res.x[-1] > 1e-9)
+def check_symmetry(s: ConvexSet, p) -> bool:
+    """Is the set symmetric about ``p``, that is, does ``2p - S`` lie in S?
 
-
-def check_symmetry(s: ConvexSet, p, samples: int = 128, tol: float = 1e-8,
-                   seed: int = 0) -> bool:
-    """Is the set symmetric about ``p``?  Exact for halfspace/vertex
-    representations, reflection-sampled otherwise."""
-    p = as_vector(p, s.dim)
-    if not s.contains(p):
-        raise NotInSetError("claimed symmetry point is not in the set")
-    r = s.representation
-    if isinstance(r, Vertices):
-        pts = np.unique(np.round(r.points, 10), axis=0)
-        refl = 2.0 * p - pts
-        return _point_sets_match(pts, refl, tol)
-    if isinstance(r, Halfspaces):
-        norms = np.linalg.norm(r.normals, axis=1)
-        keep = norms > 1e-14
-        a = r.normals[keep] / norms[keep, None]
-        b = r.offsets[keep] / norms[keep]
-        refl_a = -a
-        refl_b = b - 2.0 * (a @ p)
-        rows = np.hstack([a, b[:, None]])
-        refl_rows = np.hstack([refl_a, refl_b[:, None]])
-        return _point_sets_match(rows, refl_rows, tol)
-    rng = np.random.default_rng(seed)
-    for y in s.sample_members(rng, samples):
-        if not s.contains(2.0 * p - y):
-            return False
-    return True
-
-
-def _point_sets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    if a.shape != b.shape:
-        return False
-    used = np.zeros(b.shape[0], dtype=bool)
-    for row in a:
-        dists = np.linalg.norm(b - row, axis=1)
-        dists[used] = np.inf
-        j = int(np.argmin(dists))
-        if dists[j] > tol * (1.0 + np.linalg.norm(row)):
-            return False
-        used[j] = True
-    return True
+    Exact for halfspace sets (one support LP per row) and vertex sets (hull
+    membership of every reflected vertex), so redundant rows and interior
+    vertices do not matter; reflection-sampled otherwise.
+    """
+    p = _member(s, p, "claimed symmetry point")
+    return s.representation.is_symmetric(s, p)
 
 
 def spot_check_convexity(s: ConvexSet, rng: Optional[np.random.Generator] = None,
@@ -470,11 +644,7 @@ def spot_check_convexity(s: ConvexSet, rng: Optional[np.random.Generator] = None
     """Random midpoint test for oracle-style sets (caller contract check)."""
     rng = rng or np.random.default_rng(0)
     pts = s.sample_members(rng, 2 * trials)
-    for i in range(trials):
-        u, v = pts[2 * i], pts[2 * i + 1]
-        if not s.contains(0.5 * (u + v), tol=1e-7):
-            return False
-    return True
+    return all(s.contains(0.5 * (u + v), tol=1e-7) for u, v in zip(pts[::2], pts[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,103 +694,30 @@ class Gauge:
 def minkowski_gauge(g: Gauge, x) -> float:
     """inf{t > 0 : x in t(S - p)}; +inf off the span, 0 on the kernel.
 
-    Halfspace sets use the exact ratio formula; other representations are
-    bracketed and bisected on the monotone membership predicate.
+    Exact for halfspace sets (ratio formula) and vertex sets (one LP over
+    conic weights of the vertices); other representations are bracketed and
+    bisected on the monotone membership predicate to relative ``g.tol``.
     """
     x = as_vector(x, g.dim)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
+    if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     if g.fn is not None:
         if not g.span.contains(x, g.tol * 10):
             return math.inf
         return float(g.fn(x))
-    s = g.set
-    p = s.center
-    r = s.representation
-    if isinstance(r, Halfspaces):
-        num = r.normals @ x
-        den = r.offsets - r.normals @ p
-        val = 0.0
-        for ni, di, bi in zip(num, den, r.offsets):
-            if ni <= g.tol * nx * 1e-3:
-                continue
-            if di <= g.tol * (1.0 + abs(bi)):
-                return math.inf
-            val = max(val, ni / di)
-        return val
-    if not g.span.contains(x, max(g.tol, 1e-8)):
-        return math.inf
-    if g.kernel.dim > 0 and g.kernel.contains(x, 1e-10):
-        return 0.0
-
-    def pred(t: float) -> bool:
-        return s.contains(p + x / t)
-
-    t = 1.0
-    if pred(t):
-        floor = g.tol * 1e-3
-        while t > floor:
-            if not pred(t * 0.5):
-                break
-            t *= 0.5
-        else:
-            return 0.0
-        lo, hi = 0.5 * t, t
-    else:
-        ceil = 1e15
-        while t < ceil:
-            if pred(t * 2.0):
-                break
-            t *= 2.0
-        else:
-            return math.inf
-        lo, hi = t, 2.0 * t
-    while hi - lo > g.tol * hi:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return g.set.representation.gauge(g, x)
 
 
-def kernel_of_gauge(g: Gauge, probe_radius: float = 1e8) -> Subspace:
+def kernel_of_gauge(g: Gauge) -> Subspace:
     """Directions with gauge zero on both sides.
 
-    Exact for halfspace sets (null space of the normals); large-radius
-    membership probes over span basis directions and their pairwise
-    combinations otherwise, with the rank cut via SVD.
+    Exact for halfspace sets (null space of the normals) and vertex sets
+    ({0}, since a hull is bounded); large-radius membership probes over span
+    directions otherwise, with the rank cut via SVD.
     """
-    if g.set is not None and isinstance(g.set.representation, Halfspaces):
-        null = _null_space(g.set.representation.normals)
-        if null.shape[0] == 0:
-            return Subspace.zero(g.dim)
-        # keep only the part inside the gauge span
-        inside = [v for v in null if g.span.contains(v, 1e-8)]
-        return Subspace.from_spanning(inside, g.dim)
     if g.set is None:
         return g.kernel
-    s, p = g.set, g.set.center
-    cands: list[np.ndarray] = []
-    basis = g.span.basis
-    probe_dirs: list[np.ndarray] = list(basis)
-    # the probed span basis can come back in a rotated frame; include the
-    # ambient axes (projected into the span) so axis-aligned lineality
-    # directions are found
-    for i in range(g.dim):
-        a = g.span.project(np.eye(g.dim)[i])
-        na = np.linalg.norm(a)
-        if na > 1e-10:
-            probe_dirs.append(a / na)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            probe_dirs.append((basis[i] + basis[j]) / math.sqrt(2))
-            probe_dirs.append((basis[i] - basis[j]) / math.sqrt(2))
-    for d in probe_dirs:
-        if s.contains(p + probe_radius * d) and s.contains(p - probe_radius * d):
-            cands.append(d)
-    return Subspace.from_spanning(cands, g.dim)
+    return g.set.representation.kernel(g)
 
 
 # ---------------------------------------------------------------------------
@@ -629,50 +726,33 @@ def kernel_of_gauge(g: Gauge, probe_radius: float = 1e8) -> Subspace:
 
 
 def set_to_json(s: ConvexSet) -> dict:
-    r = s.representation
-    if isinstance(r, Halfspaces):
-        repr_doc = {"halfspaces": [{"normal": list(map(float, n)), "offset": float(b)}
-                                   for n, b in zip(r.normals, r.offsets)]}
-    elif isinstance(r, Vertices):
-        repr_doc = {"vertices": [list(map(float, v)) for v in r.points]}
-    elif isinstance(r, Sublevel):
-        inner = {"level": float(r.level), "base_domain": set_to_json(r.base_domain)}
-        name = getattr(r.fn, "source", None) or getattr(r.fn, "__name__", None)
-        if name:
-            inner["fn"] = name
-        repr_doc = {"sublevel": inner}
-    else:
-        raise ValueError("oracle sets are not serializable")
-    doc = {"dim": int(s.dim), "repr": repr_doc}
+    doc = {"dim": int(s.dim), "repr": s.representation.to_json()}
     if s.center is not None:
         doc["center"] = list(map(float, s.center))
     return doc
 
 
+#: representation key in the JSON schema -> class that reads it
+_JSON_KINDS = {"halfspaces": Halfspaces, "vertices": Vertices, "sublevel": Sublevel}
+
+
 def set_from_json(doc: dict, fn_registry: Optional[dict] = None) -> ConvexSet:
-    dim = int(doc["dim"])
-    rd = doc["repr"]
-    if "halfspaces" in rd:
-        normals = np.array([h["normal"] for h in rd["halfspaces"]], dtype=float)
-        offsets = np.array([h["offset"] for h in rd["halfspaces"]], dtype=float)
-        rep: Representation = Halfspaces(normals, offsets)
-    elif "vertices" in rd:
-        rep = Vertices(np.array(rd["vertices"], dtype=float))
-    elif "sublevel" in rd:
-        sd = rd["sublevel"]
-        base = set_from_json(sd["base_domain"], fn_registry)
-        fn_name = sd["fn"]
-        fn = None
-        if fn_registry and fn_name in fn_registry:
-            fn = fn_registry[fn_name]
-        else:
-            from .expr import parse, make_callable
-            fn = make_callable(parse(fn_name, dim))
-        rep = Sublevel(fn, float(sd["level"]), base)
-    else:
-        raise ValueError(f"unknown set representation keys: {sorted(rd)}")
-    center = doc.get("center")
-    return ConvexSet(dim, rep, None if center is None else np.asarray(center, dtype=float))
+    """Read a set document.  Each representation validates its own part:
+    wrong widths raise :class:`DimensionMismatchError`, NaN or inf entries
+    :class:`NonFiniteInputError`, and missing keys, unknown representations
+    or values of the wrong type :class:`SetFormatError`."""
+    try:
+        dim = int(doc["dim"])
+        if dim < 1:
+            raise SetFormatError(f"dim must be positive, got {dim}")
+        kinds = [k for k in _JSON_KINDS if k in doc["repr"]]
+        if not kinds:
+            raise SetFormatError(f"unknown set representation keys: {sorted(doc['repr'])}")
+        rep = _JSON_KINDS[kinds[0]].from_json(doc["repr"][kinds[0]], dim, fn_registry)
+        center = doc.get("center")
+        return ConvexSet(dim, rep, None if center is None else as_vector(center, dim))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise SetFormatError(f"malformed set document: {exc!r}") from exc
 
 
 # -- convenience constructors used throughout tests and fixtures -----------

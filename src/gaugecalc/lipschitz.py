@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricSetError,
-    GaugeCalcError,
     KernelViolationError,
     NoFeasibleStepError,
     NonFiniteInputError,
@@ -27,9 +26,6 @@ from .functions import ScalarFunction
 from .geometry import (
     ConvexSet,
     Gauge,
-    Halfspaces,
-    Oracle,
-    Vertices,
     as_vector,
     check_symmetry,
     in_icr,
@@ -78,19 +74,7 @@ def scale_about(c: ConvexSet, p, factor: float, translate_to=None) -> ConvexSet:
     """``factor * (C - p) + q`` with q defaulting to p."""
     p = as_vector(p, c.dim)
     q = p if translate_to is None else as_vector(translate_to, c.dim)
-    rep = c.representation
-    if isinstance(rep, Halfspaces):
-        # y = q + factor (z - p), z in C  <=>  a.y <= factor b + a.(q - factor p)
-        offsets = factor * rep.offsets + rep.normals @ (q - factor * p)
-        return ConvexSet(c.dim, Halfspaces(rep.normals.copy(), offsets), center=q)
-    if isinstance(rep, Vertices):
-        return ConvexSet(c.dim, Vertices(q + factor * (rep.points - p)), center=q)
-    radius = factor * c.bounding_radius_estimate()
-
-    def member(x):
-        return c.contains(p + (x - q) / factor)
-
-    return ConvexSet(c.dim, Oracle(member=member, bounding_radius=radius), center=q)
+    return c.representation.scaled(c, p, factor, q)
 
 
 def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
@@ -112,8 +96,7 @@ def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
         samples = 10 * c.dim * c.dim
     rng = np.random.default_rng(seed)
     pts = c.sample_members(rng, samples)
-    if isinstance(c.representation, Vertices):
-        pts.extend(list(c.representation.points))
+    pts.extend(c.representation.extreme_points())
     if extra_points is not None:
         pts.extend(as_vector(q, c.dim) for q in extra_points)
     try:

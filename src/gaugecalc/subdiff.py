@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -210,8 +210,7 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
 
 def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
                         num_dirs: Optional[int] = None, seed: int = 42,
-                        slack: float = 1e-8,
-                        check_attainment: bool = True) -> np.ndarray:
+                        slack: float = 1e-8) -> np.ndarray:
     """Subgradient maximizing <zeta, objective> over the support constraints.
 
     The feasible polytope {z : <z, v> <= f'(x; v) for sampled v} is an outer
@@ -252,15 +251,13 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
         raise LpInfeasibleError(
             "support constraints are infeasible (noisy derivative estimates)",
         )
-    z = res.x
-    if check_attainment:
-        target = _support_value(f, x, obj, g, seed=seed)
-        attained = float(-res.fun)
-        if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
-            raise SupportMismatchError(
-                f"support value {target:.6g} in the objective direction is not "
-                f"attained (got {attained:.6g})")
-    return w.basis.T @ z
+    target = _support_value(f, x, obj, g, seed=seed)
+    attained = float(-res.fun)
+    if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
+        raise SupportMismatchError(
+            f"support value {target:.6g} in the objective direction is not "
+            f"attained (got {attained:.6g})")
+    return w.basis.T @ res.x
 
 
 @dataclass

@@ -17,8 +17,6 @@ from .errors import EmptySublevelError, NotInSetError
 from .functions import ScalarFunction
 from .geometry import (
     ConvexSet,
-    Halfspaces,
-    Oracle,
     Sublevel,
     as_vector,
     check_symmetry,
@@ -71,21 +69,7 @@ def symmetric_core(s_a: ConvexSet, x0) -> ConvexSet:
     x0 = as_vector(x0, s_a.dim)
     if not s_a.contains(x0):
         raise NotInSetError("base point is not in the sublevel set")
-    rep = s_a.representation
-    if isinstance(rep, Halfspaces):
-        refl_normals = -rep.normals
-        refl_offsets = rep.offsets - 2.0 * (rep.normals @ x0)
-        return ConvexSet(
-            s_a.dim,
-            Halfspaces(np.vstack([rep.normals, refl_normals]),
-                       np.concatenate([rep.offsets, refl_offsets])),
-            center=x0)
-    radius = s_a.bounding_radius_estimate()
-
-    def member(x):
-        return s_a.contains(x) and s_a.contains(2.0 * x0 - x)
-
-    return ConvexSet(s_a.dim, Oracle(member=member, bounding_radius=radius), center=x0)
+    return s_a.representation.symmetric_core(s_a, x0)
 
 
 def literal_ca_member(s_a: ConvexSet, x0, x,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,22 +38,6 @@ class WeightedGrid:
 
     def inner(self, a, b) -> float:
         return float(np.sum(self.weights * np.asarray(a, float) * np.asarray(b, float)))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    grid: WeightedGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} values, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, grid: WeightedGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
 def phi_l2(grid: WeightedGrid, x) -> float:

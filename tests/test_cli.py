@@ -113,3 +113,16 @@ def test_bad_json_exits_2(capsys):
 def test_bad_expression_exits_2(capsys):
     code = main(["fermat", "--set", UNIT_BOX_2D, "--fn", "x1 +", "--point", "[0, 0]"])
     assert code == 2
+
+
+def test_overflowing_expression_exits_2(capsys):
+    code = main(["subdiff", "--fn", "exp(1000*x1)", "--point", "[0.5,0]", "--convex",
+                 "--set", UNIT_BOX_2D])
+    assert code == 2
+    assert "exp overflows" in capsys.readouterr().err
+
+
+def test_malformed_set_exits_2(capsys):
+    wide = json.dumps({"dim": 2, "repr": {"halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}})
+    assert main(["gauge", "--set", wide, "--point", "[0, 0]"]) == 2
+    assert "dimension" in capsys.readouterr().err

@@ -74,6 +74,15 @@ def test_sqrt_negative_tagged():
     assert "sqrt" in err.value.path
 
 
+def test_overflow_tagged():
+    with pytest.raises(ExprDomainError) as err:
+        evaluate(parse("1 + exp(1000*x1)", 1), [1.0])
+    assert err.value.path == ".r.exp"
+    with pytest.raises(ExprDomainError) as err:
+        evaluate(parse("2 * (x1 + 1)^400", 1), [1e200])
+    assert err.value.path == ".r"
+
+
 def test_dot_requires_constants():
     with pytest.raises(ExprSyntaxError):
         parse("dot(x1, 1)", 2)

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from gaugecalc import (
     ConvexSet,
     DimensionMismatchError,
     Gauge,
+    GaugeCalcError,
     Halfspaces,
     NonFiniteInputError,
     NotInSetError,
     Oracle,
+    ScalarFunction,
+    SetFormatError,
     Sublevel,
     Subspace,
     Vertices,
@@ -26,7 +30,9 @@ from gaugecalc import (
     set_to_json,
     span_of_difference,
     spot_check_convexity,
+    theoretical_constant,
 )
+from gaugecalc.geometry import _hull_contains
 
 
 def diamond():
@@ -90,6 +96,14 @@ def test_hull_membership():
     assert tri.contains([1 / 3, 1 / 3])  # centroid
     assert tri.contains([0.0, 0.0])      # a vertex
     assert not tri.contains([0.6, 0.6])  # beyond the hypotenuse
+
+
+def test_hull_membership_honours_tol():
+    points = np.array([[0.0, 0], [1.0, 0], [0, 1.0]])
+    # L1 distances 1e-8 and 1e-6 beyond the hypotenuse
+    assert not _hull_contains(points, np.array([0.5 + 1e-8, 0.5]), 1e-12)
+    assert _hull_contains(points, np.array([0.5 + 1e-6, 0.5]), 1e-3)
+    assert _hull_contains(points, np.array([0.5, 0.5]), 1e-12)
 
 
 def test_sublevel_membership():
@@ -160,6 +174,27 @@ def test_check_symmetry():
     assert check_symmetry(shifted, [1.0, 0.0])
 
 
+def test_symmetry_ignores_redundant_rows():
+    square = box(2)
+    padded = ConvexSet(2, Halfspaces(np.vstack([square.representation.normals, [[1.0, 0.0]]]),
+                                     np.append(square.representation.offsets, 5.0)),
+                       center=np.zeros(2))
+    assert check_symmetry(padded, [0.0, 0.0])
+    f = ScalarFunction.from_expr("x1^2 + x2^2", domain=padded, convex=True)
+    cert = theoretical_constant(f, padded, [0.0, 0.0], 0.5)
+    assert 0.0 < cert.M <= 2.0
+    assert cert.theoretical_L == pytest.approx(3.0 * cert.M)
+
+
+def test_symmetry_ignores_interior_vertices():
+    square = ConvexSet(2, Vertices(np.array([[1.0, 1], [-1.0, 1], [-1.0, -1], [1.0, -1],
+                                             [0.3, 0.2]])), center=np.zeros(2))
+    assert check_symmetry(square, [0.0, 0.0])
+    tri = ConvexSet(2, Vertices(np.array([[0.0, 0], [1.0, 0], [0, 1.0]])))
+    assert not check_symmetry(tri, [0.25, 0.25])
+    assert not check_symmetry(interval(-1.0, math.inf, center=0.0), [0.0])
+
+
 # -- gauges -------------------------------------------------------------------
 
 
@@ -172,12 +207,71 @@ def test_box_gauge_is_max_abs():
 
 
 def test_diamond_gauge_is_l1_norm():
-    # exercises the generic bracket-and-bisect path (vertex representation)
     g = Gauge.of_set(diamond())
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = rng.uniform(-2, 2, 2)
-        assert g.value(x) == pytest.approx(float(np.sum(np.abs(x))), rel=1e-6)
+        assert g.value(x) == pytest.approx(float(np.sum(np.abs(x))), rel=1e-12)
+    assert g.value([0.5, 0.0]) == 0.5
+
+
+def _facet_gauge(points, center, x):
+    """max a.x / (b - a.c) over the facets a.y <= b of the hull."""
+    hull = ConvexHull(points)
+    a, b = hull.equations[:, :-1], -hull.equations[:, -1]
+    return max(0.0, float(np.max(a @ x / (b - a @ center))))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vertex_gauge_matches_hull_facets(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        points = rng.standard_normal((6 + 2 * dim, dim))
+        center = points.mean(axis=0) + 0.1 * rng.standard_normal(dim)
+        g = Gauge.of_set(ConvexSet(dim, Vertices(points), center=center))
+        for x in 3.0 * rng.standard_normal((8, dim)):
+            assert g.value(x) == pytest.approx(_facet_gauge(points, center, x), rel=1e-12)
+
+
+def test_vertex_gauge_on_flat_sets_in_r3():
+    rng = np.random.default_rng(7)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]  # columns: plane, plane, normal
+    seg = ConvexSet(3, Vertices(np.array([-frame[:, 0], 2.0 * frame[:, 0]])),
+                    center=np.zeros(3))
+    g = Gauge.of_set(seg)
+    assert g.span.dim == 1
+    assert g.value(1.5 * frame[:, 0]) == pytest.approx(0.75, rel=1e-12)
+    assert g.value(-0.5 * frame[:, 0]) == pytest.approx(0.5, rel=1e-12)
+    assert math.isinf(g.value(frame[:, 0] + 1e-3 * frame[:, 1]))
+    flat = rng.standard_normal((3, 2))  # triangle vertices in plane coordinates
+    center = flat.mean(axis=0)
+    tri = ConvexSet(3, Vertices(flat @ frame[:, :2].T), center=frame[:, :2] @ center)
+    g = Gauge.of_set(tri)
+    assert g.span.dim == 2
+    for u in rng.standard_normal((8, 2)):
+        assert g.value(frame[:, :2] @ u) == pytest.approx(_facet_gauge(flat, center, u),
+                                                          rel=1e-12)
+    assert math.isinf(g.value(frame @ np.array([0.3, 0.2, 0.1])))
+
+
+def test_bisection_gauge_on_oracle_disk():
+    disk = ConvexSet(2, Oracle(member=lambda x: float(np.linalg.norm(x)) <= 2.0,
+                               bounding_radius=3.0), center=np.zeros(2))
+    g = Gauge.of_set(disk)
+    assert g.span.dim == 2 and g.kernel.dim == 0
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(-3, 3, (10, 2)):
+        assert g.value(x) == pytest.approx(0.5 * float(np.linalg.norm(x)), rel=1e-8)
+
+
+def test_bisection_gauge_on_sublevel_ball():
+    ball = ConvexSet(3, Sublevel(fn=lambda x: float(x @ x), level=4.0, base_domain=box(3, -5, 5)),
+                     center=np.zeros(3))
+    g = Gauge.of_set(ball)
+    assert g.span.dim == 3 and g.kernel.dim == 0
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-3, 3, (10, 3)):
+        assert g.value(x) == pytest.approx(0.5 * float(np.linalg.norm(x)), rel=1e-8)
 
 
 def test_gauge_off_span_is_infinite():
@@ -280,6 +374,37 @@ def test_json_round_trip_sublevel_with_expression():
     again = set_from_json(set_to_json(s))
     assert again.contains([0.5])
     assert not again.contains([1.5])
+
+
+def test_json_wide_normal_is_a_dimension_error():
+    doc = {"dim": 2, "repr": {"halfspaces": [{"normal": [1.0, 0.0], "offset": 1.0},
+                                             {"normal": [1.0, 0.0, 0.0], "offset": 1.0}]}}
+    with pytest.raises(DimensionMismatchError):
+        set_from_json(doc)
+
+
+def test_json_nan_is_a_non_finite_error():
+    doc = json.loads('{"dim": 1, "repr": {"halfspaces": [{"normal": [1], "offset": NaN}]},'
+                     ' "center": [0]}')
+    with pytest.raises(NonFiniteInputError):
+        set_from_json(doc)
+    with pytest.raises(NonFiniteInputError):
+        set_from_json({"dim": 1, "repr": {"vertices": [[0.0], [math.inf]]}})
+
+
+def test_json_missing_key_is_a_format_error():
+    no_fn = {"level": 1.0, "base_domain": set_to_json(box(1))}
+    for doc in ({"repr": {"vertices": [[0.0]]}},
+                {"dim": 1, "repr": {"halfspaces": [{"normal": [1.0]}]}},
+                {"dim": 1, "repr": {"sublevel": no_fn}}):
+        with pytest.raises(SetFormatError):
+            set_from_json(doc)
+
+
+def test_json_unknown_representation_is_a_format_error():
+    with pytest.raises(SetFormatError) as info:
+        set_from_json({"dim": 2, "repr": {"ellipsoid": {"radii": [1.0, 2.0]}}})
+    assert isinstance(info.value, GaugeCalcError)
 
 
 def test_oracle_sets_not_serializable():

@@ -5,7 +5,6 @@ import pytest
 
 from gaugecalc import (
     EXAMPLES,
-    GridFunction,
     NonFiniteInputError,
     WeightedGrid,
     make_function,
@@ -84,13 +83,6 @@ def test_make_gauge_norm(grid):
     assert g.value(v) == pytest.approx(mu_l2(grid, v), abs=1e-9)
     assert g.value(2.5 * v) == pytest.approx(2.5 * mu_l2(grid, v), rel=1e-9)
     assert g.kernel.dim == 0
-
-
-def test_grid_function_validation(grid):
-    gf = GridFunction.from_callable(grid, lambda t: t ** 2)
-    assert gf.values.shape == (grid.n,)
-    with pytest.raises(ValueError):
-        GridFunction(grid, np.zeros(3))
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

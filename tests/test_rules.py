@@ -77,6 +77,12 @@ def test_chain_rule_2_exponential(plane, unit_gauge):
     lo, hi = r.details["outer_slope_range"]
     assert lo == pytest.approx(math.exp(0.25), rel=1e-5)
     assert hi == pytest.approx(math.exp(0.25), rel=1e-5)
+    # bit-identical to the scale ladder 2^-8 .. 2^-23 that kept only its last step
+    u0 = h([0.0, 0.5])
+    for k in range(8, 24):
+        t = 2.0 ** (-k)
+        slopes = ((math.exp(u0) - math.exp(u0 - t)) / t, (math.exp(u0 + t) - math.exp(u0)) / t)
+    assert [lo, hi] == [min(slopes), max(slopes)]
 
 
 def test_chain_rule_2_nonsmooth_outer(plane, unit_gauge):
