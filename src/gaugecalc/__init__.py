@@ -21,6 +21,7 @@ from .errors import (
     SetFormatError,
     SupportMismatchError,
     UnboundedFunctionError,
+    UsageError,
 )
 from .expr import evaluate, make_callable, parse, to_source
 from .functions import (

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GaugeCalcError
+from .errors import GaugeCalcError, UsageError
 from .functions import ScalarFunction
 from .geometry import ConvexSet, Gauge, Oracle, Vertices, as_vector, set_from_json
 from .lipschitz import counterexample_suite, theoretical_constant
@@ -39,16 +39,23 @@ _OUTER_FUNCTIONS = {
 }
 
 
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _load_set(raw: str) -> ConvexSet:
     text = raw.strip()
     if not text.startswith("{"):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return set_from_json(json.loads(text))
+    return set_from_json(_json(text, "the set"))
 
 
 def _parse_point(raw: str) -> np.ndarray:
-    return as_vector(json.loads(raw))
+    return as_vector(_json(raw, "the point"))
 
 
 def _free_domain(dim: int) -> ConvexSet:
@@ -137,12 +144,14 @@ def _cmd_verify(args) -> int:
     s = _load_set(args.set)
     g = Gauge.of_set(s, tol=args.tol)
     x = _parse_point(args.point)
-    f = _load_fn(args.fn, s.dim, None, args.convex)
     rule = args.rule
     if rule in ("sum", "product", "max") and not args.fn2:
-        raise ValueError(f"the {rule} rule needs --fn2")
+        raise UsageError(f"the {rule} rule needs --fn2")
     if rule == "partial" and not args.set2:
-        raise ValueError("the partial rule needs --set2")
+        raise UsageError("the partial rule needs --set2")
+    # the partial rule's function lives on the product of both blocks
+    s2 = _load_set(args.set2) if rule == "partial" else None
+    f = _load_fn(args.fn, s.dim + (s2.dim if s2 else 0), None, args.convex)
     if rule == "sum":
         f2 = _load_fn(args.fn2, s.dim, None, args.convex)
         report = verify_sum_rule(f, f2, x, g, seed=args.seed)
@@ -164,12 +173,10 @@ def _cmd_verify(args) -> int:
                          in_dim=s.dim, out_dim=s.dim, name="half")
         report = verify_chain_rule_1(f, inner, x, g, g, seed=args.seed)
     elif rule == "partial":
-        s2 = _load_set(args.set2)
-        g2 = Gauge.of_set(s2, tol=args.tol)
-        f_joint = _load_fn(args.fn, s.dim + s2.dim, None, args.convex)
-        report = verify_partial_rule(f_joint, x, g, g2, seed=args.seed)
+        report = verify_partial_rule(f, x, g, Gauge.of_set(s2, tol=args.tol),
+                                     seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(rule)
+        raise UsageError(rule)
     _emit(report.to_json(), args.out)
     return 0 if report.inclusion_holds else 1
 
@@ -300,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GaugeCalcError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GaugeCalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,10 @@ class GaugeCalcError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(GaugeCalcError, ValueError):
+    """An argument is missing, malformed or out of range."""
+
+
 class DimensionMismatchError(GaugeCalcError):
     pass
 

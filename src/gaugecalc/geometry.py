@@ -45,7 +45,10 @@ KERNEL_PROBE_RADIUS = 1e8
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float array."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"expected a numeric vector: {exc}") from None
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.size != dim:

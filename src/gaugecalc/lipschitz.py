@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteInputError,
     NotInSetError,
     UnboundedFunctionError,
+    UsageError,
 )
 from .functions import ScalarFunction
 from .geometry import (
@@ -88,7 +89,7 @@ def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
     estimator on the shrunk region.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise UsageError(f"eps must lie in (0, 1), got {eps}")
     p = as_vector(p, c.dim)
     if not check_symmetry(c, p):
         raise AsymmetricSetError("set is not symmetric about the given point")
@@ -164,7 +165,7 @@ def local_witness(f: ScalarFunction, core: SublevelCore, x, eps: float) -> Local
     """
     x = as_vector(x, f.domain.dim)
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise UsageError(f"eps must lie in (0, 1), got {eps}")
     if not in_icr(f.domain, x):
         raise NotInSetError("point fails the relative-interior probing of the domain")
     d = x - core.x0

@@ -22,6 +22,8 @@ from .geometry import ConvexSet, Gauge, Oracle, Subspace, as_vector
 from .subdiff import _direction_fan, _reduced_basis, subdifferential_hull
 
 DEFAULT_RULE_TOL = 1e-4
+#: fan size (per_dim, floor) of the comparison; max-rule activity tolerance
+_RULE_FAN, _ACTIVE_TOL = (6, 24), 1e-9
 
 
 @dataclass
@@ -88,12 +90,9 @@ def _compare(rule: str, lhs_vertices, rhs_support: Callable[[np.ndarray], float]
                       num_directions=len(dirs), details=details)
 
 
-def _fan_for(g: Gauge, seed: int = 42, count: Optional[int] = None) -> list[np.ndarray]:
+def _fan_for(g: Gauge, seed: int = 42) -> list[np.ndarray]:
     w = _reduced_basis(g)
-    rng = np.random.default_rng(seed)
-    if count is None:
-        count = max(6 * w.dim, 24)
-    dirs = _direction_fan(w, rng, count)
+    dirs, _ = _direction_fan(w, _RULE_FAN, seed)
     for i in range(w.dim):
         for j in range(i + 1, w.dim):
             for s in (1.0, -1.0):
@@ -306,15 +305,14 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
 
 
 def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
-                    tol: float = DEFAULT_RULE_TOL, seed: int = 42,
-                    active_tol: float = 1e-9) -> RuleReport:
+                    tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
     """Pointwise max: d(max f_i)(x) against the hull of the active pieces."""
     x = as_vector(x, fs[0].domain.dim)
     top = max_of(list(fs))
     lhs = subdifferential_hull(top, x, gauge, seed=seed).subgradients
     vals = [fi(x) for fi in fs]
     peak = max(vals)
-    active = [i for i, v in enumerate(vals) if v >= peak - active_tol * (1 + abs(peak))]
+    active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
     rhs_vertices: list[np.ndarray] = []
     for i in active:
         rhs_vertices.extend(subdifferential_hull(fs[i], x, gauge, seed=seed).subgradients)

@@ -31,6 +31,13 @@ from .geometry import Gauge, Subspace, _complement_rows, as_vector
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
 
+#: gen_dir_deriv: PROBES base points per shell of gauge radius R0 * 2**-j, j < SHELLS
+_SHELLS, _PROBES, _R0 = 18, 12, 1e-2
+#: fan sizes (per_dim, floor) of subgradient and stationarity tests, of
+#: extraction LPs and of a hull's objectives; relative LP constraint slack
+_TEST_FAN, _LP_FAN, _OBJECTIVE_FAN = (4, 16), (2, 16), (4, 8)
+_LP_SLACK = 1e-8
+
 
 def dir_deriv(f: ScalarFunction, x, d) -> float:
     """One-sided directional derivative by a halving difference ladder.
@@ -90,14 +97,13 @@ def dir_deriv(f: ScalarFunction, x, d) -> float:
     return q
 
 
-def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, shells: int = 18,
-                  probes: int = 12, seed: int = 42, r0: float = 1e-2) -> float:
+def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     """Generalized (upper) directional derivative.
 
-    Scans geometrically shrinking gauge-shells of base points around x,
-    takes one difference quotient per base point with a step tied to the
-    shell radius, and reports the max over the two innermost shells as the
-    limsup surrogate.
+    Reports the max over the two innermost of 18 geometrically shrinking
+    gauge-shells of base points around x (radii ``1e-2 * 2**-16`` and
+    ``1e-2 * 2**-17``), one difference quotient per base point with a step
+    tied to the shell radius, as the limsup surrogate.
     """
     x = as_vector(x, f.domain.dim)
     d = as_vector(d, f.domain.dim)
@@ -105,12 +111,16 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, shells: int = 18,
         return 0.0
     rng = np.random.default_rng(seed)
     k = g.span.dim
-    shell_max = []
-    for j in range(shells):
-        r = r0 * 2.0 ** (-j)
-        best = -math.inf
+    # the outer shells are not scanned, since only the two innermost are
+    # reported; their probes' normals are still drawn so that the innermost
+    # shells see the same base points and every reported value stays
+    # bit-identical to a scan of all the shells
+    rng.standard_normal((_SHELLS - 2) * _PROBES * k)
+    best = -math.inf
+    for j in (_SHELLS - 2, _SHELLS - 1):
+        r = _R0 * 2.0 ** (-j)
         bases = [x]
-        for _ in range(probes):
+        for _ in range(_PROBES):
             if k == 0:
                 break
             u = g.span.basis.T @ rng.standard_normal(k)
@@ -128,11 +138,9 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, shells: int = 18,
             if t <= 1e-12:
                 continue
             best = max(best, (f(y + t * d) - f(y)) / t)
-        shell_max.append(best)
-    tail = [v for v in shell_max[-2:] if math.isfinite(v)]
-    if not tail:
+    if not math.isfinite(best):
         raise NoFeasibleStepError("no feasible probe near x for this direction")
-    return max(tail)
+    return best
 
 
 def _reduced_basis(g: Gauge) -> Subspace:
@@ -156,8 +164,12 @@ def _support_value(f: ScalarFunction, x, v, g: Gauge, seed: int = 42) -> float:
     return gen_dir_deriv(f, x, v, g, seed=seed)
 
 
-def _direction_fan(w: Subspace, rng: np.random.Generator, count: int,
-                   extra=None) -> list[np.ndarray]:
+def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
+                   extra=()) -> tuple[list[np.ndarray], list[int]]:
+    """+/- each basis vector, projected axis and projected extra vector, then
+    random unit directions in ``w`` up to ``max(per_dim * w.dim, floor)``.
+    Also the row of each extra vector (its negation is the next row), or 0,
+    the first basis vector, for one with no component in ``w``."""
     dirs = []
     for b in w.basis:
         dirs.append(b)
@@ -171,22 +183,77 @@ def _direction_fan(w: Subspace, rng: np.random.Generator, count: int,
             if na > 1e-10:
                 dirs.append(a / na)
                 dirs.append(-a / na)
-    if extra is not None:
-        for v in extra:
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-14:
-                dirs.append(v / nv)
-                dirs.append(-v / nv)
+    rows = []
+    for v in extra:
+        p = w.project(v)
+        nv = float(np.linalg.norm(p))
+        rows.append(len(dirs) if nv > 1e-14 else 0)
+        if nv > 1e-14:
+            dirs.append(p / nv)
+            dirs.append(-p / nv)
+    rng = np.random.default_rng(seed)
+    count = max(size[0] * w.dim, size[1])
     while len(dirs) < count and w.dim > 0:
         u = w.basis.T @ rng.standard_normal(w.dim)
         nu = float(np.linalg.norm(u))
         if nu > 1e-14:
             dirs.append(u / nu)
-    return dirs
+    return dirs, rows
+
+
+def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
+                 extra=()) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """:func:`_direction_fan` with f's support value along each row."""
+    dirs, rows = _direction_fan(w, size, seed, extra)
+    sups = np.array([_support_value(f, x, v, g, seed) for v in dirs])
+    return np.array(dirs).reshape(-1, w.ambient_dim), sups, rows
+
+
+def _maximize(w: Subspace, dirs, sups, rows: list[int]) -> list[np.ndarray]:
+    """For each row, the z maximizing <z, dirs[row]> over the outer
+    approximation {z : <z, v> <= h(v) for every fan row v} of the
+    subdifferential; the optimum must attain that row's support value."""
+    a_ub = dirs @ w.basis.T
+    b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
+    out = []
+    for row in rows:
+        c = -(w.basis @ dirs[row])
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
+                      method="highs")
+        if res.status != 0:
+            # presolve misclassifies near-equality constraint pairs with tiny
+            # right-hand sides as inconsistent; the raw solve handles them
+            res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
+                          method="highs", options={"presolve": False})
+        if res.status != 0:
+            raise LpInfeasibleError(
+                "support constraints are infeasible (noisy derivative estimates)",
+            )
+        target = float(sups[row])
+        attained = float(-res.fun)
+        if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
+            raise SupportMismatchError(
+                f"support value {target:.6g} in the objective direction is not "
+                f"attained (got {attained:.6g})")
+        out.append(w.basis.T @ res.x)
+    return out
+
+
+def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
+             signs=(1,)) -> list[np.ndarray]:
+    """Subgradients maximizing <z, s * objective> for each sign s on one fan
+    at x; the objective defaults to the first reduced basis vector."""
+    w = _reduced_basis(g)
+    if w.dim == 0:
+        raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
+                                   "is zero-dimensional")
+    obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
+    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
+    return _maximize(w, dirs, sups, [rows[0] + (s < 0) for s in signs])
 
 
 def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
-                   num_dirs: Optional[int] = None, seed: int = 42) -> bool:
+                   seed: int = 42) -> bool:
     """Support-inequality check <zeta, v> <= f'(x; v) on sampled directions.
 
     Sampled verdict: a True is exact on the tested fan only.  Directions are
@@ -198,66 +265,17 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
     w = _reduced_basis(g)
     if w.dim == 0:
         return float(np.linalg.norm(zeta)) <= tol
-    rng = np.random.default_rng(seed)
-    if num_dirs is None:
-        num_dirs = max(4 * w.dim, 16)
-    for v in _direction_fan(w, rng, num_dirs, extra=[w.project(zeta)]):
-        sup = _support_value(f, x, v, g, seed=seed)
-        if float(zeta @ v) > sup + tol * (1.0 + abs(sup)):
-            return False
-    return True
+    dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
+    return bool(np.all(dirs @ zeta <= sups + tol * (1.0 + np.abs(sups))))
 
 
 def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
-                        num_dirs: Optional[int] = None, seed: int = 42,
-                        slack: float = 1e-8) -> np.ndarray:
-    """Subgradient maximizing <zeta, objective> over the support constraints.
-
-    The feasible polytope {z : <z, v> <= f'(x; v) for sampled v} is an outer
-    approximation of the subdifferential; including +/- of every reduced
-    basis vector pins singleton subdifferentials exactly.  When the support
-    value in the objective direction is not attained up to tolerance, the
-    constraint fan is inconsistent with a compact subdifferential and
-    :class:`SupportMismatchError` is raised.
-    """
-    x = as_vector(x, f.domain.dim)
-    w = _reduced_basis(g)
-    if w.dim == 0:
-        raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
-                                   "is zero-dimensional")
-    rng = np.random.default_rng(seed)
-    if objective is None:
-        obj = w.basis[0]
-    else:
-        obj = w.project(as_vector(objective, f.domain.dim))
-        if float(np.linalg.norm(obj)) < 1e-14:
-            obj = w.basis[0]
-    obj = obj / float(np.linalg.norm(obj))
-    if num_dirs is None:
-        num_dirs = max(2 * w.dim, 16)
-    dirs = _direction_fan(w, rng, num_dirs, extra=[obj])
-    sups = [_support_value(f, x, v, g, seed=seed) for v in dirs]
-    a_ub = np.asarray(dirs) @ w.basis.T
-    b_ub = np.array([s + slack * (1.0 + abs(s)) for s in sups])
-    c = -(w.basis @ obj)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
-                  method="highs")
-    if res.status != 0:
-        # presolve misclassifies near-equality constraint pairs with tiny
-        # right-hand sides as inconsistent; the raw solve handles them
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
-                      method="highs", options={"presolve": False})
-    if res.status != 0:
-        raise LpInfeasibleError(
-            "support constraints are infeasible (noisy derivative estimates)",
-        )
-    target = _support_value(f, x, obj, g, seed=seed)
-    attained = float(-res.fun)
-    if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
-        raise SupportMismatchError(
-            f"support value {target:.6g} in the objective direction is not "
-            f"attained (got {attained:.6g})")
-    return w.basis.T @ res.x
+                        seed: int = 42) -> np.ndarray:
+    """Subgradient maximizing <zeta, objective> over the support constraints
+    of one direction fan at x that holds +/- the objective (by default the
+    first reduced basis vector).  Raises :class:`SupportMismatchError` when
+    the optimum misses the objective's support value."""
+    return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
 
 
 @dataclass
@@ -278,57 +296,41 @@ class SupportSet:
         }
 
 
-def subdifferential_hull(f: ScalarFunction, x, g: Gauge,
-                         num_objectives: Optional[int] = None,
-                         seed: int = 42) -> SupportSet:
+def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> SupportSet:
     """Extract subgradients along many objectives and record support values.
 
-    The returned vertices describe the subdifferential up to the sampled
-    objective fan (exact for polytopal subdifferentials once the fan covers
-    the facet normals).
+    One fan per base point holds +/- every objective, and every objective's
+    LP reads its support values.  The vertices describe the subdifferential
+    up to the sampled objective fan (exact for polytopal subdifferentials
+    once the fan covers the facet normals).
     """
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    rng = np.random.default_rng(seed)
-    if num_objectives is None:
-        num_objectives = max(4 * w.dim, 8)
-    objectives = _direction_fan(w, rng, num_objectives)
-    sups = []
+    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives)
     grads: list[np.ndarray] = []
-    for v in objectives:
-        sups.append(_support_value(f, x, v, g, seed=seed))
-        z = extract_subgradient(f, x, g, objective=v, seed=seed)
+    for z in _maximize(w, dirs, sups, rows):
         if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
                    for z0 in grads):
             grads.append(z)
     return SupportSet(base_point=x, directions=objectives,
-                      support_values=sups, subgradients=grads)
+                      support_values=[float(sups[r]) for r in rows],
+                      subgradients=grads)
 
 
 def fermat_check(f: ScalarFunction, x, g: Gauge, tol: float = 1e-6,
-                 num_dirs: Optional[int] = None, seed: int = 42) -> dict:
+                 seed: int = 42) -> dict:
     """Is zero a subgradient at x (stationarity in the quotient directions)?"""
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
-    rng = np.random.default_rng(seed)
-    if num_dirs is None:
-        num_dirs = max(4 * w.dim, 16)
-    worst_val = math.inf
-    worst_dir = None
-    for v in _direction_fan(w, rng, num_dirs):
-        sup = _support_value(f, x, v, g, seed=seed)
-        if sup < worst_val:
-            worst_val = sup
-            worst_dir = v
-    return {
-        "is_critical": bool(worst_val >= -tol),
-        "min_derivative": float(worst_val),
-        "worst_direction": None if worst_dir is None else list(map(float, worst_dir)),
-    }
+    dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
+    i = int(np.argmin(sups))
+    return {"is_critical": bool(sups[i] >= -tol), "min_derivative": float(sups[i]),
+            "worst_direction": list(map(float, dirs[i]))}
 
 
 @dataclass
@@ -364,7 +366,7 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42,
             raise KernelViolationError(
                 f"function varies by {target:.3g} along a zero-gauge chord")
         z = 0.5 * (x + y)
-        zeta = extract_subgradient(f, z, g, seed=seed)
+        zeta = _extract(f, z, g, None, seed)[0]
         return MeanValuePoint(point=z, alpha=0.5, zeta=zeta,
                               residual=abs(float(zeta @ d) - target))
 
@@ -407,8 +409,7 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42,
         if not 0.0 < t_star < 1.0:
             raise NoBracketError("no interior extremum of the chord potential")
     z = x + t_star * d
-    zeta_hi = extract_subgradient(f, z, g, objective=d, seed=seed)
-    zeta_lo = extract_subgradient(f, z, g, objective=-d, seed=seed)
+    zeta_hi, zeta_lo = _extract(f, z, g, d, seed, signs=(1, -1))
     hi = float(zeta_hi @ d)
     lo = float(zeta_lo @ d)
     width = hi - lo

@@ -126,3 +126,30 @@ def test_malformed_set_exits_2(capsys):
     wide = json.dumps({"dim": 2, "repr": {"halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}})
     assert main(["gauge", "--set", wide, "--point", "[0, 0]"]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+INTERVAL_1D = json.dumps({"dim": 1, "center": [0],
+                          "repr": {"halfspaces": [{"normal": [1], "offset": 1},
+                                                  {"normal": [-1], "offset": 1}]}})
+
+
+def test_verify_partial_command(capsys):
+    code, doc = run(capsys, "verify", "partial", "--set", INTERVAL_1D,
+                    "--set2", INTERVAL_1D, "--fn", "abs(x1) + x2^2",
+                    "--point", "[0.0, 0.4]", "--convex")
+    assert code == 0
+    assert doc["verdict"] == "equality_holds"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--set", UNIT_BOX_2D, "--point", '{"a": 1}'],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", '"abc"'],
+    ["verify", "partial", "--set", INTERVAL_1D, "--fn", "abs(x1) + x2^2",
+     "--point", "[0.0, 0.4]"],
+    ["lipschitz", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
+     "--eps", "1.5"],
+])
+def test_bad_input_exits_2_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -216,3 +216,41 @@ def test_lebourg_nonconvex_path(plane, unit_gauge):
     assert 1.0 - mvp.alpha == pytest.approx(expected, abs=1e-3) or \
         1.0 - mvp.alpha == pytest.approx(1.0 - expected, abs=1e-3)
     assert mvp.residual <= 1e-3
+
+
+# -- oracle-call counts -------------------------------------------------------
+
+
+def counting_fn(src, dom, convex):
+    """An expression function that counts its evaluations in ``.calls``."""
+    inner = fn(src, dom, convex)
+
+    def count(x):
+        count.calls += 1
+        return inner.fn(x)
+
+    count.calls = 0
+    return ScalarFunction(fn=count, domain=dom, convex=convex), count
+
+
+def test_gen_dir_deriv_scans_only_the_reported_shells(plane, unit_gauge, monkeypatch):
+    f, calls = counting_fn("abs(x1) + x2^2", plane, convex=False)
+    gauge_calls = []
+    value = unit_gauge.value
+    monkeypatch.setattr(unit_gauge, "value", lambda v: gauge_calls.append(1) or value(v))
+    got = gen_dir_deriv(f, [0.0, 0.5], [1.0, 0.0], unit_gauge)
+    # two shells of 12 probes each, plus the base point: 2 * 13 quotients
+    assert (calls.calls, len(gauge_calls)) == (52, 24)
+    # the value a scan of all 18 shells reports
+    assert got == 1.0000000009313226
+
+
+@pytest.mark.parametrize("convex, budget", [(True, 200), (False, 1100)])
+def test_hull_computes_one_fan(plane, unit_gauge, convex, budget):
+    # the README subdiff fixture: one fan of 20 rows, not one per objective
+    f, calls = counting_fn("abs(x1) + x2^2", plane, convex)
+    support = subdifferential_hull(f, [0.0, 0.5], unit_gauge)
+    assert calls.calls <= budget
+    pts = np.array(support.subgradients)
+    assert np.allclose([pts[:, 0].min(), pts[:, 0].max()], [-1.0, 1.0], atol=1e-4)
+    assert np.allclose(pts[:, 1], 1.0, atol=1e-4)
