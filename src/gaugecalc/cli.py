@@ -105,6 +105,8 @@ def _cmd_lipschitz(args) -> int:
     s = _load_set(args.set)
     f = _load_fn(args.fn, s.dim, None, args.convex)
     p = _parse_point(args.point)
+    if args.pairs < 1:
+        raise UsageError(f"--pairs must be at least 1, got {args.pairs}")
     cert = theoretical_constant(f, s, p, args.eps, seed=args.seed, pairs=args.pairs)
     _emit(cert.to_json(), args.out)
     return 0
@@ -306,6 +308,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise UsageError(f"--tol must be finite and positive, got {args.tol}")
         return args.handler(args)
     except (GaugeCalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

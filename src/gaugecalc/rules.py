@@ -1,29 +1,35 @@
-"""Subdifferential calculus rules as sampled inclusion verifiers.
+"""Subdifferential calculus rules as sampled support-function inequalities.
 
-Each verifier computes the left-hand subdifferential by extraction, builds
-the right-hand side from the rule's combination formula, and compares the two
-through their support functions on a direction fan.  A rule report states
-whether the inclusion (and possibly equality) holds up to tolerance; both
-sides are sampled polytopes, so the verdict is exact once the fan covers the
-facet normals of either side.
+A Clarke subdifferential is determined by its support function, the
+(generalized) directional derivative ``f°(x; .)``, and each calculus rule is
+an inequality between support functions (Clarke 1983, §2.3).  Each verifier
+reads the composite's own support values on one direction fan and compares
+them with the rule's combination of its parts' support values along the same
+directions; no polytope is extracted for a verdict.  A rule report states
+whether the inclusion (and possibly equality) holds up to tolerance on the
+fan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditionViolationError, SamplingUnstableError
+from .errors import ConditionViolationError, DegenerateGaugeError, SamplingUnstableError
 from .functions import ScalarFunction, max_of, product_of, sum_of
 from .geometry import ConvexSet, Gauge, Oracle, Subspace, as_vector
-from .subdiff import _direction_fan, _reduced_basis, subdifferential_hull
+from .subdiff import _direction_fan, _reduced_basis, _support_value, subdifferential_hull
 
 DEFAULT_RULE_TOL = 1e-4
 #: fan size (per_dim, floor) of the comparison; max-rule activity tolerance
 _RULE_FAN, _ACTIVE_TOL = (6, 24), 1e-9
+#: gauge-domination check: sample radius around x, pairs, relative tolerance
+_DOMINATION_RADIUS, _DOMINATION_PAIRS, _DOMINATION_TOL = 0.1, 64, 1e-6
+
+Support = Callable[[np.ndarray], float]
 
 
 @dataclass
@@ -57,28 +63,37 @@ class RuleReport:
 # ---------------------------------------------------------------------------
 
 
-def _support(vertices: Sequence[np.ndarray], v: np.ndarray) -> float:
-    return max(float(v @ z) for z in vertices)
+def _support(f: ScalarFunction, x, g: Gauge, seed: int) -> Support:
+    """Support function of f's subdifferential at x relative to g: the
+    estimator the hulls read, along the direction's quotient representative
+    (so that it also accepts directions from outside the reduced space)."""
+    w = _reduced_basis(g)
+    return lambda v: _support_value(f, x, w.project(v), g, seed)
 
 
-def _scaled_support(vertices: Sequence[np.ndarray], v: np.ndarray, c: float) -> float:
-    """Support function of c * conv(vertices); negative c reflects the set."""
+def _scaled(h: Support, c: float) -> Support:
+    """Support function of c * S from the support function h of S; a
+    negative c reflects the set."""
     if c >= 0.0:
-        return c * _support(vertices, v)
-    return (-c) * _support(vertices, -v)
+        return lambda v: c * h(v)
+    return lambda v: -c * h(-v)
 
 
-def _compare(rule: str, lhs_vertices, rhs_support: Callable[[np.ndarray], float],
-             dirs: Sequence[np.ndarray], tol: float, details: dict) -> RuleReport:
+def _compare(rule: str, lhs: Support, rhs: Support, g: Gauge, seed: int,
+             details: dict) -> RuleReport:
+    dirs = _fan_for(g, seed=seed)
+    if not dirs:
+        raise DegenerateGaugeError("the gauge kernel fills its span")
     gap_in = -math.inf
     gap_eq = -math.inf
     scale = 1.0
     for v in dirs:
-        hl = _support(lhs_vertices, v)
-        hr = rhs_support(v)
+        hl = lhs(v)
+        hr = rhs(v)
         gap_in = max(gap_in, hl - hr)
         gap_eq = max(gap_eq, abs(hl - hr))
         scale = max(scale, abs(hl), abs(hr))
+    tol = DEFAULT_RULE_TOL
     if gap_in <= tol * scale and gap_eq <= tol * scale:
         verdict = "equality_holds"
     elif gap_in <= tol * scale:
@@ -100,13 +115,6 @@ def _fan_for(g: Gauge, seed: int = 42) -> list[np.ndarray]:
                 dirs.append(d)
                 dirs.append(-d)
     return dirs
-
-
-def _sum_gauge(g1: Gauge, g2: Gauge) -> Gauge:
-    span = g1.span.intersect(g2.span)
-    kernel = g1.kernel.intersect(g2.kernel)
-    return Gauge.from_callable(lambda v: g1.value(v) + g2.value(v), span,
-                               kernel=kernel)
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
@@ -136,50 +144,34 @@ def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
 # ---------------------------------------------------------------------------
 
 
-def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge_f: Gauge,
-                    gauge_g: Optional[Gauge] = None, tol: float = DEFAULT_RULE_TOL,
+def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
                     seed: int = 42) -> RuleReport:
-    """Subdifferential of f + g against the Minkowski sum of the factors.
+    """Subdifferential of f + g against the Minkowski sum of the factors'.
 
-    The combined gauge is the sum of the factor gauges (finite where both
-    are, vanishing where both vanish).
+    The report also lists the vertices of the sum's sampled subdifferential.
     """
     x = as_vector(x, f.domain.dim)
-    gauge_g = gauge_g or gauge_f
-    combined = _sum_gauge(gauge_f, gauge_g) if gauge_g is not gauge_f else gauge_f
     total = sum_of(f, g)
-    lhs = subdifferential_hull(total, x, combined, seed=seed).subgradients
-    part_f = subdifferential_hull(f, x, gauge_f, seed=seed).subgradients
-    part_g = subdifferential_hull(g, x, gauge_g, seed=seed).subgradients
-
-    def rhs(v):
-        return _support(part_f, v) + _support(part_g, v)
-
-    dirs = _fan_for(combined, seed=seed)
-    return _compare("sum", lhs, rhs, dirs, tol,
+    lhs = subdifferential_hull(total, x, gauge, seed=seed).subgradients
+    h_f, h_g = _support(f, x, gauge, seed), _support(g, x, gauge, seed)
+    return _compare("sum", _support(total, x, gauge, seed), lambda v: h_f(v) + h_g(v),
+                    gauge, seed,
                     {"x": list(map(float, x)),
                      "lhs_vertices": [list(map(float, z)) for z in lhs]})
 
 
 def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
-                        tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
+                        seed: int = 42) -> RuleReport:
     """Subdifferential of f * g against f(x) dg + g(x) df.
 
-    Negative factor values reflect the scaled summand, which the support
-    combination below accounts for.
+    A negative factor value reflects its scaled summand.
     """
     x = as_vector(x, f.domain.dim)
-    prod = product_of(f, g)
-    lhs = subdifferential_hull(prod, x, gauge, seed=seed).subgradients
-    part_f = subdifferential_hull(f, x, gauge, seed=seed).subgradients
-    part_g = subdifferential_hull(g, x, gauge, seed=seed).subgradients
     fx, gx = f(x), g(x)
-
-    def rhs(v):
-        return _scaled_support(part_g, v, fx) + _scaled_support(part_f, v, gx)
-
-    dirs = _fan_for(gauge, seed=seed)
-    return _compare("product", lhs, rhs, dirs, tol,
+    h_g = _scaled(_support(g, x, gauge, seed), fx)
+    h_f = _scaled(_support(f, x, gauge, seed), gx)
+    return _compare("product", _support(product_of(f, g), x, gauge, seed),
+                    lambda v: h_g(v) + h_f(v), gauge, seed,
                     {"x": list(map(float, x)), "f_at_x": fx, "g_at_x": gx})
 
 
@@ -211,26 +203,22 @@ def _outer_derivative_range(g: Callable[[float], float], u0: float,
 
 def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
                         gauge: Gauge, outer_convex: bool = True,
-                        composite_convex: bool = False,
-                        tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
+                        composite_convex: bool = False, seed: int = 42) -> RuleReport:
     """Scalar post-composition: d(g o h)(x) against [dg(h(x))] * dh(x).
 
     The outer multiplier interval comes from difference-quotient sampling of
-    g around h(x); scaling a set by a negative multiplier reflects it.
+    g around h(x); the support function of a scaled set is convex in the
+    multiplier, so the interval's endpoints bound it.
     """
     x = as_vector(x, h.domain.dim)
     comp = ScalarFunction(fn=lambda v: float(g(h(v))), domain=h.domain,
                           convex=composite_convex, name=f"outer({h.name})")
-    lhs = subdifferential_hull(comp, x, gauge, seed=seed).subgradients
-    inner = subdifferential_hull(h, x, gauge, seed=seed).subgradients
     u0 = h(x)
     a_lo, a_hi = _outer_derivative_range(g, u0, outer_convex)
-
-    def rhs(v):
-        return max(_scaled_support(inner, v, a) for a in (a_lo, a_hi))
-
-    dirs = _fan_for(gauge, seed=seed)
-    return _compare("chain2", lhs, rhs, dirs, tol,
+    h_inner = _support(h, x, gauge, seed)
+    scaled = [_scaled(h_inner, a) for a in {a_lo, a_hi}]
+    return _compare("chain2", _support(comp, x, gauge, seed),
+                    lambda v: max(s(v) for s in scaled), gauge, seed,
                     {"x": list(map(float, x)), "inner_value": float(u0),
                      "outer_slope_range": [float(a_lo), float(a_hi)]})
 
@@ -250,15 +238,15 @@ class InnerMap:
 
 
 def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
-                     radius: float = 0.1, pairs: int = 64, seed: int = 42,
-                     tol: float = 1e-6) -> None:
+                     seed: int = 42) -> None:
     """Sampled check that the inner map contracts the gauges near x:
     mu(g(u) - g(w)) <= p(u - w).  Raises with the witness pair on failure."""
     x = as_vector(x, inner.in_dim)
     rng = np.random.default_rng(seed)
-    for _ in range(pairs):
-        u = x + radius * rng.standard_normal(inner.in_dim)
-        w = x + radius * rng.standard_normal(inner.in_dim)
+    tol = _DOMINATION_TOL
+    for _ in range(_DOMINATION_PAIRS):
+        u = x + _DOMINATION_RADIUS * rng.standard_normal(inner.in_dim)
+        w = x + _DOMINATION_RADIUS * rng.standard_normal(inner.in_dim)
         lhs = gauge_out.value(inner(u) - inner(w))
         rhs = gauge_in.value(u - w)
         if not math.isfinite(rhs):
@@ -270,64 +258,49 @@ def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
 
 
 def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
-                        gauge_in: Gauge, domain_x: Optional[ConvexSet] = None,
-                        composite_convex: bool = False,
-                        check_condition: bool = True,
-                        tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
+                        gauge_in: Gauge, seed: int = 42) -> RuleReport:
     """Pre-composition with a smooth map: d(f o g)(x) against
-    {J(x)^T zeta : zeta in df(g(x))}.
+    {J(x)^T zeta : zeta in df(g(x))}, whose support function is
+    v -> f°(g(x); J(x) v).
 
     Requires the gauge-domination hypothesis on the inner map, checked by
-    sampling when ``check_condition`` is set.
+    sampling.  The report also lists the pulled-back vertices of the outer
+    function's sampled subdifferential.
     """
     x = as_vector(x, inner.in_dim)
-    if check_condition:
-        check_domination(inner, x, gauge_out, gauge_in, seed=seed)
-    if domain_x is None:
-        radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
-        domain_x = ConvexSet(inner.in_dim,
-                             Oracle(member=lambda v: True, bounding_radius=radius),
-                             center=x)
+    check_domination(inner, x, gauge_out, gauge_in, seed=seed)
+    radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
+    domain_x = ConvexSet(inner.in_dim,
+                         Oracle(member=lambda v: True, bounding_radius=radius),
+                         center=x)
     comp = ScalarFunction(fn=lambda v: f(inner(v)), domain=domain_x,
-                          convex=composite_convex, name=f"{f.name}({inner.name})")
-    lhs = subdifferential_hull(comp, x, gauge_in, seed=seed).subgradients
-    outer = subdifferential_hull(f, inner(x), gauge_out, seed=seed).subgradients
+                          name=f"{f.name}({inner.name})")
+    y = inner(x)
+    outer = subdifferential_hull(f, y, gauge_out, seed=seed).subgradients
     jac = np.asarray(inner.jacobian(x), dtype=float)
-    rhs_vertices = [jac.T @ z for z in outer]
-
-    def rhs(v):
-        return _support(rhs_vertices, v)
-
-    dirs = _fan_for(gauge_in, seed=seed)
-    return _compare("chain1", lhs, rhs, dirs, tol,
+    h_out = _support(f, y, gauge_out, seed)
+    return _compare("chain1", _support(comp, x, gauge_in, seed),
+                    lambda v: h_out(jac @ v), gauge_in, seed,
                     {"x": list(map(float, x)),
-                     "rhs_vertices": [list(map(float, z)) for z in rhs_vertices]})
+                     "rhs_vertices": [list(map(float, jac.T @ z)) for z in outer]})
 
 
 def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
-                    tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
-    """Pointwise max: d(max f_i)(x) against the hull of the active pieces."""
+                    seed: int = 42) -> RuleReport:
+    """Pointwise max: d(max f_i)(x) against the hull of the active pieces'."""
     x = as_vector(x, fs[0].domain.dim)
-    top = max_of(list(fs))
-    lhs = subdifferential_hull(top, x, gauge, seed=seed).subgradients
     vals = [fi(x) for fi in fs]
     peak = max(vals)
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
-    rhs_vertices: list[np.ndarray] = []
-    for i in active:
-        rhs_vertices.extend(subdifferential_hull(fs[i], x, gauge, seed=seed).subgradients)
-
-    def rhs(v):
-        return _support(rhs_vertices, v)
-
-    dirs = _fan_for(gauge, seed=seed)
-    return _compare("max", lhs, rhs, dirs, tol,
+    pieces = [_support(fs[i], x, gauge, seed) for i in active]
+    return _compare("max", _support(max_of(list(fs)), x, gauge, seed),
+                    lambda v: max(h(v) for h in pieces), gauge, seed,
                     {"x": list(map(float, x)), "active_indices": active,
                      "values": [float(v) for v in vals]})
 
 
 def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
-                        tol: float = DEFAULT_RULE_TOL, seed: int = 42) -> RuleReport:
+                        seed: int = 42) -> RuleReport:
     """Joint subdifferential against the product of the partial ones.
 
     The product-space gauge is the max of the factor gauges; the right-hand
@@ -338,7 +311,6 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
     x = as_vector(x, n1 + n2)
     x1, x2 = x[:n1], x[n1:]
     prod_gauge = _product_gauge(gauge_1, gauge_2)
-    lhs = subdifferential_hull(f, x, prod_gauge, seed=seed).subgradients
 
     def freeze_second(v1):
         return f(np.concatenate([np.atleast_1d(v1), x2]))
@@ -355,13 +327,8 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
                         name=f"{f.name}|block1")
     f2 = ScalarFunction(fn=freeze_first, domain=dom2, convex=f.convex,
                         name=f"{f.name}|block2")
-    part1 = subdifferential_hull(f1, x1, gauge_1, seed=seed).subgradients
-    part2 = subdifferential_hull(f2, x2, gauge_2, seed=seed).subgradients
-
-    def rhs(v):
-        return _support(part1, v[:n1]) + _support(part2, v[n1:])
-
-    dirs = _fan_for(prod_gauge, seed=seed)
-    return _compare("partial", lhs, rhs, dirs, tol,
+    h_1, h_2 = _support(f1, x1, gauge_1, seed), _support(f2, x2, gauge_2, seed)
+    return _compare("partial", _support(f, x, prod_gauge, seed),
+                    lambda v: h_1(v[:n1]) + h_2(v[n1:]), prod_gauge, seed,
                     {"x": list(map(float, x)),
                      "block_dims": [int(n1), int(n2)]})

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import UsageError
 from .functions import ScalarFunction
 from .geometry import ConvexSet, Gauge, Oracle, Subspace
 
@@ -33,6 +34,8 @@ class WeightedGrid:
     weights: np.ndarray = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise UsageError(f"the grid needs at least one node, got n={self.n}")
         object.__setattr__(self, "nodes", (np.arange(self.n) + 0.5) / self.n)
         object.__setattr__(self, "weights", np.full(self.n, 1.0 / self.n))
 

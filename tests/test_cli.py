@@ -148,6 +148,17 @@ def test_verify_partial_command(capsys):
      "--point", "[0.0, 0.4]"],
     ["lipschitz", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
      "--eps", "1.5"],
+    ["l2demo", "sum", "--grid-n", "0"],
+    ["l2demo", "sum", "--grid-n", "-3"],
+    ["lipschitz", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
+     "--pairs", "0"],
+    ["lipschitz", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
+     "--pairs", "-5"],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--tol", "nan"],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--tol", "-1"],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--tol", "inf"],
+    ["subdiff", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
+     "--tol", "0"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaugecalc import rules, subdiff
 from gaugecalc import (
     ConditionViolationError,
+    DegenerateGaugeError,
     Gauge,
     InnerMap,
     ScalarFunction,
+    Subspace,
     box,
     check_domination,
     interval,
@@ -145,6 +149,101 @@ def test_max_rule_strict_inclusion(plane, unit_gauge):
     assert r.verdict == "inclusion_holds"
     assert r.max_inclusion_gap <= r.tol
     assert r.max_equality_gap > 0.5  # the rhs sticks out along x2
+
+
+def test_max_rule_affine_tie_at_a_kink(plane, unit_gauge):
+    # a verify-max query of the benchmark's calculus workload: an affine
+    # piece tied with a separable |.| sum on its x1 kink; the rule holds with
+    # equality for convex pieces
+    f1 = fn("1.193164*-min(x1 - 0.429993, 0.429993 - x1)"
+            " + 1.181143*-min(x2 - 0.288032, 0.288032 - x2)", plane)
+    f2 = fn("-0.973042*x1 + 0.582813*x2 + 0.53142505482", plane)
+    r = verify_max_rule([f1, f2], [0.429993, 0.757493], unit_gauge, seed=332146421)
+    assert r.details["active_indices"] == [0, 1]
+    assert r.verdict == "equality_holds"
+
+
+def _digits(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=3, max_size=3)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 3), _digits(3, 20), _digits(3, 20), _digits(-10, 10),
+       _digits(-5, 5))
+def test_sum_and_max_equal_at_the_full_kink(n, c, d, w, a):
+    # f = sum c_j |x_j - a_j| and g = sum d_j |x_j - a_j| are convex and
+    # kinked in every coordinate at a; so is max(f, w.(x - a)), whose affine
+    # piece ties with f there: both rules hold with equality
+    dom = box(n, -5, 5, center=[0] * n)
+    a = [k / 10 for k in a[:n]]
+
+    def sources(coefs, term):
+        return " + ".join(f"{k / 10}*{term(j)}" for j, k in enumerate(coefs[:n]))
+
+    def absum(coefs):
+        return sources(coefs, lambda j: f"abs(x{j + 1} - {a[j]})")
+
+    g = Gauge.of_set(box(n))
+    r = verify_sum_rule(fn(absum(c), dom), fn(absum(d), dom), a, g)
+    assert r.verdict == "equality_holds"
+    affine = fn(sources(w, lambda j: f"(x{j + 1} - {a[j]})"), dom)
+    r = verify_max_rule([fn(absum(c), dom), affine], a, g)
+    assert r.details["active_indices"] == [0, 1]
+    assert r.verdict == "equality_holds"
+
+
+def _criterion_08_fixtures(plane, unit_gauge):
+    """Each rule of acceptance criterion 08, and the chain1 rule of
+    test_chain_rule_1_linear_inner."""
+    f1 = fn("abs(x1) + x2^2", plane)
+    f2 = fn("x1^2 + abs(x2)", plane)
+    g1 = Gauge.of_set(interval(-1.0, 1.0))
+    half = np.array([[0.5, 0.0], [0.25, 0.25]])
+    inner = InnerMap(fn=lambda v: half @ v, jacobian=lambda v: half,
+                     in_dim=2, out_dim=2, name="a")
+    return {
+        "sum": lambda: verify_sum_rule(f1, f2, [0.3, 0.5], unit_gauge),
+        "product": lambda: verify_product_rule(f1, f2, [0.3, 0.5], unit_gauge),
+        "chain2": lambda: verify_chain_rule_2(math.exp, f1, [0.0, 0.5], unit_gauge,
+                                              composite_convex=True),
+        "max": lambda: verify_max_rule([fn("x1 + x2", plane), fn("-x1 + x2", plane)],
+                                       [0.0, 0.3], unit_gauge),
+        "partial": lambda: verify_partial_rule(f1, [0.0, 0.4], g1, g1),
+        "chain1": lambda: verify_chain_rule_1(f1, inner, [0.4, 0.2], unit_gauge,
+                                              unit_gauge),
+    }
+
+
+@pytest.mark.parametrize("rule,hulls", [("sum", 1), ("chain1", 1), ("product", 0),
+                                        ("chain2", 0), ("max", 0), ("partial", 0)])
+def test_verdicts_read_support_values_not_hulls(rule, hulls, plane, unit_gauge,
+                                                monkeypatch):
+    # a verdict solves no LP; sum and chain1 build the one hull whose
+    # vertices their report lists
+    calls = {"lp": 0, "hull": 0}
+
+    def counted(name, wrapped):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(subdiff, "linprog", counted("lp", subdiff.linprog))
+    monkeypatch.setattr(rules, "subdifferential_hull",
+                        counted("hull", rules.subdifferential_hull))
+    r = _criterion_08_fixtures(plane, unit_gauge)[rule]()
+    assert r.inclusion_holds
+    assert calls["hull"] == hulls
+    if hulls == 0:
+        assert calls["lp"] == 0
+
+
+def test_rule_on_a_gauge_blind_to_every_direction(plane):
+    # no direction survives the quotient by the kernel: no verdict, not a
+    # vacuous equality over an empty fan
+    blind = Gauge.from_callable(lambda v: 0.0, Subspace.full(2), kernel=Subspace.full(2))
+    with pytest.raises(DegenerateGaugeError):
+        verify_max_rule([fn("abs(x1)", plane), fn("x2", plane)], [0.0, 0.0], blind)
 
 
 def test_partial_rule(plane):
