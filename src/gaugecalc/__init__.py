@@ -17,7 +17,6 @@ from .errors import (
     NoFeasibleStepError,
     NonFiniteInputError,
     NotInSetError,
-    SamplingUnstableError,
     SetFormatError,
     SupportMismatchError,
     UnboundedFunctionError,

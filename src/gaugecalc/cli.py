@@ -33,9 +33,9 @@ from .symmetrize import build_core, core_is_symmetric, verify_icr_membership, ve
 from . import weighted_l2
 
 _OUTER_FUNCTIONS = {
-    "exp": (math.exp, True),
-    "square": (lambda u: u * u, False),
-    "abs": (abs, True),
+    "exp": math.exp,
+    "square": lambda u: u * u,
+    "abs": abs,
 }
 
 
@@ -164,9 +164,7 @@ def _cmd_verify(args) -> int:
         f2 = _load_fn(args.fn2, s.dim, None, args.convex)
         report = verify_max_rule([f, f2], x, g, seed=args.seed)
     elif rule == "chain2":
-        outer, outer_convex = _OUTER_FUNCTIONS[args.outer]
-        report = verify_chain_rule_2(outer, f, x, g, outer_convex=outer_convex,
-                                     seed=args.seed)
+        report = verify_chain_rule_2(_OUTER_FUNCTIONS[args.outer], f, x, g, seed=args.seed)
     elif rule == "chain1":
         # demo inner map: contraction by 1/2, which satisfies the gauge
         # domination hypothesis for any gauge used on both sides

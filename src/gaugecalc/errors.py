@@ -65,10 +65,6 @@ class NoBracketError(GaugeCalcError):
     pass
 
 
-class SamplingUnstableError(GaugeCalcError):
-    pass
-
-
 class ConditionViolationError(GaugeCalcError):
     """The inner map fails the seminorm domination hypothesis; the witness
     pair is attached."""

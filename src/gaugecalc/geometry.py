@@ -4,12 +4,11 @@ Convex sets carry one of four representations (halfspaces, vertex hull,
 sublevel set of a scalar function, or a raw membership oracle), and each
 representation answers the geometric questions about its set.  The base
 class :class:`Representation` answers them from membership alone (halving
-probes, reflection sampling, bracket-and-bisect gauges); sublevel and oracle
-sets use it as is, while halfspaces and vertex hulls override it where an
-exact formula or LP exists.  Gauges are Minkowski functionals of a set
-translated so that its claimed center sits at the origin; they are finite
-exactly on the linear span of the translated set and vanish exactly on its
-lineality directions.
+probes, rejection and reflection sampling, bracket-and-bisect gauges); every
+other representation overrides it where an exact formula, LP or set structure
+exists.  Gauges are Minkowski functionals of a set translated so that its
+claimed center sits at the origin; they are finite exactly on the linear span
+of the translated set and vanish exactly on its lineality directions.
 """
 
 from __future__ import annotations
@@ -143,10 +142,10 @@ def _null_space(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 class Representation:
     """Geometry from membership alone.
 
-    Subclasses supply ``contains(s, x, tol)`` and ``radius(s)`` (the radius
-    of a ball about the anchor enclosing the set); every method here needs
-    only membership tests of the owning set ``s`` and is overridden where a
-    representation has an exact formula.
+    Subclasses supply ``contains(s, x, tol)`` and ``propose(s, rng)`` (one
+    random point near the set, for the rejection sampler); every method here
+    needs only membership tests of the owning set ``s`` and is overridden
+    where a representation has an exact formula.
     """
 
     def anchor(self, s: "ConvexSet") -> np.ndarray:
@@ -156,18 +155,17 @@ class Representation:
         raise NotInSetError("oracle set without center: no anchor found")
 
     def sample(self, s: "ConvexSet", rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        """Rejection from the bounding ball, falling back to shrinking."""
+        """The first of 50 proposals that is a member; when none is, the next
+        proposal pulled inside toward the anchor."""
         anchor = s.anchor()
-        radius = self.radius(s)
         out: list[np.ndarray] = []
         for _ in range(n):
             for _ in range(50):
-                cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+                cand = self.propose(s, rng)
                 if s.contains(cand):
                     break
             else:
-                cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
-                cand = _pull_inside(s, anchor, cand)
+                cand = _pull_inside(s, anchor, self.propose(s, rng))
             out.append(cand)
         return out
 
@@ -240,18 +238,10 @@ class Representation:
         cands = [d for d in probe_dirs if s.contains(p + r * d) and s.contains(p - r * d)]
         return Subspace.from_spanning(cands, g.dim)
 
-    def scaled(self, s: "ConvexSet", p: np.ndarray, factor: float,
-               q: np.ndarray) -> "ConvexSet":
-        """``factor * (s - p) + q``."""
-        copy = Oracle(member=lambda x: s.contains(p + (x - q) / factor),
-                      bounding_radius=factor * s.bounding_radius_estimate())
-        return ConvexSet(s.dim, copy, center=q)
-
     def symmetric_core(self, s: "ConvexSet", x0: np.ndarray) -> "ConvexSet":
-        """``s ∩ (2 x0 - s)``."""
-        core = Oracle(member=lambda x: s.contains(x) and s.contains(2.0 * x0 - x),
-                      bounding_radius=s.bounding_radius_estimate())
-        return ConvexSet(s.dim, core, center=x0)
+        """``s ∩ (2 x0 - s)``: the sublevel set, inside ``s``, of the reflection test."""
+        return ConvexSet(s.dim, Sublevel(lambda y: 0.0 if s.contains(2.0 * x0 - y) else 1.0,
+                                         0.0, s), center=x0)
 
     def extreme_points(self) -> list[np.ndarray]:
         """Points known to include every extreme point of the set (empty when
@@ -332,18 +322,6 @@ class Halfspaces(Representation):
             out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
         return out
 
-    def radius(self, s):
-        """Twice the longest chord probed from the anchor."""
-        anchor = s.anchor()
-        rng = np.random.default_rng(0)
-        best = 1.0
-        slack0 = self.offsets - self.normals @ anchor
-        for _ in range(8 * s.dim):
-            d = rng.standard_normal(s.dim)
-            d /= max(np.linalg.norm(d), 1e-14)
-            best = max(best, min(self._reach(slack0, d), 1e9))
-        return 2.0 * best
-
     def in_icr(self, s, x):
         """No active constraint may block a span direction."""
         slack = self.offsets - self.normals @ x
@@ -403,6 +381,8 @@ class Halfspaces(Representation):
 
     @classmethod
     def from_json(cls, body, dim: int, fn_registry=None) -> "Halfspaces":
+        if len(body) == 0:
+            raise SetFormatError("a halfspace set needs at least one halfspace")
         normals = np.array([as_vector(h["normal"], dim) for h in body]).reshape(-1, dim)
         return cls(normals, as_vector([h["offset"] for h in body]))
 
@@ -426,10 +406,6 @@ class Vertices(Representation):
         """Dirichlet-weighted combinations of the vertices."""
         m = self.points.shape[0]
         return [self.points.T @ rng.dirichlet(np.ones(m)) for _ in range(n)]
-
-    def radius(self, s):
-        c = s.anchor()
-        return 2.0 * float(np.max(np.linalg.norm(self.points - c, axis=1))) + 1.0
 
     def span(self, s, base):
         return Subspace.from_spanning(self.points - base, s.dim)
@@ -502,7 +478,8 @@ def _hull_contains(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class Sublevel(Representation):
-    """``{x in base_domain : fn(x) <= level}`` for a convex scalar function."""
+    """``{x in base_domain : fn(x) <= level}``; ``fn`` need not be convex,
+    only its sublevel set (a quasiconvex ``fn`` will do)."""
 
     fn: Callable[[np.ndarray], float]
     level: float
@@ -522,20 +499,29 @@ class Sublevel(Representation):
                 return y
         raise NotInSetError("could not locate a member of the sublevel set")
 
-    def sample(self, s, rng, n):
-        """Members of the base domain pulled toward the anchor."""
-        anchor = s.anchor()
-        return [_pull_inside(s, anchor, y) for y in self.base_domain.sample_members(rng, n)]
+    def propose(self, s, rng):
+        """One member of the base domain."""
+        return self.base_domain.sample_members(rng, 1)[0]
 
-    def radius(self, s):
-        return self.base_domain.bounding_radius_estimate()
+    def scaled(self, s, p, factor, q):
+        """The sublevel set of ``fn(p + (y - q) / factor)`` over the base domain's copy."""
+        fn, base = self.fn, self.base_domain.representation.scaled(self.base_domain, p, factor, q)
+        return ConvexSet(s.dim, Sublevel(lambda y: fn(p + (y - q) / factor), self.level, base),
+                         center=q)
+
+    def symmetric_core(self, s, x0):
+        """The sublevel set of ``max(fn(y), fn(2 x0 - y))`` over the base domain's core."""
+        fn, base = self.fn, self.base_domain.representation.symmetric_core(self.base_domain, x0)
+        return ConvexSet(s.dim, Sublevel(lambda y: max(fn(y), fn(2.0 * x0 - y)), self.level, base),
+                         center=x0)
 
     def to_json(self) -> dict:
-        inner = {"level": float(self.level), "base_domain": set_to_json(self.base_domain)}
-        name = getattr(self.fn, "source", None) or getattr(self.fn, "__name__", None)
-        if name:
-            inner["fn"] = name
-        return {"sublevel": inner}
+        # a lambda's or a ScalarFunction's name would not read back as its function
+        name = getattr(self.fn, "source", None) or getattr(self.fn, "__name__", "<lambda>")
+        if name == "<lambda>":
+            raise ValueError("a sublevel set of an unnamed function is not serializable")
+        return {"sublevel": {"level": float(self.level), "fn": name,
+                             "base_domain": set_to_json(self.base_domain)}}
 
     @classmethod
     def from_json(cls, body, dim: int, fn_registry=None) -> "Sublevel":
@@ -555,7 +541,8 @@ class Sublevel(Representation):
 class Oracle(Representation):
     """Raw membership callback; convexity is a caller contract.
 
-    ``bounding_radius`` must enclose the set so ray searches terminate.
+    ``bounding_radius`` scales the normal proposals about the anchor that
+    the rejection sampler draws; about the set's radius works best.
     """
 
     member: Callable[[np.ndarray], bool]
@@ -564,8 +551,15 @@ class Oracle(Representation):
     def contains(self, s, x, tol):
         return bool(self.member(x))
 
-    def radius(self, s):
-        return self.bounding_radius
+    def propose(self, s, rng):
+        """A normal draw about the anchor, of ``bounding_radius`` spread."""
+        return s.anchor() + self.bounding_radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+
+    def scaled(self, s, p, factor, q):
+        """``factor * (s - p) + q``."""
+        copy = Oracle(member=lambda x: s.contains(p + (x - q) / factor),
+                      bounding_radius=factor * self.bounding_radius)
+        return ConvexSet(s.dim, copy, center=q)
 
     def to_json(self) -> dict:
         raise ValueError("oracle sets are not serializable")
@@ -593,9 +587,6 @@ class ConvexSet:
     def sample_members(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Draw ``n`` member points (not uniform; good span/extreme coverage)."""
         return self.representation.sample(self, rng, n)
-
-    def bounding_radius_estimate(self) -> float:
-        return self.representation.radius(self)
 
 
 # ---------------------------------------------------------------------------

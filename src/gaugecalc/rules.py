@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditionViolationError, DegenerateGaugeError, SamplingUnstableError
+from .errors import ConditionViolationError, DegenerateGaugeError
 from .functions import ScalarFunction, max_of, product_of, sum_of
 from .geometry import ConvexSet, Gauge, Oracle, Subspace, as_vector
 from .subdiff import _direction_fan, _reduced_basis, _support_value, subdifferential_hull
@@ -175,46 +175,30 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
                     {"x": list(map(float, x)), "f_at_x": fx, "g_at_x": gx})
 
 
-def _outer_derivative_range(g: Callable[[float], float], u0: float,
-                            convex: bool) -> tuple[float, float]:
-    """Interval hull of the derivative values of a scalar outer function near
-    u0, via central differences at shrinking scales with stability check."""
-    if convex:
-        # one-sided slopes of a convex scalar function bracket its
-        # subdifferential interval exactly
-        t = 2.0 ** -23
-        right = (g(u0 + t) - g(u0)) / t
-        left = (g(u0) - g(u0 - t)) / t
-        return min(left, right), max(left, right)
-    samples = []
-    scales = [1e-3 * 2.0 ** (-k) for k in range(6)]
-    for t in scales:
-        for off in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            u = u0 + off * t
-            samples.append((g(u + t) - g(u - t)) / (2.0 * t))
-    tail = sorted(samples[-10:])
-    head = sorted(samples[:10])
-    if abs(min(tail) - min(head)) > 1e-2 * (1 + abs(min(tail))) and \
-            abs(max(tail) - max(head)) > 1e-2 * (1 + abs(max(tail))):
-        raise SamplingUnstableError(
-            "derivative samples of the outer function do not stabilize")
-    return min(samples), max(samples)
+def _outer_derivative_range(g: Callable[[float], float], u0: float) -> tuple[float, float]:
+    """The interval between the one-sided slopes of a scalar outer function
+    at u0; for a g that is piecewise C^1 near u0 this interval is its Clarke
+    subdifferential there."""
+    t = 2.0 ** -23
+    right = (g(u0 + t) - g(u0)) / t
+    left = (g(u0) - g(u0 - t)) / t
+    return min(left, right), max(left, right)
 
 
 def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
-                        gauge: Gauge, outer_convex: bool = True,
-                        composite_convex: bool = False, seed: int = 42) -> RuleReport:
+                        gauge: Gauge, composite_convex: bool = False,
+                        seed: int = 42) -> RuleReport:
     """Scalar post-composition: d(g o h)(x) against [dg(h(x))] * dh(x).
 
-    The outer multiplier interval comes from difference-quotient sampling of
-    g around h(x); the support function of a scaled set is convex in the
-    multiplier, so the interval's endpoints bound it.
+    The outer multiplier interval lies between the one-sided slopes of g at
+    h(x); the support function of a scaled set is convex in the multiplier,
+    so the interval's endpoints bound it.
     """
     x = as_vector(x, h.domain.dim)
     comp = ScalarFunction(fn=lambda v: float(g(h(v))), domain=h.domain,
                           convex=composite_convex, name=f"outer({h.name})")
     u0 = h(x)
-    a_lo, a_hi = _outer_derivative_range(g, u0, outer_convex)
+    a_lo, a_hi = _outer_derivative_range(g, u0)
     h_inner = _support(h, x, gauge, seed)
     scaled = [_scaled(h_inner, a) for a in {a_lo, a_hi}]
     return _compare("chain2", _support(comp, x, gauge, seed),

@@ -164,12 +164,9 @@ def _support_value(f: ScalarFunction, x, v, g: Gauge, seed: int = 42) -> float:
     return gen_dir_deriv(f, x, v, g, seed=seed)
 
 
-def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
-                   extra=()) -> tuple[list[np.ndarray], list[int]]:
-    """+/- each basis vector, projected axis and projected extra vector, then
-    random unit directions in ``w`` up to ``max(per_dim * w.dim, floor)``.
-    Also the row of each extra vector (its negation is the next row), or 0,
-    the first basis vector, for one with no component in ``w``."""
+def _frame(w: Subspace) -> list[np.ndarray]:
+    """+/- each basis vector and, in a proper subspace, each projected axis:
+    the rows every direction fan in ``w`` opens with."""
     dirs = []
     for b in w.basis:
         dirs.append(b)
@@ -183,6 +180,16 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
             if na > 1e-10:
                 dirs.append(a / na)
                 dirs.append(-a / na)
+    return dirs
+
+
+def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
+                   extra=()) -> tuple[list[np.ndarray], list[int]]:
+    """The frame rows, +/- each projected extra vector, then random unit
+    directions in ``w`` up to ``max(per_dim * w.dim, floor)``.  Also the row
+    of each extra vector (its negation is the next row), or 0, the first
+    basis vector, for one with no component in ``w``."""
+    dirs = _frame(w)
     rows = []
     for v in extra:
         p = w.project(v)
@@ -299,17 +306,21 @@ class SupportSet:
 def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> SupportSet:
     """Extract subgradients along many objectives and record support values.
 
-    One fan per base point holds +/- every objective, and every objective's
-    LP reads its support values.  The vertices describe the subdifferential
-    up to the sampled objective fan (exact for polytopal subdifferentials
-    once the fan covers the facet normals).
+    One fan per base point holds +/- every objective (the frame objectives
+    are its own opening rows), and every objective's LP reads its support
+    values.  The vertices describe the subdifferential up to the sampled
+    objective fan (exact for polytopal subdifferentials once the fan covers
+    the facet normals).
     """
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
     objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
-    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives)
+    # the objectives open with the frame rows, which the fan holds already
+    k = len(_frame(w))
+    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
+    rows = list(range(k)) + rows
     grads: list[np.ndarray] = []
     for z in _maximize(w, dirs, sups, rows):
         if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))

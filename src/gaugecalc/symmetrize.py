@@ -63,8 +63,10 @@ def symmetric_core(s_a: ConvexSet, x0) -> ConvexSet:
     """The intersection of the sublevel set with its reflection through x0.
 
     Convex, symmetric about x0, contains x0, and preserves the span of the
-    sublevel set.  Halfspace sets stay halfspace sets; everything else
-    becomes a membership oracle.
+    sublevel set.  Halfspace sets stay halfspace sets; a sublevel set of f
+    becomes the sublevel set of ``max(f(y), f(2 x0 - y))`` over its base
+    domain's core; vertex and oracle sets become the sublevel set, inside
+    themselves, of a reflection membership test.
     """
     x0 = as_vector(x0, s_a.dim)
     if not s_a.contains(x0):

@@ -113,6 +113,14 @@ def _base_state(grid: WeightedGrid) -> np.ndarray:
     return t + 0.5 * t * t
 
 
+#: psi = g(phi) with candidate gradient g'(phi(x)) d(phi), per chain example: (g, g')
+_OUTER = {
+    "exp_chain": (math.exp, math.exp),
+    "sum": (lambda p: p + math.exp(p), lambda p: 1.0 + math.exp(p)),
+    "product": (lambda p: p * math.exp(p), lambda p: (1.0 + p) * math.exp(p)),
+}
+
+
 def run_example(name: str, n: int = DEFAULT_N, seed: int = 42) -> dict:
     """Verify one worked identity on an n-point grid.
 
@@ -129,36 +137,11 @@ def run_example(name: str, n: int = DEFAULT_N, seed: int = 42) -> dict:
     base = subdiff_l2(grid, x, representation="euclidean")
     phi_x = phi_l2(grid, x)
 
-    if name == "exp_chain":
-        def psi(v):
-            return math.exp(phi_l2(grid, v))
-
-        candidate = math.exp(phi_x) * base
-        err = _directional_check(psi, x, candidate, seed=seed)
-        return {"example": name, "n": n, "factor": math.exp(phi_x),
-                "max_rel_error": err, "tolerance": NUMERIC_TOL,
-                "passed": bool(err <= NUMERIC_TOL)}
-
-    if name == "sum":
-        def psi(v):
-            p = phi_l2(grid, v)
-            return p + math.exp(p)
-
-        candidate = (1.0 + math.exp(phi_x)) * base
-        err = _directional_check(psi, x, candidate, seed=seed)
-        return {"example": name, "n": n, "factor": 1.0 + math.exp(phi_x),
-                "max_rel_error": err, "tolerance": NUMERIC_TOL,
-                "passed": bool(err <= NUMERIC_TOL)}
-
-    if name == "product":
-        def psi(v):
-            p = phi_l2(grid, v)
-            return p * math.exp(p)
-
-        candidate = (1.0 + phi_x) * math.exp(phi_x) * base
-        err = _directional_check(psi, x, candidate, seed=seed)
-        return {"example": name, "n": n,
-                "factor": (1.0 + phi_x) * math.exp(phi_x),
+    if name in _OUTER:
+        g, dg = _OUTER[name]
+        factor = dg(phi_x)
+        err = _directional_check(lambda v: g(phi_l2(grid, v)), x, factor * base, seed=seed)
+        return {"example": name, "n": n, "factor": factor,
                 "max_rel_error": err, "tolerance": NUMERIC_TOL,
                 "passed": bool(err <= NUMERIC_TOL)}
 

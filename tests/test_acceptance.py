@@ -202,8 +202,7 @@ def test_criterion_08_calculus_rules():
     r = verify_product_rule(_expr_fn("x1^2 + x2^2", dom),
                             _expr_fn("x1 + 2*x2 + 1", dom), x, g, seed=SEED)
     assert r.verdict == "equality_holds"
-    r = verify_chain_rule_2(math.exp, f1, [0.0, 0.5], g, outer_convex=True,
-                            composite_convex=True, seed=SEED)
+    r = verify_chain_rule_2(math.exp, f1, [0.0, 0.5], g, composite_convex=True, seed=SEED)
     assert r.inclusion_holds and r.verdict == "equality_holds"
     r = verify_max_rule([_expr_fn("x1 + x2", dom), _expr_fn("-x1 + x2", dom)],
                         [0.0, 0.3], g, seed=SEED)

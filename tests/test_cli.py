@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gaugecalc import functions, geometry
 from gaugecalc.cli import main
 from gaugecalc.geometry import box, set_to_json
 
@@ -32,6 +33,35 @@ def test_gauge_set_from_file(tmp_path, capsys):
 def test_core_command(capsys):
     dom = json.dumps(set_to_json(box(1, -1, 2, center=[0.5])))
     code, doc = run(capsys, "core", "--set", dom, "--fn", "x1^2",
+                    "--point", "[0.0]", "--level", "1.0", "--convex")
+    assert code == 0
+    assert doc["symmetric"] and doc["span_equal"] and doc["base_in_relative_interior"]
+
+
+def test_core_counts_on_a_3d_box(capsys, count_calls):
+    # the symmetric core of a sublevel set is a sublevel set of the reflected
+    # maximum, sampled from the box's own halfspace core: the parent's
+    # rejection sampler made 39,935 membership tests and 8,706 evaluations
+    cube = {"dim": 3, "repr": {"halfspaces": [
+        {"normal": n, "offset": b} for n, b in (([1, 0, 0], 2), ([-1, 0, 0], 1),
+                                                ([0, 1, 0], 2), ([0, -1, 0], 1),
+                                                ([0, 0, 1], 2), ([0, 0, -1], 1))]}}
+    count_calls.wrap(geometry.ConvexSet, "contains")
+    count_calls.wrap(functions.ScalarFunction, "__call__", "eval")
+    src = "(x1-0.3)^2+(x2-0.3)^2+(x3-0.3)^2"
+    code, doc = run(capsys, "core", "--set", json.dumps(cube), "--fn", src,
+                    "--point", "[0, 0, 0]")
+    assert code == 0
+    assert doc == {"base_in_relative_interior": True, "fn": src, "level": 1.27,
+                   "span_equal": True, "symmetric": True, "x0": [0.0, 0.0, 0.0]}
+    assert count_calls["contains"] <= 2000
+    assert count_calls["eval"] <= 2000
+
+
+def test_core_on_a_vertex_domain(capsys):
+    # a vertex set has no exact core: this takes the reflection-test core
+    seg = json.dumps({"dim": 1, "repr": {"vertices": [[-1], [2]]}, "center": [0.5]})
+    code, doc = run(capsys, "core", "--set", seg, "--fn", "x1^2",
                     "--point", "[0.0]", "--level", "1.0", "--convex")
     assert code == 0
     assert doc["symmetric"] and doc["span_equal"] and doc["base_in_relative_interior"]
@@ -69,6 +99,17 @@ def test_verify_sum_command(capsys):
     code, doc = run(capsys, "verify", "sum", "--set", UNIT_BOX_2D,
                     "--fn", "abs(x1) + x2^2", "--fn2", "x1^2 + abs(x2)",
                     "--point", "[0.3, 0.5]", "--convex")
+    assert code == 0
+    assert doc["verdict"] == "equality_holds"
+
+
+def test_verify_chain2_square_outer_is_an_equality(capsys):
+    # the one-sided slopes of u^2 at u0 = 0.25 bracket 2 u0 to 2^-23; central
+    # differences at 1e-3 scales left an interval 2 u0 +/- 0.004 and the
+    # verdict at inclusion_holds
+    code, doc = run(capsys, "verify", "chain2", "--set", UNIT_BOX_2D,
+                    "--fn", "abs(x1) + x2^2", "--outer", "square",
+                    "--point", "[0.0, 0.5]", "--convex")
     assert code == 0
     assert doc["verdict"] == "equality_holds"
 
@@ -128,6 +169,7 @@ def test_malformed_set_exits_2(capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+EMPTY_HALFSPACES = json.dumps({"dim": 2, "repr": {"halfspaces": []}, "center": [0, 0]})
 INTERVAL_1D = json.dumps({"dim": 1, "center": [0],
                           "repr": {"halfspaces": [{"normal": [1], "offset": 1},
                                                   {"normal": [-1], "offset": 1}]}})
@@ -159,6 +201,9 @@ def test_verify_partial_command(capsys):
     ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--tol", "inf"],
     ["subdiff", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]",
      "--tol", "0"],
+    ["gauge", "--set", EMPTY_HALFSPACES, "--point", "[0, 0]"],
+    ["verify", "max", "--set", EMPTY_HALFSPACES, "--fn", "abs(x1)", "--fn2", "x2",
+     "--point", "[0, 0]"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2

@@ -120,6 +120,43 @@ def test_oracle_midpoint_spot_check():
     assert spot_check_convexity(disk)
 
 
+def _ball_rejection(s, radius, rng, n):
+    """Normal draws about the anchor until one is a member; after 50 misses,
+    the next draw bisected toward the anchor."""
+    anchor = s.anchor()
+    out = []
+    for _ in range(n):
+        for _ in range(50):
+            cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+            if s.contains(cand):
+                break
+        else:
+            cand = anchor + radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+            if not s.contains(cand):
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    if s.contains(anchor + mid * (cand - anchor)):
+                        lo = mid
+                    else:
+                        hi = mid
+                cand = anchor + lo * (cand - anchor)
+        out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("member, radius", [
+    (lambda x: float(np.linalg.norm(x)) <= 1.0, 2.0),
+    (lambda x: abs(float(x[0])) <= 1.0, 1e9),
+], ids=["disk", "strip"])
+def test_oracle_samples_are_ball_rejection_draws(member, radius):
+    s = ConvexSet(2, Oracle(member=member, bounding_radius=radius), center=np.zeros(2))
+    got = s.sample_members(np.random.default_rng(3), 24)
+    want = _ball_rejection(s, radius, np.random.default_rng(3), 24)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_anchor_inside():
     h = ConvexSet(2, Halfspaces(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
                                 np.array([3.0, 1.0, 2.0, 2.0])))

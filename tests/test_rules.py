@@ -75,8 +75,7 @@ def test_product_rule_negative_factor(plane, unit_gauge):
 
 def test_chain_rule_2_exponential(plane, unit_gauge):
     h = fn("abs(x1) + x2^2", plane)
-    r = verify_chain_rule_2(math.exp, h, [0.0, 0.5], unit_gauge,
-                            outer_convex=True, composite_convex=True)
+    r = verify_chain_rule_2(math.exp, h, [0.0, 0.5], unit_gauge, composite_convex=True)
     assert r.verdict == "equality_holds"
     lo, hi = r.details["outer_slope_range"]
     assert lo == pytest.approx(math.exp(0.25), rel=1e-5)
@@ -95,8 +94,7 @@ def test_chain_rule_2_nonsmooth_outer(plane, unit_gauge):
     def outer(u):  # kink exactly at h(x) for x on the unit circle
         return max(u - 1.0, 0.5 * (u - 1.0))
 
-    r = verify_chain_rule_2(outer, h, [1.0, 0.0], unit_gauge, outer_convex=True,
-                            composite_convex=False)
+    r = verify_chain_rule_2(outer, h, [1.0, 0.0], unit_gauge, composite_convex=False)
     assert r.inclusion_holds
     lo, hi = r.details["outer_slope_range"]
     assert lo == pytest.approx(0.5, abs=1e-6)
@@ -217,25 +215,16 @@ def _criterion_08_fixtures(plane, unit_gauge):
 @pytest.mark.parametrize("rule,hulls", [("sum", 1), ("chain1", 1), ("product", 0),
                                         ("chain2", 0), ("max", 0), ("partial", 0)])
 def test_verdicts_read_support_values_not_hulls(rule, hulls, plane, unit_gauge,
-                                                monkeypatch):
+                                                count_calls):
     # a verdict solves no LP; sum and chain1 build the one hull whose
     # vertices their report lists
-    calls = {"lp": 0, "hull": 0}
-
-    def counted(name, wrapped):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return wrapped(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(subdiff, "linprog", counted("lp", subdiff.linprog))
-    monkeypatch.setattr(rules, "subdifferential_hull",
-                        counted("hull", rules.subdifferential_hull))
+    count_calls.wrap(subdiff, "linprog", "lp")
+    count_calls.wrap(rules, "subdifferential_hull", "hull")
     r = _criterion_08_fixtures(plane, unit_gauge)[rule]()
     assert r.inclusion_holds
-    assert calls["hull"] == hulls
+    assert count_calls["hull"] == hulls
     if hulls == 0:
-        assert calls["lp"] == 0
+        assert count_calls["lp"] == 0
 
 
 def test_rule_on_a_gauge_blind_to_every_direction(plane):

@@ -254,3 +254,16 @@ def test_hull_computes_one_fan(plane, unit_gauge, convex, budget):
     pts = np.array(support.subgradients)
     assert np.allclose([pts[:, 0].min(), pts[:, 0].max()], [-1.0, 1.0], atol=1e-4)
     assert np.allclose(pts[:, 1], 1.0, atol=1e-4)
+
+
+def test_hull_reuses_the_frame_rows(count_calls):
+    # the objectives open with +/- each basis vector; the fan holds those rows
+    # already, so only the random objectives add rows (252 evaluations before)
+    count_calls.wrap(ScalarFunction, "__call__", "eval")
+    f = fn("abs(x1) + x2^2 + abs(x3)", box(3, -5, 5, center=[0, 0, 0]))
+    support = subdifferential_hull(f, [0.0, 0.5, 0.0], Gauge.of_set(box(3)))
+    assert count_calls["eval"] <= 200
+    pts = np.array(support.subgradients)
+    assert np.allclose([pts[:, 0].min(), pts[:, 0].max()], [-1.0, 1.0], atol=1e-4)
+    assert np.allclose([pts[:, 2].min(), pts[:, 2].max()], [-1.0, 1.0], atol=1e-4)
+    assert np.allclose(pts[:, 1], 1.0, atol=1e-4)

@@ -9,12 +9,14 @@ from gaugecalc import (
     build_core,
     core_is_symmetric,
     literal_ca_member,
+    scale_about,
+    set_to_json,
     sublevel_set,
     symmetric_core,
     verify_icr_membership,
     verify_span_equality,
 )
-from gaugecalc.geometry import ConvexSet, Halfspaces, interval
+from gaugecalc.geometry import ConvexSet, Halfspaces, Sublevel, Vertices, interval
 
 
 def quadratic_on(domain, convex=True):
@@ -46,6 +48,32 @@ def test_halfspace_core_stays_halfspaces():
     assert not core.contains([2.5, 0.0])
     assert core_is_symmetric(
         build_core(quadratic_on(dom), dom, [0.5, 0.0], level=20.0))
+
+
+def test_sublevel_core_and_its_scaled_copy_stay_sublevel_sets():
+    # x1^2 + x2^2 <= 1 on [-1, 2]^2 about 0: the core is the unit disk inside
+    # the box's own core [-1, 1]^2
+    dom = box(2, -1, 2, center=[0.5, 0.5])
+    core = build_core(quadratic_on(dom), dom, [0.0, 0.0], level=1.0).c_a
+    shrunk = scale_about(core, [0.0, 0.0], 0.5, translate_to=[0.2, 0.1])
+    for s in (core, shrunk):
+        assert isinstance(s.representation, Sublevel)
+        assert isinstance(s.representation.base_domain.representation, Halfspaces)
+    assert core.contains([0.6, 0.6]) and not core.contains([0.8, 0.8])
+    assert not core.contains([1.5, 0.0])
+    assert shrunk.contains([0.5, 0.4]) and not shrunk.contains([0.6, 0.5])
+    # a derived function has no expression to write
+    with pytest.raises(ValueError):
+        set_to_json(core)
+
+
+def test_vertex_core_is_a_reflection_sublevel_set():
+    seg = ConvexSet(1, Vertices(np.array([[-1.0], [2.0]])), center=[0.5])
+    core = symmetric_core(seg, [0.0])
+    assert isinstance(core.representation, Sublevel)
+    assert core.representation.base_domain is seg
+    for x in np.linspace(-2.0, 3.0, 51):
+        assert core.contains([x]) == (abs(x) <= 1.0 + 1e-9)
 
 
 def test_core_invariants():
