@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import (
     DimensionMismatchError,
@@ -36,10 +38,13 @@ _SHRINK_FLOOR = 1e-12
 SPAN_SAMPLES_PER_DIM = 4
 #: reflected members drawn when symmetry is checked from membership alone
 SYMMETRY_SAMPLES = 128
-#: tolerance of the exact (LP) symmetry checks
+#: tolerance of the exact symmetry checks (halfspace and vertex sets)
 SYMMETRY_TOL = 1e-8
 #: radius of the two-sided membership probes that find kernel directions
 KERNEL_PROBE_RADIUS = 1e8
+#: most vertices (by the Upper Bound Theorem) a halfspace set may have for
+#: qhull to enumerate them
+MAX_VERTICES = 10**5
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -259,6 +264,12 @@ def _reaches(s: "ConvexSet", x: np.ndarray, d: np.ndarray) -> bool:
     return False
 
 
+def _max_vertex_count(m: int, n: int) -> int:
+    """Upper Bound Theorem: the most vertices a polytope in R^n with m > n
+    facets can have (attained by the duals of cyclic polytopes)."""
+    return math.comb(m - (n + 1) // 2, n // 2) + math.comb(m - n // 2 - 1, (n + 1) // 2 - 1)
+
+
 def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Largest point of [anchor, y] still in the set, by bisection."""
     if s.contains(y):
@@ -275,7 +286,11 @@ def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class Halfspaces(Representation):
-    """Intersection of halfspaces ``normal . x <= offset``."""
+    """Intersection of halfspaces ``normal . x <= offset``.
+
+    The Chebyshev centre (one LP) is computed at most once per set; anchors,
+    samples and the vertex list all start from it.
+    """
 
     normals: np.ndarray  # (m, n)
     offsets: np.ndarray  # (m,)
@@ -288,16 +303,26 @@ class Halfspaces(Representation):
         slack = self.offsets - self.normals @ x
         return bool(np.all(slack >= -tol * (1.0 + np.abs(self.offsets))))
 
-    def anchor(self, s):
-        """Chebyshev center."""
-        n = s.dim
+    def _active(self, x: np.ndarray) -> np.ndarray:
+        """Rows that hold with equality at ``x``, to 1e-9 relative."""
+        return self.offsets - self.normals @ x <= 1e-9 * (1.0 + np.abs(self.offsets))
+
+    @cached_property
+    def _chebyshev(self) -> Optional[tuple[np.ndarray, float]]:
+        """Centre and radius of the largest ball in the set; None when the
+        system is infeasible."""
+        n = self.normals.shape[1]
         a_ub = np.hstack([self.normals, np.linalg.norm(self.normals, axis=1)[:, None]])
         c = np.append(np.zeros(n), -1.0)
         res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
                       method="highs")
-        if res.status != 0:
+        return (res.x[:n], float(res.x[-1])) if res.status == 0 else None
+
+    def anchor(self, s):
+        """Chebyshev centre."""
+        if self._chebyshev is None:
             raise NotInSetError("halfspace system has no interior point")
-        return res.x[:n]
+        return self._chebyshev[0]
 
     def _reach(self, slack: np.ndarray, d: np.ndarray) -> float:
         """Longest step along ``d`` from a point with the given slacks."""
@@ -324,8 +349,7 @@ class Halfspaces(Representation):
 
     def in_icr(self, s, x):
         """No active constraint may block a span direction."""
-        slack = self.offsets - self.normals @ x
-        active = slack <= 1e-9 * (1.0 + np.abs(self.offsets))
+        active = self._active(x)
         if not np.any(active):
             return True
         a = self.normals[active]
@@ -346,17 +370,14 @@ class Halfspaces(Representation):
         return True
 
     def gauge(self, g, x):
-        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``."""
-        nx = float(np.linalg.norm(x))
+        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``;
+        ``inf`` when such a row holds with equality at the center."""
+        num = self.normals @ x
         den = self.offsets - self.normals @ g.set.center
-        val = 0.0
-        for ni, di, bi in zip(self.normals @ x, den, self.offsets):
-            if ni <= g.tol * nx * 1e-3:
-                continue
-            if di <= g.tol * (1.0 + abs(bi)):
-                return math.inf
-            val = max(val, ni / di)
-        return val
+        rising = num > g.tol * math.sqrt(x @ x) * 1e-3
+        if (den[rising] <= g.tol * (1.0 + np.abs(self.offsets[rising]))).any():
+            return math.inf
+        return float((num[rising] / den[rising]).max(initial=0.0))
 
     def kernel(self, g):
         """Null space of the normals, inside the gauge span."""
@@ -375,6 +396,38 @@ class Halfspaces(Representation):
                                            np.concatenate([self.offsets, refl_offsets])),
                          center=x0)
 
+    def extreme_points(self):
+        """The vertices of a bounded set with interior: one qhull halfspace
+        intersection about the Chebyshev centre (the two endpoints in 1-D).
+        Empty when the set is unbounded, has no interior, or could have more
+        than :data:`MAX_VERTICES` vertices by the Upper Bound Theorem.  On a
+        2-core Xeon VM a 12-D box (4,096 vertices) takes about 0.04 s; a 16-D
+        box (65,536 vertices, 2.3 s) is past the guard."""
+        keep = np.linalg.norm(self.normals, axis=1) > 1e-14
+        a, b = self.normals[keep], self.offsets[keep]
+        m, n = a.shape
+        # a bounded set in R^n has at least n + 1 rows; the guard needs no solve
+        if m <= n or _max_vertex_count(m, n) > MAX_VERTICES or self._chebyshev is None:
+            return []
+        center, radius = self._chebyshev
+        if radius <= DEFAULT_TOL * (1.0 + float(np.max(np.abs(b)))):
+            return []  # no interior
+        if n == 1:  # the endpoints, when both sides are bounded
+            ends, up = b / a[:, 0], a[:, 0] > 0
+            if up.all() or not up.any():
+                return []
+            return [np.array([ends[~up].max()]), np.array([ends[up].min()])]
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):  # dual facets through 0
+                hs = HalfspaceIntersection(np.hstack([a, -b[:, None]]), center)
+        except QhullError:
+            return []  # flat dual hull: the normals miss a direction, which is unbounded
+        # bounded iff the origin, the centre's dual, is strictly inside the dual hull
+        scale = float(np.max(np.linalg.norm(hs.dual_points, axis=1)))
+        if not np.all(hs.dual_equations[:, -1] < -RANK_TOL * scale):
+            return []
+        return list(hs.intersections)
+
     def to_json(self) -> dict:
         return {"halfspaces": [{"normal": list(map(float, n)), "offset": float(b)}
                                for n, b in zip(self.normals, self.offsets)]}
@@ -389,15 +442,52 @@ class Halfspaces(Representation):
 
 @dataclass(frozen=True)
 class Vertices(Representation):
-    """Convex hull of a finite point list; membership via linear feasibility."""
+    """Convex hull of a finite point list.
+
+    Every question is answered from one table, built once per set: the affine
+    hull (a base point and its direction subspace) and the unit-normal facet
+    rows of the hull inside it, kept as a :class:`Halfspaces`.  The rows come
+    from qhull's ``ConvexHull`` in span coordinates (the two end rows of a
+    segment; none for a point), so their cost grows with the facet count: on
+    a 2-core Xeon VM, 50 points in 8-D take about 0.08 s, while 60 points in
+    12-D have 1.1M facets and take about 37 s.
+    """
 
     points: np.ndarray  # (m, n)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
 
+    @cached_property
+    def affine_hull(self) -> tuple[np.ndarray, Subspace]:
+        """A base point and the direction subspace of the affine hull; a
+        full-dimensional hull keeps the input coordinates."""
+        n = self.points.shape[1]
+        base = self.points.mean(axis=0)
+        span = Subspace.from_spanning(self.points - base, n)
+        if span.dim == n:
+            return np.zeros(n), Subspace.full(n)
+        return base, span
+
+    @cached_property
+    def facets(self) -> Halfspaces:
+        """The hull's facets ``a.x <= b`` inside the affine hull, ``|a| = 1``."""
+        base, span = self.affine_hull
+        coords = (self.points - base) @ span.basis.T
+        if span.dim == 0:
+            rows = np.zeros((0, 1))
+        elif span.dim == 1:
+            rows = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+        else:
+            rows = ConvexHull(coords).equations  # a.y + c <= 0 in span coordinates
+        normals = rows[:, :-1] @ span.basis
+        return Halfspaces(normals, normals @ base - rows[:, -1])
+
     def contains(self, s, x, tol):
-        return _hull_contains(self.points, x, tol)
+        """Affine residual and facet slack."""
+        base, span = self.affine_hull
+        return (span.residual(x - base) <= tol * (1.0 + float(np.linalg.norm(x)))
+                and self.facets.contains(s, x, tol))
 
     def anchor(self, s):
         return self.points.mean(axis=0)
@@ -408,36 +498,23 @@ class Vertices(Representation):
         return [self.points.T @ rng.dirichlet(np.ones(m)) for _ in range(n)]
 
     def span(self, s, base):
-        return Subspace.from_spanning(self.points - base, s.dim)
+        return self.affine_hull[1]
 
     def in_icr(self, s, x):
-        """x in ri(conv points) iff a representation with all weights > 0 exists."""
-        m, n = self.points.shape
-        # variables (lambda, t): maximize t subject to lambda_i >= t
-        a_eq = np.block([[self.points.T, np.zeros((n, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
-        a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-        res = linprog(np.append(np.zeros(m), -1.0), A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
-                      b_eq=np.append(x, 1.0), bounds=[(0, None)] * m + [(None, 1.0)],
-                      method="highs")
-        if res.status != 0:
-            raise NotInSetError("point is not in the hull (LP infeasible)")
-        return bool(res.x[-1] > 1e-9)
+        """No facet row is active."""
+        return not np.any(self.facets._active(x))
 
     def is_symmetric(self, s, p):
         """Every reflected vertex ``2p - v`` lies in the hull."""
-        return all(_hull_contains(self.points, 2.0 * p - v, SYMMETRY_TOL) for v in self.points)
+        return all(self.contains(s, 2.0 * p - v, SYMMETRY_TOL) for v in self.points)
 
     def gauge(self, g, x):
-        """One LP: ``min sum(mu)`` s.t. ``sum mu_i (v_i - p) = x, mu >= 0``;
-        infeasible means ``inf``."""
+        """Span check, projection, then the facet ratio formula."""
         if not g.span.contains(x, max(g.tol, 1e-8)):
             return math.inf
         if g.span.dim < g.dim:
             x = g.span.project(x)
-        m = self.points.shape[0]
-        res = linprog(np.ones(m), A_eq=(self.points - g.set.center).T, b_eq=x,
-                      bounds=[(0, None)] * m, method="highs")
-        return float(res.fun) if res.status == 0 else math.inf
+        return self.facets.gauge(g, x)
 
     def kernel(self, g):
         return Subspace.zero(g.dim)  # a hull is bounded
@@ -457,23 +534,6 @@ class Vertices(Representation):
         if points.shape[0] == 0:
             raise SetFormatError("a vertex set needs at least one vertex")
         return cls(points)
-
-
-def _hull_contains(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Is the L1 distance from ``x`` to conv(points) at most ``tol (1 + |x|)``?
-    An LP over (weights, residual+, residual-) finds the nearest weights; the
-    residual is recomputed from them clipped, so the LP's own feasibility
-    tolerance cannot hide a distance larger than ``tol``."""
-    m, n = points.shape
-    a_eq = np.block([[points.T, np.eye(n), -np.eye(n)], [np.ones((1, m)), np.zeros((1, 2 * n))]])
-    c = np.concatenate([np.zeros(m), np.ones(2 * n)])
-    res = linprog(c, A_eq=a_eq, b_eq=np.append(x, 1.0), bounds=[(0, None)] * (m + 2 * n),
-                  method="highs")
-    if res.status != 0:
-        return False
-    lam = np.maximum(res.x[:m], 0.0)
-    residual = float(np.abs(points.T @ (lam / lam.sum()) - x).sum())
-    return residual <= tol * (1.0 + float(np.linalg.norm(x)))
 
 
 @dataclass(frozen=True)
@@ -615,7 +675,8 @@ def span_of_difference(s: ConvexSet, base) -> Subspace:
 def in_icr(s: ConvexSet, x) -> bool:
     """Relative-algebraic-interior test.
 
-    Exact for halfspace and vertex representations; membership-sampled for
+    Exact for halfspace sets (no active row blocks a span direction) and
+    vertex sets (no facet row of the hull is active); membership-sampled for
     sublevel and oracle sets (may report false positives on cusps).
     """
     x = _member(s, x, "point")
@@ -625,9 +686,9 @@ def in_icr(s: ConvexSet, x) -> bool:
 def check_symmetry(s: ConvexSet, p) -> bool:
     """Is the set symmetric about ``p``, that is, does ``2p - S`` lie in S?
 
-    Exact for halfspace sets (one support LP per row) and vertex sets (hull
-    membership of every reflected vertex), so redundant rows and interior
-    vertices do not matter; reflection-sampled otherwise.
+    Exact for halfspace sets (one support LP per row) and vertex sets (every
+    reflected vertex within the hull's facet rows), so redundant rows and
+    interior vertices do not matter; reflection-sampled otherwise.
     """
     p = _member(s, p, "claimed symmetry point")
     return s.representation.is_symmetric(s, p)
@@ -688,9 +749,11 @@ class Gauge:
 def minkowski_gauge(g: Gauge, x) -> float:
     """inf{t > 0 : x in t(S - p)}; +inf off the span, 0 on the kernel.
 
-    Exact for halfspace sets (ratio formula) and vertex sets (one LP over
-    conic weights of the vertices); other representations are bracketed and
-    bisected on the monotone membership predicate to relative ``g.tol``.
+    Exact for halfspace sets and vertex sets: the ratio formula
+    ``max a.x / (b - a.p)`` over the rows, for a vertex set over the hull's
+    facet rows inside its affine hull after the span check.  Other
+    representations are bracketed and bisected on the monotone membership
+    predicate to relative ``g.tol``.
     """
     x = as_vector(x, g.dim)
     if float(np.linalg.norm(x)) == 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .symmetrize import SublevelCore
 
 KERNEL_GAUGE_EPS = 1e-12
 KERNEL_VALUE_EPS = 1e-9
+#: members sampled for ``M``, per squared dimension
+M_SAMPLES_PER_DIM2 = 10
 
 
 @dataclass
@@ -79,27 +80,27 @@ def scale_about(c: ConvexSet, p, factor: float, translate_to=None) -> ConvexSet:
 
 
 def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
-                         samples: Optional[int] = None, seed: int = 42,
-                         extra_points=None, pairs: int = 0) -> LipschitzCertificate:
+                         seed: int = 42, pairs: int = 0) -> LipschitzCertificate:
     """Certificate with the sup-based slope bound on the eps-shrunk set.
 
-    ``M`` is estimated from sampling (exact at vertices for convex functions
-    on vertex-represented sets); for oracle sets the bound therefore has
-    lower-bound semantics.  ``pairs > 0`` additionally runs the empirical
-    estimator on the shrunk region.
+    ``M`` is the largest ``f(x) - f(p)`` over ``M_SAMPLES_PER_DIM2 * dim**2``
+    sampled members and the set's extreme points.  A convex function attains
+    its sup at a vertex, so ``M`` is exact for convex functions on every
+    vertex set and on every bounded halfspace set with interior (below the
+    vertex-count guard of ``Halfspaces.extreme_points``).  Otherwise (sublevel
+    and oracle sets, unbounded or flat halfspace sets, non-convex functions)
+    ``M`` is a sampled lower bound of the sup, and so is the certified bound.
+    ``pairs > 0`` additionally runs the empirical estimator on the shrunk
+    region.
     """
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
     p = as_vector(p, c.dim)
     if not check_symmetry(c, p):
         raise AsymmetricSetError("set is not symmetric about the given point")
-    if samples is None:
-        samples = 10 * c.dim * c.dim
     rng = np.random.default_rng(seed)
-    pts = c.sample_members(rng, samples)
+    pts = c.sample_members(rng, M_SAMPLES_PER_DIM2 * c.dim * c.dim)
     pts.extend(c.representation.extreme_points())
-    if extra_points is not None:
-        pts.extend(as_vector(q, c.dim) for q in extra_points)
     try:
         fp = f(p)
         m_val = max(0.0, max(f(x) - fp for x in pts))

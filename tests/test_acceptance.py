@@ -107,8 +107,9 @@ def test_criterion_03_slope_bound():
         f = ScalarFunction(fn=quad, domain=box(n, -100, 100, center=[0] * n),
                            convex=True, name="quad")
         for eps in (0.25, 0.5, 0.9):
-            cert = theoretical_constant(f, poly, p, eps, seed=SEED,
-                                        extra_points=corners, pairs=100)
+            cert = theoretical_constant(f, poly, p, eps, seed=SEED, pairs=100)
+            m_corners = max(quad(v) for v in corners) - quad(p)
+            assert cert.M == pytest.approx(m_corners, rel=1e-12), f"fixture {i}"
             assert cert.empirical_L <= cert.theoretical_L * (1.0 + 1e-6), \
                 f"fixture {i}, eps {eps}: {cert.empirical_L} > {cert.theoretical_L}"
 

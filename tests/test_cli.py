@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gaugecalc import functions, geometry
@@ -48,6 +49,7 @@ def test_core_counts_on_a_3d_box(capsys, count_calls):
                                                 ([0, 0, 1], 2), ([0, 0, -1], 1))]}}
     count_calls.wrap(geometry.ConvexSet, "contains")
     count_calls.wrap(functions.ScalarFunction, "__call__", "eval")
+    count_calls.wrap(geometry, "linprog", "lp")
     src = "(x1-0.3)^2+(x2-0.3)^2+(x3-0.3)^2"
     code, doc = run(capsys, "core", "--set", json.dumps(cube), "--fn", src,
                     "--point", "[0, 0, 0]")
@@ -56,6 +58,7 @@ def test_core_counts_on_a_3d_box(capsys, count_calls):
                    "span_equal": True, "symmetric": True, "x0": [0.0, 0.0, 0.0]}
     assert count_calls["contains"] <= 2000
     assert count_calls["eval"] <= 2000
+    assert count_calls["lp"] == 1  # the box's Chebyshev centre, solved once per set
 
 
 def test_core_on_a_vertex_domain(capsys):
@@ -74,6 +77,20 @@ def test_lipschitz_command(capsys):
     assert code == 0
     assert doc["epsilon"] == 0.5
     assert doc["empirical_L"] <= doc["theoretical_L"] * (1 + 1e-6)
+
+
+def test_lipschitz_on_a_vertex_hexagon_solves_no_lp(capsys, count_calls):
+    # membership, symmetry, M and every gauge read the hull's facet rows
+    ang = np.arange(6) * np.pi / 3
+    hexagon = {"dim": 2, "repr": {"vertices": [[float(np.cos(a)), float(np.sin(a))]
+                                               for a in ang]}, "center": [0.0, 0.0]}
+    count_calls.wrap(geometry, "linprog", "lp")
+    code, doc = run(capsys, "lipschitz", "--set", json.dumps(hexagon), "--fn", "x1^2 + 2*x2^2",
+                    "--point", "[0, 0]", "--eps", "0.5", "--pairs", "1000", "--convex")
+    assert code == 0
+    assert count_calls["lp"] == 0
+    assert doc["M"] == 1.75 and doc["theoretical_L"] == 5.25
+    assert doc["empirical_L"] == 1.0257295304504188
 
 
 def test_subdiff_and_fermat_commands(capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from gaugecalc import (
@@ -32,7 +33,6 @@ from gaugecalc import (
     spot_check_convexity,
     theoretical_constant,
 )
-from gaugecalc.geometry import _hull_contains
 
 
 def diamond():
@@ -99,11 +99,11 @@ def test_hull_membership():
 
 
 def test_hull_membership_honours_tol():
-    points = np.array([[0.0, 0], [1.0, 0], [0, 1.0]])
-    # L1 distances 1e-8 and 1e-6 beyond the hypotenuse
-    assert not _hull_contains(points, np.array([0.5 + 1e-8, 0.5]), 1e-12)
-    assert _hull_contains(points, np.array([0.5 + 1e-6, 0.5]), 1e-3)
-    assert _hull_contains(points, np.array([0.5, 0.5]), 1e-12)
+    tri = ConvexSet(2, Vertices(np.array([[0.0, 0], [1.0, 0], [0, 1.0]])))
+    # facet slacks 1e-8/sqrt(2) and 1e-6/sqrt(2) beyond the hypotenuse
+    assert not tri.contains([0.5 + 1e-8, 0.5], 1e-12)
+    assert tri.contains([0.5 + 1e-6, 0.5], 1e-3)
+    assert tri.contains([0.5, 0.5], 1e-12)
 
 
 def test_sublevel_membership():
@@ -219,7 +219,7 @@ def test_symmetry_ignores_redundant_rows():
     assert check_symmetry(padded, [0.0, 0.0])
     f = ScalarFunction.from_expr("x1^2 + x2^2", domain=padded, convex=True)
     cert = theoretical_constant(f, padded, [0.0, 0.0], 0.5)
-    assert 0.0 < cert.M <= 2.0
+    assert cert.M == pytest.approx(2.0, rel=1e-12)  # the padded square's corners
     assert cert.theoretical_L == pytest.approx(3.0 * cert.M)
 
 
@@ -289,6 +289,112 @@ def test_vertex_gauge_on_flat_sets_in_r3():
         assert g.value(frame[:, :2] @ u) == pytest.approx(_facet_gauge(flat, center, u),
                                                           rel=1e-12)
     assert math.isinf(g.value(frame @ np.array([0.3, 0.2, 0.1])))
+
+
+def _conic_gauge(points, center, x):
+    """Reference gauge, one LP over conic weights of the vertices:
+    min sum(mu) s.t. sum mu_i (v_i - c) = x, mu >= 0; infeasible means inf."""
+    res = linprog(np.ones(len(points)), A_eq=(points - center).T, b_eq=x,
+                  bounds=[(0, None)] * len(points), method="highs")
+    return float(res.fun) if res.status == 0 else math.inf
+
+
+def _vertex_cases():
+    rng = np.random.default_rng(11)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    cases = [(rng.standard_normal((7, 2)), None), (rng.standard_normal((11, 3)), None),
+             (np.array([-frame[:, 0], 2.0 * frame[:, 0]]), frame[:, 1:]),
+             (rng.standard_normal((3, 2)) @ frame[:, :2].T, frame[:, 2:])]
+    return rng, cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["hull2d", "hull3d", "segment3d", "triangle3d"])
+def test_vertex_sets_agree_with_the_conic_weights_lp(case):
+    rng, cases = _vertex_cases()
+    points, normals = cases[case]
+    dim = points.shape[1]
+    center = points.mean(axis=0)
+    s = ConvexSet(dim, Vertices(points), center=center)
+    g = Gauge.of_set(s)
+    span = Subspace.from_spanning(points - center, dim)
+    for d in rng.standard_normal((12, dim)):
+        x = span.project(d)
+        want = _conic_gauge(points, center, x)
+        assert g.value(x) == pytest.approx(want, rel=1e-8)
+        for t in (0.5, 0.9, 1.1, 2.0):  # members iff the reference gauge is at most 1
+            assert s.contains(center + t * x / want) == (t <= 1.0)
+        assert in_icr(s, center + 0.5 * x / want)
+        assert not in_icr(s, center + x / want)
+        if normals is not None:  # off the affine hull
+            off = x + 0.1 * normals[:, 0]
+            assert math.isinf(_conic_gauge(points, center, off))
+            assert math.isinf(g.value(off))
+            assert not s.contains(center + 0.1 * normals[:, 0])
+
+
+def _loop_ratio_gauge(normals, offsets, center, x, tol):
+    """The per-row loop the masked ratio formula replaced."""
+    nx = float(np.linalg.norm(x))
+    den = offsets - normals @ center
+    val = 0.0
+    for ni, di, bi in zip(normals @ x, den, offsets):
+        if ni <= tol * nx * 1e-3:
+            continue
+        if di <= tol * (1.0 + abs(bi)):
+            return math.inf
+        val = max(val, ni / di)
+    return val
+
+
+def test_masked_ratio_gauge_is_bit_identical_to_the_row_loop():
+    rng = np.random.default_rng(12)
+    seen_inf = 0
+    for _ in range(300):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        normals = rng.standard_normal((m, n))
+        center = rng.standard_normal(n)
+        offsets = normals @ center + rng.uniform(0.0, 2.0, m)
+        through = rng.random(m) < 0.2  # rows through the center
+        offsets[through] = (normals @ center)[through]
+        s = ConvexSet(n, Halfspaces(normals, offsets), center=center)
+        g = Gauge(span=Subspace.full(n), kernel=Subspace.zero(n), set=s)
+        xs = list(rng.standard_normal((4, n)))
+        a = normals[int(rng.integers(m))]
+        xs += [x - (a @ x) / (a @ a) * a for x in xs]  # a.x ~ 0: under the rising cut
+        for x in xs:
+            got = s.representation.gauge(g, x)
+            want = _loop_ratio_gauge(normals, offsets, center, x, g.tol)
+            assert got == want
+            seen_inf += math.isinf(want)
+    assert seen_inf > 0
+
+
+def _criterion_03_polytope(rng, n):
+    r = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    p = rng.uniform(-0.5, 0.5, n)
+    rows = Halfspaces(np.vstack([r, -r]), np.concatenate([1.0 + r @ p, 1.0 - r @ p]))
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n))).reshape(n, -1).T
+    return rows, [p + np.linalg.solve(r, s) for s in signs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_halfspace_extreme_points_are_the_corners(n):
+    rows, corners = _criterion_03_polytope(np.random.default_rng(n), n)
+    got = rows.extreme_points()
+    assert len(got) == len(corners)
+    for c in corners:
+        assert min(float(np.linalg.norm(v - c)) for v in got) <= 1e-12 * (1 + np.linalg.norm(c))
+
+
+def test_halfspace_extreme_points_empty_without_a_bounded_interior():
+    ray = interval(-1.0, math.inf, center=0.0).representation
+    flat = Halfspaces(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
+                      np.array([0.0, 0.0, 1.0, 1.0]))
+    quadrant = Halfspaces(np.array([[1.0, 0], [0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 1.5]))
+    prism = Halfspaces(np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.ones(4))
+    for rows in (ray, strip().representation, flat, quadrant, prism, box(16).representation):
+        assert rows.extreme_points() == []
+    assert len(box(12).representation.extreme_points()) == 4096  # inside the guard
 
 
 def test_bisection_gauge_on_oracle_disk():

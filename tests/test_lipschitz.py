@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gaugecalc import (
     scale_about,
     theoretical_constant,
 )
+from gaugecalc.cli import main as cli_main
 from gaugecalc.geometry import ConvexSet, Halfspaces, Vertices
 
 
@@ -29,15 +31,60 @@ def paraboloid(dom):
 def test_certificate_on_unit_box():
     dom = box(2, -5, 5, center=[0, 0])
     f = paraboloid(dom)
-    corners = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
-    cert = theoretical_constant(f, box(2), [0, 0], 0.5, extra_points=corners,
-                                pairs=400)
+    cert = theoretical_constant(f, box(2), [0, 0], 0.5, pairs=400)
     assert cert.M == pytest.approx(2.0, abs=1e-12)  # sup of x^2+y^2 at a corner
     assert cert.theoretical_L == pytest.approx(2.0 * 1.5 / 0.5, abs=1e-9)
     assert cert.empirical_L <= cert.theoretical_L * (1 + 1e-6)
     assert cert.empirical_L > 0.0
     doc = cert.to_json()
     assert set(doc) == {"theoretical_L", "empirical_L", "M", "epsilon", "pairs", "seed"}
+
+
+def _seeded_polytope_query(k: int):
+    """Query ``k`` of the benchmark's polytope ``lipschitz`` kind at seed 12345
+    (``perfbench/workloads.py``): the criterion-03 polytope
+    ``{|r (y - p)|_inf <= 1}`` and a convex quadratic, as CLI arguments, with
+    the quadratic's maximum over the corners relative to ``p``."""
+    rng = np.random.default_rng([12345, k + 1])
+    n = int(np.random.default_rng([0x5EED, k % 13 + 1]).integers(2, 5))
+    r = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    while abs(np.linalg.det(r)) < 1e-2:
+        r = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    p = rng.uniform(-0.5, 0.5, n)
+    q = p + rng.uniform(-0.3, 0.3, n)
+    b = np.round(rng.standard_normal((n, n)), 6)
+    eps = float(rng.choice([0.25, 0.5, 0.9]))
+    seed = int(rng.integers(1 << 30))
+    d = [f"(x{j + 1} - {float(q[j])!r})" for j in range(n)]
+    rows = ["(" + " + ".join(f"{float(b[i, j])!r}*{d[j]}" for j in range(n)) + ")^2"
+            for i in range(n)]
+    src = f"({' + '.join(rows)})/{n} + " + " + ".join(f"0.2*{t}^2" for t in d)
+
+    def quad(x):
+        y = x - q
+        return float(np.sum((b @ y) ** 2) / n + 0.2 * y @ y)
+
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n))).reshape(n, -1).T
+    m_true = max(0.0, max(quad(p + np.linalg.solve(r, sg)) for sg in signs) - quad(p))
+    normals, offsets = np.vstack([r, -r]), np.concatenate([1.0 + r @ p, 1.0 - r @ p])
+    doc = {"dim": n, "center": [float(t) for t in p],
+           "repr": {"halfspaces": [{"normal": [float(t) for t in a], "offset": float(o)}
+                                   for a, o in zip(normals, offsets)]}}
+    argv = ["lipschitz", "--set", json.dumps(doc), "--fn", src, "--point",
+            json.dumps([float(t) for t in p]), "--eps", repr(eps), "--pairs", "1000",
+            "--convex", "--seed", str(seed)]
+    return argv, m_true
+
+
+@pytest.mark.parametrize("k", [46, 47, 77, 115, 117, 122, 273])
+def test_polytope_bound_holds_where_a_sampled_m_broke_it(k, capsys):
+    # at these seeds a sampled M misses the maximizing corner by enough that
+    # the empirical slope exceeds the bound; the polytope's vertices make M exact
+    argv, m_true = _seeded_polytope_query(k)
+    assert cli_main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["M"] == pytest.approx(m_true, rel=1e-12)
+    assert doc["empirical_L"] <= doc["theoretical_L"]
 
 
 def test_epsilon_range_validated():
