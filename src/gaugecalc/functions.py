@@ -31,6 +31,26 @@ class ScalarFunction:
                 f"function {self.name or '<anonymous>'} returned {val} at {x}")
         return val
 
+    def many(self, xs) -> np.ndarray:
+        """Values at the rows of ``xs``, each the float ``self(x)`` returns.
+
+        A callable that carries a batch evaluator as its ``many`` attribute
+        (rows in, one value per row out) gets the whole matrix in one call;
+        any other is called once per row.  Raises the same
+        :class:`NonFiniteInputError` as a scalar call.
+        """
+        xs = np.asarray(xs, dtype=float)
+        batch = getattr(self.fn, "many", None)
+        if batch is None:
+            return np.array([self(x) for x in xs], dtype=float)
+        vals = np.asarray(batch(xs), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise NonFiniteInputError(
+                f"function {self.name or '<anonymous>'} returned {vals[i]} at {xs[i]}")
+        return vals
+
     @classmethod
     def from_expr(cls, source: str, domain: ConvexSet, convex: bool = False,
                   name: str = "") -> "ScalarFunction":

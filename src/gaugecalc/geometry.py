@@ -159,6 +159,10 @@ class Representation:
             return origin
         raise NotInSetError("oracle set without center: no anchor found")
 
+    def contains_many(self, s: "ConvexSet", xs: np.ndarray, tol: float) -> np.ndarray:
+        """One membership test of ``s`` per row."""
+        return np.array([s.contains(x, tol) for x in xs], dtype=bool)
+
     def sample(self, s: "ConvexSet", rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """The first of 50 proposals that is a member; when none is, the next
         proposal pulled inside toward the anchor."""
@@ -611,6 +615,16 @@ class Oracle(Representation):
     def contains(self, s, x, tol):
         return bool(self.member(x))
 
+    def contains_many(self, s, xs, tol):
+        """The member callback's batch evaluator (its ``many`` attribute,
+        rows in, one truth value per row out) when it carries one."""
+        batch = getattr(self.member, "many", None)
+        if batch is None:
+            return super().contains_many(s, xs, tol)
+        if not np.all(np.isfinite(xs)):
+            raise NonFiniteInputError("vector has non-finite entries")
+        return np.asarray(batch(xs), dtype=bool)
+
     def propose(self, s, rng):
         """A normal draw about the anchor, of ``bounding_radius`` spread."""
         return s.anchor() + self.bounding_radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
@@ -639,6 +653,15 @@ class ConvexSet:
         return self.representation.contains(self, as_vector(x, self.dim), tol)
 
     __contains__ = contains
+
+    def contains_many(self, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Membership of each row of ``xs``, the same truth values as
+        :meth:`contains`."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"expected rows of dimension {self.dim}, got shape {xs.shape}")
+        return self.representation.contains_many(self, xs, tol)
 
     def anchor(self) -> np.ndarray:
         """A member point used as the base for ray searches and sampling."""

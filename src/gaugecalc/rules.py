@@ -21,7 +21,14 @@ import numpy as np
 from .errors import ConditionViolationError, DegenerateGaugeError
 from .functions import ScalarFunction, max_of, product_of, sum_of
 from .geometry import ConvexSet, Gauge, Oracle, Subspace, as_vector
-from .subdiff import _direction_fan, _reduced_basis, _support_value, subdifferential_hull
+from .subdiff import (
+    _OBJECTIVE_FAN,
+    _direction_fan,
+    _reduced_basis,
+    _support_values,
+    _vertices,
+    subdifferential_hull,
+)
 
 DEFAULT_RULE_TOL = 1e-4
 #: fan size (per_dim, floor) of the comparison; max-rule activity tolerance
@@ -29,7 +36,8 @@ _RULE_FAN, _ACTIVE_TOL = (6, 24), 1e-9
 #: gauge-domination check: sample radius around x, pairs, relative tolerance
 _DOMINATION_RADIUS, _DOMINATION_PAIRS, _DOMINATION_TOL = 0.1, 64, 1e-6
 
-Support = Callable[[np.ndarray], float]
+#: a support function read on a whole fan: direction rows in, values out
+Support = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -63,36 +71,34 @@ class RuleReport:
 # ---------------------------------------------------------------------------
 
 
+def _projected(g: Gauge, dirs: np.ndarray) -> np.ndarray:
+    """Each row's quotient representative in the reduced space of g."""
+    w = _reduced_basis(g)
+    return np.array([w.project(v) for v in dirs])
+
+
 def _support(f: ScalarFunction, x, g: Gauge, seed: int) -> Support:
     """Support function of f's subdifferential at x relative to g: the
-    estimator the hulls read, along the direction's quotient representative
-    (so that it also accepts directions from outside the reduced space)."""
-    w = _reduced_basis(g)
-    return lambda v: _support_value(f, x, w.project(v), g, seed)
+    estimator the hulls read, along each row's quotient representative (so
+    that it also accepts directions from outside the reduced space)."""
+    return lambda dirs: _support_values(f, x, _projected(g, dirs), g, seed)
 
 
 def _scaled(h: Support, c: float) -> Support:
     """Support function of c * S from the support function h of S; a
     negative c reflects the set."""
     if c >= 0.0:
-        return lambda v: c * h(v)
-    return lambda v: -c * h(-v)
+        return lambda dirs: c * h(dirs)
+    return lambda dirs: -c * h(-dirs)
 
 
-def _compare(rule: str, lhs: Support, rhs: Support, g: Gauge, seed: int,
+def _compare(rule: str, dirs: np.ndarray, hl: np.ndarray, hr: np.ndarray,
              details: dict) -> RuleReport:
-    dirs = _fan_for(g, seed=seed)
-    if not dirs:
-        raise DegenerateGaugeError("the gauge kernel fills its span")
-    gap_in = -math.inf
-    gap_eq = -math.inf
-    scale = 1.0
-    for v in dirs:
-        hl = lhs(v)
-        hr = rhs(v)
-        gap_in = max(gap_in, hl - hr)
-        gap_eq = max(gap_eq, abs(hl - hr))
-        scale = max(scale, abs(hl), abs(hr))
+    """The verdict from both sides' support values on the rule fan."""
+    gap = hl - hr
+    gap_in = float(np.max(gap))
+    gap_eq = float(np.max(np.abs(gap)))
+    scale = max(1.0, float(np.max(np.abs(hl))), float(np.max(np.abs(hr))))
     tol = DEFAULT_RULE_TOL
     if gap_in <= tol * scale and gap_eq <= tol * scale:
         verdict = "equality_holds"
@@ -105,8 +111,14 @@ def _compare(rule: str, lhs: Support, rhs: Support, g: Gauge, seed: int,
                       num_directions=len(dirs), details=details)
 
 
-def _fan_for(g: Gauge, seed: int = 42) -> list[np.ndarray]:
+def _fan_for(g: Gauge, seed: int = 42) -> np.ndarray:
+    """The rule fan: the direction fan of the reduced space, then +/- each
+    normalized sum and difference of two basis vectors.  Its opening rows
+    are the objectives :func:`subdifferential_hull` draws with the same
+    seed."""
     w = _reduced_basis(g)
+    if w.dim == 0:
+        raise DegenerateGaugeError("the gauge kernel fills its span")
     dirs, _ = _direction_fan(w, _RULE_FAN, seed)
     for i in range(w.dim):
         for j in range(i + 1, w.dim):
@@ -114,7 +126,7 @@ def _fan_for(g: Gauge, seed: int = 42) -> list[np.ndarray]:
                 d = (w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
                 dirs.append(d)
                 dirs.append(-d)
-    return dirs
+    return np.array(dirs)
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
@@ -148,14 +160,19 @@ def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
                     seed: int = 42) -> RuleReport:
     """Subdifferential of f + g against the Minkowski sum of the factors'.
 
-    The report also lists the vertices of the sum's sampled subdifferential.
+    The report also lists the vertices of the sum's sampled subdifferential,
+    read from the sum's support values on the rule fan: its opening rows
+    are the objectives of :func:`subdifferential_hull`.
     """
     x = as_vector(x, f.domain.dim)
-    total = sum_of(f, g)
-    lhs = subdifferential_hull(total, x, gauge, seed=seed).subgradients
-    h_f, h_g = _support(f, x, gauge, seed), _support(g, x, gauge, seed)
-    return _compare("sum", _support(total, x, gauge, seed), lambda v: h_f(v) + h_g(v),
-                    gauge, seed,
+    dirs = _fan_for(gauge, seed)
+    rows = _projected(gauge, dirs)
+    hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
+    hr = _support(f, x, gauge, seed)(dirs) + _support(g, x, gauge, seed)(dirs)
+    w = _reduced_basis(gauge)
+    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    lhs = _vertices(w, rows, hl, range(len(objectives)))
+    return _compare("sum", dirs, hl, hr,
                     {"x": list(map(float, x)),
                      "lhs_vertices": [list(map(float, z)) for z in lhs]})
 
@@ -168,10 +185,11 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     """
     x = as_vector(x, f.domain.dim)
     fx, gx = f(x), g(x)
+    dirs = _fan_for(gauge, seed)
     h_g = _scaled(_support(g, x, gauge, seed), fx)
     h_f = _scaled(_support(f, x, gauge, seed), gx)
-    return _compare("product", _support(product_of(f, g), x, gauge, seed),
-                    lambda v: h_g(v) + h_f(v), gauge, seed,
+    return _compare("product", dirs, _support(product_of(f, g), x, gauge, seed)(dirs),
+                    h_g(dirs) + h_f(dirs),
                     {"x": list(map(float, x)), "f_at_x": fx, "g_at_x": gx})
 
 
@@ -199,10 +217,14 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
                           convex=composite_convex, name=f"outer({h.name})")
     u0 = h(x)
     a_lo, a_hi = _outer_derivative_range(g, u0)
+    dirs = _fan_for(gauge, seed)
     h_inner = _support(h, x, gauge, seed)
-    scaled = [_scaled(h_inner, a) for a in {a_lo, a_hi}]
-    return _compare("chain2", _support(comp, x, gauge, seed),
-                    lambda v: max(s(v) for s in scaled), gauge, seed,
+    # each sign of the slopes reads the inner support function once; a
+    # negative slope reflects the set
+    signs = {1.0 if a >= 0.0 else -1.0 for a in (a_lo, a_hi)}
+    sides = {s: h_inner(s * dirs) for s in signs}
+    hr = np.max([abs(a) * sides[1.0 if a >= 0.0 else -1.0] for a in {a_lo, a_hi}], axis=0)
+    return _compare("chain2", dirs, _support(comp, x, gauge, seed)(dirs), hr,
                     {"x": list(map(float, x)), "inner_value": float(u0),
                      "outer_slope_range": [float(a_lo), float(a_hi)]})
 
@@ -262,9 +284,10 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     y = inner(x)
     outer = subdifferential_hull(f, y, gauge_out, seed=seed).subgradients
     jac = np.asarray(inner.jacobian(x), dtype=float)
-    h_out = _support(f, y, gauge_out, seed)
-    return _compare("chain1", _support(comp, x, gauge_in, seed),
-                    lambda v: h_out(jac @ v), gauge_in, seed,
+    dirs = _fan_for(gauge_in, seed)
+    pushed = np.array([jac @ v for v in dirs]).reshape(len(dirs), inner.out_dim)
+    return _compare("chain1", dirs, _support(comp, x, gauge_in, seed)(dirs),
+                    _support(f, y, gauge_out, seed)(pushed),
                     {"x": list(map(float, x)),
                      "rhs_vertices": [list(map(float, jac.T @ z)) for z in outer]})
 
@@ -276,9 +299,10 @@ def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
     vals = [fi(x) for fi in fs]
     peak = max(vals)
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
-    pieces = [_support(fs[i], x, gauge, seed) for i in active]
-    return _compare("max", _support(max_of(list(fs)), x, gauge, seed),
-                    lambda v: max(h(v) for h in pieces), gauge, seed,
+    dirs = _fan_for(gauge, seed)
+    pieces = [_support(fs[i], x, gauge, seed)(dirs) for i in active]
+    return _compare("max", dirs, _support(max_of(list(fs)), x, gauge, seed)(dirs),
+                    np.max(pieces, axis=0),
                     {"x": list(map(float, x)), "active_indices": active,
                      "values": [float(v) for v in vals]})
 
@@ -311,8 +335,9 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
                         name=f"{f.name}|block1")
     f2 = ScalarFunction(fn=freeze_first, domain=dom2, convex=f.convex,
                         name=f"{f.name}|block2")
+    dirs = _fan_for(prod_gauge, seed)
     h_1, h_2 = _support(f1, x1, gauge_1, seed), _support(f2, x2, gauge_2, seed)
-    return _compare("partial", _support(f, x, prod_gauge, seed),
-                    lambda v: h_1(v[:n1]) + h_2(v[n1:]), prod_gauge, seed,
+    return _compare("partial", dirs, _support(f, x, prod_gauge, seed)(dirs),
+                    h_1(dirs[:, :n1]) + h_2(dirs[:, n1:]),
                     {"x": list(map(float, x)),
                      "block_dims": [int(n1), int(n2)]})

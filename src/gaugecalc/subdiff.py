@@ -37,6 +37,99 @@ _SHELLS, _PROBES, _R0 = 18, 12, 1e-2
 #: extraction LPs and of a hull's objectives; relative LP constraint slack
 _TEST_FAN, _LP_FAN, _OBJECTIVE_FAN = (4, 16), (2, 16), (4, 8)
 _LP_SLACK = 1e-8
+#: rows of one batch evaluation hold at most this many coordinates, so a fan
+#: is evaluated in chunks of half a megabyte whatever its size
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
+        base_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op`` (a batch evaluator: point rows in, one value per row out) at
+    the points ``base + t[i] * dirs[rows[i]]``, or with ``base_rows`` at
+    ``base[base_rows[i]] + t[i] * dirs[rows[i]]``, a chunk at a time."""
+    size = max(1, _CHUNK_ELEMENTS // max(dirs.shape[1], 1))
+    buf = np.empty((min(size, rows.size), dirs.shape[1]))
+    out = []
+    for lo in range(0, rows.size, size):
+        pts = buf[:rows.size - lo] if rows.size - lo < size else buf
+        np.take(dirs, rows[lo:lo + size], axis=0, out=pts)
+        pts *= t[lo:lo + size, None]
+        pts += base if base_rows is None else base[base_rows[lo:lo + size]]
+        out.append(np.array(op(pts)))  # a copy: the result may view the reused buffer
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _nonzero_rows(dirs: np.ndarray) -> np.ndarray:
+    """The rows a derivative is taken along; the others read 0."""
+    return np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) >= 1e-14)
+
+
+def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided directional derivatives of f at x along the rows of ``dirs``
+    by halving difference ladders run in lockstep, and the number of sign
+    changes between consecutive quotient differences on each row.
+
+    Each step evaluates every row whose ladder is still running as one
+    batch; each row keeps its own step, stopping rules and Richardson step,
+    so its value is the one a ladder on that row alone would give.
+    """
+    m = dirs.shape[0]
+    out = np.zeros(m)
+    oscillations = np.zeros(m, dtype=int)
+    live = _nonzero_rows(dirs)
+    if live.size == 0:
+        return out, oscillations
+    t = np.ones(m)
+    # the floor sits well above the membership tolerance so that boundary
+    # fuzz is not mistaken for a feasible sliver
+    search = live
+    while search.size:
+        inside = _at(f.domain.contains_many, x, dirs, search, t[search])
+        search = search[~inside]
+        t[search] *= 0.5
+        search = search[t[search] > 1e-7]
+    if np.any(t[live] <= 1e-7):
+        raise NoFeasibleStepError("no feasible step from x along d inside the domain")
+    fx = f(x)
+
+    def quotients(rows):
+        return (_at(f.many, x, dirs, rows, t[rows]) - fx) / t[rows]
+
+    q, q_prev = np.zeros(m), np.zeros(m)
+    has_q, has_prev = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    last_diff, rich_prev = np.zeros(m), np.zeros(m)
+    has_diff, has_rich = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    run = live[t[live] >= _STEP_FLOOR]
+    while run.size:
+        q_new = quotients(run)
+        seen, q_old = has_q[run], q[run]
+        diff = q_new - q_old
+        settled = seen & (np.abs(diff) <= _SETTLE_TOL * (1.0 + np.abs(q_new)))
+        moving = seen & ~settled
+        oscillations[run[moving & has_diff[run] & (diff * last_diff[run] < 0)]] += 1
+        last_diff[run[moving]] = diff[moving]
+        has_diff[run[moving]] = True
+        # extrapolated values settling across two octaves means the
+        # remaining error is beyond quadratic; stop early (but only at
+        # steps small enough that coarse-scale structure is resolved)
+        rich = 2.0 * q_new - q_old
+        early = moving & has_rich[run] & (t[run] <= 1e-3) & \
+            (np.abs(rich - rich_prev[run]) <= _SETTLE_TOL * (1.0 + np.abs(rich)))
+        rich_prev[run[moving]] = rich[moving]
+        has_rich[run[moving]] = True
+        q_prev[run], has_prev[run] = q_old, seen
+        q[run], has_q[run] = q_new, True
+        run = run[~(settled | early)]
+        t[run] *= 0.5
+        run = run[t[run] >= _STEP_FLOOR]
+    sliver = live[~has_q[live]]
+    if sliver.size:
+        # the feasible sliver is below the ladder floor; use it directly
+        q[sliver] = quotients(sliver)
+    q, q_prev, has_prev = q[live], q_prev[live], has_prev[live]
+    extrapolate = has_prev & (np.abs(q - q_prev) <= 0.1 * (1.0 + np.abs(q)))
+    out[live] = np.where(extrapolate, 2.0 * q - q_prev, q)
+    return out, oscillations
 
 
 def dir_deriv(f: ScalarFunction, x, d) -> float:
@@ -46,69 +139,33 @@ def dir_deriv(f: ScalarFunction, x, d) -> float:
     consecutive quotients agree or the step hits the floor, and applies one
     Richardson step (which is exact for affine-in-t error and a no-op once
     the quotients have settled, e.g. at a kink of a piecewise-linear
-    function).
+    function).  This is the one-row case of the lockstep ladder that a
+    direction fan runs through :func:`_support_values`, where each step is
+    one batch call of :meth:`ScalarFunction.many`.  For a function not
+    flagged convex, quotients that oscillate raise one ``RuntimeWarning``.
     """
     x = as_vector(x, f.domain.dim)
     d = as_vector(d, f.domain.dim)
-    if float(np.linalg.norm(d)) < 1e-14:
-        return 0.0
-    t = 1.0
-    # the floor sits well above the membership tolerance so that boundary
-    # fuzz is not mistaken for a feasible sliver
-    while t > 1e-7 and not f.domain.contains(x + t * d):
-        t *= 0.5
-    if t <= 1e-7:
-        raise NoFeasibleStepError("no feasible step from x along d inside the domain")
-    fx = f(x)
-    q_prev: Optional[float] = None
-    q: Optional[float] = None
-    oscillations = 0
-    last_diff = None
-    rich_prev: Optional[float] = None
-    while t >= _STEP_FLOOR:
-        q_new = (f(x + t * d) - fx) / t
-        if q is not None:
-            diff = q_new - q
-            if abs(diff) <= _SETTLE_TOL * (1.0 + abs(q_new)):
-                q_prev, q = q, q_new
-                break
-            if last_diff is not None and diff * last_diff < 0:
-                oscillations += 1
-            last_diff = diff
-            # extrapolated values settling across two octaves means the
-            # remaining error is beyond quadratic; stop early (but only at
-            # steps small enough that coarse-scale structure is resolved)
-            rich = 2.0 * q_new - q
-            if rich_prev is not None and t <= 1e-3 and \
-                    abs(rich - rich_prev) <= _SETTLE_TOL * (1.0 + abs(rich)):
-                q_prev, q = q, q_new
-                break
-            rich_prev = rich
-        q_prev, q = q, q_new
-        t *= 0.5
-    if q is None:
-        # the feasible sliver is below the ladder floor; use it directly
-        q = (f(x + t * d) - fx) / t
-    if not f.convex and oscillations >= 3:
+    values, oscillations = _ladder(f, x, d[None, :])
+    if not f.convex and oscillations[0] >= 3:
         warnings.warn("difference quotients oscillate; the one-sided derivative "
                       "may not exist at this point", RuntimeWarning, stacklevel=2)
-    if q_prev is not None and abs(q - q_prev) <= 0.1 * (1.0 + abs(q)):
-        return 2.0 * q - q_prev
-    return q
+    return float(values[0])
 
 
-def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
-    """Generalized (upper) directional derivative.
+def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
+                 seed: int) -> np.ndarray:
+    """Generalized directional derivatives along the rows of ``dirs``.
 
-    Reports the max over the two innermost of 18 geometrically shrinking
-    gauge-shells of base points around x (radii ``1e-2 * 2**-16`` and
-    ``1e-2 * 2**-17``), one difference quotient per base point with a step
-    tied to the shell radius, as the limsup surrogate.
+    The shell base points, their values and their gauges do not depend on
+    the direction, so they are drawn and evaluated once for the whole fan;
+    every (base point, row) quotient of a shell is then one batch.
     """
-    x = as_vector(x, f.domain.dim)
-    d = as_vector(d, f.domain.dim)
-    if float(np.linalg.norm(d)) < 1e-14:
-        return 0.0
+    m = dirs.shape[0]
+    out = np.zeros(m)
+    live = _nonzero_rows(dirs)
+    if live.size == 0:
+        return out
     rng = np.random.default_rng(seed)
     k = g.span.dim
     # the outer shells are not scanned, since only the two innermost are
@@ -116,7 +173,7 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     # shells see the same base points and every reported value stays
     # bit-identical to a scan of all the shells
     rng.standard_normal((_SHELLS - 2) * _PROBES * k)
-    best = -math.inf
+    best = np.full(m, -math.inf)
     for j in (_SHELLS - 2, _SHELLS - 1):
         r = _R0 * 2.0 ** (-j)
         bases = [x]
@@ -131,16 +188,50 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
             y = x + (r / scale) * u
             if f.domain.contains(y):
                 bases.append(y)
-        for y in bases:
-            t = r / 4.0
-            while t > 1e-12 and not f.domain.contains(y + t * d):
-                t *= 0.5
-            if t <= 1e-12:
-                continue
-            best = max(best, (f(y + t * d) - f(y)) / t)
-    if not math.isfinite(best):
+        ys = np.array(bases)
+        fy = f.many(ys)
+        base_rows = np.repeat(np.arange(len(bases)), live.size)
+        dir_rows = np.tile(live, len(bases))
+        t = np.full(base_rows.size, r / 4.0)
+        search = np.arange(base_rows.size)
+        while search.size:
+            inside = _at(f.domain.contains_many, ys, dirs, dir_rows[search], t[search],
+                         base_rows[search])
+            search = search[~inside]
+            t[search] *= 0.5
+            search = search[t[search] > 1e-12]
+        ok = t > 1e-12
+        base_rows, dir_rows, t = base_rows[ok], dir_rows[ok], t[ok]
+        quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows) - fy[base_rows]) / t
+        np.maximum.at(best, dir_rows, quotients)
+    if not np.all(np.isfinite(best[live])):
         raise NoFeasibleStepError("no feasible probe near x for this direction")
-    return best
+    out[live] = best[live]
+    return out
+
+
+def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
+    """Generalized (upper) directional derivative.
+
+    Reports the max over the two innermost of 18 geometrically shrinking
+    gauge-shells of base points around x (radii ``1e-2 * 2**-16`` and
+    ``1e-2 * 2**-17``), one difference quotient per base point with a step
+    tied to the shell radius, as the limsup surrogate.  This is the one-row
+    case of :func:`_support_values` for a function not flagged convex.
+    """
+    x = as_vector(x, f.domain.dim)
+    d = as_vector(d, f.domain.dim)
+    return float(_generalized(f, x, d[None, :], g, seed)[0])
+
+
+def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
+                    seed: int = 42) -> np.ndarray:
+    """Support values of f's subdifferential at x along the rows of
+    ``dirs``: directional derivatives for convex-flagged functions,
+    generalized directional derivatives otherwise, one fan at a time."""
+    if f.convex:
+        return _ladder(f, x, dirs)[0]
+    return _generalized(f, x, dirs, g, seed)
 
 
 def _reduced_basis(g: Gauge) -> Subspace:
@@ -154,14 +245,6 @@ def _reduced_basis(g: Gauge) -> Subspace:
         # canonicalize: probing may return any rotated frame of R^n
         return Subspace.full(w.ambient_dim)
     return w
-
-
-def _support_value(f: ScalarFunction, x, v, g: Gauge, seed: int = 42) -> float:
-    """Directional derivative for convex-flagged functions, generalized
-    directional derivative otherwise."""
-    if f.convex:
-        return dir_deriv(f, x, v)
-    return gen_dir_deriv(f, x, v, g, seed=seed)
 
 
 def _frame(w: Subspace) -> list[np.ndarray]:
@@ -212,19 +295,22 @@ def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
                  extra=()) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """:func:`_direction_fan` with f's support value along each row."""
     dirs, rows = _direction_fan(w, size, seed, extra)
-    sups = np.array([_support_value(f, x, v, g, seed) for v in dirs])
-    return np.array(dirs).reshape(-1, w.ambient_dim), sups, rows
+    dirs = np.array(dirs).reshape(-1, w.ambient_dim)
+    return dirs, _support_values(f, x, dirs, g, seed), rows
 
 
 def _maximize(w: Subspace, dirs, sups, rows: list[int]) -> list[np.ndarray]:
     """For each row, the z maximizing <z, dirs[row]> over the outer
     approximation {z : <z, v> <= h(v) for every fan row v} of the
     subdifferential; the optimum must attain that row's support value."""
-    a_ub = dirs @ w.basis.T
+    # in the whole space the basis is the identity: the rows are their own
+    # coordinates
+    full = w.dim == w.ambient_dim
+    a_ub = dirs if full else dirs @ w.basis.T
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
     out = []
     for row in rows:
-        c = -(w.basis @ dirs[row])
+        c = -(dirs[row] if full else w.basis @ dirs[row])
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
                       method="highs")
         if res.status != 0:
@@ -242,8 +328,18 @@ def _maximize(w: Subspace, dirs, sups, rows: list[int]) -> list[np.ndarray]:
             raise SupportMismatchError(
                 f"support value {target:.6g} in the objective direction is not "
                 f"attained (got {attained:.6g})")
-        out.append(w.basis.T @ res.x)
+        out.append(res.x if full else w.basis.T @ res.x)
     return out
+
+
+def _vertices(w: Subspace, dirs, sups, rows) -> list[np.ndarray]:
+    """The distinct optima of :func:`_maximize` over ``rows``."""
+    grads: list[np.ndarray] = []
+    for z in _maximize(w, dirs, sups, rows):
+        if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
+                   for z0 in grads):
+            grads.append(z)
+    return grads
 
 
 def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
@@ -321,14 +417,9 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     k = len(_frame(w))
     dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
     rows = list(range(k)) + rows
-    grads: list[np.ndarray] = []
-    for z in _maximize(w, dirs, sups, rows):
-        if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
-                   for z0 in grads):
-            grads.append(z)
     return SupportSet(base_point=x, directions=objectives,
                       support_values=[float(sups[r]) for r in rows],
-                      subgradients=grads)
+                      subgradients=_vertices(w, dirs, sups, rows))
 
 
 def fermat_check(f: ScalarFunction, x, g: Gauge, tol: float = 1e-6,

@@ -554,3 +554,51 @@ def test_oracle_sets_not_serializable():
     s = ConvexSet(1, Oracle(member=lambda x: True, bounding_radius=1.0))
     with pytest.raises(ValueError):
         set_to_json(s)
+
+
+def test_contains_many_matches_contains():
+    hexagon = ConvexSet(2, Vertices(np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)]
+                                              for k in range(6)])), center=np.zeros(2))
+    pts = np.random.default_rng(2).uniform(-1.2, 1.2, (40, 2))
+    for s in (box(2), hexagon, ConvexSet(2, Oracle(member=lambda v: v @ v <= 1.0,
+                                                   bounding_radius=1.0))):
+        assert s.contains_many(pts).tolist() == [s.contains(p) for p in pts]
+    with pytest.raises(DimensionMismatchError):
+        box(2).contains_many(np.zeros((3, 3)))
+
+
+def test_contains_many_uses_the_member_batch_evaluator():
+    calls = []
+
+    def member(v):
+        calls.append(1)
+        return bool(v @ v <= 1.0)
+
+    member.many = lambda xs: np.einsum("ij,ij->i", xs, xs) <= 1.0
+    ball = ConvexSet(2, Oracle(member=member, bounding_radius=1.0))
+    pts = np.random.default_rng(3).uniform(-1.2, 1.2, (30, 2))
+    assert ball.contains_many(pts).tolist() == [bool(p @ p <= 1.0) for p in pts]
+    assert calls == []
+    with pytest.raises(NonFiniteInputError):
+        ball.contains_many(np.array([[0.0, math.nan]]))
+
+
+def test_scalar_function_many():
+    calls = []
+
+    def fn(v):
+        calls.append(1)
+        return 1.0 / v[0]
+
+    f = ScalarFunction(fn=fn, domain=box(1), name="inv")
+    # no batch evaluator: one scalar call per row, with the scalar call's error
+    assert f.many(np.array([[1.0], [2.0], [4.0]])).tolist() == [1.0, 0.5, 0.25]
+    assert len(calls) == 3
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteInputError):
+        f.many(np.array([[1.0], [0.0]]))
+    fn.many = lambda xs: 1.0 / xs[:, 0]
+    calls.clear()
+    assert f.many(np.array([[1.0], [2.0], [4.0]])).tolist() == [1.0, 0.5, 0.25]
+    assert calls == []
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteInputError, match="inv"):
+        f.many(np.array([[1.0], [0.0]]))

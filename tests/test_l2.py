@@ -106,3 +106,18 @@ def test_run_all_keys():
 def test_unknown_example_rejected():
     with pytest.raises(ValueError):
         run_example("nope", n=10)
+
+
+def test_batch_evaluators_match_the_scalar_calls(grid):
+    f = make_function(grid)
+    rng = np.random.default_rng(0)
+    xs = grid.nodes + 0.1 * rng.standard_normal((40, grid.n))
+    xs[5, 7] = -1.5
+    xs[6, 9] = -1.0 - 1e-13  # inside the membership fuzz, outside the energy's box
+    inside = f.domain.contains_many(xs)
+    assert inside.tolist() == [f.domain.contains(x) for x in xs]
+    assert not inside[5] and inside[6]
+    ok = np.delete(xs, [5, 6], axis=0)
+    assert f.many(ok).tolist() == [f(x) for x in ok]
+    with pytest.raises(NonFiniteInputError):
+        f.many(xs[4:7])

@@ -212,18 +212,21 @@ def _criterion_08_fixtures(plane, unit_gauge):
     }
 
 
-@pytest.mark.parametrize("rule,hulls", [("sum", 1), ("chain1", 1), ("product", 0),
+@pytest.mark.parametrize("rule,hulls", [("sum", 0), ("chain1", 1), ("product", 0),
                                         ("chain2", 0), ("max", 0), ("partial", 0)])
 def test_verdicts_read_support_values_not_hulls(rule, hulls, plane, unit_gauge,
                                                 count_calls):
-    # a verdict solves no LP; sum and chain1 build the one hull whose
-    # vertices their report lists
+    # a verdict solves no LP; chain1 builds the one hull whose vertices its
+    # report lists, and sum solves its vertex LPs on the rule fan's own
+    # support table, one per hull objective (8 in the plane)
     count_calls.wrap(subdiff, "linprog", "lp")
     count_calls.wrap(rules, "subdifferential_hull", "hull")
     r = _criterion_08_fixtures(plane, unit_gauge)[rule]()
     assert r.inclusion_holds
     assert count_calls["hull"] == hulls
-    if hulls == 0:
+    if rule == "sum":
+        assert count_calls["lp"] == 8
+    elif hulls == 0:
         assert count_calls["lp"] == 0
 
 
@@ -241,3 +244,18 @@ def test_partial_rule(plane):
     r = verify_partial_rule(f, [0.0, 0.4], g1, g1)
     assert r.verdict == "equality_holds"
     assert r.details["block_dims"] == [1, 1]
+
+
+def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
+    # the rule fan opens with the objectives a hull draws with the same
+    # seed, so the sum's vertex LPs need no fan of their own
+    w = subdiff._reduced_basis(unit_gauge)
+    objectives, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
+    fan = rules._fan_for(unit_gauge, 42)
+    assert np.array_equal(fan[:len(objectives)], np.array(objectives))
+    # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners
+    f, g = fn("abs(x1)", plane), fn("abs(x1) + abs(x2)", plane)
+    r = verify_sum_rule(f, g, [0.0, 0.0], unit_gauge)
+    assert r.verdict == "equality_holds"
+    corners = sorted(map(tuple, np.round(r.details["lhs_vertices"], 6)))
+    assert corners == [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]

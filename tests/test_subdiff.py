@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugecalc import (
     DegenerateGaugeError,
@@ -19,7 +22,8 @@ from gaugecalc import (
     lebourg_point,
     subdifferential_hull,
 )
-from gaugecalc.geometry import ConvexSet, Halfspaces, Vertices
+from gaugecalc import WeightedGrid, make_function, make_gauge, subdiff
+from gaugecalc.geometry import ConvexSet, Halfspaces, Oracle, Vertices
 
 
 @pytest.fixture
@@ -267,3 +271,204 @@ def test_hull_reuses_the_frame_rows(count_calls):
     assert np.allclose([pts[:, 0].min(), pts[:, 0].max()], [-1.0, 1.0], atol=1e-4)
     assert np.allclose([pts[:, 2].min(), pts[:, 2].max()], [-1.0, 1.0], atol=1e-4)
     assert np.allclose(pts[:, 1], 1.0, atol=1e-4)
+
+
+# -- support values per fan --------------------------------------------------
+
+
+def scalar_dir_deriv(f, x, d):
+    """The one-direction halving ladder that the fan ladder replaced, kept
+    here as the reference it must match bit for bit."""
+    if float(np.linalg.norm(d)) < 1e-14:
+        return 0.0
+    t = 1.0
+    while t > 1e-7 and not f.domain.contains(x + t * d):
+        t *= 0.5
+    if t <= 1e-7:
+        raise NoFeasibleStepError("no feasible step")
+    fx = f(x)
+    q_prev = q = None
+    last_diff = rich_prev = None
+    while t >= 5e-7:
+        q_new = (f(x + t * d) - fx) / t
+        if q is not None:
+            diff = q_new - q
+            if abs(diff) <= 1e-10 * (1.0 + abs(q_new)):
+                q_prev, q = q, q_new
+                break
+            last_diff = diff
+            rich = 2.0 * q_new - q
+            if rich_prev is not None and t <= 1e-3 and \
+                    abs(rich - rich_prev) <= 1e-10 * (1.0 + abs(rich)):
+                q_prev, q = q, q_new
+                break
+            rich_prev = rich
+        q_prev, q = q, q_new
+        t *= 0.5
+    if q is None:
+        q = (f(x + t * d) - fx) / t
+    if q_prev is not None and abs(q - q_prev) <= 0.1 * (1.0 + abs(q)):
+        return 2.0 * q - q_prev
+    return q
+
+
+def scalar_gen_dir_deriv(f, x, d, g, seed):
+    """The one-direction generalized derivative that draws its own shell
+    base points, kept here as the reference the fan path must match."""
+    if float(np.linalg.norm(d)) < 1e-14:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    k = g.span.dim
+    rng.standard_normal(16 * 12 * k)
+    best = -math.inf
+    for j in (16, 17):
+        r = 1e-2 * 2.0 ** (-j)
+        bases = [x]
+        for _ in range(12):
+            u = g.span.basis.T @ rng.standard_normal(k)
+            mu = g.value(u)
+            scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
+            if scale <= 1e-14:
+                continue
+            y = x + (r / scale) * u
+            if f.domain.contains(y):
+                bases.append(y)
+        for y in bases:
+            t = r / 4.0
+            while t > 1e-12 and not f.domain.contains(y + t * d):
+                t *= 0.5
+            if t <= 1e-12:
+                continue
+            best = max(best, (f(y + t * d) - f(y)) / t)
+    return best
+
+
+def grid_fan(n, seed=7):
+    """The weighted grid's extraction fan at a state away from the nodes."""
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    g = make_gauge(grid)
+    w = subdiff._reduced_basis(g)
+    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                     extra=[2.0 * (x - t) / (n * t)])
+    return make_function(grid), x, g, np.array(dirs)
+
+
+def test_fan_ladder_matches_the_scalar_ladder_on_the_grid():
+    f, x, g, dirs = grid_fan(300)
+    got = subdiff._support_values(f, x, dirs, g, 7)
+    assert got.tolist() == [scalar_dir_deriv(f, x, d) for d in dirs]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_fan_ladder_matches_the_scalar_ladder(n, seed):
+    # a separable convex expression, base points on and off its kinks and
+    # on or a sliver inside the domain's faces (where a row's first
+    # feasible step is below the ladder's floor), and random fans with zero
+    # and frame rows
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.uniform(-1, 1, n), 2)
+    c = np.round(rng.uniform(0.1, 2, n), 2)
+    src = " + ".join(f"{c[j]}*abs(x{j + 1} - {a[j]}) + {c[j] / 3}*x{j + 1}^2"
+                     for j in range(n))
+    f = fn(src, box(n, -2, 2, center=[0] * n))
+    face = rng.choice([-2.0, 2.0], n) * rng.choice([1.0, 1.0 - 1.5e-7], n)
+    x = np.choose(rng.integers(0, 3, n), [a, np.round(rng.uniform(-2, 2, n), 3), face])
+    dirs = np.vstack([np.eye(n), -np.eye(n), np.zeros((1, n)),
+                      rng.standard_normal((int(rng.integers(1, 12)), n))])
+    g = Gauge.of_set(box(n))
+    want = []
+    for d in dirs:
+        try:
+            want.append(scalar_dir_deriv(f, x, d))
+        except NoFeasibleStepError:
+            want.append(None)
+    feasible = np.array([w is not None for w in want])
+    if not feasible.all():
+        # a row that leaves the domain at once fails the whole fan
+        with pytest.raises(NoFeasibleStepError):
+            subdiff._support_values(f, x, dirs, g, seed)
+    got = subdiff._support_values(f, x, dirs[feasible], g, seed)
+    assert got.tolist() == [w for w in want if w is not None]
+
+
+def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
+    # the shell base points, their values and gauges are drawn once per fan
+    f = fn("abs(x1) - abs(x2) + x1*x2", plane, convex=False)
+    x = np.array([0.0, 0.0])
+    dirs = np.vstack([np.eye(2), -np.eye(2), [[0.0, 0.0]],
+                      np.random.default_rng(3).standard_normal((7, 2))])
+    got = subdiff._support_values(f, x, dirs, unit_gauge, 11)
+    per_row = [gen_dir_deriv(f, x, d, unit_gauge, seed=11) for d in dirs]
+    assert got.tolist() == per_row
+    assert per_row == [scalar_gen_dir_deriv(f, x, d, unit_gauge, 11) for d in dirs]
+
+
+def test_fan_generalized_path_evaluates_base_points_once(plane, unit_gauge):
+    f, calls = counting_fn("abs(x1) + x2^2", plane, convex=False)
+    dirs = np.vstack([np.eye(2), -np.eye(2)])
+    subdiff._support_values(f, np.array([0.0, 0.5]), dirs, unit_gauge, 42)
+    # per shell: 13 base values, then one quotient per base point and row
+    assert calls.calls == 2 * (13 + 13 * 4)
+
+
+def test_grid_extraction_makes_no_scalar_calls(count_calls):
+    count_calls.wrap(subdiff.ScalarFunction, "__call__", "eval")
+    count_calls.wrap(ConvexSet, "contains", "contains")
+    n = 1000
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    closed = 2.0 * (x - t) / (n * t)
+    z = extract_subgradient(make_function(grid), x, make_gauge(grid), objective=closed)
+    # one scalar call, the base value f(x); every quotient and membership
+    # test goes through the grid's batch evaluators
+    assert (count_calls["eval"], count_calls["contains"]) == (1, 0)
+    assert float(np.linalg.norm(z - closed)) <= 1e-5 * float(np.linalg.norm(closed))
+
+
+def test_fan_evaluation_allocates_a_few_chunks():
+    f, x, g, dirs = grid_fan(1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        subdiff._support_values(f, x, dirs, g, 7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    chunk = subdiff._CHUNK_ELEMENTS * 8
+    # the fan itself is 16 MB; the ladder's per-row state is about 30 row
+    # vectors
+    assert dirs.nbytes >= 16 * chunk
+    assert peak <= 4 * chunk + 32 * dirs.shape[0] * 8
+
+
+def oscillating(dom):
+    """t * sin(log t) along +x1 from 0: its difference quotients sin(log t)
+    swing between -1 and 1 as the step halves, and never settle."""
+    def fn_(v):
+        s = abs(float(v[0]))
+        return s * math.sin(math.log(s)) if s > 0.0 else 0.0
+
+    return ScalarFunction(fn=fn_, domain=dom, convex=False, name="oscillating")
+
+
+def test_dir_deriv_warns_once_per_call_on_oscillation(plane):
+    f = oscillating(plane)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dir_deriv(f, [0.0, 0.0], [1.0, 0.0])
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, RuntimeWarning)
+        assert "oscillate" in str(caught[0].message)
+        dir_deriv(f, [0.0, 0.0], [1.0, 0.0])
+        assert len(caught) == 2
+        # a convex flag vouches for the one-sided derivative: no warning
+        f.convex = True
+        dir_deriv(f, [0.0, 0.0], [1.0, 0.0])
+        assert len(caught) == 2
+        # quotients of a smooth function converge from one side: no warning
+        dir_deriv(fn("x1^3 - x1", plane, convex=False), [0.3, 0.0], [1.0, 0.0])
+        assert len(caught) == 2
