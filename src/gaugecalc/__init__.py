@@ -4,6 +4,7 @@ Clarke-style subdifferential calculus."""
 from .errors import (
     AsymmetricSetError,
     ConditionViolationError,
+    ConvexityFlagError,
     DegenerateGaugeError,
     DimensionMismatchError,
     EmptySublevelError,

@@ -59,7 +59,13 @@ def _parse_point(raw: str) -> np.ndarray:
 
 
 def _free_domain(dim: int) -> ConvexSet:
-    return ConvexSet(dim, Oracle(member=lambda v: True, bounding_radius=1e3),
+    """The whole space; its member test carries a batch evaluator, so a
+    fan's membership tests are one call."""
+    def member(v):
+        return True
+
+    member.many = lambda xs: np.ones(xs.shape[0], dtype=bool)
+    return ConvexSet(dim, Oracle(member=member, bounding_radius=1e3),
                      center=np.zeros(dim))
 
 

@@ -65,6 +65,11 @@ class NoBracketError(GaugeCalcError):
     pass
 
 
+class ConvexityFlagError(GaugeCalcError):
+    """A function flagged convex has one-sided derivatives that are not
+    sublinear: along some direction v, f'(x; v) + f'(x; -v) < 0."""
+
+
 class ConditionViolationError(GaugeCalcError):
     """The inner map fails the seminorm domination hypothesis; the witness
     pair is attached."""

@@ -211,57 +211,158 @@ def parse(src: str, arity: int) -> Node:
     return _Parser(src, arity).parse()
 
 
-def evaluate(node: Node, x, path: str = "") -> float:
-    """Exact recursive evaluation; domain violations raise tagged errors."""
-    x = np.asarray(x, dtype=float)
+class _Violation(Exception):
+    """A row of a batch breaks a domain rule; the scalar closure, rerun on
+    the rows in order, raises the tagged error of the first such row."""
+
+
+def _exact_map(op, values: np.ndarray) -> np.ndarray:
+    """``op`` (a Python float function) at each entry; numpy's vectorized
+    ``exp`` and ``**`` differ from ``math.exp`` and ``float.__pow__`` in
+    the last bit on some inputs."""
+    try:
+        return np.array([op(v) for v in values.tolist()], dtype=float)
+    except OverflowError:
+        raise _Violation from None
+
+
+def _compile(node: Node, path: str):
+    """The scalar and batch closures of ``node``.
+
+    The scalar closure takes a point as a list of floats; its domain errors
+    carry ``path``-based subexpression paths fixed here.  The batch closure
+    takes a matrix of point rows and returns one value per row, the same
+    floats the scalar closure gives on each row; it raises :class:`_Violation`
+    where any row breaks a domain rule.
+    """
+    at = path or "<root>"
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return (lambda x: value), (lambda xs: np.full(xs.shape[0], value, dtype=float))
     if isinstance(node, Var):
-        return float(x[node.index])
+        i = node.index
+        return (lambda x: x[i]), (lambda xs: xs[:, i].copy())
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x, path + ".neg")
+        a, a_many = _compile(node.operand, path + ".neg")
+        return (lambda x: -a(x)), (lambda xs: -a_many(xs))
     if isinstance(node, BinOp):
-        a = evaluate(node.left, x, path + ".l")
-        b = evaluate(node.right, x, path + ".r")
+        a, a_many = _compile(node.left, path + ".l")
+        b, b_many = _compile(node.right, path + ".r")
         if node.op == "+":
-            return a + b
+            return (lambda x: a(x) + b(x)), (lambda xs: a_many(xs) + b_many(xs))
         if node.op == "-":
-            return a - b
+            return (lambda x: a(x) - b(x)), (lambda xs: a_many(xs) - b_many(xs))
         if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise ExprDomainError("division by zero", path or "<root>")
-        return a / b
+            return (lambda x: a(x) * b(x)), (lambda xs: a_many(xs) * b_many(xs))
+
+        def divide(x):
+            num, den = a(x), b(x)
+            if den == 0.0:
+                raise ExprDomainError("division by zero", at)
+            return num / den
+
+        def divide_many(xs):
+            num, den = a_many(xs), b_many(xs)
+            if np.any(den == 0.0):
+                raise _Violation
+            return num / den
+
+        return divide, divide_many
     if isinstance(node, Pow):
-        base = evaluate(node.base, x, path + ".pow")
-        if node.exponent < 0 and base == 0.0:
-            raise ExprDomainError("zero raised to a negative power", path or "<root>")
-        try:
-            return float(base ** node.exponent)
-        except OverflowError:
-            raise ExprDomainError("power overflows", path or "<root>") from None
-    if isinstance(node, Dot):
-        return float(np.dot(node.coeffs, x[: len(node.coeffs)]))
-    if isinstance(node, Call):
-        vals = [evaluate(a, x, f"{path}.{node.name}[{i}]")
-                for i, a in enumerate(node.args)]
-        if node.name == "abs":
-            return abs(vals[0])
-        if node.name == "exp":
+        base, base_many = _compile(node.base, path + ".pow")
+        e = node.exponent
+
+        def power(x):
+            v = base(x)
+            if e < 0 and v == 0.0:
+                raise ExprDomainError("zero raised to a negative power", at)
             try:
-                return math.exp(vals[0])
+                return float(v ** e)
             except OverflowError:
-                raise ExprDomainError("exp overflows", f"{path}.exp") from None
-        if node.name == "sqrt":
-            if vals[0] < 0.0:
-                raise ExprDomainError("sqrt of a negative value", f"{path}.sqrt")
-            return math.sqrt(vals[0])
-        if node.name == "floor":
-            return float(math.floor(vals[0]))
-        if node.name == "max":
-            return max(vals)
-        return min(vals)
+                raise ExprDomainError("power overflows", at) from None
+
+        def power_many(xs):
+            v = base_many(xs)
+            if e < 0 and np.any(v == 0.0):
+                raise _Violation
+            return _exact_map(lambda u: u ** e, v)
+
+        return power, power_many
+    if isinstance(node, Dot):
+        c = np.array(node.coeffs, dtype=float)
+        k = c.size
+        return (lambda x: float(np.dot(c, x[:k]))), \
+            (lambda xs: np.array([np.dot(c, row) for row in xs[:, :k]], dtype=float))
+    if isinstance(node, Call):
+        name = node.name
+        where = f"{path}.{name}"
+        parts = [_compile(a, f"{path}.{name}[{i}]") for i, a in enumerate(node.args)]
+        a, a_many = parts[0]
+        if name == "abs":
+            return (lambda x: abs(a(x))), (lambda xs: np.abs(a_many(xs)))
+        if name == "exp":
+            def exp(x):
+                v = a(x)
+                try:
+                    return math.exp(v)
+                except OverflowError:
+                    raise ExprDomainError("exp overflows", where) from None
+
+            return exp, (lambda xs: _exact_map(math.exp, a_many(xs)))
+        if name == "sqrt":
+            def sqrt(x):
+                v = a(x)
+                if v < 0.0:
+                    raise ExprDomainError("sqrt of a negative value", where)
+                return math.sqrt(v)
+
+            def sqrt_many(xs):
+                v = a_many(xs)
+                if np.any(v < 0.0):
+                    raise _Violation
+                return np.sqrt(v)
+
+            return sqrt, sqrt_many
+        if name == "floor":
+            def floor(x):
+                v = a(x)
+                if not math.isfinite(v):
+                    raise ExprDomainError("floor of a non-finite value", where)
+                return float(math.floor(v))
+
+            def floor_many(xs):
+                v = a_many(xs)
+                if not np.all(np.isfinite(v)):
+                    raise _Violation
+                # + 0.0 turns -0.0 into the 0.0 that float(math.floor(-0.0)) gives
+                return np.floor(v) + 0.0
+
+            return floor, floor_many
+        scalars = [s for s, _ in parts]
+        batches = [m for _, m in parts]
+        pick, better = (max, np.greater) if name == "max" else (min, np.less)
+
+        def extremum_many(xs):
+            # Python's max and min keep the first of equal values and do not
+            # replace a value by one that compares unordered (NaN)
+            vals = [m(xs) for m in batches]
+            best = vals[0]
+            for v in vals[1:]:
+                best = np.where(better(v, best), v, best)
+            return best
+
+        return (lambda x: pick([s(x) for s in scalars])), extremum_many
     raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def _point(x) -> list:
+    return np.asarray(x, dtype=float).tolist()
+
+
+def evaluate(node: Node, x) -> float:
+    """The value of ``node`` at the point ``x``; domain violations raise
+    :class:`ExprDomainError` tagged with the subexpression's path."""
+    return _compile(node, "")[0](_point(x))
 
 
 def to_source(node: Node) -> str:
@@ -285,11 +386,27 @@ def to_source(node: Node) -> str:
 
 
 def make_callable(node: Node):
-    """Wrap an AST as a plain point-evaluator; keeps the source attached."""
+    """Compile an AST once into a point evaluator that keeps its source.
+
+    The evaluator's ``many`` attribute is its batch evaluator: point rows
+    in, one value per row out, the same floats as one call per row.  When
+    any row breaks a domain rule, the rows are rerun one at a time, so the
+    batch raises the :class:`ExprDomainError` of the first such row.
+    """
+    scalar, batch = _compile(node, "")
 
     def fn(x):
-        return evaluate(node, x)
+        return scalar(_point(x))
 
+    def many(xs):
+        xs = np.ascontiguousarray(xs, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                return batch(xs)
+        except _Violation:
+            return np.array([fn(x) for x in xs], dtype=float)
+
+    fn.many = many
     fn.ast = node
     fn.source = to_source(node)
     return fn

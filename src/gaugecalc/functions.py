@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as expr_mod
-from .errors import NonFiniteInputError
+from .errors import GaugeCalcError, NonFiniteInputError
 from .geometry import ConvexSet
 
 
@@ -36,14 +36,18 @@ class ScalarFunction:
 
         A callable that carries a batch evaluator as its ``many`` attribute
         (rows in, one value per row out) gets the whole matrix in one call;
-        any other is called once per row.  Raises the same
-        :class:`NonFiniteInputError` as a scalar call.
+        any other is called once per row.  Raises the error of the first row
+        whose scalar call fails: a batch that raises is rerun one row at a
+        time, since an earlier row may return a non-finite value.
         """
         xs = np.asarray(xs, dtype=float)
         batch = getattr(self.fn, "many", None)
         if batch is None:
             return np.array([self(x) for x in xs], dtype=float)
-        vals = np.asarray(batch(xs), dtype=float)
+        try:
+            vals = np.asarray(batch(xs), dtype=float)
+        except GaugeCalcError:
+            return np.array([self(x) for x in xs], dtype=float)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])

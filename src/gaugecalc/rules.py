@@ -25,6 +25,7 @@ from .subdiff import (
     _OBJECTIVE_FAN,
     _direction_fan,
     _reduced_basis,
+    _signed,
     _support_values,
     _vertices,
     subdifferential_hull,
@@ -120,13 +121,9 @@ def _fan_for(g: Gauge, seed: int = 42) -> np.ndarray:
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
     dirs, _ = _direction_fan(w, _RULE_FAN, seed)
-    for i in range(w.dim):
-        for j in range(i + 1, w.dim):
-            for s in (1.0, -1.0):
-                d = (w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
-                dirs.append(d)
-                dirs.append(-d)
-    return np.array(dirs)
+    pairs = [(w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
+             for i in range(w.dim) for j in range(i + 1, w.dim) for s in (1.0, -1.0)]
+    return np.vstack([dirs, _signed([np.array(pairs).reshape(-1, w.ambient_dim)])])
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:

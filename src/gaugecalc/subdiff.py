@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import (
+    ConvexityFlagError,
     DegenerateGaugeError,
     KernelViolationError,
     LpInfeasibleError,
@@ -37,6 +38,11 @@ _SHELLS, _PROBES, _R0 = 18, 12, 1e-2
 #: extraction LPs and of a hull's objectives; relative LP constraint slack
 _TEST_FAN, _LP_FAN, _OBJECTIVE_FAN = (4, 16), (2, 16), (4, 8)
 _LP_SLACK = 1e-8
+#: a hull objective is attained by a vertex found so far when the vertex
+#: reaches its support value to within this relative margin
+_ATTAINED_TOL = 1e-9
+#: relative tolerance of the sublinearity check of a convex flag
+_SUBLINEAR_TOL = 1e-6
 #: rows of one batch evaluation hold at most this many coordinates, so a fan
 #: is evaluated in chunks of half a megabyte whatever its size
 _CHUNK_ELEMENTS = 1 << 16
@@ -224,14 +230,43 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     return float(_generalized(f, x, d[None, :], g, seed)[0])
 
 
+def _negation_pairs(dirs: np.ndarray) -> np.ndarray:
+    """The rows i whose next row is exactly -dirs[i], compared a chunk of
+    rows at a time."""
+    m, n = dirs.shape
+    size = max(1, _CHUNK_ELEMENTS // max(n, 1))
+    out = [np.empty(0, dtype=int)]
+    for lo in range(0, m - 1, size):
+        hi = min(lo + size, m - 1)
+        out.append(lo + np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
+    return np.concatenate(out)
+
+
 def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
                     seed: int = 42) -> np.ndarray:
     """Support values of f's subdifferential at x along the rows of
     ``dirs``: directional derivatives for convex-flagged functions,
-    generalized directional derivatives otherwise, one fan at a time."""
-    if f.convex:
-        return _ladder(f, x, dirs)[0]
-    return _generalized(f, x, dirs, g, seed)
+    generalized directional derivatives otherwise, one fan at a time.
+
+    A convex function's one-sided derivative is sublinear, so on every
+    pair of consecutive rows v, -v (a fan's frame and extra rows come in
+    such pairs) ``h(v) + h(-v) >= 0`` must hold; where it fails beyond a
+    relative 1e-6, the convex flag is wrong and
+    :class:`ConvexityFlagError` is raised.
+    """
+    if not f.convex:
+        return _generalized(f, x, dirs, g, seed)
+    h = _ladder(f, x, dirs)[0]
+    i = _negation_pairs(dirs)
+    total = h[i] + h[i + 1]
+    bad = np.flatnonzero(total < -_SUBLINEAR_TOL * (1.0 + np.abs(h[i]) + np.abs(h[i + 1])))
+    if bad.size:
+        j = int(bad[0])
+        raise ConvexityFlagError(
+            f"function {f.name or '<anonymous>'} is flagged convex, but its one-sided "
+            f"derivatives at {list(map(float, x))} along +/-{list(map(float, dirs[i[j]]))} "
+            f"sum to {float(total[j]):.6g} < 0, which no convex function allows")
+    return h
 
 
 def _reduced_basis(g: Gauge) -> Subspace:
@@ -247,69 +282,105 @@ def _reduced_basis(g: Gauge) -> Subspace:
     return w
 
 
-def _frame(w: Subspace) -> list[np.ndarray]:
+def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each row v of ``vs``: the same floats as one product
+    per row (a stacked product multiplies each row on its own)."""
+    return np.matmul(m, vs[:, :, None])[..., 0]
+
+
+def _norms(vs: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of ``vs``, the same floats as one call
+    per row."""
+    return np.sqrt(np.matmul(vs[:, None, :], vs[:, :, None])[:, 0, 0])
+
+
+def _signed(halves: list[np.ndarray], tail: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each row of the ``halves`` blocks followed by its negation, block by
+    block, then the rows of ``tail``, written once into one array."""
+    m = sum(h.shape[0] for h in halves)
+    out = np.empty((2 * m + (0 if tail is None else tail.shape[0]), halves[0].shape[1]))
+    pos = 0
+    for h in halves:
+        end = pos + 2 * h.shape[0]
+        out[pos:end:2] = h
+        np.negative(h, out=out[pos + 1:end:2])
+        pos = end
+    if tail is not None:
+        out[pos:] = tail
+    return out
+
+
+def _units(vs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``vs`` longer than ``floor``, normalized, and which rows
+    those were."""
+    norms = _norms(vs)
+    keep = norms > floor
+    return vs[keep] / norms[keep, None], keep
+
+
+def _frame_halves(w: Subspace) -> list[np.ndarray]:
+    """The basis vectors and, in a proper subspace, the unit projected axes:
+    the frame is +/- each of these rows."""
+    if w.dim == w.ambient_dim:
+        return [w.basis]
+    # projected ambient axes: boxy support sets have their facet normals
+    # here, and the basis rows alone can be an arbitrarily rotated frame;
+    # axis i projects to basis.T @ (column i of basis)
+    axes = _images(w.basis.T, np.ascontiguousarray(w.basis.T))
+    return [w.basis, _units(axes, 1e-10)[0]]
+
+
+def _frame(w: Subspace) -> np.ndarray:
     """+/- each basis vector and, in a proper subspace, each projected axis:
     the rows every direction fan in ``w`` opens with."""
-    dirs = []
-    for b in w.basis:
-        dirs.append(b)
-        dirs.append(-b)
-    if w.dim < w.ambient_dim:
-        # projected ambient axes: boxy support sets have their facet normals
-        # here, and the basis rows alone can be an arbitrarily rotated frame
-        for i in range(w.ambient_dim):
-            a = w.project(np.eye(w.ambient_dim)[i])
-            na = float(np.linalg.norm(a))
-            if na > 1e-10:
-                dirs.append(a / na)
-                dirs.append(-a / na)
-    return dirs
+    return _signed(_frame_halves(w))
 
 
 def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
-                   extra=()) -> tuple[list[np.ndarray], list[int]]:
+                   extra=()) -> tuple[np.ndarray, list[int]]:
     """The frame rows, +/- each projected extra vector, then random unit
     directions in ``w`` up to ``max(per_dim * w.dim, floor)``.  Also the row
     of each extra vector (its negation is the next row), or 0, the first
     basis vector, for one with no component in ``w``."""
-    dirs = _frame(w)
-    rows = []
-    for v in extra:
-        p = w.project(v)
-        nv = float(np.linalg.norm(p))
-        rows.append(len(dirs) if nv > 1e-14 else 0)
-        if nv > 1e-14:
-            dirs.append(p / nv)
-            dirs.append(-p / nv)
+    n = w.ambient_dim
+    halves = _frame_halves(w)
+    opening = 2 * sum(h.shape[0] for h in halves)
+    # w.project of each extra vector (all zero when w is {0})
+    extra = np.asarray(extra, dtype=float).reshape(-1, n)
+    units, keep = _units(_images(w.basis.T, _images(w.basis, extra)), 1e-14)
+    rows = np.where(keep, opening + 2 * (np.cumsum(keep) - 1), 0).tolist()
+    halves.append(units)
+    have = opening + 2 * units.shape[0]
     rng = np.random.default_rng(seed)
     count = max(size[0] * w.dim, size[1])
-    while len(dirs) < count and w.dim > 0:
-        u = w.basis.T @ rng.standard_normal(w.dim)
-        nu = float(np.linalg.norm(u))
-        if nu > 1e-14:
-            dirs.append(u / nu)
-    return dirs, rows
+    randoms = []
+    while have < count and w.dim > 0:
+        # one draw of w.dim normals per missing row, in order, as a loop
+        # drawing a row at a time would take them
+        u, _ = _units(_images(w.basis.T, rng.standard_normal((count - have, w.dim))), 1e-14)
+        randoms.append(u)
+        have += u.shape[0]
+    return _signed(halves, np.vstack(randoms) if randoms else None), rows
 
 
 def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
                  extra=()) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """:func:`_direction_fan` with f's support value along each row."""
     dirs, rows = _direction_fan(w, size, seed, extra)
-    dirs = np.array(dirs).reshape(-1, w.ambient_dim)
     return dirs, _support_values(f, x, dirs, g, seed), rows
 
 
-def _maximize(w: Subspace, dirs, sups, rows: list[int]) -> list[np.ndarray]:
-    """For each row, the z maximizing <z, dirs[row]> over the outer
-    approximation {z : <z, v> <= h(v) for every fan row v} of the
+def _optimizer(w: Subspace, dirs, sups):
+    """The solver of one row's LP: the z maximizing <z, dirs[row]> over the
+    outer approximation {z : <z, v> <= h(v) for every fan row v} of the
     subdifferential; the optimum must attain that row's support value."""
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
     full = w.dim == w.ambient_dim
     a_ub = dirs if full else dirs @ w.basis.T
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
-    out = []
-    for row in rows:
+
+    def solve(row: int) -> np.ndarray:
         c = -(dirs[row] if full else w.basis @ dirs[row])
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
                       method="highs")
@@ -328,14 +399,27 @@ def _maximize(w: Subspace, dirs, sups, rows: list[int]) -> list[np.ndarray]:
             raise SupportMismatchError(
                 f"support value {target:.6g} in the objective direction is not "
                 f"attained (got {attained:.6g})")
-        out.append(res.x if full else w.basis.T @ res.x)
-    return out
+        return res.x if full else w.basis.T @ res.x
+
+    return solve
 
 
 def _vertices(w: Subspace, dirs, sups, rows) -> list[np.ndarray]:
-    """The distinct optima of :func:`_maximize` over ``rows``."""
+    """The distinct optima of the rows' LPs (see :func:`_optimizer`).
+
+    A row that a vertex found so far attains is skipped: that vertex is an
+    optimum of the row's LP, since it is feasible and reaches the row's
+    support value to within a relative 1e-9, and the LP optimum lies at most
+    the constraint slack above it.
+    """
+    solve = _optimizer(w, dirs, sups)
     grads: list[np.ndarray] = []
-    for z in _maximize(w, dirs, sups, rows):
+    for row in rows:
+        h = float(sups[row])
+        if grads and float(np.max(np.array(grads) @ dirs[row])) >= \
+                h - _ATTAINED_TOL * (1.0 + abs(h)):
+            continue
+        z = solve(row)
         if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
                    for z0 in grads):
             grads.append(z)
@@ -352,7 +436,8 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
                                    "is zero-dimensional")
     obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
     dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
-    return _maximize(w, dirs, sups, [rows[0] + (s < 0) for s in signs])
+    solve = _optimizer(w, dirs, sups)
+    return [solve(rows[0] + (s < 0)) for s in signs]
 
 
 def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
@@ -417,7 +502,7 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     k = len(_frame(w))
     dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
     rows = list(range(k)) + rows
-    return SupportSet(base_point=x, directions=objectives,
+    return SupportSet(base_point=x, directions=list(objectives),
                       support_values=[float(sups[r]) for r in rows],
                       subgradients=_vertices(w, dirs, sups, rows))
 
@@ -496,7 +581,8 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42,
         t_star = ternary(0.0, 1.0, +1.0)
     else:
         grid = np.linspace(0.0, 1.0, 513)
-        vals = np.array([psi(t) for t in grid])
+        # psi at every grid point, as one batch of the points x + t d
+        vals = f.many(x + grid[:, None] * d) - target * grid
         i_min = int(np.argmin(vals[1:-1])) + 1
         i_max = int(np.argmax(vals[1:-1])) + 1
         drop = vals[0] - vals[i_min]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gaugecalc import functions, geometry
+from gaugecalc import NonFiniteInputError, cli, functions, geometry
 from gaugecalc.cli import main
 from gaugecalc.geometry import box, set_to_json
 
@@ -226,3 +226,28 @@ def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_false_convex_flag_exits_2(capsys):
+    # -abs(x1) is concave at 0; with --convex, subdiff reported noisy
+    # derivative estimates and fermat exited 0 with is_critical false
+    for command in ("subdiff", "fermat"):
+        code = main([command, "--set", UNIT_BOX_2D, "--fn", "-abs(x1) + x2^2",
+                     "--point", "[0.0, 0.0]", "--convex"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "flagged convex" in err[0]
+
+
+def test_floor_of_an_overflow_exits_2(capsys):
+    code = main(["fermat", "--set", UNIT_BOX_2D, "--fn", "floor(1e308*x1*10) + x2",
+                 "--point", "[0.5, 0.0]"])
+    assert code == 2
+    assert "floor of a non-finite value (in subexpression .l.floor)" in capsys.readouterr().err
+
+
+def test_free_domain_answers_a_batch_in_one_call():
+    domain = cli._free_domain(2)
+    assert domain.contains_many(np.zeros((3, 2))).tolist() == [True] * 3
+    with pytest.raises(NonFiniteInputError):
+        domain.contains_many(np.array([[0.0, np.inf]]))

@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaugecalc import ExprDomainError, ExprSyntaxError
-from gaugecalc.expr import evaluate, make_callable, parse, to_source
+from gaugecalc.expr import (
+    BinOp,
+    Call,
+    Const,
+    Dot,
+    Neg,
+    Pow,
+    Var,
+    evaluate,
+    make_callable,
+    parse,
+    to_source,
+)
 
 
 # value oracles below computed by hand
@@ -113,3 +125,139 @@ def test_make_callable_keeps_source():
     fn = make_callable(parse("x1 + 1", 1))
     assert fn.source
     assert evaluate(parse(fn.source, 1), [2.0]) == 3.0
+
+
+# -- the compiled evaluators ---------------------------------------------------
+
+
+def walk(node, x, path=""):
+    """The recursive walker that the compiled closures replaced, kept here
+    as the reference they must match bit for bit.  The one change: floor of
+    a non-finite value raises a tagged error, where the walker let
+    math.floor raise OverflowError or ValueError."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return float(x[node.index])
+    if isinstance(node, Neg):
+        return -walk(node.operand, x, path + ".neg")
+    if isinstance(node, BinOp):
+        a = walk(node.left, x, path + ".l")
+        b = walk(node.right, x, path + ".r")
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if b == 0.0:
+            raise ExprDomainError("division by zero", path or "<root>")
+        return a / b
+    if isinstance(node, Pow):
+        base = walk(node.base, x, path + ".pow")
+        if node.exponent < 0 and base == 0.0:
+            raise ExprDomainError("zero raised to a negative power", path or "<root>")
+        try:
+            return float(base ** node.exponent)
+        except OverflowError:
+            raise ExprDomainError("power overflows", path or "<root>") from None
+    if isinstance(node, Dot):
+        return float(np.dot(node.coeffs, x[: len(node.coeffs)]))
+    vals = [walk(a, x, f"{path}.{node.name}[{i}]") for i, a in enumerate(node.args)]
+    if node.name == "abs":
+        return abs(vals[0])
+    if node.name == "exp":
+        try:
+            return math.exp(vals[0])
+        except OverflowError:
+            raise ExprDomainError("exp overflows", f"{path}.exp") from None
+    if node.name == "sqrt":
+        if vals[0] < 0.0:
+            raise ExprDomainError("sqrt of a negative value", f"{path}.sqrt")
+        return math.sqrt(vals[0])
+    if node.name == "floor":
+        if not math.isfinite(vals[0]):
+            raise ExprDomainError("floor of a non-finite value", f"{path}.floor")
+        return float(math.floor(vals[0]))
+    if node.name == "max":
+        return max(vals)
+    return min(vals)
+
+
+def outcome(call):
+    """A value, or the path and message of the domain error raised."""
+    try:
+        return call()
+    except ExprDomainError as err:
+        return ("error", err.path, str(err))
+
+
+def same(a, b) -> bool:
+    """Equal floats with equal signs of zero, or both NaN, or equal errors."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+ARITY = 3
+# domain edges: signed zeros, values whose exp or powers overflow, tiny
+# values whose negative powers overflow, negatives for sqrt, non-finite
+EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 709.0, 710.0, -745.0, 1e-300, -1e-300,
+         1e300, -1e300, 1e155, math.inf, -math.inf, math.nan]
+values = st.one_of(st.sampled_from(EDGES),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+leaves = st.one_of(
+    st.builds(Const, values),
+    st.builds(Var, st.integers(0, ARITY - 1)),
+    st.builds(Dot, st.tuples(*[st.floats(-10, 10)] * ARITY)),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(-3, 4)),
+        st.builds(lambda n, a: Call(n, (a,)),
+                  st.sampled_from(["abs", "exp", "sqrt", "floor"]), children),
+        st.builds(lambda n, a: Call(n, tuple(a)), st.sampled_from(["max", "min"]),
+                  st.lists(children, min_size=1, max_size=3)),
+    )
+
+
+trees = st.recursive(leaves, _grow, max_leaves=12)
+points = st.lists(st.lists(values, min_size=ARITY, max_size=ARITY), min_size=1, max_size=6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(trees, points)
+def test_compiled_evaluators_match_the_walker(node, rows):
+    fn = make_callable(node)
+    xs = np.array(rows, dtype=float)
+    want = [outcome(lambda: walk(node, x)) for x in xs]
+    got = [outcome(lambda: fn(x)) for x in xs]
+    assert all(same(a, b) for a, b in zip(want, got))
+    assert all(same(a, b) for a, b in zip(want, [outcome(lambda: evaluate(node, x))
+                                                 for x in xs]))
+    batch = outcome(lambda: fn.many(xs))
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        # the batch raises the error of the first failing row
+        assert batch == errors[0]
+    else:
+        assert batch.shape == (len(rows),)
+        assert all(same(a, float(b)) for a, b in zip(want, batch))
+
+
+def test_floor_of_a_non_finite_value_is_a_domain_error():
+    fn = make_callable(parse("floor(1e308*x1*10) + x2", 2))
+    with pytest.raises(ExprDomainError) as err:
+        fn([0.5, 0.0])
+    assert err.value.path == ".l.floor"
+    with pytest.raises(ExprDomainError) as err:
+        fn.many(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    assert err.value.path == ".l.floor"

@@ -602,3 +602,14 @@ def test_scalar_function_many():
     assert calls == []
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteInputError, match="inv"):
         f.many(np.array([[1.0], [0.0]]))
+
+
+def test_scalar_function_many_raises_the_first_failing_rows_error():
+    # row 0 overflows to inf, row 1 takes the square root of a negative value:
+    # one scalar call per row fails at row 0, and so does the batch
+    f = ScalarFunction.from_expr("1e308*x1*10 + sqrt(x2)", domain=box(2))
+    xs = np.array([[1.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(NonFiniteInputError):
+        f(xs[0])
+    with pytest.raises(NonFiniteInputError):
+        f.many(xs)

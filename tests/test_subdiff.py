@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecalc import (
+    ConvexityFlagError,
     DegenerateGaugeError,
     Gauge,
     KernelViolationError,
@@ -472,3 +473,159 @@ def test_dir_deriv_warns_once_per_call_on_oscillation(plane):
         # quotients of a smooth function converge from one side: no warning
         dir_deriv(fn("x1^3 - x1", plane, convex=False), [0.3, 0.0], [1.0, 0.0])
         assert len(caught) == 2
+
+
+# -- direction fans as arrays -------------------------------------------------
+
+
+def list_frame(w):
+    """The list construction of a fan's frame that the array one replaced,
+    kept here as the reference it must match with ``==``."""
+    dirs = []
+    for b in w.basis:
+        dirs.append(b)
+        dirs.append(-b)
+    if w.dim < w.ambient_dim:
+        for i in range(w.ambient_dim):
+            a = w.project(np.eye(w.ambient_dim)[i])
+            na = float(np.linalg.norm(a))
+            if na > 1e-10:
+                dirs.append(a / na)
+                dirs.append(-a / na)
+    return dirs
+
+
+def list_fan(w, size, seed, extra=()):
+    dirs = list_frame(w)
+    rows = []
+    for v in extra:
+        p = w.project(v)
+        nv = float(np.linalg.norm(p))
+        rows.append(len(dirs) if nv > 1e-14 else 0)
+        if nv > 1e-14:
+            dirs.append(p / nv)
+            dirs.append(-p / nv)
+    rng = np.random.default_rng(seed)
+    count = max(size[0] * w.dim, size[1])
+    while len(dirs) < count and w.dim > 0:
+        u = w.basis.T @ rng.standard_normal(w.dim)
+        nu = float(np.linalg.norm(u))
+        if nu > 1e-14:
+            dirs.append(u / nu)
+    return np.array(dirs).reshape(-1, w.ambient_dim), rows
+
+
+@pytest.mark.parametrize("size", [subdiff._TEST_FAN, subdiff._LP_FAN,
+                                  subdiff._OBJECTIVE_FAN, (6, 24)])
+def test_fan_matches_the_list_construction(size):
+    rng = np.random.default_rng(5)
+    for trial in range(150):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(0, n + 1))
+        w = Subspace.full(n) if k == n else \
+            Subspace.from_spanning(rng.standard_normal((k, n)), n)
+        # a random vector, one with no component in w, and the zero vector
+        outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
+        extra = [rng.standard_normal(n), outside, np.zeros(n)][:int(rng.integers(0, 4))]
+        seed = int(rng.integers(1 << 20))
+        frame = subdiff._frame(w)
+        assert np.array_equal(frame, np.array(list_frame(w)).reshape(-1, n))
+        dirs, rows = subdiff._direction_fan(w, size, seed, extra)
+        want, want_rows = list_fan(w, size, seed, extra)
+        assert dirs.shape == want.shape and np.all(dirs == want)
+        assert rows == want_rows
+
+
+def test_grid_frame_matches_the_list_construction():
+    w = Subspace.full(1000)
+    assert np.all(subdiff._frame(w) == np.array(list_frame(w)))
+
+
+# -- hull LPs ----------------------------------------------------------------
+
+
+def hull_table(f, x, g, seed=42):
+    """The fan, support values and objective rows of a hull at x."""
+    w = subdiff._reduced_basis(g)
+    objectives, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
+    k = len(subdiff._frame(w))
+    dirs, sups, rows = subdiff._support_fan(f, np.asarray(x, float), g, w,
+                                            subdiff._LP_FAN, seed, extra=objectives[k:])
+    return w, dirs, sups, list(range(k)) + rows
+
+
+@pytest.mark.parametrize("src,x,dim", [("abs(x1) + x2^2", [0.0, 0.5], 2),
+                                       ("abs(x1) + x2^2 + abs(x3)", [0.0, 0.5, 0.0], 3),
+                                       ("max(x1 + x2, x1 - x2, -x1)", [0.0, 0.0], 2)])
+def test_skipped_hull_rows_are_attained_by_a_listed_vertex(src, x, dim, monkeypatch):
+    f = fn(src, box(dim, -5, 5, center=[0.0] * dim))
+    w, dirs, sups, rows = hull_table(f, x, Gauge.of_set(box(dim)))
+    solved = []
+    real = subdiff.linprog
+
+    def record(c, **kwargs):
+        solved.append(-np.asarray(c))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(subdiff, "linprog", record)
+    verts = np.array(subdiff._vertices(w, dirs, sups, rows))
+    skipped = [r for r in rows if not any(np.array_equal(dirs[r], c) for c in solved)]
+    assert skipped and len(solved) < len(rows)
+    for r in skipped:
+        h = float(sups[r])
+        best = float(np.max(verts @ dirs[r]))
+        assert best >= h - 1e-9 * (1.0 + abs(h))
+        # the row's own LP would find nothing better
+        lp_best = float(subdiff._optimizer(w, dirs, sups)(r) @ dirs[r])
+        assert lp_best <= best + 2e-8 * (1.0 + abs(h))
+
+
+def test_readme_hull_solves_four_lps(plane, unit_gauge, count_calls):
+    # 8 objectives; the two vertices found first attain the other four
+    count_calls.wrap(subdiff, "linprog", "lp")
+    support = subdifferential_hull(fn("abs(x1) + x2^2", plane), [0.0, 0.5], unit_gauge)
+    assert count_calls["lp"] == 4
+    assert len(support.directions) == 8 and len(support.subgradients) == 2
+
+
+# -- the convex flag ---------------------------------------------------------
+
+
+def test_a_false_convex_flag_is_named(plane, unit_gauge):
+    f = fn("-abs(x1) + x2^2", plane)
+    with pytest.raises(ConvexityFlagError, match="flagged convex"):
+        subdifferential_hull(f, [0.0, 0.0], unit_gauge)
+    with pytest.raises(ConvexityFlagError):
+        fermat_check(f, [0.0, 0.0], unit_gauge)
+    # without the flag the generalized path answers: 0 lies in the Clarke
+    # subdifferential [-1, 1] x {0}
+    f.convex = False
+    assert fermat_check(f, [0.0, 0.0], unit_gauge)["is_critical"]
+
+
+def test_sublinearity_check_reads_only_negation_pairs(plane, unit_gauge):
+    # a kink of a convex function: h(v) + h(-v) > 0 on the +/- x1 pair, and
+    # unpaired rows are not compared
+    f = fn("abs(x1) + x2^2", plane)
+    dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    h = subdiff._support_values(f, np.array([0.0, 0.0]), dirs, unit_gauge)
+    assert h[0] + h[1] == pytest.approx(2.0, abs=1e-9)
+    assert subdiff._negation_pairs(dirs).tolist() == [0]
+
+
+# -- mean value scan ---------------------------------------------------------
+
+
+def test_lebourg_scan_is_one_batch(plane, unit_gauge, monkeypatch):
+    f = fn("abs(x1) - abs(x2) + 0.3 * x1", plane, convex=False)
+    batches, scalars = [], []
+    many, call = ScalarFunction.many, ScalarFunction.__call__
+    monkeypatch.setattr(ScalarFunction, "many",
+                        lambda self, xs: batches.append(len(xs)) or many(self, xs))
+    monkeypatch.setattr(ScalarFunction, "__call__",
+                        lambda self, x: scalars.append(1) or call(self, x))
+    lebourg_point(f, [-0.5, 0.2], [0.7, -0.3], unit_gauge)
+    # the 513-point scan is one batch, not 513 scalar calls; the scalar
+    # calls are f(y), f(x) twice and the ternary refinement's 260
+    assert 513 in batches
+    assert len(scalars) == 3 + 2 * 130
