@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GaugeCalcError, UsageError
 from .functions import ScalarFunction
-from .geometry import ConvexSet, Gauge, Oracle, Vertices, as_vector, set_from_json
+from .geometry import ConvexSet, Gauge, Vertices, as_vector, set_from_json, whole_space
 from .lipschitz import counterexample_suite, theoretical_constant
 from .rules import (
     InnerMap,
@@ -58,20 +58,9 @@ def _parse_point(raw: str) -> np.ndarray:
     return as_vector(_json(raw, "the point"))
 
 
-def _free_domain(dim: int) -> ConvexSet:
-    """The whole space; its member test carries a batch evaluator, so a
-    fan's membership tests are one call."""
-    def member(v):
-        return True
-
-    member.many = lambda xs: np.ones(xs.shape[0], dtype=bool)
-    return ConvexSet(dim, Oracle(member=member, bounding_radius=1e3),
-                     center=np.zeros(dim))
-
-
 def _load_fn(expr: str, dim: int, domain: Optional[ConvexSet], convex: bool,
              name: str = "") -> ScalarFunction:
-    return ScalarFunction.from_expr(expr, domain=domain or _free_domain(dim),
+    return ScalarFunction.from_expr(expr, domain=domain or whole_space(dim),
                                     convex=convex, name=name or expr)
 
 

@@ -1,4 +1,7 @@
-"""Scalar function oracles on convex domains."""
+"""Scalar function oracles on convex domains, and the composites built from
+them (sums, products, maxima, and the chain and partial rules'
+compositions), which one helper builds so that each keeps its parts' batch
+evaluators."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import GaugeCalcError, NonFiniteInputError
-from .geometry import ConvexSet
+from .geometry import ConvexSet, Oracle, whole_space
 
 
 @dataclass
@@ -36,7 +39,9 @@ class ScalarFunction:
 
         A callable that carries a batch evaluator as its ``many`` attribute
         (rows in, one value per row out) gets the whole matrix in one call;
-        any other is called once per row.  Raises the error of the first row
+        compiled expressions and every composite built in this module carry
+        one (a composite's reads its parts' ``many``), and any other callable
+        is called once per row.  Raises the error of the first row
         whose scalar call fails: a batch that raises is rerun one row at a
         time, since an earlier row may return a non-finite value.
         """
@@ -63,17 +68,89 @@ class ScalarFunction:
                    name=name or source)
 
 
+def _composite(parts: list[ScalarFunction], combine: Callable, rows: Callable,
+               domain: ConvexSet, convex: bool, name: str) -> ScalarFunction:
+    """The function ``combine(values)`` of its parts' values at the image of
+    the point under ``rows`` (point rows in, point rows of the parts' space
+    out).
+
+    Its scalar call reads each part's scalar call, and its batch evaluator
+    each part's :meth:`ScalarFunction.many` on the whole matrix; ``combine``
+    acts the same on floats and on arrays, so both give the same floats.
+    """
+    def call(x):
+        y = rows(x[None, :])[0]
+        return combine([p(y) for p in parts])
+
+    def many(xs):
+        ys = rows(xs)
+        return combine([p.many(ys) for p in parts])
+
+    call.many = many
+    return ScalarFunction(fn=call, domain=domain, convex=convex, name=name)
+
+
+def _same(xs):
+    return xs
+
+
+def _first_max(values):
+    """The largest value, the first one on ties (as Python's ``max``), row
+    by row."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
 def sum_of(f: ScalarFunction, g: ScalarFunction, name: str = "") -> ScalarFunction:
-    return ScalarFunction(fn=lambda x: f(x) + g(x), domain=f.domain,
-                          convex=f.convex and g.convex, name=name or f"{f.name}+{g.name}")
+    return _composite([f, g], lambda v: v[0] + v[1], _same, f.domain,
+                      f.convex and g.convex, name or f"{f.name}+{g.name}")
 
 
 def product_of(f: ScalarFunction, g: ScalarFunction, name: str = "") -> ScalarFunction:
-    return ScalarFunction(fn=lambda x: f(x) * g(x), domain=f.domain, convex=False,
-                          name=name or f"{f.name}*{g.name}")
+    return _composite([f, g], lambda v: v[0] * v[1], _same, f.domain, False,
+                      name or f"{f.name}*{g.name}")
 
 
 def max_of(fs: list[ScalarFunction], name: str = "") -> ScalarFunction:
-    return ScalarFunction(fn=lambda x: max(fi(x) for fi in fs), domain=fs[0].domain,
-                          convex=all(fi.convex for fi in fs),
-                          name=name or "max(" + ",".join(fi.name for fi in fs) + ")")
+    return _composite(list(fs), _first_max, _same, fs[0].domain,
+                      all(fi.convex for fi in fs),
+                      name or "max(" + ",".join(fi.name for fi in fs) + ")")
+
+
+def outer_of(outer: Callable[[float], float], h: ScalarFunction,
+             convex: bool) -> ScalarFunction:
+    """``outer(h(x))`` for a scalar outer function, applied value by value."""
+    each = np.vectorize(outer, otypes=[float])
+    return _composite([h], lambda v: each(v[0]), _same, h.domain, convex,
+                      f"outer({h.name})")
+
+
+def precomposed(f: ScalarFunction, inner: Callable[[np.ndarray], np.ndarray], dim: int,
+                name: str) -> ScalarFunction:
+    """``f(inner(x))`` on the whole of R^dim for a point map ``inner``."""
+    def rows(xs):
+        return np.array([inner(v) for v in xs]).reshape(len(xs), f.domain.dim)
+
+    return _composite([f], lambda v: v[0], rows, whole_space(dim), False, name)
+
+
+def frozen_block(f: ScalarFunction, x: np.ndarray, lo: int, hi: int,
+                 name: str) -> ScalarFunction:
+    """f as a function of coordinates ``lo:hi`` alone, the others frozen at
+    x's; its domain is that slice of f's domain, and answers a batch through
+    ``f.domain.contains_many``."""
+    def rows(vs):
+        out = np.tile(x, (len(vs), 1))
+        out[:, lo:hi] = vs
+        return out
+
+    def member(v):
+        return f.domain.contains(rows(v[None, :])[0])
+
+    member.many = lambda vs: f.domain.contains_many(rows(vs))
+    radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
+    domain = ConvexSet(hi - lo, Oracle(member=member, bounding_radius=radius),
+                       center=x[lo:hi])
+    return _composite([f], lambda v: v[0], rows, domain, f.convex, name)

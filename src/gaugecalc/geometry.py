@@ -38,6 +38,8 @@ _SHRINK_FLOOR = 1e-12
 SPAN_SAMPLES_PER_DIM = 4
 #: reflected members drawn when symmetry is checked from membership alone
 SYMMETRY_SAMPLES = 128
+#: member pairs whose midpoints the convexity spot check tests
+CONVEXITY_TRIALS = 32
 #: tolerance of the exact symmetry checks (halfspace and vertex sets)
 SYMMETRY_TOL = 1e-8
 #: radius of the two-sided membership probes that find kernel directions
@@ -82,17 +84,17 @@ class Subspace:
         return cls(np.eye(ambient_dim), ambient_dim)
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int, rank_tol: float = RANK_TOL) -> "Subspace":
+    def from_spanning(cls, vectors, ambient_dim: int) -> "Subspace":
         """Orthonormalize a (possibly redundant) spanning family via SVD."""
         arr = np.asarray(vectors, dtype=float).reshape(-1, ambient_dim)
         if arr.size == 0:
             return cls.zero(ambient_dim)
         norms = np.linalg.norm(arr, axis=1)
-        arr = arr[norms > rank_tol]
+        arr = arr[norms > RANK_TOL]
         if arr.shape[0] == 0:
             return cls.zero(ambient_dim)
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        rank = int(np.sum(s > rank_tol * max(1.0, s[0])))
+        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
         return cls(vt[:rank], ambient_dim)
 
     @property
@@ -110,12 +112,12 @@ class Subspace:
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
         return self.residual(x) <= tol * (1.0 + float(np.linalg.norm(x)))
 
-    def intersect(self, other: "Subspace", rank_tol: float = RANK_TOL) -> "Subspace":
+    def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the orthogonal complement of the union of complements."""
         comp = np.vstack([_complement_rows(self), _complement_rows(other)])
         if comp.shape[0] == 0:
             return Subspace.full(self.ambient_dim)
-        null = _null_space(comp, rank_tol)
+        null = _null_space(comp)
         return Subspace(null, self.ambient_dim)
 
 
@@ -130,12 +132,12 @@ def _complement_rows(s: Subspace) -> np.ndarray:
     return vt[s.dim:]
 
 
-def _null_space(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def _null_space(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return np.eye(a.shape[1]) if a.ndim == 2 else np.zeros((0, 0))
     u, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
     return vt[rank:]
 
 
@@ -311,6 +313,27 @@ class Halfspaces(Representation):
         """Rows that hold with equality at ``x``, to 1e-9 relative."""
         return self.offsets - self.normals @ x <= 1e-9 * (1.0 + np.abs(self.offsets))
 
+    def _implicit(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows active at ``x``, and which of them are implicit
+        equalities (hold with equality on the whole set).
+
+        A member y leaves an active row strictly iff the direction y - x
+        does, so the implicit equalities are the active rows that no
+        direction of the cone ``A_act d <= 0`` leaves.  One LP finds them,
+        ``max sum s_i`` subject to ``A_act d + s <= 0``, ``0 <= s <= 1``: at
+        its optimum every other active row reaches ``s_i = 1`` (a sum of
+        directions leaves all of them at once) and an implicit one stays at
+        0.  No LP is solved when no row is active.
+        """
+        active = np.flatnonzero(self._active(x))
+        k, n = active.size, self.normals.shape[1]
+        if k == 0:
+            return active, np.zeros(0, dtype=bool)
+        res = linprog(np.concatenate([np.zeros(n), -np.ones(k)]),
+                      A_ub=np.hstack([self.normals[active], np.eye(k)]), b_ub=np.zeros(k),
+                      bounds=[(None, None)] * n + [(0.0, 1.0)] * k, method="highs")
+        return active, res.x[n:] < 0.5
+
     @cached_property
     def _chebyshev(self) -> Optional[tuple[np.ndarray, float]]:
         """Centre and radius of the largest ball in the set; None when the
@@ -351,15 +374,20 @@ class Halfspaces(Representation):
             out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
         return out
 
+    def span(self, s, base):
+        """The null space of the implicit equalities among the rows active
+        at ``base`` (see :meth:`_implicit`).  With no active row the base
+        point is interior and the set full-dimensional: no LP is solved, and
+        the membership-probed frame of R^n is kept, since its orientation
+        seeds the shell probes of the generalized directional derivative."""
+        active, equal = self._implicit(base)
+        if active.size == 0:
+            return super().span(s, base)
+        return Subspace(_null_space(self.normals[active[equal]]), s.dim)
+
     def in_icr(self, s, x):
-        """No active constraint may block a span direction."""
-        active = self._active(x)
-        if not np.any(active):
-            return True
-        a = self.normals[active]
-        tol = 1e-9 * (1.0 + np.linalg.norm(a, axis=1))
-        span = self.span(s, x)
-        return not any(np.any(a @ d > tol) for b in span.basis for d in (b, -b))
+        """Every active row is an implicit equality."""
+        return bool(np.all(self._implicit(x)[1]))
 
     def is_symmetric(self, s, p):
         """``2p - s`` lies in ``s``: for every row, ``2 a.p - min_s a.y <= b``
@@ -687,9 +715,10 @@ def _member(s: ConvexSet, x, what: str) -> np.ndarray:
 def span_of_difference(s: ConvexSet, base) -> Subspace:
     """Orthonormal basis of span(S - base).
 
-    Exact from the vertex list when available; otherwise probed from
-    membership chords (coordinate directions plus random chords through
-    sampled members).
+    Exact for vertex sets (the direction space of the affine hull) and
+    halfspace sets (the null space of the implicit equalities); otherwise
+    probed from membership chords (coordinate directions plus random chords
+    through sampled members).
     """
     base = _member(s, base, "base point")
     return s.representation.span(s, base)
@@ -698,8 +727,9 @@ def span_of_difference(s: ConvexSet, base) -> Subspace:
 def in_icr(s: ConvexSet, x) -> bool:
     """Relative-algebraic-interior test.
 
-    Exact for halfspace sets (no active row blocks a span direction) and
-    vertex sets (no facet row of the hull is active); membership-sampled for
+    Exact for halfspace sets (every active row holds with equality on the
+    whole set) and vertex sets (no facet row of the hull is active);
+    membership-sampled for
     sublevel and oracle sets (may report false positives on cusps).
     """
     x = _member(s, x, "point")
@@ -717,11 +747,9 @@ def check_symmetry(s: ConvexSet, p) -> bool:
     return s.representation.is_symmetric(s, p)
 
 
-def spot_check_convexity(s: ConvexSet, rng: Optional[np.random.Generator] = None,
-                         trials: int = 32) -> bool:
+def spot_check_convexity(s: ConvexSet) -> bool:
     """Random midpoint test for oracle-style sets (caller contract check)."""
-    rng = rng or np.random.default_rng(0)
-    pts = s.sample_members(rng, 2 * trials)
+    pts = s.sample_members(np.random.default_rng(0), 2 * CONVEXITY_TRIALS)
     return all(s.contains(0.5 * (u + v), tol=1e-7) for u, v in zip(pts[::2], pts[1::2]))
 
 
@@ -846,6 +874,17 @@ def box(dim: int, lo: float = -1.0, hi: float = 1.0,
         center = np.zeros(dim)
     return ConvexSet(dim, Halfspaces(normals, offsets),
                      None if center is None else np.asarray(center, dtype=float))
+
+
+def whole_space(dim: int) -> ConvexSet:
+    """R^dim, centered at the origin: every finite point is a member, and
+    its member test carries a batch evaluator, so a fan's membership tests
+    are one call."""
+    def member(v):
+        return True
+
+    member.many = lambda xs: np.ones(xs.shape[0], dtype=bool)
+    return ConvexSet(dim, Oracle(member=member, bounding_radius=1e3), center=np.zeros(dim))
 
 
 def interval(lo: float, hi: float, center: Optional[float] = None) -> ConvexSet:

@@ -7,7 +7,10 @@ reads the composite's own support values on one direction fan and compares
 them with the rule's combination of its parts' support values along the same
 directions; no polytope is extracted for a verdict.  A rule report states
 whether the inclusion (and possibly equality) holds up to tolerance on the
-fan.
+fan.  The vertices a report lists (the sum's left side, chain1's right side)
+come from LPs on that same support table.  The composites themselves are
+built by :mod:`gaugecalc.functions`, so a fan of a composite is evaluated in
+batches of its parts.
 """
 
 from __future__ import annotations
@@ -19,16 +22,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditionViolationError, DegenerateGaugeError
-from .functions import ScalarFunction, max_of, product_of, sum_of
-from .geometry import ConvexSet, Gauge, Oracle, Subspace, as_vector
+from .functions import (
+    ScalarFunction,
+    frozen_block,
+    max_of,
+    outer_of,
+    precomposed,
+    product_of,
+    sum_of,
+)
+from .geometry import Gauge, Subspace, as_vector
 from .subdiff import (
     _OBJECTIVE_FAN,
     _direction_fan,
+    _images,
     _reduced_basis,
     _signed,
     _support_values,
     _vertices,
-    subdifferential_hull,
 )
 
 DEFAULT_RULE_TOL = 1e-4
@@ -72,17 +83,18 @@ class RuleReport:
 # ---------------------------------------------------------------------------
 
 
-def _projected(g: Gauge, dirs: np.ndarray) -> np.ndarray:
-    """Each row's quotient representative in the reduced space of g."""
-    w = _reduced_basis(g)
-    return np.array([w.project(v) for v in dirs])
+def _projected(w: Subspace, dirs: np.ndarray) -> np.ndarray:
+    """Each row's quotient representative in the reduced space ``w``: the
+    same floats as ``w.project`` of each row."""
+    return _images(w.basis.T, _images(w.basis, dirs))
 
 
-def _support(f: ScalarFunction, x, g: Gauge, seed: int) -> Support:
-    """Support function of f's subdifferential at x relative to g: the
-    estimator the hulls read, along each row's quotient representative (so
-    that it also accepts directions from outside the reduced space)."""
-    return lambda dirs: _support_values(f, x, _projected(g, dirs), g, seed)
+def _support(f: ScalarFunction, x, g: Gauge, w: Subspace, seed: int) -> Support:
+    """Support function of f's subdifferential at x relative to g, whose
+    reduced space is ``w``: the estimator the hulls read, along each row's
+    quotient representative (so that it also accepts directions from outside
+    the reduced space)."""
+    return lambda dirs: _support_values(f, x, _projected(w, dirs), g, seed)
 
 
 def _scaled(h: Support, c: float) -> Support:
@@ -112,18 +124,26 @@ def _compare(rule: str, dirs: np.ndarray, hl: np.ndarray, hr: np.ndarray,
                       num_directions=len(dirs), details=details)
 
 
-def _fan_for(g: Gauge, seed: int = 42) -> np.ndarray:
-    """The rule fan: the direction fan of the reduced space, then +/- each
-    normalized sum and difference of two basis vectors.  Its opening rows
-    are the objectives :func:`subdifferential_hull` draws with the same
-    seed."""
-    w = _reduced_basis(g)
+def _fan_for(w: Subspace, seed: int = 42) -> np.ndarray:
+    """The rule fan of the reduced space ``w``: its direction fan, then +/-
+    each normalized sum and difference of two basis vectors.  Its opening
+    rows are the hull objectives (the fan of size ``_OBJECTIVE_FAN``) of the
+    same seed."""
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
     dirs, _ = _direction_fan(w, _RULE_FAN, seed)
     pairs = [(w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
              for i in range(w.dim) for j in range(i + 1, w.dim) for s in (1.0, -1.0)]
     return np.vstack([dirs, _signed([np.array(pairs).reshape(-1, w.ambient_dim)])])
+
+
+def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
+                     seed: int) -> list[list[float]]:
+    """The vertices of the set whose support values along the rule fan's
+    rows are ``sups``: the LPs of the fan's opening rows, the hull
+    objectives, on the fan's own support table."""
+    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    return [list(map(float, z)) for z in _vertices(w, rows, sups, range(len(objectives)))]
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
@@ -158,20 +178,18 @@ def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     """Subdifferential of f + g against the Minkowski sum of the factors'.
 
     The report also lists the vertices of the sum's sampled subdifferential,
-    read from the sum's support values on the rule fan: its opening rows
-    are the objectives of :func:`subdifferential_hull`.
+    read from the sum's support values on the rule fan, whose opening rows
+    are the hull objectives.
     """
     x = as_vector(x, f.domain.dim)
-    dirs = _fan_for(gauge, seed)
-    rows = _projected(gauge, dirs)
-    hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
-    hr = _support(f, x, gauge, seed)(dirs) + _support(g, x, gauge, seed)(dirs)
     w = _reduced_basis(gauge)
-    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
-    lhs = _vertices(w, rows, hl, range(len(objectives)))
+    dirs = _fan_for(w, seed)
+    rows = _projected(w, dirs)
+    hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
+    hr = _support_values(f, x, rows, gauge, seed) + _support_values(g, x, rows, gauge, seed)
     return _compare("sum", dirs, hl, hr,
                     {"x": list(map(float, x)),
-                     "lhs_vertices": [list(map(float, z)) for z in lhs]})
+                     "lhs_vertices": _listed_vertices(w, rows, hl, seed)})
 
 
 def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
@@ -182,10 +200,11 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     """
     x = as_vector(x, f.domain.dim)
     fx, gx = f(x), g(x)
-    dirs = _fan_for(gauge, seed)
-    h_g = _scaled(_support(g, x, gauge, seed), fx)
-    h_f = _scaled(_support(f, x, gauge, seed), gx)
-    return _compare("product", dirs, _support(product_of(f, g), x, gauge, seed)(dirs),
+    w = _reduced_basis(gauge)
+    dirs = _fan_for(w, seed)
+    h_g = _scaled(_support(g, x, gauge, w, seed), fx)
+    h_f = _scaled(_support(f, x, gauge, w, seed), gx)
+    return _compare("product", dirs, _support(product_of(f, g), x, gauge, w, seed)(dirs),
                     h_g(dirs) + h_f(dirs),
                     {"x": list(map(float, x)), "f_at_x": fx, "g_at_x": gx})
 
@@ -210,18 +229,18 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
     so the interval's endpoints bound it.
     """
     x = as_vector(x, h.domain.dim)
-    comp = ScalarFunction(fn=lambda v: float(g(h(v))), domain=h.domain,
-                          convex=composite_convex, name=f"outer({h.name})")
     u0 = h(x)
     a_lo, a_hi = _outer_derivative_range(g, u0)
-    dirs = _fan_for(gauge, seed)
-    h_inner = _support(h, x, gauge, seed)
+    w = _reduced_basis(gauge)
+    dirs = _fan_for(w, seed)
+    h_inner = _support(h, x, gauge, w, seed)
     # each sign of the slopes reads the inner support function once; a
     # negative slope reflects the set
     signs = {1.0 if a >= 0.0 else -1.0 for a in (a_lo, a_hi)}
     sides = {s: h_inner(s * dirs) for s in signs}
     hr = np.max([abs(a) * sides[1.0 if a >= 0.0 else -1.0] for a in {a_lo, a_hi}], axis=0)
-    return _compare("chain2", dirs, _support(comp, x, gauge, seed)(dirs), hr,
+    comp = outer_of(g, h, composite_convex)
+    return _compare("chain2", dirs, _support(comp, x, gauge, w, seed)(dirs), hr,
                     {"x": list(map(float, x)), "inner_value": float(u0),
                      "outer_slope_range": [float(a_lo), float(a_hi)]})
 
@@ -267,26 +286,22 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     v -> f°(g(x); J(x) v).
 
     Requires the gauge-domination hypothesis on the inner map, checked by
-    sampling.  The report also lists the pulled-back vertices of the outer
-    function's sampled subdifferential.
+    sampling.  The report also lists the vertices of the right side, read,
+    as the sum rule's left side is, from its support values on the rule fan.
     """
     x = as_vector(x, inner.in_dim)
     check_domination(inner, x, gauge_out, gauge_in, seed=seed)
-    radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
-    domain_x = ConvexSet(inner.in_dim,
-                         Oracle(member=lambda v: True, bounding_radius=radius),
-                         center=x)
-    comp = ScalarFunction(fn=lambda v: f(inner(v)), domain=domain_x,
-                          name=f"{f.name}({inner.name})")
+    comp = precomposed(f, inner, inner.in_dim, f"{f.name}({inner.name})")
     y = inner(x)
-    outer = subdifferential_hull(f, y, gauge_out, seed=seed).subgradients
     jac = np.asarray(inner.jacobian(x), dtype=float)
-    dirs = _fan_for(gauge_in, seed)
-    pushed = np.array([jac @ v for v in dirs]).reshape(len(dirs), inner.out_dim)
-    return _compare("chain1", dirs, _support(comp, x, gauge_in, seed)(dirs),
-                    _support(f, y, gauge_out, seed)(pushed),
+    w = _reduced_basis(gauge_in)
+    dirs = _fan_for(w, seed)
+    rows = _projected(w, dirs)
+    hl = _support_values(comp, x, rows, gauge_in, seed)
+    hr = _support(f, y, gauge_out, _reduced_basis(gauge_out), seed)(_images(jac, dirs))
+    return _compare("chain1", dirs, hl, hr,
                     {"x": list(map(float, x)),
-                     "rhs_vertices": [list(map(float, jac.T @ z)) for z in outer]})
+                     "rhs_vertices": _listed_vertices(w, rows, hr, seed)})
 
 
 def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
@@ -296,9 +311,11 @@ def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
     vals = [fi(x) for fi in fs]
     peak = max(vals)
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
-    dirs = _fan_for(gauge, seed)
-    pieces = [_support(fs[i], x, gauge, seed)(dirs) for i in active]
-    return _compare("max", dirs, _support(max_of(list(fs)), x, gauge, seed)(dirs),
+    w = _reduced_basis(gauge)
+    dirs = _fan_for(w, seed)
+    rows = _projected(w, dirs)
+    pieces = [_support_values(fs[i], x, rows, gauge, seed) for i in active]
+    return _compare("max", dirs, _support_values(max_of(list(fs)), x, rows, gauge, seed),
                     np.max(pieces, axis=0),
                     {"x": list(map(float, x)), "active_indices": active,
                      "values": [float(v) for v in vals]})
@@ -314,27 +331,14 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
     """
     n1, n2 = gauge_1.dim, gauge_2.dim
     x = as_vector(x, n1 + n2)
-    x1, x2 = x[:n1], x[n1:]
     prod_gauge = _product_gauge(gauge_1, gauge_2)
-
-    def freeze_second(v1):
-        return f(np.concatenate([np.atleast_1d(v1), x2]))
-
-    def freeze_first(v2):
-        return f(np.concatenate([x1, np.atleast_1d(v2)]))
-
-    radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
-    dom1 = ConvexSet(n1, Oracle(member=lambda v: f.domain.contains(
-        np.concatenate([np.atleast_1d(v), x2])), bounding_radius=radius), center=x1)
-    dom2 = ConvexSet(n2, Oracle(member=lambda v: f.domain.contains(
-        np.concatenate([x1, np.atleast_1d(v)])), bounding_radius=radius), center=x2)
-    f1 = ScalarFunction(fn=freeze_second, domain=dom1, convex=f.convex,
-                        name=f"{f.name}|block1")
-    f2 = ScalarFunction(fn=freeze_first, domain=dom2, convex=f.convex,
-                        name=f"{f.name}|block2")
-    dirs = _fan_for(prod_gauge, seed)
-    h_1, h_2 = _support(f1, x1, gauge_1, seed), _support(f2, x2, gauge_2, seed)
-    return _compare("partial", dirs, _support(f, x, prod_gauge, seed)(dirs),
+    f1 = frozen_block(f, x, 0, n1, f"{f.name}|block1")
+    f2 = frozen_block(f, x, n1, n1 + n2, f"{f.name}|block2")
+    w = _reduced_basis(prod_gauge)
+    dirs = _fan_for(w, seed)
+    h_1 = _support(f1, x[:n1], gauge_1, _reduced_basis(gauge_1), seed)
+    h_2 = _support(f2, x[n1:], gauge_2, _reduced_basis(gauge_2), seed)
+    return _compare("partial", dirs, _support(f, x, prod_gauge, w, seed)(dirs),
                     h_1(dirs[:, :n1]) + h_2(dirs[:, n1:]),
                     {"x": list(map(float, x)),
                      "block_dims": [int(n1), int(n2)]})

@@ -43,6 +43,9 @@ _LP_SLACK = 1e-8
 _ATTAINED_TOL = 1e-9
 #: relative tolerance of the sublinearity check of a convex flag
 _SUBLINEAR_TOL = 1e-6
+#: tolerances of a subgradient test's support inequality, of the
+#: stationarity test and of a mean value witness's secant pairing
+_SUBGRADIENT_TOL, _CRITICAL_TOL, _SECANT_TOL = 1e-6, 1e-6, 1e-6
 #: rows of one batch evaluation hold at most this many coordinates, so a fan
 #: is evaluated in chunks of half a megabyte whatever its size
 _CHUNK_ELEMENTS = 1 << 16
@@ -63,6 +66,23 @@ def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
         pts += base if base_rows is None else base[base_rows[lo:lo + size]]
         out.append(np.array(op(pts)))  # a copy: the result may view the reused buffer
     return np.concatenate(out) if out else np.empty(0)
+
+
+def _feasible_steps(f: ScalarFunction, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray,
+                    t: np.ndarray, floor: float,
+                    base_rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Halve each start step ``t[i]`` until ``base + t[i] * dirs[rows[i]]``
+    (with ``base_rows``, from ``base[base_rows[i]]``) lies in f's domain or
+    the step is at most ``floor``; one batch membership call per halving.
+    Returns ``t``, updated in place."""
+    search = np.arange(rows.size)
+    while search.size:
+        inside = _at(f.domain.contains_many, base, dirs, rows[search], t[search],
+                     None if base_rows is None else base_rows[search])
+        search = search[~inside]
+        t[search] *= 0.5
+        search = search[t[search] > floor]
+    return t
 
 
 def _nonzero_rows(dirs: np.ndarray) -> np.ndarray:
@@ -88,12 +108,7 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndar
     t = np.ones(m)
     # the floor sits well above the membership tolerance so that boundary
     # fuzz is not mistaken for a feasible sliver
-    search = live
-    while search.size:
-        inside = _at(f.domain.contains_many, x, dirs, search, t[search])
-        search = search[~inside]
-        t[search] *= 0.5
-        search = search[t[search] > 1e-7]
+    t[live] = _feasible_steps(f, x, dirs, live, t[live], 1e-7)
     if np.any(t[live] <= 1e-7):
         raise NoFeasibleStepError("no feasible step from x along d inside the domain")
     fx = f(x)
@@ -198,14 +213,8 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
         fy = f.many(ys)
         base_rows = np.repeat(np.arange(len(bases)), live.size)
         dir_rows = np.tile(live, len(bases))
-        t = np.full(base_rows.size, r / 4.0)
-        search = np.arange(base_rows.size)
-        while search.size:
-            inside = _at(f.domain.contains_many, ys, dirs, dir_rows[search], t[search],
-                         base_rows[search])
-            search = search[~inside]
-            t[search] *= 0.5
-            search = search[t[search] > 1e-12]
+        t = _feasible_steps(f, ys, dirs, dir_rows, np.full(base_rows.size, r / 4.0), 1e-12,
+                            base_rows)
         ok = t > 1e-12
         base_rows, dir_rows, t = base_rows[ok], dir_rows[ok], t[ok]
         quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows) - fy[base_rows]) / t
@@ -440,8 +449,7 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
     return [solve(rows[0] + (s < 0)) for s in signs]
 
 
-def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
-                   seed: int = 42) -> bool:
+def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool:
     """Support-inequality check <zeta, v> <= f'(x; v) on sampled directions.
 
     Sampled verdict: a True is exact on the tested fan only.  Directions are
@@ -452,9 +460,9 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, tol: float = 1e-6,
     zeta = as_vector(zeta, f.domain.dim)
     w = _reduced_basis(g)
     if w.dim == 0:
-        return float(np.linalg.norm(zeta)) <= tol
+        return float(np.linalg.norm(zeta)) <= _SUBGRADIENT_TOL
     dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
-    return bool(np.all(dirs @ zeta <= sups + tol * (1.0 + np.abs(sups))))
+    return bool(np.all(dirs @ zeta <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
 
 
 def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
@@ -507,8 +515,7 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
                       subgradients=_vertices(w, dirs, sups, rows))
 
 
-def fermat_check(f: ScalarFunction, x, g: Gauge, tol: float = 1e-6,
-                 seed: int = 42) -> dict:
+def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
     """Is zero a subgradient at x (stationarity in the quotient directions)?"""
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)
@@ -516,7 +523,7 @@ def fermat_check(f: ScalarFunction, x, g: Gauge, tol: float = 1e-6,
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
     dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
     i = int(np.argmin(sups))
-    return {"is_critical": bool(sups[i] >= -tol), "min_derivative": float(sups[i]),
+    return {"is_critical": bool(sups[i] >= -_CRITICAL_TOL), "min_derivative": float(sups[i]),
             "worst_direction": list(map(float, dirs[i]))}
 
 
@@ -532,8 +539,7 @@ class MeanValuePoint:
                 "zeta": list(map(float, self.zeta)), "residual": float(self.residual)}
 
 
-def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42,
-                  tol: float = 1e-6) -> MeanValuePoint:
+def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValuePoint:
     """Mean value witness: a segment point whose subdifferential pairs with
     y - x to give exactly f(y) - f(x).
 
@@ -601,7 +607,8 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42,
     hi = float(zeta_hi @ d)
     lo = float(zeta_lo @ d)
     width = hi - lo
-    if target > hi + tol * (1.0 + abs(target)) or target < lo - tol * (1.0 + abs(target)):
+    slack = _SECANT_TOL * (1.0 + abs(target))
+    if target > hi + slack or target < lo - slack:
         raise SupportMismatchError(
             f"pairing range [{lo:.6g}, {hi:.6g}] at the witness point misses the "
             f"secant slope {target:.6g}")

@@ -9,7 +9,7 @@ about the base point, and spans the same subspace as the sublevel set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +23,11 @@ from .geometry import (
     in_icr,
     span_of_difference,
 )
+
+#: member probes (and their seed) that look for a sublevel set's center
+_SUBLEVEL_PROBES, _SUBLEVEL_SEED = 64, 0
+#: scales alpha at which literal_ca_member tries the scaled reflection
+_ALPHA_GRID = tuple(2.0 ** (-k) for k in range(21))
 
 
 @dataclass
@@ -41,11 +46,10 @@ class SublevelCore:
         }
 
 
-def sublevel_set(f: ScalarFunction, domain: ConvexSet, level: float,
-                 probes: int = 64, seed: int = 0) -> ConvexSet:
+def sublevel_set(f: ScalarFunction, domain: ConvexSet, level: float) -> ConvexSet:
     """``{x in domain : f(x) <= level}`` as a sublevel-representation set."""
-    rng = np.random.default_rng(seed)
-    candidates = domain.sample_members(rng, probes)
+    rng = np.random.default_rng(_SUBLEVEL_SEED)
+    candidates = domain.sample_members(rng, _SUBLEVEL_PROBES)
     try:
         candidates.append(domain.anchor())
     except NotInSetError:
@@ -74,8 +78,7 @@ def symmetric_core(s_a: ConvexSet, x0) -> ConvexSet:
     return s_a.representation.symmetric_core(s_a, x0)
 
 
-def literal_ca_member(s_a: ConvexSet, x0, x,
-                      alpha_grid: Optional[Sequence[float]] = None) -> bool:
+def literal_ca_member(s_a: ConvexSet, x0, x) -> bool:
     """Per-point scaled-reflection membership predicate.
 
     True iff some alpha in the grid keeps both the alpha-scaled point and its
@@ -87,10 +90,8 @@ def literal_ca_member(s_a: ConvexSet, x0, x,
     x = as_vector(x, s_a.dim)
     if not s_a.contains(x):
         raise NotInSetError("probe point is not in the sublevel set")
-    if alpha_grid is None:
-        alpha_grid = [2.0 ** (-k) for k in range(21)]
     d = x - x0
-    for alpha in alpha_grid:
+    for alpha in _ALPHA_GRID:
         if s_a.contains(x0 + alpha * d) and s_a.contains(x0 - alpha * d):
             return True
     return False

@@ -247,7 +247,7 @@ def test_floor_of_an_overflow_exits_2(capsys):
 
 
 def test_free_domain_answers_a_batch_in_one_call():
-    domain = cli._free_domain(2)
+    domain = cli._load_fn("x1", 2, None, False).domain
     assert domain.contains_many(np.zeros((3, 2))).tolist() == [True] * 3
     with pytest.raises(NonFiniteInputError):
         domain.contains_many(np.array([[0.0, np.inf]]))

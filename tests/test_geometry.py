@@ -202,6 +202,63 @@ def test_in_icr_segment_relative():
     assert not in_icr(seg, [1.0, 0.0])
 
 
+def _flat_pairs():
+    """A segment in the plane and a triangle in a plane of R^3, each as a
+    halfspace set (a pair of opposite rows for each flat direction) and as
+    a vertex set, about the same center, with a function and a point to
+    take its subdifferential at."""
+    segment = (Halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                          np.array([0.0, 0.0, 1.0, 1.0])),
+               Vertices(np.array([[0.0, -1.0], [0.0, 1.0]])), np.zeros(2),
+               "x1 + abs(x2)", np.zeros(2))
+    pts = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+    normals, offsets = [np.ones(3), -np.ones(3)], [0.0, 0.0]
+    for i in range(3):  # the in-plane outer normal of the edge opposite vertex i
+        a, b = pts[(i + 1) % 3], pts[(i + 2) % 3]
+        e = (b - a) / np.linalg.norm(b - a)
+        inward = (pts[i] - a) - ((pts[i] - a) @ e) * e
+        normals.append(-inward / np.linalg.norm(inward))
+        offsets.append(float(normals[-1] @ a))
+    triangle = (Halfspaces(np.array(normals), np.array(offsets)), Vertices(pts),
+                np.zeros(3), "abs(x1 - x2) + x3", np.zeros(3))
+    return {"segment": segment, "triangle": triangle}
+
+
+@pytest.mark.parametrize("case", ["segment", "triangle"])
+def test_flat_halfspace_and_vertex_sets_agree(case):
+    from gaugecalc import subdifferential_hull
+
+    rows, hull, center, src, x = _flat_pairs()[case]
+    n = center.size
+    sets = [ConvexSet(n, rep, center=center) for rep in (rows, hull)]
+    gauges = [Gauge.of_set(s) for s in sets]
+    want_dim = n - 1
+    inside = 0.5 * (sets[1].representation.points[0] - center)  # halfway to a vertex
+    off = np.ones(n) / math.sqrt(n) if n == 3 else np.array([1.0, 0.0])  # normal to the set
+    grads = []
+    for s, g in zip(sets, gauges):
+        assert (g.span.dim, g.kernel.dim) == (want_dim, 0)
+        assert in_icr(s, center) and in_icr(s, center + inside)
+        assert not in_icr(s, sets[1].representation.points[0])
+        assert g.value(inside) == pytest.approx(0.5, rel=1e-9)
+        assert g.value(off) == math.inf
+        f = ScalarFunction.from_expr(src, domain=box(n, -5, 5), convex=True)
+        grads.append(sorted(map(tuple, np.round(subdifferential_hull(f, x, g).subgradients, 6))))
+    assert grads[0] == grads[1]
+    if case == "segment":
+        assert grads[0] == [(0.0, -1.0), (0.0, 1.0)]
+
+
+def test_halfspace_span_solves_no_lp_at_an_interior_point(monkeypatch):
+    from gaugecalc import geometry
+
+    calls = []
+    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1))
+    assert span_of_difference(box(3), np.zeros(3)).dim == 3
+    assert in_icr(box(3), np.zeros(3))
+    assert calls == []
+
+
 def test_check_symmetry():
     assert check_symmetry(box(2), [0.0, 0.0])
     assert not check_symmetry(box(2, 0.0, 1.0, center=[0.25, 0.25]), [0.25, 0.25])

@@ -212,23 +212,20 @@ def _criterion_08_fixtures(plane, unit_gauge):
     }
 
 
-@pytest.mark.parametrize("rule,hulls", [("sum", 0), ("chain1", 1), ("product", 0),
+@pytest.mark.parametrize("rule,hulls", [("sum", 0), ("chain1", 0), ("product", 0),
                                         ("chain2", 0), ("max", 0), ("partial", 0)])
 def test_verdicts_read_support_values_not_hulls(rule, hulls, plane, unit_gauge,
                                                 count_calls):
-    # a verdict solves no LP; chain1 builds the one hull whose vertices its
-    # report lists, and sum solves its vertex LPs on the rule fan's own
-    # support table: of the 8 hull objectives in the plane, the 3 that a
-    # vertex found before attains solve none
+    # a verdict solves no LP; sum and chain1 solve the LPs of the vertices
+    # their reports list on the rule fan's own support table: of the 8 hull
+    # objectives in the plane, those that a vertex found before attains
+    # solve none
     count_calls.wrap(subdiff, "linprog", "lp")
-    count_calls.wrap(rules, "subdifferential_hull", "hull")
+    count_calls.wrap(subdiff, "subdifferential_hull", "hull")
     r = _criterion_08_fixtures(plane, unit_gauge)[rule]()
     assert r.inclusion_holds
     assert count_calls["hull"] == hulls
-    if rule == "sum":
-        assert count_calls["lp"] == 5
-    elif hulls == 0:
-        assert count_calls["lp"] == 0
+    assert count_calls["lp"] == {"sum": 5, "chain1": 4}.get(rule, 0)
 
 
 def test_rule_on_a_gauge_blind_to_every_direction(plane):
@@ -252,7 +249,7 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # seed, so the sum's vertex LPs need no fan of their own
     w = subdiff._reduced_basis(unit_gauge)
     objectives, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
-    fan = rules._fan_for(unit_gauge, 42)
+    fan = rules._fan_for(w, 42)
     assert np.array_equal(fan[:len(objectives)], np.array(objectives))
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners
     f, g = fn("abs(x1)", plane), fn("abs(x1) + abs(x2)", plane)
@@ -260,3 +257,44 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     assert r.verdict == "equality_holds"
     corners = sorted(map(tuple, np.round(r.details["lhs_vertices"], 6)))
     assert corners == [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("rule", ["sum", "product", "chain2", "max", "partial", "chain1"])
+def test_composite_fans_are_evaluated_in_batches(rule, plane, unit_gauge, count_calls):
+    # every composite carries its parts' batch evaluators, so a fan costs a
+    # few scalar calls (values at x), not one per row
+    count_calls.wrap(ScalarFunction, "__call__", "scalar")
+    _criterion_08_fixtures(plane, unit_gauge)[rule]()
+    assert count_calls["scalar"] <= 10
+
+
+def test_chain_rule_1_lists_the_pullback_at_a_kink(plane, unit_gauge):
+    # y = A x = (0, 0.1): df(y) = [-1, 1] x {0.2}, and A^T df(y) is the
+    # segment from (-0.45, 0.05) to (0.55, 0.05)
+    f = fn("abs(x1) + x2^2", plane)
+    a = np.array([[0.5, 0.0], [0.25, 0.25]])
+    inner = InnerMap(fn=lambda v: a @ v, jacobian=lambda v: a, in_dim=2, out_dim=2,
+                     name="a")
+    r = verify_chain_rule_1(f, inner, [0.0, 0.4], unit_gauge, unit_gauge)
+    assert r.verdict == "equality_holds"
+    got = np.array(r.details["rhs_vertices"])
+    ends = np.array([[-0.45, 0.05], [0.55, 0.05]])
+    for end in ends:
+        assert np.min(np.linalg.norm(got - end, axis=1)) <= 1e-6
+    for z in got:  # every listed vertex lies on the segment
+        t = np.clip((z - ends[0]) @ (ends[1] - ends[0]), 0.0, 1.0)
+        assert np.linalg.norm(z - ends[0] - t * (ends[1] - ends[0])) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_projections_and_pushes_equal_the_row_products(n, k, seed):
+    # the rule fan's quotient representatives and its rows pushed through a
+    # Jacobian, as stacked products: the floats of one product per row
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((17, n))
+    w = Subspace.from_spanning(rng.standard_normal((min(k, n), n)), n)
+    want = np.array([w.project(v) for v in dirs])
+    assert np.array_equal(rules._projected(w, dirs), want)
+    jac = rng.standard_normal((k, n))
+    assert np.array_equal(subdiff._images(jac, dirs), np.array([jac @ v for v in dirs]))
