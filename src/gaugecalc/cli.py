@@ -8,6 +8,7 @@ All output is JSON with sorted keys, so runs are diffable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -297,9 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every command line with, built once per
+    process: parsing leaves it unchanged, and building it costs more than
+    most queries."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise UsageError(f"--tol must be finite and positive, got {args.tol}")

@@ -121,8 +121,15 @@ def max_of(fs: list[ScalarFunction], name: str = "") -> ScalarFunction:
 
 def outer_of(outer: Callable[[float], float], h: ScalarFunction,
              convex: bool) -> ScalarFunction:
-    """``outer(h(x))`` for a scalar outer function, applied value by value."""
-    each = np.vectorize(outer, otypes=[float])
+    """``outer(h(x))`` for a scalar outer function, applied value by value;
+    an outer function that overflows raises :class:`NonFiniteInputError`."""
+    def value(u):
+        try:
+            return outer(u)
+        except OverflowError:
+            raise NonFiniteInputError(f"outer({h.name}) overflows at {h.name} = {u}") from None
+
+    each = np.vectorize(value, otypes=[float])
     return _composite([h], lambda v: each(v[0]), _same, h.domain, convex,
                       f"outer({h.name})")
 

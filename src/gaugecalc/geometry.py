@@ -150,9 +150,11 @@ class Representation:
     """Geometry from membership alone.
 
     Subclasses supply ``contains(s, x, tol)`` and ``propose(s, rng)`` (one
-    random point near the set, for the rejection sampler); every method here
-    needs only membership tests of the owning set ``s`` and is overridden
-    where a representation has an exact formula.
+    random point near the set, for the rejection sampler), or
+    ``propose_many(s, rng, k)`` when they can draw a block at once; every
+    method here needs only membership tests of the owning set ``s``, asked
+    a batch at a time through ``s.contains_many``, and is overridden where a
+    representation has an exact formula.
     """
 
     def anchor(self, s: "ConvexSet") -> np.ndarray:
@@ -165,27 +167,43 @@ class Representation:
         """One membership test of ``s`` per row."""
         return np.array([s.contains(x, tol) for x in xs], dtype=bool)
 
+    def propose_many(self, s: "ConvexSet", rng: np.random.Generator, k: int) -> list[np.ndarray]:
+        """``k`` proposals, drawn from ``rng`` as ``k`` calls of ``propose``."""
+        return [self.propose(s, rng) for _ in range(k)]
+
     def sample(self, s: "ConvexSet", rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        """The first of 50 proposals that is a member; when none is, the next
-        proposal pulled inside toward the anchor."""
+        """Rejection sampling: each output is the first of 50 proposals that
+        is a member; when none is, the next proposal pulled inside toward the
+        anchor.
+
+        Each round draws one proposal per output still missing and tests the
+        block with one ``contains_many``.  Every missing output takes at
+        least one more proposal, so no round draws a proposal that a loop of
+        one proposal at a time would not: the samples, and the state ``rng``
+        is left in, are those of that loop."""
         anchor = s.anchor()
         out: list[np.ndarray] = []
-        for _ in range(n):
-            for _ in range(50):
-                cand = self.propose(s, rng)
-                if s.contains(cand):
-                    break
-            else:
-                cand = _pull_inside(s, anchor, self.propose(s, rng))
-            out.append(cand)
+        misses = 0
+        while len(out) < n:
+            block = self.propose_many(s, rng, n - len(out))
+            inside = s.contains_many(np.array(block).reshape(-1, s.dim))
+            for cand, member in zip(block, inside):
+                if misses == 50:
+                    out.append(cand if member else _pull_inside(s, anchor, cand))
+                    misses = 0
+                elif member:
+                    out.append(cand)
+                    misses = 0
+                else:
+                    misses += 1
         return out
 
     def span(self, s: "ConvexSet", base: np.ndarray) -> Subspace:
         """Coordinate directions reachable from ``base`` plus chords to
         sampled members."""
         rng = np.random.default_rng(0)
-        axes = [np.eye(s.dim)[i] * sgn for i in range(s.dim) for sgn in (+1.0, -1.0)]
-        dirs = [d for d in axes if _reaches(s, base, d)]
+        axes = np.stack([np.eye(s.dim), -np.eye(s.dim)], axis=1).reshape(-1, s.dim)
+        dirs = list(axes[_reaches(s, base, axes)])
         for y in s.sample_members(rng, SPAN_SAMPLES_PER_DIM * s.dim):
             dirs.append(y - base)
         return Subspace.from_spanning(dirs, s.dim)
@@ -193,12 +211,14 @@ class Representation:
     def in_icr(self, s: "ConvexSet", x: np.ndarray) -> bool:
         """Sampled verdict: both ways along every span direction stay in the
         set for some step (may report false positives on cusps)."""
-        span = self.span(s, x)
-        return all(_reaches(s, x, d) for b in span.basis for d in (b, -b))
+        basis = self.span(s, x).basis
+        return bool(np.all(_reaches(s, x, np.vstack([basis, -basis]))))
 
     def is_symmetric(self, s: "ConvexSet", p: np.ndarray) -> bool:
-        rng = np.random.default_rng(0)
-        return all(s.contains(2.0 * p - y) for y in s.sample_members(rng, SYMMETRY_SAMPLES))
+        """Every sampled member's reflection through ``p`` is a member (one
+        batch test)."""
+        members = np.array(s.sample_members(np.random.default_rng(0), SYMMETRY_SAMPLES))
+        return bool(np.all(s.contains_many(2.0 * p - members)))
 
     def gauge(self, g: "Gauge", x: np.ndarray) -> float:
         """Bracket and bisect the monotone membership predicate."""
@@ -245,14 +265,16 @@ class Representation:
             for j in range(i + 1, len(basis)):
                 probe_dirs.append((basis[i] + basis[j]) / math.sqrt(2))
                 probe_dirs.append((basis[i] - basis[j]) / math.sqrt(2))
+        dirs = np.array(probe_dirs).reshape(-1, g.dim)
         r = KERNEL_PROBE_RADIUS
-        cands = [d for d in probe_dirs if s.contains(p + r * d) and s.contains(p - r * d)]
-        return Subspace.from_spanning(cands, g.dim)
+        dirs = dirs[s.contains_many(p + r * dirs)]
+        return Subspace.from_spanning(dirs[s.contains_many(p - r * dirs)], g.dim)
 
     def symmetric_core(self, s: "ConvexSet", x0: np.ndarray) -> "ConvexSet":
         """``s ∩ (2 x0 - s)``: the sublevel set, inside ``s``, of the reflection test."""
-        return ConvexSet(s.dim, Sublevel(lambda y: 0.0 if s.contains(2.0 * x0 - y) else 1.0,
-                                         0.0, s), center=x0)
+        outside = _batched(lambda y: 0.0 if s.contains(2.0 * x0 - y) else 1.0,
+                           lambda ys: np.where(s.contains_many(2.0 * x0 - ys), 0.0, 1.0))
+        return ConvexSet(s.dim, Sublevel(outside, 0.0, s), center=x0)
 
     def extreme_points(self) -> list[np.ndarray]:
         """Points known to include every extreme point of the set (empty when
@@ -260,14 +282,26 @@ class Representation:
         return []
 
 
-def _reaches(s: "ConvexSet", x: np.ndarray, d: np.ndarray) -> bool:
-    """Does some halving step ``t <= 1`` keep ``x + t d`` in the set?"""
-    t = 1.0
-    while t >= _SHRINK_FLOOR:
-        if s.contains(x + t * d):
-            return True
-        t *= 0.5
-    return False
+def halving_steps(inside: Callable[[np.ndarray, np.ndarray], np.ndarray], t: np.ndarray,
+                  floor: float) -> np.ndarray:
+    """Halve each start step ``t[i]`` until ``inside(rows, steps)`` (the
+    rows still searched and their steps in, one truth value per row out)
+    holds for row ``i`` or the step is at most ``floor``; one ``inside``
+    call per halving.  Returns ``t``, updated in place."""
+    search = np.arange(t.size)
+    while search.size:
+        search = search[~inside(search, t[search])]
+        t[search] *= 0.5
+        search = search[t[search] > floor]
+    return t
+
+
+def _reaches(s: "ConvexSet", x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """For each row ``d`` of ``dirs``: does some halving step ``t <= 1``
+    keep ``x + t d`` in the set?"""
+    t = halving_steps(lambda rows, steps: s.contains_many(x + steps[:, None] * dirs[rows]),
+                      np.ones(dirs.shape[0]), _SHRINK_FLOOR)
+    return t > _SHRINK_FLOOR
 
 
 def _max_vertex_count(m: int, n: int) -> int:
@@ -277,9 +311,8 @@ def _max_vertex_count(m: int, n: int) -> int:
 
 
 def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Largest point of [anchor, y] still in the set, by bisection."""
-    if s.contains(y):
-        return y
+    """Largest point of [anchor, y] still in the set, by bisection, for a
+    ``y`` outside it."""
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -308,6 +341,14 @@ class Halfspaces(Representation):
     def contains(self, s, x, tol):
         slack = self.offsets - self.normals @ x
         return bool(np.all(slack >= -tol * (1.0 + np.abs(self.offsets))))
+
+    def contains_many(self, s, xs, tol):
+        """One stacked product: each row's slacks are the floats of
+        :meth:`contains`."""
+        if not np.all(np.isfinite(xs)):
+            raise NonFiniteInputError("vector has non-finite entries")
+        slack = self.offsets - np.matmul(self.normals, xs[:, :, None])[:, :, 0]
+        return np.all(slack >= -tol * (1.0 + np.abs(self.offsets)), axis=1)
 
     def _active(self, x: np.ndarray) -> np.ndarray:
         """Rows that hold with equality at ``x``, to 1e-9 relative."""
@@ -351,28 +392,33 @@ class Halfspaces(Representation):
             raise NotInSetError("halfspace system has no interior point")
         return self._chebyshev[0]
 
-    def _reach(self, slack: np.ndarray, d: np.ndarray) -> float:
-        """Longest step along ``d`` from a point with the given slacks."""
-        rates = self.normals @ d
+    def sample(self, s, rng, n):
+        """Uniform steps along random chords from the anchor, each at most
+        1e3 long: a unit direction from ``rng.standard_normal(dim)``, then a
+        fraction ``rng.random()`` (the draw ``rng.uniform(0, 1)`` gives) of
+        the longest step along it that the rows allow; a zero draw takes no
+        fraction and gives the anchor.  The generator is called one sample
+        at a time in that order; the steps and points are computed as
+        arrays."""
+        anchor = s.anchor()
+        dirs, norms, fracs = np.zeros((n, s.dim)), np.ones(n), np.zeros(n)
+        for i in range(n):
+            d = rng.standard_normal(s.dim)
+            dirs[i], norms[i] = d, math.sqrt(d.dot(d))  # the float np.linalg.norm(d) gives
+            if norms[i] >= 1e-14:
+                fracs[i] = rng.random()
+        zero = norms < 1e-14
+        norms[zero] = 1.0
+        dirs /= norms[:, None]
+        rates = np.matmul(self.normals, dirs[:, :, None])[:, :, 0]
+        slack = self.offsets - self.normals @ anchor
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-300), np.inf)
-        return float(np.min(steps))
-
-    def sample(self, s, rng, n):
-        """Uniform steps along random chords from the anchor."""
-        anchor = s.anchor()
-        slack0 = self.offsets - self.normals @ anchor
-        out: list[np.ndarray] = []
-        for _ in range(n):
-            d = rng.standard_normal(s.dim)
-            nd = np.linalg.norm(d)
-            if nd < 1e-14:
-                out.append(anchor.copy())
-                continue
-            d /= nd
-            tmax = min(self._reach(slack0, d), 1e3)
-            out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
-        return out
+        reach = steps.min(axis=1)
+        tmax = np.where(reach > 1e3, 1e3, reach)
+        out = anchor + (fracs * np.where(tmax < 0.0, 0.0, tmax))[:, None] * dirs
+        out[zero] = anchor
+        return list(out)
 
     def span(self, s, base):
         """The null space of the implicit equalities among the rows active
@@ -568,10 +614,35 @@ class Vertices(Representation):
         return cls(points)
 
 
+def _values(fn: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
+    """``fn`` at the rows of ``xs``: one call of its batch evaluator (its
+    ``many`` attribute) when it carries one, else one call per row."""
+    batch = getattr(fn, "many", None)
+    if batch is None:
+        return np.array([float(fn(x)) for x in xs], dtype=float)
+    return np.asarray(batch(xs), dtype=float)
+
+
+def _batched(fn: Callable[[np.ndarray], float],
+             many: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
+    """``fn`` carrying the batch evaluator ``many``.  A lambda stays a
+    lambda, so a sublevel set of it still refuses to serialize."""
+    fn.many = many
+    return fn
+
+
 @dataclass(frozen=True)
 class Sublevel(Representation):
     """``{x in base_domain : fn(x) <= level}``; ``fn`` need not be convex,
-    only its sublevel set (a quasiconvex ``fn`` will do)."""
+    only its sublevel set (a quasiconvex ``fn`` will do).
+
+    A batch of points is tested against the base domain first and ``fn``
+    is evaluated, through its batch evaluator when it carries one (a
+    ``many`` attribute, as compiled expressions, scalar functions and the
+    scaled copies and cores built here do), only on the rows the base
+    domain accepts, since ``fn`` may raise outside it.  The sampler draws
+    its proposals in blocks from the base domain's own sampler.
+    """
 
     fn: Callable[[np.ndarray], float]
     level: float
@@ -582,6 +653,14 @@ class Sublevel(Representation):
             return False
         return float(self.fn(x)) <= self.level + tol * (1.0 + abs(self.level))
 
+    def contains_many(self, s, xs, tol):
+        rows = np.flatnonzero(self.base_domain.contains_many(xs, tol))
+        inside = np.zeros(xs.shape[0], dtype=bool)
+        if rows.size:
+            inside[rows] = (_values(self.fn, xs[rows])
+                            <= self.level + tol * (1.0 + abs(self.level)))
+        return inside
+
     def anchor(self, s):
         cand = self.base_domain.anchor()
         if s.contains(cand):
@@ -591,21 +670,29 @@ class Sublevel(Representation):
                 return y
         raise NotInSetError("could not locate a member of the sublevel set")
 
-    def propose(self, s, rng):
-        """One member of the base domain."""
-        return self.base_domain.sample_members(rng, 1)[0]
+    def propose_many(self, s, rng, k):
+        """``k`` members of the base domain."""
+        return self.base_domain.sample_members(rng, k)
 
     def scaled(self, s, p, factor, q):
         """The sublevel set of ``fn(p + (y - q) / factor)`` over the base domain's copy."""
         fn, base = self.fn, self.base_domain.representation.scaled(self.base_domain, p, factor, q)
-        return ConvexSet(s.dim, Sublevel(lambda y: fn(p + (y - q) / factor), self.level, base),
-                         center=q)
+        copy = _batched(lambda y: fn(p + (y - q) / factor),
+                        lambda ys: _values(fn, p + (ys - q) / factor))
+        return ConvexSet(s.dim, Sublevel(copy, self.level, base), center=q)
 
     def symmetric_core(self, s, x0):
-        """The sublevel set of ``max(fn(y), fn(2 x0 - y))`` over the base domain's core."""
+        """The sublevel set of ``max(fn(y), fn(2 x0 - y))`` over the base
+        domain's core; the batch evaluator keeps the first value on ties, as
+        ``max`` does."""
         fn, base = self.fn, self.base_domain.representation.symmetric_core(self.base_domain, x0)
-        return ConvexSet(s.dim, Sublevel(lambda y: max(fn(y), fn(2.0 * x0 - y)), self.level, base),
-                         center=x0)
+
+        def first_max(ys):
+            a, b = _values(fn, ys), _values(fn, 2.0 * x0 - ys)
+            return np.where(b > a, b, a)
+
+        core = _batched(lambda y: max(fn(y), fn(2.0 * x0 - y)), first_max)
+        return ConvexSet(s.dim, Sublevel(core, self.level, base), center=x0)
 
     def to_json(self) -> dict:
         # a lambda's or a ScalarFunction's name would not read back as its function
@@ -741,16 +828,19 @@ def check_symmetry(s: ConvexSet, p) -> bool:
 
     Exact for halfspace sets (one support LP per row) and vertex sets (every
     reflected vertex within the hull's facet rows), so redundant rows and
-    interior vertices do not matter; reflection-sampled otherwise.
+    interior vertices do not matter; reflection-sampled otherwise: the
+    reflections through ``p`` of :data:`SYMMETRY_SAMPLES` sampled members
+    are tested as one batch.
     """
     p = _member(s, p, "claimed symmetry point")
     return s.representation.is_symmetric(s, p)
 
 
 def spot_check_convexity(s: ConvexSet) -> bool:
-    """Random midpoint test for oracle-style sets (caller contract check)."""
-    pts = s.sample_members(np.random.default_rng(0), 2 * CONVEXITY_TRIALS)
-    return all(s.contains(0.5 * (u + v), tol=1e-7) for u, v in zip(pts[::2], pts[1::2]))
+    """Random midpoint test for oracle-style sets (caller contract check):
+    the midpoints of sampled member pairs, tested as one batch."""
+    pts = np.array(s.sample_members(np.random.default_rng(0), 2 * CONVEXITY_TRIALS))
+    return bool(np.all(s.contains_many(0.5 * (pts[::2] + pts[1::2]), tol=1e-7)))
 
 
 # ---------------------------------------------------------------------------

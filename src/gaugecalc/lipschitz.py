@@ -84,10 +84,11 @@ def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
     """Certificate with the sup-based slope bound on the eps-shrunk set.
 
     ``M`` is the largest ``f(x) - f(p)`` over ``M_SAMPLES_PER_DIM2 * dim**2``
-    sampled members and the set's extreme points.  A convex function attains
-    its sup at a vertex, so ``M`` is exact for convex functions on every
-    vertex set and on every bounded halfspace set with interior (below the
-    vertex-count guard of ``Halfspaces.extreme_points``).  Otherwise (sublevel
+    sampled members and the set's extreme points, evaluated in one batch.
+    A convex function attains its sup at a vertex, so ``M`` is exact for
+    convex functions on every vertex set and on every bounded halfspace set
+    with interior (below the vertex-count guard of
+    ``Halfspaces.extreme_points``).  Otherwise (sublevel
     and oracle sets, unbounded or flat halfspace sets, non-convex functions)
     ``M`` is a sampled lower bound of the sup, and so is the certified bound.
     ``pairs > 0`` additionally runs the empirical estimator on the shrunk
@@ -103,7 +104,7 @@ def theoretical_constant(f: ScalarFunction, c: ConvexSet, p, eps: float,
     pts.extend(c.representation.extreme_points())
     try:
         fp = f(p)
-        m_val = max(0.0, max(f(x) - fp for x in pts))
+        m_val = max(0.0, float(np.max(f.many(np.array(pts)) - fp)))
     except NonFiniteInputError as exc:
         raise UnboundedFunctionError(str(exc)) from exc
     theoretical = m_val * (1.0 + eps) / (1.0 - eps)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditionViolationError, DegenerateGaugeError
+from .errors import ConditionViolationError, DegenerateGaugeError, NonFiniteInputError
 from .functions import (
     ScalarFunction,
     frozen_block,
@@ -212,10 +212,14 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
 def _outer_derivative_range(g: Callable[[float], float], u0: float) -> tuple[float, float]:
     """The interval between the one-sided slopes of a scalar outer function
     at u0; for a g that is piecewise C^1 near u0 this interval is its Clarke
-    subdifferential there."""
+    subdifferential there.  Raises :class:`NonFiniteInputError` when g
+    overflows there."""
     t = 2.0 ** -23
-    right = (g(u0 + t) - g(u0)) / t
-    left = (g(u0) - g(u0 - t)) / t
+    try:
+        right = (g(u0 + t) - g(u0)) / t
+        left = (g(u0) - g(u0 - t)) / t
+    except OverflowError:
+        raise NonFiniteInputError(f"the outer function overflows near {u0}") from None
     return min(left, right), max(left, right)
 
 

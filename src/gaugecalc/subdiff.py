@@ -27,7 +27,7 @@ from .errors import (
     SupportMismatchError,
 )
 from .functions import ScalarFunction
-from .geometry import Gauge, Subspace, _complement_rows, as_vector
+from .geometry import Gauge, Subspace, _complement_rows, as_vector, halving_steps
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
@@ -75,14 +75,11 @@ def _feasible_steps(f: ScalarFunction, base: np.ndarray, dirs: np.ndarray, rows:
     (with ``base_rows``, from ``base[base_rows[i]]``) lies in f's domain or
     the step is at most ``floor``; one batch membership call per halving.
     Returns ``t``, updated in place."""
-    search = np.arange(rows.size)
-    while search.size:
-        inside = _at(f.domain.contains_many, base, dirs, rows[search], t[search],
-                     None if base_rows is None else base_rows[search])
-        search = search[~inside]
-        t[search] *= 0.5
-        search = search[t[search] > floor]
-    return t
+    def inside(search, steps):
+        return _at(f.domain.contains_many, base, dirs, rows[search], steps,
+                   None if base_rows is None else base_rows[search])
+
+    return halving_steps(inside, t, floor)
 
 
 def _nonzero_rows(dirs: np.ndarray) -> np.ndarray:

@@ -47,18 +47,21 @@ class SublevelCore:
 
 
 def sublevel_set(f: ScalarFunction, domain: ConvexSet, level: float) -> ConvexSet:
-    """``{x in domain : f(x) <= level}`` as a sublevel-representation set."""
+    """``{x in domain : f(x) <= level}`` as a sublevel-representation set,
+    centered at the first probe of least value (sampled domain members and
+    the domain's anchor, evaluated in one batch)."""
     rng = np.random.default_rng(_SUBLEVEL_SEED)
     candidates = domain.sample_members(rng, _SUBLEVEL_PROBES)
     try:
         candidates.append(domain.anchor())
     except NotInSetError:
         pass
-    feasible = [x for x in candidates if f(x) <= level + 1e-12 * (1 + abs(level))]
-    if not feasible:
+    values = f.many(np.array(candidates))
+    feasible = np.flatnonzero(values <= level + 1e-12 * (1 + abs(level)))
+    if not feasible.size:
         raise EmptySublevelError(
             f"level {level} lies below the function value at every probe point")
-    best = min(feasible, key=f)
+    best = candidates[feasible[np.argmin(values[feasible])]]
     return ConvexSet(domain.dim, Sublevel(fn=f, level=level, base_domain=domain),
                      center=best)
 

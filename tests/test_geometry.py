@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from gaugecalc.geometry import DEFAULT_TOL
 from gaugecalc import (
     ConvexSet,
     DimensionMismatchError,
@@ -670,3 +671,177 @@ def test_scalar_function_many_raises_the_first_failing_rows_error():
         f(xs[0])
     with pytest.raises(NonFiniteInputError):
         f.many(xs)
+
+
+# -- batched sampler, membership and reach probes ------------------------------
+
+
+def _scalar_chords(s, rng, n):
+    """The halfspace sampler one chord at a time: a unit direction, then a
+    uniform fraction of the longest step along it (capped at 1e3)."""
+    rep, anchor = s.representation, s.anchor()
+    slack = rep.offsets - rep.normals @ anchor
+    out = []
+    for _ in range(n):
+        d = rng.standard_normal(s.dim)
+        nd = np.linalg.norm(d)
+        if nd < 1e-14:
+            out.append(anchor.copy())
+            continue
+        d /= nd
+        rates = rep.normals @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-300), np.inf)
+        tmax = min(float(np.min(steps)), 1e3)
+        out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
+    return out
+
+
+def _scalar_sample(s, rng, n, pulled=None):
+    """The rejection sampler one proposal and one membership test at a time:
+    the first of 50 proposals that is a member, else the next proposal
+    bisected toward the anchor.  ``pulled`` counts the bisected outputs."""
+    rep = s.representation
+    if isinstance(rep, Halfspaces):
+        return _scalar_chords(s, rng, n)
+    if isinstance(rep, Vertices):
+        return rep.sample(s, rng, n)
+    if isinstance(rep, Sublevel):
+        def propose():
+            return _scalar_sample(rep.base_domain, rng, 1, pulled)[0]
+    else:
+        def propose():
+            return rep.propose(s, rng)
+    anchor = s.anchor()
+    out = []
+    for _ in range(n):
+        for _ in range(50):
+            cand = propose()
+            if s.contains(cand):
+                break
+        else:
+            cand = propose()
+            if not s.contains(cand):
+                if pulled is not None:
+                    pulled.append(1)
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    if s.contains(anchor + mid * (cand - anchor)):
+                        lo = mid
+                    else:
+                        hi = mid
+                cand = anchor + lo * (cand - anchor)
+        out.append(cand)
+    return out
+
+
+def _lopsided_box():
+    return ConvexSet(2, Halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                                             [1.0, 1.0]]),
+                                   np.array([2.0, 1.0, 1.5, 1.0, 2.5])))
+
+
+def _sampled_sets():
+    disk = ConvexSet(2, Oracle(member=lambda x: float(np.linalg.norm(x)) <= 1.0,
+                               bounding_radius=2.0), center=np.zeros(2))
+    # about 3% of the proposals land in the slab, so some outputs take the
+    # pull-inside path
+    slab = ConvexSet(2, Oracle(member=lambda x: abs(float(x[0])) <= 0.05,
+                               bounding_radius=2.0), center=np.zeros(2))
+    dom = _lopsided_box()
+    sub = ConvexSet(2, Sublevel(ScalarFunction.from_expr("(x1-0.4)^2 + 3*(x2+0.2)^2", dom),
+                                0.6, dom), center=[0.4, -0.2])
+    tri = ConvexSet(2, Vertices(np.array([[-1.0, -1.0], [2.0, -0.5], [0.0, 1.5]])))
+    return {"oracle disk": disk, "oracle slab": slab, "sublevel": sub,
+            "sublevel core": sub.representation.symmetric_core(sub, np.array([0.3, -0.1])),
+            "vertex core": tri.representation.symmetric_core(tri, np.array([0.2, 0.0]))}
+
+
+@pytest.mark.parametrize("name", list(_sampled_sets()))
+def test_block_sampler_equals_one_proposal_at_a_time(name):
+    s = _sampled_sets()[name]
+    rng, ref_rng, pulled = np.random.default_rng(5), np.random.default_rng(5), []
+    got = s.sample_members(rng, 40)
+    want = _scalar_sample(s, ref_rng, 40, pulled)
+    assert np.array_equal(np.array(got), np.array(want))
+    assert rng.random() == ref_rng.random()
+    if name == "oracle slab":
+        assert pulled
+
+
+def test_halfspace_chords_equal_the_per_sample_loop():
+    for s in (_lopsided_box(), box(3), interval(-1.0, math.inf, center=0.0)):
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        assert np.array_equal(np.array(s.sample_members(rng, 50)),
+                              np.array(_scalar_chords(s, ref_rng, 50)))
+        assert rng.random() == ref_rng.random()
+
+
+def _membership_cases():
+    half = ConvexSet(2, Halfspaces(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                   np.array([0.0, 2.0, 1.0, 1.0])))
+    # sqrt raises for x1 < -0.01, where the base domain x1 >= 0 already
+    # rejects the row
+    root = ConvexSet(2, Sublevel(ScalarFunction.from_expr("sqrt(x1 + 0.01) + x2^2", half),
+                                 1.0, half), center=[0.25, 0.0])
+    sampled = _sampled_sets()
+    core = sampled["sublevel core"]
+    return {"halfspaces": half, "sublevel": root,
+            "sublevel core": root.representation.symmetric_core(root, np.array([0.5, 0.1])),
+            "scaled core": core.representation.scaled(core, np.array([0.3, -0.1]), 0.5,
+                                                      np.zeros(2)),
+            "vertex core": sampled["vertex core"]}
+
+
+@pytest.mark.parametrize("name", list(_membership_cases()))
+def test_contains_many_equals_contains_row_by_row(name):
+    s = _membership_cases()[name]
+    pts = np.random.default_rng(4).uniform(-1.5, 2.5, (300, 2))
+    for tol in (DEFAULT_TOL, 1e-3):
+        want = [s.contains(p, tol) for p in pts]
+        assert s.contains_many(pts, tol).tolist() == want
+        assert any(want) and not all(want)
+    with pytest.raises(NonFiniteInputError):
+        s.contains_many(np.array([[0.5, 0.0], [math.inf, 0.0]]))
+
+
+def test_sublevel_batches_skip_rows_outside_the_base_domain():
+    s = _membership_cases()["sublevel"]
+    with pytest.raises(GaugeCalcError, match="sqrt"):
+        s.representation.fn.many(np.array([[-1.0, 0.0]]))
+    assert s.contains_many(np.array([[-1.0, 0.0], [0.25, 0.5]])).tolist() == [False, True]
+    assert not s.contains([-1.0, 0.0])
+
+
+def _scalar_reaches(s, x, d):
+    """Does some halving step t <= 1 keep x + t d in the set?"""
+    t = 1.0
+    while t >= 1e-12:
+        if s.contains(x + t * d):
+            return True
+        t *= 0.5
+    return False
+
+
+def test_batched_reach_probes_equal_the_scalar_halving():
+    from gaugecalc.geometry import _reaches
+    rng = np.random.default_rng(6)
+    dirs = np.vstack([rng.standard_normal((40, 2)), np.eye(2), -np.eye(2)])
+    for s in (_lopsided_box(), _membership_cases()["sublevel"], _sampled_sets()["vertex core"]):
+        for x in ([0.0, 0.0], [2.0, 0.5], [-1.0, -1.0], [0.25, 1.0], [3.0, 3.0]):
+            x = np.array(x)
+            assert _reaches(s, x, dirs).tolist() == [_scalar_reaches(s, x, d) for d in dirs]
+
+
+def test_derived_batch_evaluators_equal_their_scalar_calls():
+    # the reflected maximum of a core keeps the first value on ties, as max
+    cases = _membership_cases()
+    for name in ("sublevel core", "scaled core", "vertex core"):
+        s = cases[name]
+        rep = s.representation
+        pts = np.random.default_rng(9).uniform(-1.5, 2.5, (200, 2))
+        rows = pts[rep.base_domain.contains_many(pts)]
+        assert np.array_equal(rep.fn.many(rows), [rep.fn(y) for y in rows])
+        with pytest.raises(ValueError):
+            set_to_json(s)

@@ -8,8 +8,10 @@ from gaugecalc import (
     AsymmetricSetError,
     Gauge,
     KernelViolationError,
+    NonFiniteInputError,
     NotInSetError,
     ScalarFunction,
+    UnboundedFunctionError,
     box,
     build_core,
     counterexample_suite,
@@ -20,7 +22,7 @@ from gaugecalc import (
     theoretical_constant,
 )
 from gaugecalc.cli import main as cli_main
-from gaugecalc.geometry import ConvexSet, Halfspaces, Vertices
+from gaugecalc.geometry import ConvexSet, Halfspaces, Sublevel, Vertices
 
 
 def paraboloid(dom):
@@ -171,3 +173,37 @@ def test_counterexample_suite_reproduces_all_sections():
     assert report["sqrt_boundary"]["probes"][0]["quotient"] == pytest.approx(2.0)
     assert report["asymmetric_set"]["gauge_on_ray"] == pytest.approx(0.0, abs=1e-8)
     assert report["asymmetric_set"]["gauge_negative_side"] == pytest.approx(1.0, abs=1e-8)
+
+
+def _per_point_m(f, c, p, seed):
+    """``M`` one evaluation at a time: the largest ``f(x) - f(p)`` over the
+    sampled members and the extreme points, at least 0."""
+    pts = c.sample_members(np.random.default_rng(seed), 10 * c.dim * c.dim)
+    pts.extend(c.representation.extreme_points())
+    fp = f(p)
+    return max(0.0, max(f(x) - fp for x in pts))
+
+
+def test_m_from_one_batch_equals_the_per_point_loop():
+    hexagon = ConvexSet(2, Vertices(np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)]
+                                              for k in range(6)])), center=np.zeros(2))
+    dom = box(2, -5, 5, center=[0, 0])
+    disk = ConvexSet(2, Sublevel(paraboloid(dom), 1.0, box(2)), center=np.zeros(2))
+    f = ScalarFunction.from_expr("(x1 - 0.3)^2 + abs(x2 + 0.1) - 0.2*x1", domain=dom)
+    for c in (box(2), box(3, -2, 2), hexagon, disk):
+        p = np.zeros(c.dim)
+        g = ScalarFunction.from_expr(" + ".join(f"abs(x{i + 1} - 0.1)" for i in range(c.dim)),
+                                     domain=box(c.dim, -5, 5))
+        for fn in ((f,) if c.dim == 2 else ()) + (g,):
+            assert theoretical_constant(fn, c, p, 0.5, seed=7).M == _per_point_m(fn, c, p, 7)
+
+
+def test_m_reports_the_first_failing_point():
+    # 1e308 * x1 * 10 is finite only at x1 = 0: the batch names the first
+    # sampled point that overflows, as one evaluation at a time does
+    f = ScalarFunction.from_expr("1e308*x1*10", domain=box(2, -5, 5, center=[0, 0]))
+    with pytest.raises(UnboundedFunctionError) as got:
+        theoretical_constant(f, box(2), [0, 0], 0.5, seed=3)
+    with pytest.raises(NonFiniteInputError) as want:
+        _per_point_m(f, box(2), np.zeros(2), 3)
+    assert str(got.value) == str(want.value)

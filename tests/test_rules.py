@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc import rules, subdiff
+from gaugecalc import functions, rules, subdiff
 from gaugecalc import (
     ConditionViolationError,
     DegenerateGaugeError,
     Gauge,
+    NonFiniteInputError,
     InnerMap,
     ScalarFunction,
     Subspace,
@@ -86,6 +87,21 @@ def test_chain_rule_2_exponential(plane, unit_gauge):
         t = 2.0 ** (-k)
         slopes = ((math.exp(u0) - math.exp(u0 - t)) / t, (math.exp(u0 + t) - math.exp(u0)) / t)
     assert [lo, hi] == [min(slopes), max(slopes)]
+
+
+def test_chain_rule_2_outer_overflow_is_a_typed_error(plane, unit_gauge):
+    # exp overflows past about 709.78: at the inner value 720 itself, and on
+    # the composite's fan around the inner value 700
+    with pytest.raises(NonFiniteInputError, match="overflows near 720.0"):
+        verify_chain_rule_2(math.exp, fn("800*x1 + abs(x2)", plane), [0.9, 0.0], unit_gauge)
+    h = fn("1000000*x1 + abs(x2)", plane)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInputError, match="overflows at"):
+        verify_chain_rule_2(math.exp, h, [0.0007, 0.0], unit_gauge, composite_convex=True)
+    composite = functions.outer_of(math.exp, h, True)
+    with pytest.raises(NonFiniteInputError, match="= 1000.0"):
+        composite([0.001, 0.0])
+    with pytest.raises(NonFiniteInputError, match="= 1000.0"):
+        composite.many(np.array([[0.0, 0.0], [0.001, 0.0]]))
 
 
 def test_chain_rule_2_nonsmooth_outer(plane, unit_gauge):

@@ -136,3 +136,17 @@ def test_randomized_span_and_interior_verdicts(dim, seed):
     assert verify_span_equality(core)
     assert verify_icr_membership(core)
     assert core_is_symmetric(core)
+
+
+def test_sublevel_center_is_the_first_least_probe():
+    # one batch over the probes picks the center that a per-probe loop picks:
+    # the first probe of least value among those at or below the level
+    dom = ConvexSet(2, Halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                  np.array([2.0, 1.0, 1.0, 3.0])))
+    f = ScalarFunction.from_expr("abs(x1 - 0.7) + (x2 + 0.4)^2", domain=dom)
+    for level in (0.3, 1.0, 10.0):
+        probes = dom.sample_members(np.random.default_rng(0), 64) + [dom.anchor()]
+        feasible = [x for x in probes if f(x) <= level + 1e-12 * (1 + abs(level))]
+        assert np.array_equal(sublevel_set(f, dom, level).center, min(feasible, key=f))
+    with pytest.raises(EmptySublevelError):
+        sublevel_set(f, dom, -1.0)
