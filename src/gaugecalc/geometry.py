@@ -436,11 +436,20 @@ class Halfspaces(Representation):
         return bool(np.all(self._implicit(x)[1]))
 
     def is_symmetric(self, s, p):
-        """``2p - s`` lies in ``s``: for every row, ``2 a.p - min_s a.y <= b``
-        (one support LP per row)."""
+        """``2p - s`` lies in ``s``: for every unit row, ``2 a.p - min_s a.y
+        <= b``.  When the set lists its vertices (:meth:`extreme_points`),
+        ``min_s a.y`` is attained at one, so every reflected vertex
+        ``2p - v`` must meet every row: one matrix product.  Otherwise
+        (unbounded, flat or past the vertex guard) one support LP per row
+        gives the minimum."""
         norms = np.linalg.norm(self.normals, axis=1)
         keep = norms > 1e-14
-        for a, b in zip(self.normals[keep] / norms[keep, None], self.offsets[keep] / norms[keep]):
+        units, bounds = self.normals[keep] / norms[keep, None], self.offsets[keep] / norms[keep]
+        vertices = self.extreme_points()
+        if vertices:
+            reflected = (2.0 * p - np.array(vertices)) @ units.T
+            return bool(np.all(reflected <= bounds + SYMMETRY_TOL * (1.0 + np.abs(bounds))))
+        for a, b in zip(units, bounds):
             low = linprog(a, A_ub=self.normals, b_ub=self.offsets,
                           bounds=[(None, None)] * s.dim, method="highs")
             if low.status != 0 or 2.0 * (a @ p) - low.fun > b + SYMMETRY_TOL * (1.0 + abs(b)):
@@ -826,9 +835,11 @@ def in_icr(s: ConvexSet, x) -> bool:
 def check_symmetry(s: ConvexSet, p) -> bool:
     """Is the set symmetric about ``p``, that is, does ``2p - S`` lie in S?
 
-    Exact for halfspace sets (one support LP per row) and vertex sets (every
-    reflected vertex within the hull's facet rows), so redundant rows and
-    interior vertices do not matter; reflection-sampled otherwise: the
+    Exact for vertex sets and for halfspace sets that list their vertices
+    (every reflected vertex within every row, one matrix product), and for
+    other halfspace sets (unbounded, flat or past :data:`MAX_VERTICES`: one
+    support LP per row), so redundant rows and interior vertices do not
+    matter; reflection-sampled otherwise: the
     reflections through ``p`` of :data:`SYMMETRY_SAMPLES` sampled members
     are tested as one batch.
     """

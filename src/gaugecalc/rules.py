@@ -8,9 +8,9 @@ them with the rule's combination of its parts' support values along the same
 directions; no polytope is extracted for a verdict.  A rule report states
 whether the inclusion (and possibly equality) holds up to tolerance on the
 fan.  The vertices a report lists (the sum's left side, chain1's right side)
-come from LPs on that same support table.  The composites themselves are
-built by :mod:`gaugecalc.functions`, so a fan of a composite is evaluated in
-batches of its parts.
+come from the vertex table of that same support table, with no LP.  The
+composites themselves are built by :mod:`gaugecalc.functions`, so a fan of a
+composite is evaluated in batches of its parts.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def _fan_for(w: Subspace, seed: int = 42) -> np.ndarray:
 def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
                      seed: int) -> list[list[float]]:
     """The vertices of the set whose support values along the rule fan's
-    rows are ``sups``: the LPs of the fan's opening rows, the hull
-    objectives, on the fan's own support table."""
+    rows are ``sups``: the optimal faces of the fan's opening rows, the
+    hull objectives, in the vertex table of the fan's own support values."""
     objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
     return [list(map(float, z)) for z in _vertices(w, rows, sups, range(len(objectives)))]
 
@@ -237,14 +237,18 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
     a_lo, a_hi = _outer_derivative_range(g, u0)
     w = _reduced_basis(gauge)
     dirs = _fan_for(w, seed)
+    hl = _support(outer_of(g, h, composite_convex), x, gauge, w, seed)(dirs)
     h_inner = _support(h, x, gauge, w, seed)
     # each sign of the slopes reads the inner support function once; a
     # negative slope reflects the set
     signs = {1.0 if a >= 0.0 else -1.0 for a in (a_lo, a_hi)}
     sides = {s: h_inner(s * dirs) for s in signs}
-    hr = np.max([abs(a) * sides[1.0 if a >= 0.0 else -1.0] for a in {a_lo, a_hi}], axis=0)
-    comp = outer_of(g, h, composite_convex)
-    return _compare("chain2", dirs, _support(comp, x, gauge, w, seed)(dirs), hr,
+    with np.errstate(over="ignore"):
+        hr = np.max([abs(a) * sides[1.0 if a >= 0.0 else -1.0] for a in {a_lo, a_hi}], axis=0)
+    if not np.all(np.isfinite(hr)):
+        raise NonFiniteInputError(f"the outer slopes [{a_lo:.6g}, {a_hi:.6g}] times the "
+                                  "inner support values overflow")
+    return _compare("chain2", dirs, hl, hr,
                     {"x": list(map(float, x)), "inner_value": float(u0),
                      "outer_slope_range": [float(a_lo), float(a_hi)]})
 

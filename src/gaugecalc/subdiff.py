@@ -9,6 +9,7 @@ movement, so subgradients are quotient representatives that annihilate it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import (
     LpInfeasibleError,
     NoBracketError,
     NoFeasibleStepError,
+    NonFiniteInputError,
     SupportMismatchError,
 )
 from .functions import ScalarFunction
@@ -38,9 +40,16 @@ _SHELLS, _PROBES, _R0 = 18, 12, 1e-2
 #: extraction LPs and of a hull's objectives; relative LP constraint slack
 _TEST_FAN, _LP_FAN, _OBJECTIVE_FAN = (4, 16), (2, 16), (4, 8)
 _LP_SLACK = 1e-8
-#: a hull objective is attained by a vertex found so far when the vertex
-#: reaches its support value to within this relative margin
+#: a hull objective is attained by a vertex found so far, and a vertex lies
+#: on an objective's optimal face, when it reaches the optimum to within this
+#: relative margin
 _ATTAINED_TOL = 1e-9
+#: most ``w.dim``-row subsets of a fan whose vertex table is built; past it
+#: every objective solves its own LP.  A table vertex meets every row to a
+#: relative _FEASIBLE_TOL; a subset of unit rows is singular when its
+#: |determinant| is at most _SINGULAR_DET
+_TABLE_SUBSETS, _FEASIBLE_TOL, _SINGULAR_DET = 4096, 1e-9, 1e-12
+_INFEASIBLE = "support constraints are infeasible (noisy derivative estimates)"
 #: relative tolerance of the sublinearity check of a convex flag
 _SUBLINEAR_TOL = 1e-6
 #: tolerances of a subgradient test's support inequality, of the
@@ -214,7 +223,13 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
                             base_rows)
         ok = t > 1e-12
         base_rows, dir_rows, t = base_rows[ok], dir_rows[ok], t[ok]
-        quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows) - fy[base_rows]) / t
+        with np.errstate(over="ignore", invalid="ignore"):
+            quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows) - fy[base_rows]) / t
+        if not np.all(np.isfinite(quotients)):
+            # every value is finite, so a quotient that is not has overflowed
+            raise NonFiniteInputError(
+                f"the difference quotients of {f.name or '<anonymous>'} overflow near "
+                f"{list(map(float, x))}")
         np.maximum.at(best, dir_rows, quotients)
     if not np.all(np.isfinite(best[live])):
         raise NoFeasibleStepError("no feasible probe near x for this direction")
@@ -376,15 +391,61 @@ def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
     return dirs, _support_values(f, x, dirs, g, seed), rows
 
 
+def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The vertices of {z : a z <= b} (rows of ``a`` unit vectors): the
+    solution of every nonsingular square subsystem of ``a.shape[1]`` rows,
+    solved as one batch, that meets every row to a relative
+    :data:`_FEASIBLE_TOL` (the H->V step of Avis & Fukuda 1992, by brute
+    force).  A vertex where more rows than the dimension are active may be
+    listed more than once."""
+    m, d = a.shape
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), d)),
+                          dtype=np.intp).reshape(-1, d)
+    mats = a[subsets]
+    ok = np.abs(np.linalg.det(mats)) > _SINGULAR_DET
+    z = np.linalg.solve(mats[ok], b[subsets[ok]][..., None])[..., 0]
+    return z[np.all(z @ a.T <= b + _FEASIBLE_TOL * (1.0 + np.abs(b)), axis=1)]
+
+
 def _optimizer(w: Subspace, dirs, sups):
-    """The solver of one row's LP: the z maximizing <z, dirs[row]> over the
-    outer approximation {z : <z, v> <= h(v) for every fan row v} of the
-    subdifferential; the optimum must attain that row's support value."""
+    """The solver of one row's LP: the optimal face of <z, dirs[row]> over
+    the outer approximation {z : <z, v> <= h(v) + slack for every fan row v}
+    of the subdifferential, as its vertices in lexicographic order; the
+    optimum must attain that row's support value.
+
+    When the fan has at most :data:`_TABLE_SUBSETS` subsets of ``w.dim``
+    rows, every face is read from one vertex table (:func:`_vertex_table`)
+    built here: the table vertices within a relative :data:`_ATTAINED_TOL`
+    of the row's maximum.  Past the cap each row solves its LP (HiGHS),
+    whose one optimum is the face it returns.
+    """
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
     full = w.dim == w.ambient_dim
     a_ub = dirs if full else dirs @ w.basis.T
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
+
+    def checked(row: int, attained: float) -> None:
+        target = float(sups[row])
+        if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
+            raise SupportMismatchError(
+                f"support value {target:.6g} in the objective direction is not "
+                f"attained (got {attained:.6g})")
+
+    if math.comb(a_ub.shape[0], w.dim) <= _TABLE_SUBSETS:
+        table = _vertex_table(a_ub, b_ub)
+        if table.shape[0] == 0:
+            raise LpInfeasibleError(_INFEASIBLE)
+        ambient = table if full else table @ w.basis
+
+        def face(row: int) -> np.ndarray:
+            values = table @ a_ub[row]
+            best = float(np.max(values))
+            checked(row, best)
+            on = ambient[values >= best - _ATTAINED_TOL * (1.0 + abs(best))]
+            return on[np.lexsort(on.T[::-1])]
+
+        return face
 
     def solve(row: int) -> np.ndarray:
         c = -(dirs[row] if full else w.basis @ dirs[row])
@@ -396,39 +457,34 @@ def _optimizer(w: Subspace, dirs, sups):
             res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
                           method="highs", options={"presolve": False})
         if res.status != 0:
-            raise LpInfeasibleError(
-                "support constraints are infeasible (noisy derivative estimates)",
-            )
-        target = float(sups[row])
-        attained = float(-res.fun)
-        if abs(attained - target) > 1e-5 * (1.0 + abs(target)):
-            raise SupportMismatchError(
-                f"support value {target:.6g} in the objective direction is not "
-                f"attained (got {attained:.6g})")
-        return res.x if full else w.basis.T @ res.x
+            raise LpInfeasibleError(_INFEASIBLE)
+        checked(row, float(-res.fun))
+        return (res.x if full else w.basis.T @ res.x)[None, :]
 
     return solve
 
 
 def _vertices(w: Subspace, dirs, sups, rows) -> list[np.ndarray]:
-    """The distinct optima of the rows' LPs (see :func:`_optimizer`).
+    """The distinct vertices of the rows' optimal faces (see
+    :func:`_optimizer`), in the order the rows and faces list them; a vertex
+    within a relative 1e-7 of one listed before is dropped.
 
-    A row that a vertex found so far attains is skipped: that vertex is an
-    optimum of the row's LP, since it is feasible and reaches the row's
-    support value to within a relative 1e-9, and the LP optimum lies at most
+    A row that a vertex found so far attains is skipped: that vertex lies
+    on the row's optimal face, since it is feasible and reaches the row's
+    support value to within a relative 1e-9, and the optimum lies at most
     the constraint slack above it.
     """
-    solve = _optimizer(w, dirs, sups)
+    face = _optimizer(w, dirs, sups)
     grads: list[np.ndarray] = []
     for row in rows:
         h = float(sups[row])
         if grads and float(np.max(np.array(grads) @ dirs[row])) >= \
                 h - _ATTAINED_TOL * (1.0 + abs(h)):
             continue
-        z = solve(row)
-        if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
-                   for z0 in grads):
-            grads.append(z)
+        for z in face(row):
+            if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
+                       for z0 in grads):
+                grads.append(z)
     return grads
 
 
@@ -442,8 +498,9 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
                                    "is zero-dimensional")
     obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
     dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
-    solve = _optimizer(w, dirs, sups)
-    return [solve(rows[0] + (s < 0)) for s in signs]
+    face = _optimizer(w, dirs, sups)
+    # one pick per sign: the lexicographically smallest vertex of the face
+    return [face(rows[0] + (s < 0))[0] for s in signs]
 
 
 def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool:
@@ -466,8 +523,14 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
                         seed: int = 42) -> np.ndarray:
     """Subgradient maximizing <zeta, objective> over the support constraints
     of one direction fan at x that holds +/- the objective (by default the
-    first reduced basis vector).  Raises :class:`SupportMismatchError` when
-    the optimum misses the objective's support value."""
+    first reduced basis vector).
+
+    When the fan has at most 4,096 subsets of ``w.dim`` rows (``w`` the
+    reduced space) the optimum comes from the fan's vertex table, and of a
+    tied face the lexicographically smallest vertex is returned; past that
+    cap one HiGHS LP returns its optimum.  Raises
+    :class:`SupportMismatchError` when the optimum misses the objective's
+    support value by more than a relative 1e-5."""
     return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
 
 
@@ -493,10 +556,16 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     """Extract subgradients along many objectives and record support values.
 
     One fan per base point holds +/- every objective (the frame objectives
-    are its own opening rows), and every objective's LP reads its support
-    values.  The vertices describe the subdifferential up to the sampled
-    objective fan (exact for polytopal subdifferentials once the fan covers
-    the facet normals).
+    are its own opening rows).  The subgradients are the vertices of the
+    objectives' optimal faces (see :func:`_vertices`), read from one vertex
+    table of the fan's support values while the fan has at most 4,096
+    subsets of ``w.dim`` rows, so a tied facet lists its corners; past that
+    cap each objective solves its LP.  Each objective's optimum attains its
+    support value to a relative 1e-5, or :class:`SupportMismatchError` is
+    raised; an objective skipped because a listed vertex attains it is
+    attained to a relative 1e-9.  The vertices describe the subdifferential
+    up to the sampled objective fan (exact for polytopal subdifferentials
+    once the fan covers the facet normals).
     """
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)

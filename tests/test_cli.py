@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,19 @@ def test_chain2_outer_overflow_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: the outer function overflows near 720.0"]
+
+
+def test_chain2_quotient_overflow_exits_2(capsys):
+    # at the inner value 709.5 exp is finite, but the composite's difference
+    # quotients overflow: one typed error, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "chain2", "--set", UNIT_BOX_2D, "--outer", "exp",
+                     "--fn", "800*x1 + abs(x2)", "--point", "[0.886875, 0]"])
+    assert code == 2 and caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the difference quotients of outer(800*x1 + abs(x2)) overflow "
+                   "near [0.886875, 0.0]"]
 
 
 def _outcomes(capsys, argvs):

@@ -269,6 +269,63 @@ def test_check_symmetry():
     assert check_symmetry(shifted, [1.0, 0.0])
 
 
+def lp_symmetric(s, p):
+    """The per-row support LP test that a halfspace set without a vertex
+    list still takes, kept as the reference for the vertex test."""
+    rep = s.representation
+    norms = np.linalg.norm(rep.normals, axis=1)
+    keep = norms > 1e-14
+    for a, b in zip(rep.normals[keep] / norms[keep, None], rep.offsets[keep] / norms[keep]):
+        low = linprog(a, A_ub=rep.normals, b_ub=rep.offsets, bounds=[(None, None)] * s.dim,
+                      method="highs")
+        if low.status != 0 or 2.0 * (a @ p) - low.fun > b + 1e-8 * (1.0 + abs(b)):
+            return False
+    return True
+
+
+def test_halfspace_symmetry_reads_the_vertices(monkeypatch):
+    # random polytopes symmetric about p, then with one offset moved by
+    # 1e-3 (asymmetric) or 1e-12 (within the tolerance): the reflected
+    # vertices give the LP reference's verdict, with no LP once the
+    # Chebyshev centre is known; unbounded, flat and past-guard sets keep
+    # the LPs
+    from gaugecalc import geometry
+
+    rng = np.random.default_rng(11)
+    real, calls = geometry.linprog, []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+    verdicts = []
+    for trial in range(45):
+        n = int(rng.integers(1, 5))
+        a = rng.standard_normal((n + 3, n))
+        p = rng.standard_normal(n)
+        c = rng.uniform(0.5, 2.0, n + 3)
+        normals, offsets = np.vstack([a, -a]), np.concatenate([c + a @ p, c - a @ p])
+        offsets[int(rng.integers(offsets.size))] += [0.0, 1e-3, 1e-12][trial % 3]
+        s = ConvexSet(n, Halfspaces(normals, offsets), center=p)
+        s.representation.anchor(s)  # the Chebyshev centre, one LP per set
+        calls.clear()
+        got = check_symmetry(s, p)
+        assert calls == []
+        assert got == lp_symmetric(s, p)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    flat = ConvexSet(2, Halfspaces(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
+                                   np.array([1.0, 1.0, 0.0, 0.0])), center=np.zeros(2))
+    slab = ConvexSet(2, Halfspaces(np.array([[1.0, 0], [-1.0, 0]]), np.array([1.0, 1.0])),
+                     center=np.zeros(2))
+    for s, p, want in [(flat, [0.0, 0.0], True), (flat, [0.5, 0.0], False),
+                       (slab, [0.0, 3.0], True), (box(16), np.zeros(16), True)]:
+        calls.clear()
+        assert check_symmetry(s, p) == want
+        assert calls
+
+
 def test_symmetry_ignores_redundant_rows():
     square = box(2)
     padded = ConvexSet(2, Halfspaces(np.vstack([square.representation.normals, [[1.0, 0.0]]]),

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from gaugecalc import (
     ConvexityFlagError,
@@ -24,6 +25,7 @@ from gaugecalc import (
     subdifferential_hull,
 )
 from gaugecalc import WeightedGrid, make_function, make_gauge, subdiff
+from gaugecalc.errors import LpInfeasibleError
 from gaugecalc.geometry import ConvexSet, Halfspaces, Oracle, Vertices
 
 
@@ -554,38 +556,158 @@ def hull_table(f, x, g, seed=42):
     return w, dirs, sups, list(range(k)) + rows
 
 
+#: HiGHS's tightest feasibility tolerances: at its default 1e-7 an optimum
+#: may overshoot a row by more than the 1e-8 slack, and so the table's exact
+#: maximum by more than the 2e-8 the comparisons allow
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def lp_optimum(w, dirs, sups, row, options=None):
+    """The optimum of one row's LP over the slackened support constraints,
+    by the per-objective HiGHS solve (presolve retry included) that the
+    vertex table replaced below its cap and that still runs past it, with
+    HiGHS ``options`` added; None when the constraints are infeasible."""
+    full = w.dim == w.ambient_dim
+    a_ub = dirs if full else dirs @ w.basis.T
+    b_ub = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
+    c = -(dirs[row] if full else w.basis @ dirs[row])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim, method="highs",
+                  options=options)
+    if res.status != 0:
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
+                      method="highs", options={**(options or {}), "presolve": False})
+    if res.status != 0:
+        return None
+    return res.x if full else w.basis.T @ res.x
+
+
+def table_size(w, dirs):
+    return math.comb(dirs.shape[0], w.dim)
+
+
 @pytest.mark.parametrize("src,x,dim", [("abs(x1) + x2^2", [0.0, 0.5], 2),
                                        ("abs(x1) + x2^2 + abs(x3)", [0.0, 0.5, 0.0], 3),
                                        ("max(x1 + x2, x1 - x2, -x1)", [0.0, 0.0], 2)])
-def test_skipped_hull_rows_are_attained_by_a_listed_vertex(src, x, dim, monkeypatch):
+def test_skipped_hull_rows_are_attained_by_a_listed_vertex(src, x, dim, count_calls):
+    # a hull solves no LP, and every objective row, skipped or not, is
+    # attained by a listed vertex to within twice the LP slack (relative)
+    # plus the 1e-7 radius within which a face vertex counts as one listed
+    # before; no row's own LP finds more than the listed vertices
+    count_calls.wrap(subdiff, "linprog", "lp")
     f = fn(src, box(dim, -5, 5, center=[0.0] * dim))
     w, dirs, sups, rows = hull_table(f, x, Gauge.of_set(box(dim)))
-    solved = []
-    real = subdiff.linprog
-
-    def record(c, **kwargs):
-        solved.append(-np.asarray(c))
-        return real(c, **kwargs)
-
-    monkeypatch.setattr(subdiff, "linprog", record)
     verts = np.array(subdiff._vertices(w, dirs, sups, rows))
-    skipped = [r for r in rows if not any(np.array_equal(dirs[r], c) for c in solved)]
-    assert skipped and len(solved) < len(rows)
-    for r in skipped:
+    assert count_calls["lp"] == 0
+    radius = 1e-7 * (1.0 + float(np.max(np.linalg.norm(verts, axis=1))))
+    for r in rows:
         h = float(sups[r])
         best = float(np.max(verts @ dirs[r]))
-        assert best >= h - 1e-9 * (1.0 + abs(h))
-        # the row's own LP would find nothing better
-        lp_best = float(subdiff._optimizer(w, dirs, sups)(r) @ dirs[r])
-        assert lp_best <= best + 2e-8 * (1.0 + abs(h))
+        assert abs(best - h) <= 2 * subdiff._LP_SLACK * (1.0 + abs(h)) + radius
+        assert float(lp_optimum(w, dirs, sups, r, TIGHT) @ dirs[r]) <= \
+            best + 2 * subdiff._LP_SLACK * (1.0 + abs(h)) + radius
 
 
-def test_readme_hull_solves_four_lps(plane, unit_gauge, count_calls):
-    # 8 objectives; the two vertices found first attain the other four
+def test_readme_hull_solves_no_lp(plane, unit_gauge, count_calls):
+    # 8 objectives, all answered from one vertex table
     count_calls.wrap(subdiff, "linprog", "lp")
     support = subdifferential_hull(fn("abs(x1) + x2^2", plane), [0.0, 0.5], unit_gauge)
-    assert count_calls["lp"] == 4
+    assert count_calls["lp"] == 0
     assert len(support.directions) == 8 and len(support.subgradients) == 2
+
+
+def test_a_tied_facet_lists_its_corners(plane, unit_gauge):
+    # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: each axis objective's optimal
+    # face is an edge, read whole from the table in lexicographic order
+    w = subdiff._reduced_basis(unit_gauge)
+    dirs, sups, _ = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
+                                         unit_gauge, w, subdiff._LP_FAN, 42)
+    face = subdiff._optimizer(w, dirs, sups)
+    for row, ends in [(0, [(2.0, -1.0), (2.0, 1.0)]), (1, [(-2.0, -1.0), (-2.0, 1.0)]),
+                      (2, [(-2.0, 1.0), (2.0, 1.0)]), (3, [(-2.0, -1.0), (2.0, -1.0)])]:
+        got = face(row)
+        assert [tuple(z) for z in got] == sorted(map(tuple, got))
+        assert sorted({tuple(np.round(z, 6)) for z in got}) == ends
+    corners = subdiff._vertices(w, dirs, sups, range(4))
+    assert sorted(tuple(np.round(z, 6)) for z in corners) == \
+        [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+    # one pick is the face's lexicographically smallest vertex
+    z = extract_subgradient(fn("2*abs(x1) + abs(x2)", plane), [0.0, 0.0], unit_gauge,
+                            objective=[1.0, 0.0])
+    assert np.round(z, 6).tolist() == [2.0, -1.0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 3), proper=st.booleans(),
+       shape=st.sampled_from(["polytope", "segment", "point", "inconsistent"]),
+       seed=st.integers(0, 1 << 20))
+def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
+    # random fans in a reduced space of dimension 1-3, whole or inside
+    # R^(dim+1); support values of a random polytope, a segment, a point up
+    # to noise below the LP slack, or a point with every value lowered (no
+    # z meets them all)
+    rng = np.random.default_rng(seed)
+    n = dim + proper
+    w = Subspace.from_spanning(rng.standard_normal((dim, n)), n) if proper \
+        else Subspace.full(n)
+    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                     extra=rng.standard_normal((2, n)))
+    assert table_size(w, dirs) <= subdiff._TABLE_SUBSETS
+    count = {"polytope": dim + 3, "segment": 2}.get(shape, 1)
+    points = 3.0 * rng.standard_normal((count, dim)) @ w.basis
+    sups = np.max(dirs @ points.T, axis=1)
+    if shape == "point":
+        sups += rng.uniform(-1e-9, 1e-9, sups.size)
+    if shape == "inconsistent":
+        sups -= 1e-3
+        with pytest.raises(LpInfeasibleError):
+            subdiff._optimizer(w, dirs, sups)
+        assert all(lp_optimum(w, dirs, sups, r) is None for r in range(len(dirs)))
+        return
+    face = subdiff._optimizer(w, dirs, sups)
+    b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
+    for r in range(len(dirs)):
+        got = face(r)
+        values = got @ dirs[r]
+        best = float(values[0])
+        want = float(lp_optimum(w, dirs, sups, r, TIGHT) @ dirs[r])
+        assert abs(best - want) <= 2e-8 * (1.0 + abs(want))
+        # the face: feasible vertices in w, tied to the maximum, sorted
+        assert np.all(np.abs(values - best) <= subdiff._ATTAINED_TOL * (1.0 + abs(best)))
+        assert np.all(got @ dirs.T <= b + 1e-9 * (1.0 + np.abs(b)))
+        assert np.allclose(got, got @ w.basis.T @ w.basis, atol=1e-9)
+        assert [tuple(z) for z in got] == sorted(map(tuple, got))
+
+
+@pytest.mark.parametrize("dim,lps", [(3, 0), (6, 1)])
+def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
+    # an extraction fan in 6-D has 16 rows and 8,008 six-row subsets, past
+    # the cap: its objective solves one LP; in 3-D the table answers it
+    count_calls.wrap(subdiff, "linprog", "lp")
+    f = fn(" + ".join(f"abs(x{i + 1})" for i in range(dim)),
+           box(dim, -5, 5, center=[0.0] * dim))
+    g = Gauge.of_set(box(dim))
+    w = subdiff._reduced_basis(g)
+    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
+    assert (table_size(w, dirs) > subdiff._TABLE_SUBSETS) == (lps > 0)
+    z = extract_subgradient(f, np.zeros(dim), g)
+    assert count_calls["lp"] == lps
+    assert z[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_grid_extraction_is_the_lp_optimum():
+    # n = 200: far past the cap, the extraction is the LP's optimum, float
+    # for float
+    n = 200
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    closed = 2.0 * (x - t) / (n * t)
+    f, g = make_function(grid), make_gauge(grid)
+    w = subdiff._reduced_basis(g)
+    dirs, sups, rows = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42, extra=[closed])
+    assert table_size(w, dirs) > subdiff._TABLE_SUBSETS
+    want = lp_optimum(w, dirs, sups, rows[0])
+    assert np.array_equal(extract_subgradient(f, x, g, objective=closed), want)
 
 
 # -- the convex flag ---------------------------------------------------------
