@@ -309,8 +309,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+        # a relative tolerance of 1 or more accepts every point in every span test
+        if not 0.0 < args.tol < 1.0:
+            raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        level = getattr(args, "level", None)
+        if level is not None and not math.isfinite(level):
+            raise UsageError(f"--level must be finite, got {level}")
         return args.handler(args)
     except (GaugeCalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

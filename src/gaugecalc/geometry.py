@@ -66,13 +66,17 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of R^n given by an orthonormal row basis."""
+    """A linear subspace of R^n given by an orthonormal row basis; R^n
+    itself always by the identity, whatever frame it was built from."""
 
     basis: np.ndarray  # shape (k, n), orthonormal rows; k may be 0
     ambient_dim: int
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
+        n = self.ambient_dim
+        if b.shape[0] == n and not (np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == n):
+            b = np.eye(n)
         object.__setattr__(self, "basis", b)
 
     @classmethod
@@ -115,10 +119,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the orthogonal complement of the union of complements."""
         comp = np.vstack([_complement_rows(self), _complement_rows(other)])
-        if comp.shape[0] == 0:
-            return Subspace.full(self.ambient_dim)
-        null = _null_space(comp)
-        return Subspace(null, self.ambient_dim)
+        return Subspace(_null_space(comp), self.ambient_dim)
 
 
 def _complement_rows(s: Subspace) -> np.ndarray:
@@ -200,7 +201,7 @@ class Representation:
 
     def span(self, s: "ConvexSet", base: np.ndarray) -> Subspace:
         """Coordinate directions reachable from ``base`` plus chords to
-        sampled members."""
+        sampled members (sublevel and oracle sets)."""
         rng = np.random.default_rng(0)
         axes = np.stack([np.eye(s.dim), -np.eye(s.dim)], axis=1).reshape(-1, s.dim)
         dirs = list(axes[_reaches(s, base, axes)])
@@ -253,12 +254,14 @@ class Representation:
 
     def kernel(self, g: "Gauge") -> Subspace:
         """Large-radius membership probes over span basis directions, the
-        ambient axes projected into the span (the probed basis can come back
-        in a rotated frame) and pairwise basis combinations."""
+        ambient axes projected into a proper span (whose basis can be any
+        rotated frame of it; a full span's basis is the axes) and pairwise
+        basis combinations."""
         s, p = g.set, g.set.center
         basis = g.span.basis
         probe_dirs: list[np.ndarray] = list(basis)
-        for a in (g.span.project(e) for e in np.eye(g.dim)):
+        axes = np.eye(g.dim) if g.span.dim < g.dim else np.zeros((0, g.dim))
+        for a in (g.span.project(e) for e in axes):
             if np.linalg.norm(a) > 1e-10:
                 probe_dirs.append(a / np.linalg.norm(a))
         for i in range(len(basis)):
@@ -423,12 +426,9 @@ class Halfspaces(Representation):
     def span(self, s, base):
         """The null space of the implicit equalities among the rows active
         at ``base`` (see :meth:`_implicit`).  With no active row the base
-        point is interior and the set full-dimensional: no LP is solved, and
-        the membership-probed frame of R^n is kept, since its orientation
-        seeds the shell probes of the generalized directional derivative."""
+        point is interior and the span is R^n, found with no LP and no
+        membership test."""
         active, equal = self._implicit(base)
-        if active.size == 0:
-            return super().span(s, base)
         return Subspace(_null_space(self.normals[active[equal]]), s.dim)
 
     def in_icr(self, s, x):
@@ -552,9 +552,7 @@ class Vertices(Representation):
         n = self.points.shape[1]
         base = self.points.mean(axis=0)
         span = Subspace.from_spanning(self.points - base, n)
-        if span.dim == n:
-            return np.zeros(n), Subspace.full(n)
-        return base, span
+        return (np.zeros(n) if span.dim == n else base), span
 
     @cached_property
     def facets(self) -> Halfspaces:
@@ -809,11 +807,12 @@ def _member(s: ConvexSet, x, what: str) -> np.ndarray:
 
 
 def span_of_difference(s: ConvexSet, base) -> Subspace:
-    """Orthonormal basis of span(S - base).
+    """Orthonormal basis of span(S - base); the identity when that is R^n.
 
     Exact for vertex sets (the direction space of the affine hull) and
-    halfspace sets (the null space of the implicit equalities); otherwise
-    probed from membership chords (coordinate directions plus random chords
+    halfspace sets (the null space of the implicit equalities, R^n at an
+    interior point with no LP and no membership test); otherwise probed
+    from membership chords (coordinate directions plus random chords
     through sampled members).
     """
     base = _member(s, base, "base point")

@@ -34,8 +34,8 @@ from .geometry import Gauge, Subspace, _complement_rows, as_vector, halving_step
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
 
-#: gen_dir_deriv: PROBES base points per shell of gauge radius R0 * 2**-j, j < SHELLS
-_SHELLS, _PROBES, _R0 = 18, 12, 1e-2
+#: gen_dir_deriv: PROBES base points per shell, at each of the gauge radii RADII
+_PROBES, _RADII = 12, (1e-2 * 2.0 ** -16, 1e-2 * 2.0 ** -17)
 #: fan sizes (per_dim, floor) of subgradient and stationarity tests, of
 #: extraction LPs and of a hull's objectives; relative LP constraint slack
 _TEST_FAN, _LP_FAN, _OBJECTIVE_FAN = (4, 16), (2, 16), (4, 8)
@@ -184,9 +184,11 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
                  seed: int) -> np.ndarray:
     """Generalized directional derivatives along the rows of ``dirs``.
 
-    The shell base points, their values and their gauges do not depend on
-    the direction, so they are drawn and evaluated once for the whole fan;
-    every (base point, row) quotient of a shell is then one batch.
+    Each shell's probes are normal draws in R^n projected onto span(g)
+    (in full dimension, the draws themselves), so no basis of the span is
+    privileged.  They do not depend on the direction, so the shell base
+    points are drawn and evaluated once for the whole fan; every (base
+    point, row) quotient of a shell is then one batch.
     """
     m = dirs.shape[0]
     out = np.zeros(m)
@@ -194,20 +196,11 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     if live.size == 0:
         return out
     rng = np.random.default_rng(seed)
-    k = g.span.dim
-    # the outer shells are not scanned, since only the two innermost are
-    # reported; their probes' normals are still drawn so that the innermost
-    # shells see the same base points and every reported value stays
-    # bit-identical to a scan of all the shells
-    rng.standard_normal((_SHELLS - 2) * _PROBES * k)
+    basis = g.span.basis
     best = np.full(m, -math.inf)
-    for j in (_SHELLS - 2, _SHELLS - 1):
-        r = _R0 * 2.0 ** (-j)
+    for r in _RADII:
         bases = [x]
-        for _ in range(_PROBES):
-            if k == 0:
-                break
-            u = g.span.basis.T @ rng.standard_normal(k)
+        for u in _images(basis.T, _images(basis, rng.standard_normal((_PROBES, x.size)))):
             mu = g.value(u)
             scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
             if scale <= 1e-14:
@@ -240,11 +233,12 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
 def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     """Generalized (upper) directional derivative.
 
-    Reports the max over the two innermost of 18 geometrically shrinking
-    gauge-shells of base points around x (radii ``1e-2 * 2**-16`` and
-    ``1e-2 * 2**-17``), one difference quotient per base point with a step
-    tied to the shell radius, as the limsup surrogate.  This is the one-row
-    case of :func:`_support_values` for a function not flagged convex.
+    Reports the max over two gauge-shells of base points around x (radii
+    ``1e-2 * 2**-16`` and ``1e-2 * 2**-17``, drawn in R^n and projected
+    onto span(g), so the value depends on the span and not on its basis),
+    one difference quotient per base point with a step tied to the shell
+    radius, as the limsup surrogate.  This is the one-row case of
+    :func:`_support_values` for a function not flagged convex.
     """
     x = as_vector(x, f.domain.dim)
     d = as_vector(d, f.domain.dim)
@@ -293,14 +287,8 @@ def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge
 def _reduced_basis(g: Gauge) -> Subspace:
     """span(gauge) intersected with the orthogonal complement of its kernel."""
     if g.kernel.dim == 0:
-        w = g.span
-    else:
-        comp = Subspace(_complement_rows(g.kernel), g.span.ambient_dim)
-        w = g.span.intersect(comp)
-    if w.dim == w.ambient_dim:
-        # canonicalize: probing may return any rotated frame of R^n
-        return Subspace.full(w.ambient_dim)
-    return w
+        return g.span
+    return g.span.intersect(Subspace(_complement_rows(g.kernel), g.span.ambient_dim))
 
 
 def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -191,6 +191,7 @@ def test_malformed_set_exits_2(capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+SEGMENT_2D = json.dumps({"dim": 2, "repr": {"vertices": [[-1, 0], [1, 0]]}, "center": [0, 0]})
 EMPTY_HALFSPACES = json.dumps({"dim": 2, "repr": {"halfspaces": []}, "center": [0, 0]})
 INTERVAL_1D = json.dumps({"dim": 1, "center": [0],
                           "repr": {"halfspaces": [{"normal": [1], "offset": 1},
@@ -226,11 +227,29 @@ def test_verify_partial_command(capsys):
     ["gauge", "--set", EMPTY_HALFSPACES, "--point", "[0, 0]"],
     ["verify", "max", "--set", EMPTY_HALFSPACES, "--fn", "abs(x1)", "--fn2", "x2",
      "--point", "[0, 0]"],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--seed", "-1"],
+    ["subdiff", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]", "--seed", "-1"],
+    ["gauge", "--set", SEGMENT_2D, "--point", "[0, 0.5]", "--tol", "1"],
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.5]", "--tol", "1e300"],
+    ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]", "--level", "nan"],
+    ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]", "--level", "inf"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--seed", ["lebourg", "--set", UNIT_BOX_2D, "--fn", "abs(x1)", "--point", "[0, 0]",
+                "--point2", "[0.5, 0]", "--seed", "-1"]),
+    ("--tol", ["gauge", "--set", SEGMENT_2D, "--point", "[0, 0.5]", "--tol", "1"]),
+    ("--level", ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]",
+                 "--level", "nan"]),
+])
+def test_bad_option_errors_name_the_option(option, argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must ")
 
 
 def test_false_convex_flag_exits_2(capsys):

@@ -65,6 +65,20 @@ def test_subspace_orthonormal_invariant():
     assert np.allclose(gram, np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_full_rank_subspace_has_the_identity_basis(n):
+    rng = np.random.default_rng(n)
+    rotated = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for s in (Subspace(rotated, n), Subspace(-np.eye(n), n),
+              Subspace.from_spanning(rng.standard_normal((n + 2, n)), n),
+              Subspace.full(n).intersect(Subspace(rotated, n))):
+        assert s.dim == n
+        assert np.array_equal(s.basis, np.eye(n))
+    # an identity basis is kept as given, not copied
+    eye = np.eye(n)
+    assert np.shares_memory(Subspace(eye, n).basis, eye)
+
+
 def test_subspace_project_residual():
     s = Subspace.from_spanning([[1.0, 0.0, 0.0]], 3)
     x = np.array([2.0, 3.0, 0.0])
@@ -258,6 +272,22 @@ def test_halfspace_span_solves_no_lp_at_an_interior_point(monkeypatch):
     assert span_of_difference(box(3), np.zeros(3)).dim == 3
     assert in_icr(box(3), np.zeros(3))
     assert calls == []
+
+
+def test_interior_halfspace_span_is_the_identity_with_no_probe(count_calls):
+    from gaugecalc import geometry
+
+    s = geometry.ConvexSet(3, geometry.Halfspaces(
+        [[1.0, 2.0, 0.0], [-1.0, 0.0, 0.5], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+        [4.0, 1.0, 2.0, 3.0]), center=np.zeros(3))
+    count_calls.wrap(geometry, "linprog")
+    count_calls.wrap(geometry.ConvexSet, "contains")
+    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    for base in (np.zeros(3), np.array([0.5, -0.25, 0.75])):
+        span = s.representation.span(s, base)
+        assert np.array_equal(span.basis, np.eye(3))
+    assert dict(count_calls) == {"linprog": 0, "contains": 0, "contains_many": 0}
+    assert np.array_equal(geometry.Gauge.of_set(box(2)).span.basis, np.eye(2))
 
 
 def test_check_symmetry():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -26,7 +27,7 @@ from gaugecalc import (
 )
 from gaugecalc import WeightedGrid, make_function, make_gauge, subdiff
 from gaugecalc.errors import LpInfeasibleError
-from gaugecalc.geometry import ConvexSet, Halfspaces, Oracle, Vertices
+from gaugecalc.geometry import ConvexSet, Halfspaces, Oracle, Vertices, whole_space
 
 
 @pytest.fixture
@@ -93,6 +94,26 @@ def test_gen_dir_deriv_upper_on_nonregular(plane, unit_gauge):
     f = fn("-abs(x1)", plane, convex=False)
     assert dir_deriv(f, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(-1.0, abs=1e-9)
     assert gen_dir_deriv(f, [0.0, 0.0], [1.0, 0.0], unit_gauge) >= 1.0 - 1e-6
+
+
+def test_gen_dir_deriv_does_not_depend_on_the_span_basis():
+    # a flat triangle in R^3: its gauge's span is a plane, whose basis is
+    # replaced by a rotated basis of the same plane
+    tri = ConvexSet(3, Vertices(np.array([[1.0, 0.0, 1.0], [-1.0, 1.0, 0.0],
+                                          [0.0, -1.0, -1.0]])), center=np.zeros(3))
+    g = Gauge.of_set(tri)
+    assert g.span.dim == 2
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotated = Subspace(np.array([[c, s], [-s, c]]) @ g.span.basis, 3)
+    assert not np.allclose(rotated.basis, g.span.basis)
+    g_rot = dataclasses.replace(g, span=rotated)
+    # at a saddle every quotient reads its base point's gradient, which
+    # moves with the base point at first order
+    f = fn("x1*x2 - x2*x3 + 0.5*x1*x3", whole_space(3), convex=False)
+    for d in np.random.default_rng(5).standard_normal((6, 3)):
+        want = gen_dir_deriv(f, [0.0, 0.0, 0.0], d, g, seed=3)
+        got = gen_dir_deriv(f, [0.0, 0.0, 0.0], d, g_rot, seed=3)
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 # -- subgradient tests --------------------------------------------------------
@@ -321,14 +342,13 @@ def scalar_gen_dir_deriv(f, x, d, g, seed):
     if float(np.linalg.norm(d)) < 1e-14:
         return 0.0
     rng = np.random.default_rng(seed)
-    k = g.span.dim
-    rng.standard_normal(16 * 12 * k)
+    b = g.span.basis
     best = -math.inf
     for j in (16, 17):
         r = 1e-2 * 2.0 ** (-j)
         bases = [x]
-        for _ in range(12):
-            u = g.span.basis.T @ rng.standard_normal(k)
+        for z in rng.standard_normal((12, x.size)):
+            u = b.T @ (b @ z)
             mu = g.value(u)
             scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
             if scale <= 1e-14:
