@@ -254,14 +254,12 @@ class Representation:
 
     def kernel(self, g: "Gauge") -> Subspace:
         """Large-radius membership probes over span basis directions, the
-        ambient axes projected into a proper span (whose basis can be any
-        rotated frame of it; a full span's basis is the axes) and pairwise
-        basis combinations."""
+        ambient axes projected into the span (a proper span's basis can be
+        any rotated frame of it) and pairwise basis combinations."""
         s, p = g.set, g.set.center
         basis = g.span.basis
         probe_dirs: list[np.ndarray] = list(basis)
-        axes = np.eye(g.dim) if g.span.dim < g.dim else np.zeros((0, g.dim))
-        for a in (g.span.project(e) for e in axes):
+        for a in (g.span.project(e) for e in np.eye(g.dim)):
             if np.linalg.norm(a) > 1e-10:
                 probe_dirs.append(a / np.linalg.norm(a))
         for i in range(len(basis)):

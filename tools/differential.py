@@ -1,23 +1,27 @@
 """Compare two checkouts of gaugecalc on the benchmark's CLI queries.
 
     python3 tools/differential.py PARENT CHANGE [--seeds 1 9173] \
-        [--calculus 200] [--certify 130] [--no-defects]
+        [--calculus 200] [--certify 130]
 
 For each seed, the first ``--calculus`` queries of the ``calculus``
 workload and the first ``--certify`` queries of ``certify`` are issued,
-with each workload's known-defect queries unless ``--no-defects`` is given.
-Each checkout runs in its own subprocess, which imports that checkout's
-``src/`` and ``perfbench/workloads.py``, so the queries and their reference
-checks are each side's own.  Nothing is written in either checkout: the
+followed by each workload's known-defect queries.  Each checkout runs in
+its own subprocess, which imports that checkout's ``src/`` and
+``perfbench/``, so the queries, their reference checks and the benchmark's
+single-thread setting (set by importing ``perfbench/run.py``) are each
+side's own.  Each query starts with the default warning filters and a fresh
+once-per-location registry, as a fresh CLI process would, so a warning
+shows on its standard error.  Nothing is written in either checkout: the
 subprocesses write no bytecode and the results come back on a pipe.
 
 The report gives, per query kind, how many outputs moved (standard output
-not byte-identical) out of how many, how many queries changed their
-verdicts (every boolean and every ``verdict`` string in the JSON output)
-or their exit code, and then the queries that fail their reference check
-on each side.  The exit status is 0 when no verdict or exit code changes
-and neither side fails a reference check, 1 otherwise; moved outputs alone
-do not fail the comparison.
+or standard error not byte-identical) out of how many, how many of those
+moved on standard error, how many queries changed their verdicts (every
+boolean and every ``verdict`` string in the JSON output) or their exit
+code, then each standard-error change and the queries that fail their
+reference check on each side.  The exit status is 0 when no verdict or
+exit code changes and neither side fails a reference check, 1 otherwise;
+moved outputs alone do not fail the comparison.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-
-#: the benchmark's single-thread setting, so both sides do the same float work
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _verdicts(doc) -> list:
@@ -59,15 +59,15 @@ def _verdicts(doc) -> list:
 
 
 def _issue(query) -> dict:
-    """One query's exit code, standard output, verdicts and reference check."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    """One query's exit code, standard output and error, verdicts and
+    reference check."""
+    with warnings.catch_warnings():  # resets the once-per-location registry
         try:
             result = query.run()
         except Exception as exc:  # a query that raises is a failed query
             return {"kind": query.kind, "rc": None, "out": f"raised {type(exc).__name__}: {exc}",
-                    "verdicts": [], "ok": False, "reason": f"{query.kind}: raised"}
-    rc, out, _ = result
+                    "err": "", "verdicts": [], "ok": False, "reason": f"{query.kind}: raised"}
+    rc, out, err = result
     try:
         verdicts = _verdicts(json.loads(out)) if out.strip() else []
     except json.JSONDecodeError:
@@ -77,18 +77,19 @@ def _issue(query) -> dict:
         ok, reason = check.ok, check.reason
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         ok, reason = False, f"{query.kind}: malformed output ({type(exc).__name__})"
-    return {"kind": query.kind, "rc": rc, "out": out, "verdicts": verdicts, "ok": ok,
-            "reason": reason}
+    return {"kind": query.kind, "rc": rc, "out": out, "err": err, "verdicts": verdicts,
+            "ok": ok, "reason": reason}
 
 
-def worker(root: Path, seeds: list, counts: dict, defects: bool) -> None:
+def worker(root: Path, seeds: list, counts: dict) -> None:
     """Issue the queries with ``root``'s program and references; print one
     JSON object mapping each query's key to its record."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import run  # sets the benchmark's thread variables before numpy loads
     import gaugecalc
     import workloads
 
-    for module in (gaugecalc, workloads):
+    for module in (run, gaugecalc, workloads):
         if not Path(module.__file__).resolve().is_relative_to(root):
             sys.exit(f"error: {module.__name__} imported from {module.__file__}")
     records = {}
@@ -97,19 +98,20 @@ def worker(root: Path, seeds: list, counts: dict, defects: bool) -> None:
             w = workloads.WORKLOADS[name]
             for i in range(count):
                 records[f"{name} seed {seed} query {i}"] = _issue(w.query(seed, i))
-            for k, query in enumerate(w.defect_set(seed) if defects else []):
+            for k, query in enumerate(w.defect_set(seed)):
                 records[f"{name} seed {seed} defect {k}"] = _issue(query)
+    for record in records.values():  # a warning names its file under the checkout
+        record["err"] = record["err"].replace(f"{root}{os.sep}", "")
     json.dump(records, sys.stdout)
 
 
 def run_side(root: Path, args) -> dict:
     """The records of one checkout, from a fresh interpreter."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    env.update({var: "1" for var in THREAD_VARS}, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONHASHSEED="0")
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root),
             "--seeds", *map(str, args.seeds), "--calculus", str(args.calculus),
-            "--certify", str(args.certify)] + (["--no-defects"] if args.no_defects else [])
+            "--certify", str(args.certify)]
     done = subprocess.run(argv, env=env, cwd=root, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"error: the queries of {root} exited with status {done.returncode}")
@@ -117,19 +119,22 @@ def run_side(root: Path, args) -> dict:
 
 
 def compare(parent: dict, change: dict) -> tuple[list, list, int]:
-    """Table rows (kind, moved, total, verdict changes, exit code changes),
-    report lines and the exit status."""
+    """Table rows (kind, moved, total, standard-error changes, verdict
+    changes, exit code changes), report lines and the exit status."""
     if parent.keys() != change.keys():
         sys.exit("error: the two sides issued different queries")
-    rows = collections.defaultdict(lambda: [0, 0, 0, 0])
+    rows = collections.defaultdict(lambda: [0, 0, 0, 0, 0])
     lines, status = [], 0
     for key, a in parent.items():
         b = change[key]
         kind = a["kind"] if a["kind"] == b["kind"] else f"{a['kind']} -> {b['kind']}"
         row = rows[kind]
-        row[0] += a["out"] != b["out"]
+        row[0] += a["out"] != b["out"] or a["err"] != b["err"]
         row[1] += 1
-        for i, field in ((2, "verdicts"), (3, "rc")):
+        if a["err"] != b["err"]:
+            row[2] += 1
+            lines.append(f"{key} ({kind}): stderr {a['err']!r} -> {b['err']!r}")
+        for i, field in ((3, "verdicts"), (4, "rc")):
             if a[field] != b[field]:
                 row[i] += 1
                 status = 1
@@ -150,22 +155,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 9173])
     parser.add_argument("--calculus", type=int, default=200, help="calculus queries per seed")
     parser.add_argument("--certify", type=int, default=130, help="certify queries per seed")
-    parser.add_argument("--no-defects", action="store_true",
-                        help="leave out the known-defect queries")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     counts = {"calculus": args.calculus, "certify": args.certify}
     if args.worker:
-        worker(args.worker.resolve(), args.seeds, counts, not args.no_defects)
+        worker(args.worker.resolve(), args.seeds, counts)
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT and CHANGE are required")
     parent, change = (run_side(root.resolve(), args) for root in (args.parent, args.change))
     table, lines, status = compare(parent, change)
     width = max([len("kind")] + [len(row[0]) for row in table])
-    print(f"{'kind':<{width}}  moved/total  verdict  exit")
-    for kind, moved, total, verdicts, codes in table:
-        print(f"{kind:<{width}}  {f'{moved}/{total}':>11}  {verdicts:>7}  {codes:>4}")
+    print(f"{'kind':<{width}}  moved/total  stderr  verdict  exit")
+    for kind, moved, total, errs, verdicts, codes in table:
+        print(f"{kind:<{width}}  {f'{moved}/{total}':>11}  {errs:>6}  {verdicts:>7}  {codes:>4}")
     moved, total = sum(row[1] for row in table), sum(row[2] for row in table)
     print(f"{'all':<{width}}  {f'{moved}/{total}':>11}")
     print("\n".join(lines))
