@@ -455,11 +455,13 @@ class Halfspaces(Representation):
         return True
 
     def gauge(self, g, x):
-        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``;
-        ``inf`` when such a row holds with equality at the center."""
+        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``
+        (beyond a relative ``1e-3 * g.tol`` of ``|x|``, which ``math.hypot``
+        takes without overflow); ``inf`` when such a row holds with equality
+        at the center."""
         num = self.normals @ x
         den = self.offsets - self.normals @ g.set.center
-        rising = num > g.tol * math.sqrt(x @ x) * 1e-3
+        rising = num > g.tol * math.hypot(*x) * 1e-3
         if (den[rising] <= g.tol * (1.0 + np.abs(self.offsets[rising]))).any():
             return math.inf
         return float((num[rising] / den[rising]).max(initial=0.0))
@@ -905,7 +907,7 @@ def minkowski_gauge(g: Gauge, x) -> float:
     predicate to relative ``g.tol``.
     """
     x = as_vector(x, g.dim)
-    if float(np.linalg.norm(x)) == 0.0:
+    if not x.any():
         return 0.0
     if g.fn is not None:
         if not g.span.contains(x, g.tol * 10):

@@ -131,7 +131,7 @@ def _fan_for(w: Subspace, seed: int = 42) -> np.ndarray:
     same seed."""
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    dirs, _ = _direction_fan(w, _RULE_FAN, seed)
+    dirs, _, _ = _direction_fan(w, _RULE_FAN, seed)
     pairs = [(w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
              for i in range(w.dim) for j in range(i + 1, w.dim) for s in (1.0, -1.0)]
     return np.vstack([dirs, _signed([np.array(pairs).reshape(-1, w.ambient_dim)])])
@@ -142,7 +142,7 @@ def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
     """The vertices of the set whose support values along the rule fan's
     rows are ``sups``: the optimal faces of the fan's opening rows, the
     hull objectives, in the vertex table of the fan's own support values."""
-    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    objectives, _, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
     return [list(map(float, z)) for z in _vertices(w, rows, sups, range(len(objectives)))]
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .errors import (
     ConvexityFlagError,
@@ -61,45 +62,74 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
-        base_rows: Optional[np.ndarray] = None) -> np.ndarray:
+        base_rows: Optional[np.ndarray] = None, axes: int = 0) -> np.ndarray:
     """``op`` (a batch evaluator: point rows in, one value per row out) at
     the points ``base + t[i] * dirs[rows[i]]``, or with ``base_rows`` at
-    ``base[base_rows[i]] + t[i] * dirs[rows[i]]``, a chunk at a time."""
+    ``base[base_rows[i]] + t[i] * dirs[rows[i]]``, a chunk at a time.
+
+    The first ``axes`` rows of ``dirs`` are the signed axes ``+e_0, -e_0,
+    +e_1, -e_1, ...`` that open a fan over the whole space (see
+    :func:`_direction_fan`); with ``axes`` nonzero, ``rows`` is ascending
+    and there is one base point.  A point along a signed axis is a copy of
+    the base with one coordinate written, ``base[i] + dirs[r, i] * t``: the
+    copy is ``base + 0.0`` along ``+e_i`` and ``base`` along ``-e_i``, the
+    signed zeros that ``0.0 * t + base`` and ``-0.0 * t + base`` give, so
+    every point is the same floats as the product and sum over the whole
+    row, with no pass over the row."""
     size = max(1, _CHUNK_ELEMENTS // max(dirs.shape[1], 1))
     buf = np.empty((min(size, rows.size), dirs.shape[1]))
+    lead = int(rows.searchsorted(axes)) if axes else 0  # the axis rows lead
+    if lead:
+        cols = rows[:lead] // 2
+        step = dirs[rows[:lead], cols] * t[:lead]
+        plus, lifted, written = step > 0.0, base + 0.0, base[cols] + step
+        at = np.arange(min(size, lead))
     out = []
     for lo in range(0, rows.size, size):
-        pts = buf[:rows.size - lo] if rows.size - lo < size else buf
-        np.take(dirs, rows[lo:lo + size], axis=0, out=pts)
-        pts *= t[lo:lo + size, None]
-        pts += base if base_rows is None else base[base_rows[lo:lo + size]]
+        hi = min(lo + size, rows.size)
+        pts = buf[:hi - lo]
+        k = min(max(lead - lo, 0), hi - lo)
+        if k:
+            pts[:k] = base
+            pts[:k][plus[lo:lo + k]] = lifted
+            pts[at[:k], cols[lo:lo + k]] = written[lo:lo + k]
+        dense = pts[k:]
+        dirs.take(rows[lo + k:hi], axis=0, out=dense)
+        dense *= t[lo + k:hi, None]
+        dense += base if base_rows is None else base[base_rows[lo + k:hi]]
         out.append(np.array(op(pts)))  # a copy: the result may view the reused buffer
     return np.concatenate(out) if out else np.empty(0)
 
 
 def _feasible_steps(f: ScalarFunction, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray,
-                    t: np.ndarray, floor: float,
-                    base_rows: Optional[np.ndarray] = None) -> np.ndarray:
+                    t: np.ndarray, floor: float, base_rows: Optional[np.ndarray] = None,
+                    axes: int = 0) -> np.ndarray:
     """Halve each start step ``t[i]`` until ``base + t[i] * dirs[rows[i]]``
     (with ``base_rows``, from ``base[base_rows[i]]``) lies in f's domain or
     the step is at most ``floor``; one batch membership call per halving.
-    Returns ``t``, updated in place."""
+    ``axes`` is as in :func:`_at`.  Returns ``t``, updated in place."""
     def inside(search, steps):
         return _at(f.domain.contains_many, base, dirs, rows[search], steps,
-                   None if base_rows is None else base_rows[search])
+                   None if base_rows is None else base_rows[search], axes)
 
     return halving_steps(inside, t, floor)
 
 
-def _nonzero_rows(dirs: np.ndarray) -> np.ndarray:
-    """The rows a derivative is taken along; the others read 0."""
-    return np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) >= 1e-14)
+def _nonzero_rows(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
+    """The rows a derivative is taken along; the others read 0.  The first
+    ``axes`` rows, signed axes (see :func:`_at`), are not measured."""
+    tail = dirs[axes:]
+    return np.concatenate([np.arange(axes),
+                           axes + np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", tail, tail))
+                                                 >= 1e-14)])
 
 
-def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
+            axes: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """One-sided directional derivatives of f at x along the rows of ``dirs``
-    by halving difference ladders run in lockstep, and the number of sign
-    changes between consecutive quotient differences on each row.
+    (the first ``axes`` of them signed axes, see :func:`_at`) by halving
+    difference ladders run in lockstep, and the number of sign changes
+    between consecutive quotient differences on each row.
 
     Each step evaluates every row whose ladder is still running as one
     batch; each row keeps its own step, stopping rules and Richardson step,
@@ -108,19 +138,19 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray) -> tuple[np.ndar
     m = dirs.shape[0]
     out = np.zeros(m)
     oscillations = np.zeros(m, dtype=int)
-    live = _nonzero_rows(dirs)
+    live = _nonzero_rows(dirs, axes)
     if live.size == 0:
         return out, oscillations
     t = np.ones(m)
     # the floor sits well above the membership tolerance so that boundary
     # fuzz is not mistaken for a feasible sliver
-    t[live] = _feasible_steps(f, x, dirs, live, t[live], 1e-7)
+    t[live] = _feasible_steps(f, x, dirs, live, t[live], 1e-7, axes=axes)
     if np.any(t[live] <= 1e-7):
         raise NoFeasibleStepError("no feasible step from x along d inside the domain")
     fx = f(x)
 
     def quotients(rows):
-        return (_at(f.many, x, dirs, rows, t[rows]) - fx) / t[rows]
+        return (_at(f.many, x, dirs, rows, t[rows], axes=axes) - fx) / t[rows]
 
     q, q_prev = np.zeros(m), np.zeros(m)
     has_q, has_prev = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
@@ -245,23 +275,25 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     return float(_generalized(f, x, d[None, :], g, seed)[0])
 
 
-def _negation_pairs(dirs: np.ndarray) -> np.ndarray:
+def _negation_pairs(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
     """The rows i whose next row is exactly -dirs[i], compared a chunk of
-    rows at a time."""
+    rows at a time; among the first ``axes`` rows, signed axes (see
+    :func:`_at`), those are the even rows, which are not compared."""
     m, n = dirs.shape
     size = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    out = [np.empty(0, dtype=int)]
-    for lo in range(0, m - 1, size):
+    out = [np.arange(0, axes, 2)]
+    for lo in range(max(axes - 1, 0), m - 1, size):
         hi = min(lo + size, m - 1)
         out.append(lo + np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
     return np.concatenate(out)
 
 
 def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
-                    seed: int = 42) -> np.ndarray:
+                    seed: int = 42, axes: int = 0) -> np.ndarray:
     """Support values of f's subdifferential at x along the rows of
-    ``dirs``: directional derivatives for convex-flagged functions,
-    generalized directional derivatives otherwise, one fan at a time.
+    ``dirs`` (the first ``axes`` of them signed axes, see :func:`_at`):
+    directional derivatives for convex-flagged functions, generalized
+    directional derivatives otherwise, one fan at a time.
 
     A convex function's one-sided derivative is sublinear, so on every
     pair of consecutive rows v, -v (a fan's frame and extra rows come in
@@ -271,8 +303,8 @@ def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge
     """
     if not f.convex:
         return _generalized(f, x, dirs, g, seed)
-    h = _ladder(f, x, dirs)[0]
-    i = _negation_pairs(dirs)
+    h = _ladder(f, x, dirs, axes)[0]
+    i = _negation_pairs(dirs, axes)
     total = h[i] + h[i + 1]
     bad = np.flatnonzero(total < -_SUBLINEAR_TOL * (1.0 + np.abs(h[i]) + np.abs(h[i + 1])))
     if bad.size:
@@ -346,11 +378,13 @@ def _frame(w: Subspace) -> np.ndarray:
 
 
 def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
-                   extra=()) -> tuple[np.ndarray, list[int]]:
+                   extra=()) -> tuple[np.ndarray, list[int], int]:
     """The frame rows, +/- each projected extra vector, then random unit
     directions in ``w`` up to ``max(per_dim * w.dim, floor)``.  Also the row
     of each extra vector (its negation is the next row), or 0, the first
-    basis vector, for one with no component in ``w``."""
+    basis vector, for one with no component in ``w``, and the number of
+    leading signed-axis rows (see :func:`_at`): ``2 * w.dim`` when ``w`` is
+    the whole space, whose basis is the identity, else 0."""
     n = w.ambient_dim
     halves = _frame_halves(w)
     opening = 2 * sum(h.shape[0] for h in halves)
@@ -369,14 +403,15 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
         u, _ = _units(_images(w.basis.T, rng.standard_normal((count - have, w.dim))), 1e-14)
         randoms.append(u)
         have += u.shape[0]
-    return _signed(halves, np.vstack(randoms) if randoms else None), rows
+    axes = 2 * w.dim if w.dim == n else 0
+    return _signed(halves, np.vstack(randoms) if randoms else None), rows, axes
 
 
 def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
-                 extra=()) -> tuple[np.ndarray, np.ndarray, list[int]]:
+                 extra=()) -> tuple[np.ndarray, np.ndarray, list[int], int]:
     """:func:`_direction_fan` with f's support value along each row."""
-    dirs, rows = _direction_fan(w, size, seed, extra)
-    return dirs, _support_values(f, x, dirs, g, seed), rows
+    dirs, rows, axes = _direction_fan(w, size, seed, extra)
+    return dirs, _support_values(f, x, dirs, g, seed, axes), rows, axes
 
 
 def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -395,7 +430,22 @@ def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[np.all(z @ a.T <= b + _FEASIBLE_TOL * (1.0 + np.abs(b)), axis=1)]
 
 
-def _optimizer(w: Subspace, dirs, sups):
+def _sparse_rows(a: np.ndarray, axes: int) -> csr_array:
+    """``a`` as a sparse matrix: one entry per row for its first ``axes``
+    rows, signed axes (see :func:`_at`), read off their diagonal with no
+    pass over ``a``, then the nonzero entries of the rows after them.  Its
+    CSC form is the one ``csc_array(a)`` gives."""
+    tail = a[axes:]
+    r, c = np.nonzero(tail)
+    lead = np.arange(axes)
+    counts = np.bincount(r, minlength=tail.shape[0])
+    return csr_array((np.concatenate([a[lead, lead // 2], tail[r, c]]),
+                      np.concatenate([lead // 2, c]),
+                      np.concatenate([lead, [axes], axes + np.cumsum(counts)])),
+                     shape=a.shape)
+
+
+def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
     """The solver of one row's LP: the optimal face of <z, dirs[row]> over
     the outer approximation {z : <z, v> <= h(v) + slack for every fan row v}
     of the subdifferential, as its vertices in lexicographic order; the
@@ -405,7 +455,9 @@ def _optimizer(w: Subspace, dirs, sups):
     rows, every face is read from one vertex table (:func:`_vertex_table`)
     built here: the table vertices within a relative :data:`_ATTAINED_TOL`
     of the row's maximum.  Past the cap each row solves its LP (HiGHS),
-    whose one optimum is the face it returns.
+    whose one optimum is the face it returns; the constraint matrix goes to
+    HiGHS as :func:`_sparse_rows` of the fan's first ``axes`` rows, signed
+    axes, and the rest.
     """
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
@@ -435,15 +487,16 @@ def _optimizer(w: Subspace, dirs, sups):
 
         return face
 
+    sparse = _sparse_rows(a_ub, axes)
+
     def solve(row: int) -> np.ndarray:
         c = -(dirs[row] if full else w.basis @ dirs[row])
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
-                      method="highs")
+        res = linprog(c, A_ub=sparse, b_ub=b_ub, bounds=(None, None), method="highs")
         if res.status != 0:
             # presolve misclassifies near-equality constraint pairs with tiny
             # right-hand sides as inconsistent; the raw solve handles them
-            res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * w.dim,
-                          method="highs", options={"presolve": False})
+            res = linprog(c, A_ub=sparse, b_ub=b_ub, bounds=(None, None), method="highs",
+                          options={"presolve": False})
         if res.status != 0:
             raise LpInfeasibleError(_INFEASIBLE)
         checked(row, float(-res.fun))
@@ -452,7 +505,7 @@ def _optimizer(w: Subspace, dirs, sups):
     return solve
 
 
-def _vertices(w: Subspace, dirs, sups, rows) -> list[np.ndarray]:
+def _vertices(w: Subspace, dirs, sups, rows, axes: int = 0) -> list[np.ndarray]:
     """The distinct vertices of the rows' optimal faces (see
     :func:`_optimizer`), in the order the rows and faces list them; a vertex
     within a relative 1e-7 of one listed before is dropped.
@@ -462,7 +515,7 @@ def _vertices(w: Subspace, dirs, sups, rows) -> list[np.ndarray]:
     support value to within a relative 1e-9, and the optimum lies at most
     the constraint slack above it.
     """
-    face = _optimizer(w, dirs, sups)
+    face = _optimizer(w, dirs, sups, axes)
     grads: list[np.ndarray] = []
     for row in rows:
         h = float(sups[row])
@@ -485,8 +538,8 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
         raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
                                    "is zero-dimensional")
     obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
-    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
-    face = _optimizer(w, dirs, sups)
+    dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
+    face = _optimizer(w, dirs, sups, axes)
     # one pick per sign: the lexicographically smallest vertex of the face
     return [face(rows[0] + (s < 0))[0] for s in signs]
 
@@ -503,7 +556,7 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool
     w = _reduced_basis(g)
     if w.dim == 0:
         return float(np.linalg.norm(zeta)) <= _SUBGRADIENT_TOL
-    dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
+    dirs, sups, _, _ = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
     return bool(np.all(dirs @ zeta <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
 
 
@@ -516,7 +569,11 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
     When the fan has at most 4,096 subsets of ``w.dim`` rows (``w`` the
     reduced space) the optimum comes from the fan's vertex table, and of a
     tied face the lexicographically smallest vertex is returned; past that
-    cap one HiGHS LP returns its optimum.  Raises
+    cap one HiGHS LP returns its optimum.  Its constraint matrix is handed
+    over sparse: one entry for each of the signed axes that open a fan over
+    the whole space, then the nonzero entries of the other rows, which is
+    the model a dense matrix gives, so the optimum is the same floats.
+    Raises
     :class:`SupportMismatchError` when the optimum misses the objective's
     support value by more than a relative 1e-5."""
     return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
@@ -559,14 +616,14 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    objectives, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    objectives, _, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
     # the objectives open with the frame rows, which the fan holds already
     k = len(_frame(w))
-    dirs, sups, rows = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
+    dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
     rows = list(range(k)) + rows
     return SupportSet(base_point=x, directions=list(objectives),
                       support_values=[float(sups[r]) for r in rows],
-                      subgradients=_vertices(w, dirs, sups, rows))
+                      subgradients=_vertices(w, dirs, sups, rows, axes))
 
 
 def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
@@ -575,7 +632,7 @@ def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
     w = _reduced_basis(g)
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
-    dirs, sups, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
+    dirs, sups, _, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
     i = int(np.argmin(sups))
     return {"is_critical": bool(sups[i] >= -_CRITICAL_TOL), "min_derivative": float(sups[i]),
             "worst_direction": list(map(float, dirs[i]))}

@@ -32,6 +32,18 @@ def test_gauge_set_from_file(tmp_path, capsys):
     assert doc["value"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("point,value", [("[1e200, 0]", 1e200), ("[1e308, 1e308]", 1e308),
+                                         ("[1e-200, 0]", 1e-200)])
+def test_gauge_of_a_point_whose_squared_norm_overflows(capsys, point, value):
+    # the ratio formula's threshold scales with |x| without squaring it, so
+    # neither a huge nor a tiny point reads 0.0, and no warning is printed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, doc = run(capsys, "gauge", "--set", UNIT_BOX_2D, "--point", point)
+    assert code == 0 and doc["value"] == value
+    assert caught == []
+
+
 def test_core_command(capsys):
     dom = json.dumps(set_to_json(box(1, -1, 2, center=[0.5])))
     code, doc = run(capsys, "core", "--set", dom, "--fn", "x1^2",

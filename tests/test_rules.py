@@ -282,7 +282,7 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # the rule fan opens with the objectives a hull draws with the same
     # seed, so the sum's vertex table needs no fan of their own
     w = subdiff._reduced_basis(unit_gauge)
-    objectives, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
+    objectives, _, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
     fan = rules._fan_for(w, 42)
     assert np.array_equal(fan[:len(objectives)], np.array(objectives))
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners

@@ -373,8 +373,8 @@ def grid_fan(n, seed=7):
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     g = make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                     extra=[2.0 * (x - t) / (n * t)])
+    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                        extra=[2.0 * (x - t) / (n * t)])
     return make_function(grid), x, g, np.array(dirs)
 
 
@@ -552,15 +552,84 @@ def test_fan_matches_the_list_construction(size):
         seed = int(rng.integers(1 << 20))
         frame = subdiff._frame(w)
         assert np.array_equal(frame, np.array(list_frame(w)).reshape(-1, n))
-        dirs, rows = subdiff._direction_fan(w, size, seed, extra)
+        dirs, rows, axes = subdiff._direction_fan(w, size, seed, extra)
         want, want_rows = list_fan(w, size, seed, extra)
         assert dirs.shape == want.shape and np.all(dirs == want)
         assert rows == want_rows
+        # a fan over the whole space opens with +e_i, -e_i for each axis
+        # (every entry of -e_i, its zeros too, carries the sign bit)
+        assert axes == (2 * n if w.dim == n else 0)
+        assert np.array_equal(dirs[:axes:2], np.eye(n)[:axes // 2])
+        assert np.array_equal(-dirs[1:axes:2], np.eye(n)[:axes // 2])
+        assert np.all(np.signbit(dirs[1:axes:2]))
 
 
 def test_grid_frame_matches_the_list_construction():
     w = Subspace.full(1000)
     assert np.all(subdiff._frame(w) == np.array(list_frame(w)))
+
+
+def signed_zeros(rng, v):
+    """``v`` with about a third of its entries replaced by 0.0 or -0.0."""
+    v = v.copy()
+    flat = v.reshape(-1)
+    hit = rng.random(flat.size) < 1 / 3
+    flat[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), chunk=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_axis_points_are_the_dense_points(n, chunk, seed):
+    # a fan over the whole space opens with its signed axes; a point along
+    # one is the base plus a signed zero with one coordinate written, and
+    # must be the same floats, signed zeros included, as the dense product
+    # and sum, for any ascending rows (axis and dense rows mixed, repeated)
+    # over several chunks
+    rng = np.random.default_rng(seed)
+    dirs, _, axes = subdiff._direction_fan(Subspace.full(n), (2, 4), seed,
+                                           extra=[rng.standard_normal(n)])
+    dirs = np.vstack([dirs, signed_zeros(rng, rng.standard_normal((3, n)))])
+    base = signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+    rows = np.sort(np.concatenate([
+        rng.integers(0, axes, int(rng.integers(1, 2 * axes))),
+        rng.integers(0, dirs.shape[0], int(rng.integers(0, 2 * dirs.shape[0])))]))
+    t = np.where(rng.random(rows.size) < 0.5, 2.0 ** -rng.integers(0, 30, rows.size),
+                 rng.uniform(1e-7, 1.0, rows.size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
+        got = subdiff._at(np.copy, base, dirs, rows, t, axes=axes)
+        want = subdiff._at(np.copy, base, dirs, rows, t)
+    assert got.shape == (rows.size, n) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(chunk=st.integers(1, 90), seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
+    # WeightedGrid(40): the extraction fan's ladder, scans and support
+    # values read the same floats with and without the axis count, with
+    # base points that hold signed zeros, over several chunks
+    rng = np.random.default_rng(seed)
+    n = 40
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = signed_zeros(rng, t + rng.uniform(-0.4, 1.0) + rng.uniform(-0.5, 0.5) * t)
+    f, g = make_function(grid), make_gauge(grid)
+    w = subdiff._reduced_basis(g)
+    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                           extra=[rng.standard_normal(n)])
+    assert axes == 2 * n < dirs.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
+        got = subdiff._ladder(f, x, dirs, axes)
+        want = subdiff._ladder(f, x, dirs)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dirs))
+        assert np.array_equal(subdiff._negation_pairs(dirs, axes),
+                              subdiff._negation_pairs(dirs))
+        assert subdiff._support_values(f, x, dirs, g, seed, axes).tobytes() == \
+            subdiff._support_values(f, x, dirs, g, seed).tobytes()
 
 
 # -- hull LPs ----------------------------------------------------------------
@@ -569,10 +638,10 @@ def test_grid_frame_matches_the_list_construction():
 def hull_table(f, x, g, seed=42):
     """The fan, support values and objective rows of a hull at x."""
     w = subdiff._reduced_basis(g)
-    objectives, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
+    objectives, _, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
     k = len(subdiff._frame(w))
-    dirs, sups, rows = subdiff._support_fan(f, np.asarray(x, float), g, w,
-                                            subdiff._LP_FAN, seed, extra=objectives[k:])
+    dirs, sups, rows, _ = subdiff._support_fan(f, np.asarray(x, float), g, w,
+                                               subdiff._LP_FAN, seed, extra=objectives[k:])
     return w, dirs, sups, list(range(k)) + rows
 
 
@@ -639,8 +708,8 @@ def test_a_tied_facet_lists_its_corners(plane, unit_gauge):
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: each axis objective's optimal
     # face is an edge, read whole from the table in lexicographic order
     w = subdiff._reduced_basis(unit_gauge)
-    dirs, sups, _ = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
-                                         unit_gauge, w, subdiff._LP_FAN, 42)
+    dirs, sups, _, _ = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
+                                            unit_gauge, w, subdiff._LP_FAN, 42)
     face = subdiff._optimizer(w, dirs, sups)
     for row, ends in [(0, [(2.0, -1.0), (2.0, 1.0)]), (1, [(-2.0, -1.0), (-2.0, 1.0)]),
                       (2, [(-2.0, 1.0), (2.0, 1.0)]), (3, [(-2.0, -1.0), (2.0, -1.0)])]:
@@ -669,8 +738,8 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
     n = dim + proper
     w = Subspace.from_spanning(rng.standard_normal((dim, n)), n) if proper \
         else Subspace.full(n)
-    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                     extra=rng.standard_normal((2, n)))
+    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                        extra=rng.standard_normal((2, n)))
     assert table_size(w, dirs) <= subdiff._TABLE_SUBSETS
     count = {"polytope": dim + 3, "segment": 2}.get(shape, 1)
     points = 3.0 * rng.standard_normal((count, dim)) @ w.basis
@@ -707,7 +776,7 @@ def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
            box(dim, -5, 5, center=[0.0] * dim))
     g = Gauge.of_set(box(dim))
     w = subdiff._reduced_basis(g)
-    dirs, _ = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
+    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
     assert (table_size(w, dirs) > subdiff._TABLE_SUBSETS) == (lps > 0)
     z = extract_subgradient(f, np.zeros(dim), g)
     assert count_calls["lp"] == lps
@@ -724,10 +793,74 @@ def test_grid_extraction_is_the_lp_optimum():
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, sups, rows = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42, extra=[closed])
+    dirs, sups, rows, _ = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
+                                               extra=[closed])
     assert table_size(w, dirs) > subdiff._TABLE_SUBSETS
     want = lp_optimum(w, dirs, sups, rows[0])
     assert np.array_equal(extract_subgradient(f, x, g, objective=closed), want)
+
+
+def grid40():
+    """WeightedGrid(40), past the cap: its function, state, gauge, closed
+    form, reduced space and extraction fan with support values."""
+    n = 40
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    closed = 2.0 * (x - t) / (n * t)
+    f, g = make_function(grid), make_gauge(grid)
+    w = subdiff._reduced_basis(g)
+    dirs, sups, rows, axes = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
+                                                  extra=[closed])
+    assert table_size(w, dirs) > subdiff._TABLE_SUBSETS and axes == 2 * n
+    return f, x, g, closed, w, dirs, sups, rows
+
+
+def recording_linprog(monkeypatch, statuses=()):
+    """Wrap subdiff's linprog to record each call's arguments; the first
+    calls report the given ``statuses`` instead of their result."""
+    calls, fake = [], list(statuses)
+
+    def wrapped(c, **kwargs):
+        calls.append(kwargs)
+        res = linprog(c, **kwargs)
+        if fake:
+            res.status = fake.pop(0)
+        return res
+
+    monkeypatch.setattr(subdiff, "linprog", wrapped)
+    return calls
+
+
+def test_the_past_cap_lp_is_handed_the_dense_model(monkeypatch):
+    # the sparse matrix HiGHS receives is the CSC that the dense rows give
+    # (the same values; its index arrays may be wider integers), so the
+    # extraction is a dense-matrix LP's optimum, byte for byte
+    from scipy.sparse import csc_array, issparse
+
+    f, x, g, closed, w, dirs, sups, rows = grid40()
+    calls = recording_linprog(monkeypatch)
+    z = extract_subgradient(f, x, g, objective=closed)
+    [call] = calls
+    assert issparse(call["A_ub"]) and call["bounds"] == (None, None)
+    got, want = csc_array(call["A_ub"]), csc_array(dirs)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert z.tobytes() == lp_optimum(w, dirs, sups, rows[0]).tobytes()
+
+
+def test_the_presolve_retry_runs_on_the_sparse_model(monkeypatch):
+    f, x, g, closed, w, dirs, sups, rows = grid40()
+    calls = recording_linprog(monkeypatch, statuses=[2])
+    z = extract_subgradient(f, x, g, objective=closed)
+    first, retry = calls
+    assert retry["A_ub"] is first["A_ub"] and retry["options"] == {"presolve": False}
+    # the raw solve on the dense matrix finds the same optimum
+    b_ub = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
+    raw = linprog(-dirs[rows[0]], A_ub=dirs, b_ub=b_ub, bounds=[(None, None)] * w.dim,
+                  method="highs", options={"presolve": False})
+    assert z.tobytes() == raw.x.tobytes()
 
 
 # -- the convex flag ---------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Compare two checkouts of gaugecalc on the benchmark's CLI queries.
+"""Compare two checkouts of gaugecalc on the benchmark's queries.
 
     python3 tools/differential.py PARENT CHANGE [--seeds 1 9173] \
-        [--calculus 200] [--certify 130]
+        [--calculus 200] [--certify 130] [--grid 30]
 
 For each seed, the first ``--calculus`` queries of the ``calculus``
-workload and the first ``--certify`` queries of ``certify`` are issued,
-followed by each workload's known-defect queries.  Each checkout runs in
-its own subprocess, which imports that checkout's ``src/`` and
-``perfbench/``, so the queries, their reference checks and the benchmark's
-single-thread setting (set by importing ``perfbench/run.py``) are each
-side's own.  Each query starts with the default warning filters and a fresh
+workload, the first ``--certify`` queries of ``certify`` and the first
+``--grid`` queries of ``grid`` are issued, followed by each workload's
+known-defect queries.  A CLI query's output is its standard output; a
+``grid`` query calls the Python API, and its output is an extraction's
+vector as the hex of its bytes (``tobytes()``) or a worked example's
+sorted-key JSON, with the warnings it prints as its standard error.  Each
+checkout runs in its own subprocess, which imports that checkout's
+``src/`` and ``perfbench/``, so the queries, their reference checks and
+the benchmark's single-thread setting (set by importing
+``perfbench/run.py``) are each side's own.  Each query starts with the default warning filters and a fresh
 once-per-location registry, as a fresh CLI process would, so a warning
 shows on its standard error.  Nothing is written in either checkout: the
 subprocesses write no bytecode and the results come back on a pipe.
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -60,18 +66,26 @@ def _verdicts(doc) -> list:
 
 def _issue(query) -> dict:
     """One query's exit code, standard output and error, verdicts and
-    reference check."""
-    with warnings.catch_warnings():  # resets the once-per-location registry
+    reference check; a Python-API query that returns has exit code 0."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        # catch_warnings resets the once-per-location registry
         try:
             result = query.run()
         except Exception as exc:  # a query that raises is a failed query
             return {"kind": query.kind, "rc": None, "out": f"raised {type(exc).__name__}: {exc}",
                     "err": "", "verdicts": [], "ok": False, "reason": f"{query.kind}: raised"}
-    rc, out, err = result
-    try:
-        verdicts = _verdicts(json.loads(out)) if out.strip() else []
-    except json.JSONDecodeError:
-        verdicts = []
+    if isinstance(result, tuple):
+        rc, out, err = result
+        try:
+            verdicts = _verdicts(json.loads(out)) if out.strip() else []
+        except json.JSONDecodeError:
+            verdicts = []
+    elif hasattr(result, "tobytes"):  # an extraction's vector
+        rc, out, err, verdicts = 0, result.tobytes().hex(), err.getvalue(), []
+    else:  # a worked example's report
+        rc, out, err = 0, json.dumps(result, sort_keys=True), err.getvalue()
+        verdicts = _verdicts(result)
     try:
         check = query.check(result)
         ok, reason = check.ok, check.reason
@@ -111,7 +125,7 @@ def run_side(root: Path, args) -> dict:
     env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root),
             "--seeds", *map(str, args.seeds), "--calculus", str(args.calculus),
-            "--certify", str(args.certify)]
+            "--certify", str(args.certify), "--grid", str(args.grid)]
     done = subprocess.run(argv, env=env, cwd=root, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"error: the queries of {root} exited with status {done.returncode}")
@@ -155,9 +169,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 9173])
     parser.add_argument("--calculus", type=int, default=200, help="calculus queries per seed")
     parser.add_argument("--certify", type=int, default=130, help="certify queries per seed")
+    parser.add_argument("--grid", type=int, default=30, help="grid queries per seed")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    counts = {"calculus": args.calculus, "certify": args.certify}
+    counts = {"calculus": args.calculus, "certify": args.certify, "grid": args.grid}
     if args.worker:
         worker(args.worker.resolve(), args.seeds, counts)
         return 0
