@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Tuple
 
 import numpy as np
@@ -216,12 +217,12 @@ class _Violation(Exception):
     the rows in order, raises the tagged error of the first such row."""
 
 
-def _exact_map(op, values: np.ndarray) -> np.ndarray:
-    """``op`` (a Python float function) at each entry; numpy's vectorized
-    ``exp`` and ``**`` differ from ``math.exp`` and ``float.__pow__`` in
-    the last bit on some inputs."""
+def _exact_map(op, values: np.ndarray, *args) -> np.ndarray:
+    """``op(v, *args)`` (a Python float function) at each entry ``v``;
+    numpy's vectorized ``exp`` and ``**`` differ from ``math.exp`` and
+    ``float.__pow__`` in the last bit on some inputs."""
     try:
-        return np.array([op(v) for v in values.tolist()], dtype=float)
+        return np.array(list(map(op, values.tolist(), *(repeat(a) for a in args))), dtype=float)
     except OverflowError:
         raise _Violation from None
 
@@ -285,7 +286,7 @@ def _compile(node: Node, path: str):
             v = base_many(xs)
             if e < 0 and np.any(v == 0.0):
                 raise _Violation
-            return _exact_map(lambda u: u ** e, v)
+            return _exact_map(pow, v, e)
 
         return power, power_many
     if isinstance(node, Dot):

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.special import ndtr
 
 from .errors import (
     DimensionMismatchError,
@@ -47,6 +48,8 @@ KERNEL_PROBE_RADIUS = 1e8
 #: most vertices (by the Upper Bound Theorem) a halfspace set may have for
 #: qhull to enumerate them
 MAX_VERTICES = 10**5
+#: smallest normal float: a smaller sum of squares has lost digits to underflow
+_TINY = np.finfo(float).tiny
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -62,6 +65,28 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NonFiniteInputError("vector has non-finite entries")
     return v
+
+
+def root_of_squares(sum_sq: Callable[[np.ndarray], float], x) -> float:
+    """``sqrt(sum_sq(x))`` for a sum of squares ``sum_sq`` (homogeneous of
+    degree 2).  When the plain sum overflows or underflows, ``x`` is first
+    divided by its largest entry and the root scaled back, so a finite
+    nonzero ``x`` gets a finite nonzero value; otherwise the float is the
+    plain root's."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        sq = sum_sq(x)
+    if not _TINY <= sq < math.inf:
+        top = float(np.abs(x).max(initial=0.0))
+        if 0.0 < top < math.inf:
+            return top * math.sqrt(sum_sq(x / top))
+    return math.sqrt(sq)
+
+
+def _norm(x) -> float:
+    """Euclidean norm, the float ``np.linalg.norm`` gives wherever its sum
+    of squares neither overflows nor underflows."""
+    return root_of_squares(lambda v: float(v.dot(v)), x)
 
 
 @dataclass(frozen=True)
@@ -111,10 +136,10 @@ class Subspace:
         return self.basis.T @ (self.basis @ x)
 
     def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.project(x)))
+        return _norm(x - self.project(x))
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.residual(x) <= tol * (1.0 + float(np.linalg.norm(x)))
+        return self.residual(x) <= tol * (1.0 + _norm(x))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the orthogonal complement of the union of complements."""
@@ -212,7 +237,7 @@ class Representation:
     def in_icr(self, s: "ConvexSet", x: np.ndarray) -> bool:
         """Sampled verdict: both ways along every span direction stay in the
         set for some step (may report false positives on cusps)."""
-        basis = self.span(s, x).basis
+        basis = s.span(x).basis
         return bool(np.all(_reaches(s, x, np.vstack([basis, -basis]))))
 
     def is_symmetric(self, s: "ConvexSet", p: np.ndarray) -> bool:
@@ -395,22 +420,21 @@ class Halfspaces(Representation):
 
     def sample(self, s, rng, n):
         """Uniform steps along random chords from the anchor, each at most
-        1e3 long: a unit direction from ``rng.standard_normal(dim)``, then a
-        fraction ``rng.random()`` (the draw ``rng.uniform(0, 1)`` gives) of
-        the longest step along it that the rows allow; a zero draw takes no
-        fraction and gives the anchor.  The generator is called one sample
-        at a time in that order; the steps and points are computed as
-        arrays."""
+        1e3 long.  Each chord takes one draw of ``dim + 1`` standard
+        normals: the first ``dim``, divided by the square root of their sum
+        of squares, give a unit direction, and the normal CDF (``ndtr``,
+        uniform on [0, 1]) of the last gives the fraction of the longest
+        step along it that the rows allow; a zero direction gives the
+        anchor.  The block is one ``rng.standard_normal((n, dim + 1))``
+        call, the floats that ``n`` one-chord calls draw, and leaves ``rng``
+        in the same state."""
         anchor = s.anchor()
-        dirs, norms, fracs = np.zeros((n, s.dim)), np.ones(n), np.zeros(n)
-        for i in range(n):
-            d = rng.standard_normal(s.dim)
-            dirs[i], norms[i] = d, math.sqrt(d.dot(d))  # the float np.linalg.norm(d) gives
-            if norms[i] >= 1e-14:
-                fracs[i] = rng.random()
+        draws = rng.standard_normal((n, s.dim + 1))
+        dirs, fracs = draws[:, :-1], ndtr(draws[:, -1])
+        norms = np.sqrt((dirs * dirs).sum(axis=1))
         zero = norms < 1e-14
         norms[zero] = 1.0
-        dirs /= norms[:, None]
+        dirs = dirs / norms[:, None]
         rates = np.matmul(self.normals, dirs[:, :, None])[:, :, 0]
         slack = self.offsets - self.normals @ anchor
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -578,9 +602,11 @@ class Vertices(Representation):
         return self.points.mean(axis=0)
 
     def sample(self, s, rng, n):
-        """Dirichlet-weighted combinations of the vertices."""
-        m = self.points.shape[0]
-        return [self.points.T @ rng.dirichlet(np.ones(m)) for _ in range(n)]
+        """Dirichlet-weighted combinations of the vertices: one
+        ``rng.dirichlet`` block and one stacked product, the floats (and the
+        state of ``rng``) of ``n`` one-sample draws ``points.T @ w``."""
+        weights = rng.dirichlet(np.ones(self.points.shape[0]), size=n)
+        return list(np.matmul(self.points.T, weights[:, :, None])[:, :, 0])
 
     def span(self, s, base):
         return self.affine_hull[1]
@@ -690,12 +716,15 @@ class Sublevel(Representation):
 
     def symmetric_core(self, s, x0):
         """The sublevel set of ``max(fn(y), fn(2 x0 - y))`` over the base
-        domain's core; the batch evaluator keeps the first value on ties, as
-        ``max`` does."""
+        domain's core.  The batch evaluator reads ``fn`` once on the rows
+        stacked over their reflections (a batch evaluator works row by row,
+        so a failing row raises the error the two separate batches would)
+        and keeps the first value on ties, as ``max`` does."""
         fn, base = self.fn, self.base_domain.representation.symmetric_core(self.base_domain, x0)
 
         def first_max(ys):
-            a, b = _values(fn, ys), _values(fn, 2.0 * x0 - ys)
+            both = _values(fn, np.vstack([ys, 2.0 * x0 - ys]))
+            a, b = both[:len(ys)], both[len(ys):]
             return np.where(b > a, b, a)
 
         core = _batched(lambda y: max(fn(y), fn(2.0 * x0 - y)), first_max)
@@ -793,6 +822,19 @@ class ConvexSet:
         """Draw ``n`` member points (not uniform; good span/extreme coverage)."""
         return self.representation.sample(self, rng, n)
 
+    @cached_property
+    def _spans(self) -> dict[bytes, Subspace]:
+        return {}
+
+    def span(self, base: np.ndarray) -> Subspace:
+        """span(S - base) for a member point ``base``, computed at most once
+        per point and kept on the set (it depends on the set's anchor, so
+        not on the representation)."""
+        key = base.tobytes()
+        if key not in self._spans:
+            self._spans[key] = self.representation.span(self, base)
+        return self._spans[key]
+
 
 # ---------------------------------------------------------------------------
 # Span, icr, symmetry
@@ -813,10 +855,10 @@ def span_of_difference(s: ConvexSet, base) -> Subspace:
     halfspace sets (the null space of the implicit equalities, R^n at an
     interior point with no LP and no membership test); otherwise probed
     from membership chords (coordinate directions plus random chords
-    through sampled members).
+    through sampled members), and kept on the set for the next request at
+    the same point.
     """
-    base = _member(s, base, "base point")
-    return s.representation.span(s, base)
+    return s.span(_member(s, base, "base point"))
 
 
 def in_icr(s: ConvexSet, x) -> bool:

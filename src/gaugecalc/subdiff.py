@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -650,6 +650,25 @@ class MeanValuePoint:
                 "zeta": list(map(float, self.zeta)), "residual": float(self.residual)}
 
 
+def _ternary(psi: Callable[[float], float], lo: float, hi: float, sign: float) -> float:
+    """Midpoint of the interval that 130 ternary-search steps for a minimum
+    of ``sign * psi`` on ``[lo, hi]`` leave.  An update that would leave
+    its end unchanged stops the search: the interval is then at a fixed
+    point, and every later step would evaluate the same two points."""
+    for _ in range(130):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if sign * psi(m1) <= sign * psi(m2):
+            if hi == m2:
+                break
+            hi = m2
+        else:
+            if lo == m1:
+                break
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
 def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValuePoint:
     """Mean value witness: a segment point whose subdifferential pairs with
     y - x to give exactly f(y) - f(x).
@@ -684,18 +703,8 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValu
     def psi(t: float) -> float:
         return f(x + t * d) - target * t
 
-    def ternary(lo: float, hi: float, sign: float) -> float:
-        for _ in range(130):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if sign * psi(m1) <= sign * psi(m2):
-                hi = m2
-            else:
-                lo = m1
-        return 0.5 * (lo + hi)
-
     if f.convex:
-        t_star = ternary(0.0, 1.0, +1.0)
+        t_star = _ternary(psi, 0.0, 1.0, +1.0)
     else:
         grid = np.linspace(0.0, 1.0, 513)
         # psi at every grid point, as one batch of the points x + t d
@@ -708,9 +717,9 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValu
         if max(drop, rise) <= scale:
             t_star = 0.5  # the potential is flat: every point is a witness
         elif drop >= rise:
-            t_star = ternary(grid[i_min - 1], grid[i_min + 1], +1.0)
+            t_star = _ternary(psi, grid[i_min - 1], grid[i_min + 1], +1.0)
         else:
-            t_star = ternary(grid[i_max - 1], grid[i_max + 1], -1.0)
+            t_star = _ternary(psi, grid[i_max - 1], grid[i_max + 1], -1.0)
         if not 0.0 < t_star < 1.0:
             raise NoBracketError("no interior extremum of the chord potential")
     z = x + t_star * d

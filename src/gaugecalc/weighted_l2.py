@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 from .functions import ScalarFunction
-from .geometry import ConvexSet, Gauge, Oracle, Subspace
+from .geometry import ConvexSet, Gauge, Oracle, Subspace, root_of_squares
 
 DEFAULT_N = 1000
 NUMERIC_TOL = 1e-6
@@ -52,9 +52,9 @@ def phi_l2(grid: WeightedGrid, x) -> float:
 
 
 def mu_l2(grid: WeightedGrid, v) -> float:
-    """Discretized seminorm (a genuine norm on the grid: all nodes positive)."""
-    v = np.asarray(v, dtype=float)
-    return float(math.sqrt(np.sum(grid.weights * v * v / grid.nodes)))
+    """Discretized seminorm (a genuine norm on the grid: all nodes positive),
+    rescaled where its weighted sum of squares would overflow or underflow."""
+    return root_of_squares(lambda u: float(np.sum(grid.weights * u * u / grid.nodes)), v)
 
 
 def subdiff_l2(grid: WeightedGrid, x, representation: str = "pairing") -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
+from scipy.special import ndtr
 
 from gaugecalc.geometry import DEFAULT_TOL
 from gaugecalc import (
@@ -764,24 +765,32 @@ def test_scalar_function_many_raises_the_first_failing_rows_error():
 
 
 def _scalar_chords(s, rng, n):
-    """The halfspace sampler one chord at a time: a unit direction, then a
-    uniform fraction of the longest step along it (capped at 1e3)."""
+    """The halfspace sampler one chord at a time: one draw of dim + 1
+    normals, the first dim a direction (made unit), the normal CDF of the
+    last a uniform fraction of the longest step along it (capped at 1e3)."""
     rep, anchor = s.representation, s.anchor()
     slack = rep.offsets - rep.normals @ anchor
     out = []
     for _ in range(n):
-        d = rng.standard_normal(s.dim)
-        nd = np.linalg.norm(d)
+        draw = rng.standard_normal(s.dim + 1)
+        d, frac = draw[:-1], ndtr(draw[-1])
+        nd = math.sqrt(np.sum(d * d))
         if nd < 1e-14:
             out.append(anchor.copy())
             continue
-        d /= nd
+        d = d / nd
         rates = rep.normals @ d
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-300), np.inf)
         tmax = min(float(np.min(steps)), 1e3)
-        out.append(anchor + rng.uniform(0.0, 1.0) * max(tmax, 0.0) * d)
+        out.append(anchor + frac * max(tmax, 0.0) * d)
     return out
+
+
+def _scalar_dirichlet(s, rng, n):
+    """The vertex sampler one Dirichlet weight vector at a time."""
+    m = s.representation.points.shape[0]
+    return [s.representation.points.T @ rng.dirichlet(np.ones(m)) for _ in range(n)]
 
 
 def _scalar_sample(s, rng, n, pulled=None):
@@ -792,7 +801,7 @@ def _scalar_sample(s, rng, n, pulled=None):
     if isinstance(rep, Halfspaces):
         return _scalar_chords(s, rng, n)
     if isinstance(rep, Vertices):
-        return rep.sample(s, rng, n)
+        return _scalar_dirichlet(s, rng, n)
     if isinstance(rep, Sublevel):
         def propose():
             return _scalar_sample(rep.base_domain, rng, 1, pulled)[0]
@@ -863,6 +872,26 @@ def test_halfspace_chords_equal_the_per_sample_loop():
         assert np.array_equal(np.array(s.sample_members(rng, 50)),
                               np.array(_scalar_chords(s, ref_rng, 50)))
         assert rng.random() == ref_rng.random()
+
+
+def test_a_chord_block_equals_one_chord_calls():
+    ray_plane = ConvexSet(2, Halfspaces(np.array([[1.0, 1.0]]), np.array([1.0])),
+                          center=[0.0, 0.0])
+    for s in (box(3), interval(-1.0, 2.0), ray_plane):
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        block = s.sample_members(rng, 25)
+        assert np.array_equal(np.array(block),
+                              np.array([s.sample_members(ref_rng, 1)[0] for _ in range(25)]))
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_vertex_samples_equal_the_per_sample_dirichlet_loop(m):
+    s = ConvexSet(3, Vertices(np.random.default_rng(m).standard_normal((m, 3))))
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    assert np.array_equal(np.array(s.sample_members(rng, 30)),
+                          np.array(_scalar_dirichlet(s, ref_rng, 30)))
+    assert rng.random() == ref_rng.random()
 
 
 def _membership_cases():

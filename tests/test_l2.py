@@ -85,6 +85,18 @@ def test_make_gauge_norm(grid):
     assert g.kernel.dim == 0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_grid_gauge_of_a_point_whose_squared_norm_leaves_the_float_range(scale):
+    # the plain sums of squares overflow to inf or underflow to 0
+    g = make_gauge(WeightedGrid(4))
+    with np.errstate(over="raise"):
+        assert g.value([scale, 0.0, 0.0, 0.0]) == pytest.approx(
+            math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
+        assert g.span.contains(np.array([scale, -scale, 0.0, scale]))
+        assert mu_l2(WeightedGrid(4), [0.0, scale, 0.0, 0.0]) == pytest.approx(
+            math.sqrt(2.0 / 3.0) * scale, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_worked_examples_pass(name):
     report = run_example(name, n=200)

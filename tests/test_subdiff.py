@@ -901,6 +901,39 @@ def test_lebourg_scan_is_one_batch(plane, unit_gauge, monkeypatch):
                         lambda self, x: scalars.append(1) or call(self, x))
     lebourg_point(f, [-0.5, 0.2], [0.7, -0.3], unit_gauge)
     # the 513-point scan is one batch, not 513 scalar calls; the scalar
-    # calls are f(y), f(x) twice and the ternary refinement's 260
+    # calls are f(y), f(x) twice and two per ternary step, of which there
+    # are 79 before the interval stops moving
     assert 513 in batches
-    assert len(scalars) == 3 + 2 * 130
+    assert len(scalars) == 3 + 2 * 79
+
+
+def _ternary_130(psi, lo, hi, sign):
+    """The ternary search for a minimum of ``sign * psi``, run all 130 steps."""
+    for _ in range(130):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if sign * psi(m1) <= sign * psi(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("expr,convex,x,y", [
+    ("abs(x1) + x2^2", True, [-0.5, 0.2], [0.7, -0.3]),
+    ("max(x1, 2*x2) + 0.5*x1^2", True, [-0.9, 0.1], [0.4, 0.8]),
+    ("abs(x1) - abs(x2) + 0.3 * x1", False, [-0.5, 0.2], [0.7, -0.3]),
+    ("x1^3 - x1 + abs(x2)", False, [-0.9, -0.4], [0.9, 0.6]),
+])
+def test_lebourg_ternary_stop_returns_the_130_step_point(expr, convex, x, y, plane,
+                                                          unit_gauge, monkeypatch):
+    f = fn(expr, plane, convex=convex)
+    got = lebourg_point(f, x, y, unit_gauge)
+    calls = []
+    monkeypatch.setattr(subdiff, "_ternary",
+                        lambda psi, lo, hi, sign: calls.append(1) or _ternary_130(psi, lo, hi, sign))
+    want = lebourg_point(f, x, y, unit_gauge)
+    assert calls
+    assert got.alpha == want.alpha
+    assert np.array_equal(got.point, want.point)
+    assert np.array_equal(got.zeta, want.zeta)

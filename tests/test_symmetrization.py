@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from gaugecalc import geometry
 from gaugecalc import (
     EmptySublevelError,
+    ExprDomainError,
     NotInSetError,
     ScalarFunction,
     box,
     build_core,
     core_is_symmetric,
+    in_icr,
     literal_ca_member,
     scale_about,
     set_to_json,
+    span_of_difference,
     sublevel_set,
     symmetric_core,
     verify_icr_membership,
@@ -150,3 +154,47 @@ def test_sublevel_center_is_the_first_least_probe():
         assert np.array_equal(sublevel_set(f, dom, level).center, min(feasible, key=f))
     with pytest.raises(EmptySublevelError):
         sublevel_set(f, dom, -1.0)
+
+
+def test_in_icr_reuses_the_span_of_the_same_point(count_calls):
+    dom = box(3, -1.0, 2.0, center=[0.5, 0.5, 0.5])
+    f = ScalarFunction.from_expr("(x1-0.3)^2 + (x2-0.3)^2 + (x3-0.3)^2", domain=dom)
+    s = sublevel_set(f, dom, 1.0)
+    x = np.array([0.2, 0.4, 0.3])
+    span = span_of_difference(s, x)
+    count_calls.wrap(geometry.ConvexSet, "sample_members")
+    count_calls.wrap(geometry.Representation, "span")
+    assert in_icr(s, x)
+    assert count_calls == {"sample_members": 0, "span": 0}
+    count_calls.wrap(geometry.ConvexSet, "contains")
+    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    assert s.span(x) is span
+    assert count_calls["contains"] == count_calls["contains_many"] == 0
+
+
+def test_core_batch_stacks_the_rows_over_their_reflections(count_calls):
+    dom = box(2)
+    f = ScalarFunction.from_expr("1/(x1 - 0.25) + 1/(x1 - 0.3)", domain=dom)
+    s = ConvexSet(2, Sublevel(f, 100.0, dom), center=[0.5, 0.0])
+    x0 = np.array([0.5, 0.0])
+    core = s.representation.symmetric_core(s, x0).representation.fn
+
+    def two_calls(ys):
+        a, b = f.many(ys), f.many(2.0 * x0 - ys)
+        return np.where(b > a, b, a)
+
+    ys = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 2))
+    ys[7] = 2.0 * x0 - ys[3]  # row 3's reflection: the two values swap
+    count_calls.wrap(ScalarFunction, "many")
+    assert np.array_equal(core.many(ys), two_calls(ys))
+    assert count_calls["many"] == 3
+    # the first failing row is the same: a row (x1 = 0.3, path .r) before
+    # any reflection (x1 = 0.25 at row 0, path .l), and a reflection only
+    # when no row fails
+    for bad in ([[0.75, 0.0], [0.3, 0.0]], [[0.75, 0.0], [0.7, 0.0]]):
+        bad = np.array(bad)
+        with pytest.raises(ExprDomainError) as got:
+            core.many(bad)
+        with pytest.raises(ExprDomainError) as want:
+            two_calls(bad)
+        assert str(got.value) == str(want.value)
