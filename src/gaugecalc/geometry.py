@@ -437,8 +437,9 @@ class Halfspaces(Representation):
         dirs = dirs / norms[:, None]
         rates = np.matmul(self.normals, dirs[:, :, None])[:, :, 0]
         slack = self.offsets - self.normals @ anchor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(rates > 1e-14, slack / np.maximum(rates, 1e-300), np.inf)
+        # a row the chord does not approach sets no bound; dividing only on
+        # the others keeps a large slack from overflowing
+        steps = np.divide(slack, rates, out=np.full(rates.shape, np.inf), where=rates > 1e-14)
         reach = steps.min(axis=1)
         tmax = np.where(reach > 1e3, 1e3, reach)
         out = anchor + (fracs * np.where(tmax < 0.0, 0.0, tmax))[:, None] * dirs

@@ -34,6 +34,11 @@ from .geometry import Gauge, Subspace, _complement_rows, as_vector, halving_step
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
+#: a ladder stops early only at steps of at most _EARLY_STEP; a convex-flagged
+#: function's ladder starts two octaves above it, the fewest steps at which
+#: that rule can fire (every step is a power of two)
+_EARLY_STEP = 2.0 ** -10
+_CONVEX_START = 4.0 * _EARLY_STEP
 
 #: gen_dir_deriv: PROBES base points per shell, at each of the gauge radii RADII
 _PROBES, _RADII = 12, (1e-2 * 2.0 ** -16, 1e-2 * 2.0 ** -17)
@@ -131,9 +136,14 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
     difference ladders run in lockstep, and the number of sign changes
     between consecutive quotient differences on each row.
 
-    Each step evaluates every row whose ladder is still running as one
-    batch; each row keeps its own step, stopping rules and Richardson step,
-    so its value is the one a ladder on that row alone would give.
+    Each row starts at the largest feasible step of at most 1, or of at
+    most :data:`_CONVEX_START` (``2**-8``) for a function flagged convex:
+    its quotients are nondecreasing in the step (Rockafellar 1970, Thm
+    23.1), so coarser octaves cannot decide its value, while the
+    oscillation count of any other function reads them.  Each step
+    evaluates every row whose ladder is still running as one batch; each
+    row keeps its own step, stopping rules and Richardson step, so its
+    value is the one a ladder on that row alone would give.
     """
     m = dirs.shape[0]
     out = np.zeros(m)
@@ -141,7 +151,7 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
     live = _nonzero_rows(dirs, axes)
     if live.size == 0:
         return out, oscillations
-    t = np.ones(m)
+    t = np.full(m, _CONVEX_START if f.convex else 1.0)
     # the floor sits well above the membership tolerance so that boundary
     # fuzz is not mistaken for a feasible sliver
     t[live] = _feasible_steps(f, x, dirs, live, t[live], 1e-7, axes=axes)
@@ -163,14 +173,17 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
         diff = q_new - q_old
         settled = seen & (np.abs(diff) <= _SETTLE_TOL * (1.0 + np.abs(q_new)))
         moving = seen & ~settled
-        oscillations[run[moving & has_diff[run] & (diff * last_diff[run] < 0)]] += 1
+        # signs, not a product, which overflows on huge finite quotients
+        last = last_diff[run]
+        flips = (diff > 0) & (last < 0) | (diff < 0) & (last > 0)
+        oscillations[run[moving & has_diff[run] & flips]] += 1
         last_diff[run[moving]] = diff[moving]
         has_diff[run[moving]] = True
         # extrapolated values settling across two octaves means the
         # remaining error is beyond quadratic; stop early (but only at
         # steps small enough that coarse-scale structure is resolved)
         rich = 2.0 * q_new - q_old
-        early = moving & has_rich[run] & (t[run] <= 1e-3) & \
+        early = moving & has_rich[run] & (t[run] <= _EARLY_STEP) & \
             (np.abs(rich - rich_prev[run]) <= _SETTLE_TOL * (1.0 + np.abs(rich)))
         rich_prev[run[moving]] = rich[moving]
         has_rich[run[moving]] = True
@@ -192,7 +205,8 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
 def dir_deriv(f: ScalarFunction, x, d) -> float:
     """One-sided directional derivative by a halving difference ladder.
 
-    The ladder starts at the largest feasible step <= 1, stops once two
+    The ladder starts at the largest feasible step <= 1 (<= ``2**-8`` for
+    a function flagged convex, see :func:`_ladder`), stops once two
     consecutive quotients agree or the step hits the floor, and applies one
     Richardson step (which is exact for affine-in-t error and a no-op once
     the quotients have settled, e.g. at a kink of a piecewise-linear
@@ -516,17 +530,16 @@ def _vertices(w: Subspace, dirs, sups, rows, axes: int = 0) -> list[np.ndarray]:
     the constraint slack above it.
     """
     face = _optimizer(w, dirs, sups, axes)
-    grads: list[np.ndarray] = []
+    grads = np.empty((0, dirs.shape[1]))
     for row in rows:
         h = float(sups[row])
-        if grads and float(np.max(np.array(grads) @ dirs[row])) >= \
+        if grads.size and float(np.max(grads @ dirs[row])) >= \
                 h - _ATTAINED_TOL * (1.0 + abs(h)):
             continue
         for z in face(row):
-            if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
-                       for z0 in grads):
-                grads.append(z)
-    return grads
+            if not np.any(_norms(grads - z) <= 1e-7 * (1 + np.linalg.norm(z))):
+                grads = np.vstack([grads, z])
+    return list(grads)
 
 
 def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,

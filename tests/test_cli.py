@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaugecalc import NonFiniteInputError, cli, functions, geometry
+from gaugecalc import NonFiniteInputError, cli, functions, geometry, subdiff
 from gaugecalc.cli import main
 from gaugecalc.geometry import box, set_to_json
 
@@ -41,6 +41,20 @@ def test_gauge_of_a_point_whose_squared_norm_overflows(capsys, point, value):
         warnings.simplefilter("always")
         code, doc = run(capsys, "gauge", "--set", UNIT_BOX_2D, "--point", point)
     assert code == 0 and doc["value"] == value
+    assert caught == []
+
+
+def test_core_of_a_wide_interval_prints_no_warning(capsys):
+    # a chord's longest step divides the slack (1e9 here) only by the rates
+    # of the rows it approaches, so no division overflows
+    wide = json.dumps({"dim": 1, "repr": {"halfspaces": [{"normal": [1], "offset": 1e9},
+                                                          {"normal": [-1], "offset": 1e9}]}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["core", "--set", wide, "--fn", "x1^2", "--point", "[0.0]",
+                     "--level", "1.0"])
+    assert code == 2
+    assert "below the function value" in capsys.readouterr().err
     assert caught == []
 
 
@@ -191,10 +205,24 @@ def test_bad_expression_exits_2(capsys):
 
 
 def test_overflowing_expression_exits_2(capsys):
-    code = main(["subdiff", "--fn", "exp(1000*x1)", "--point", "[0.5,0]", "--convex",
+    # the convex ladder's first step, 2**-8, takes 1000*x1 past 709.78
+    code = main(["subdiff", "--fn", "exp(1000*x1)", "--point", "[0.709,0]", "--convex",
                  "--set", UNIT_BOX_2D])
     assert code == 2
     assert "exp overflows" in capsys.readouterr().err
+
+
+def test_huge_finite_quotients_exit_2_quietly(capsys):
+    # no step from 0.5 overflows, but the quotients (about 1e220 to 1e221)
+    # are too noisy to meet as one subdifferential: a typed error, and no
+    # overflow warning from counting their sign changes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["subdiff", "--fn", "exp(1000*x1)", "--point", "[0.5,0]", "--convex",
+                     "--set", UNIT_BOX_2D])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {subdiff._INFEASIBLE}"]
+    assert caught == []
 
 
 def test_malformed_set_exits_2(capsys):

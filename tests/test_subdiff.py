@@ -300,12 +300,17 @@ def test_hull_reuses_the_frame_rows(count_calls):
 # -- support values per fan --------------------------------------------------
 
 
-def scalar_dir_deriv(f, x, d):
+def scalar_dir_deriv(f, x, d, start=None):
     """The one-direction halving ladder that the fan ladder replaced, kept
-    here as the reference it must match bit for bit."""
+    here as the reference it must match bit for bit.  It starts at ``start``,
+    by default at ``2**-8`` for a function flagged convex and at 1 for any
+    other; its early stop reads ``t <= 1e-3``, which accepts the same
+    power-of-two steps as the fan ladder's ``t <= 2**-10``."""
     if float(np.linalg.norm(d)) < 1e-14:
         return 0.0
-    t = 1.0
+    if start is None:
+        start = 2.0 ** -8 if f.convex else 1.0
+    t = start
     while t > 1e-7 and not f.domain.contains(x + t * d):
         t *= 0.5
     if t <= 1e-7:
@@ -415,6 +420,44 @@ def test_fan_ladder_matches_the_scalar_ladder(n, seed):
             subdiff._support_values(f, x, dirs, g, seed)
     got = subdiff._support_values(f, x, dirs[feasible], g, seed)
     assert got.tolist() == [w for w in want if w is not None]
+
+
+def test_a_smooth_convex_row_makes_three_batch_evaluations(plane, count_calls):
+    # a quadratic's quotients move by the same amount every octave, so they
+    # never settle; the early rule fires at the third step, 2**-10, where the
+    # ladder started at 1 fires too, from the same two Richardson values
+    count_calls.wrap(ScalarFunction, "many")
+    f = fn("0.7*x1^2 + 1.3*x1*x2 + x2^2 - 0.4*x1", plane)
+    x, d = np.array([0.3, -1.1]), np.array([0.6, -0.8])
+    got = dir_deriv(f, x, d)
+    assert count_calls["many"] == 3
+    assert got == scalar_dir_deriv(f, x, d) == scalar_dir_deriv(f, x, d, start=1.0)
+
+
+def test_a_settled_convex_row_matches_the_ladder_from_1(plane):
+    # the quotients of a piecewise-linear function settle on its first
+    # linear stretch, longer than 2**-8: from 1 a few octaves down, from
+    # 2**-8 at the second step; the two values are one slope up to rounding
+    f = fn("0.37*abs(x1 - 0.3) + 1.3*abs(x2 + 0.2) + 0.11*x1", plane)
+    for d in np.random.default_rng(5).standard_normal((8, 2)):
+        got = dir_deriv(f, [0.0, 0.0], d)
+        assert got == scalar_dir_deriv(f, np.zeros(2), d)
+        want = scalar_dir_deriv(f, np.zeros(2), d, start=1.0)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_grid_extraction_evaluates_three_energy_rows_per_fan_row(n):
+    # the fan has 2n signed axes and the objective's +/- pair; the energy is
+    # quadratic, so each row's ladder takes steps 2**-8, 2**-9 and 2**-10
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    f = make_function(grid)
+    rows, energy_many = [], f.fn.many
+    f.fn.many = lambda xs: rows.append(len(xs)) or energy_many(xs)
+    extract_subgradient(f, x, make_gauge(grid), objective=2.0 * (x - t) / (n * t))
+    assert sum(rows) == 3 * (2 * n + 2)
 
 
 def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
@@ -765,6 +808,41 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
         assert np.all(got @ dirs.T <= b + 1e-9 * (1.0 + np.abs(b)))
         assert np.allclose(got, got @ w.basis.T @ w.basis, atol=1e-9)
         assert [tuple(z) for z in got] == sorted(map(tuple, got))
+
+
+def vertices_by_pairs(w, dirs, sups, rows):
+    """The per-pair dedupe loop that :func:`subdiff._vertices` replaced,
+    kept here as the reference it must match float for float."""
+    face = subdiff._optimizer(w, dirs, sups)
+    grads = []
+    for row in rows:
+        h = float(sups[row])
+        if grads and float(np.max(np.array(grads) @ dirs[row])) >= \
+                h - subdiff._ATTAINED_TOL * (1.0 + abs(h)):
+            continue
+        for z in face(row):
+            if not any(np.linalg.norm(z - z0) <= 1e-7 * (1 + np.linalg.norm(z))
+                       for z0 in grads):
+                grads.append(z)
+    return grads
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 3), noise=st.sampled_from([0.0, 1e-9, 1e-8, 1e-7]),
+       seed=st.integers(0, 1 << 20))
+def test_vertex_dedupe_matches_the_per_pair_loop(dim, noise, seed):
+    # support values of a random polytope raised by noise up to about the
+    # dedupe radius, which cuts tiny facets at its corners
+    rng = np.random.default_rng(seed)
+    w = Subspace.full(dim)
+    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                        extra=rng.standard_normal((6, dim)))
+    points = 3.0 * rng.standard_normal((dim + 3, dim))
+    sups = np.max(dirs @ points.T, axis=1) + rng.uniform(0.0, noise, dirs.shape[0])
+    rows = range(dirs.shape[0])
+    want = vertices_by_pairs(w, dirs, sups, rows)
+    assert [z.tolist() for z in subdiff._vertices(w, dirs, sups, rows)] == \
+        [z.tolist() for z in want]
 
 
 @pytest.mark.parametrize("dim,lps", [(3, 0), (6, 1)])
