@@ -13,11 +13,10 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .errors import (
     ConvexityFlagError,
@@ -61,6 +60,13 @@ _SUBLINEAR_TOL = 1e-6
 #: tolerances of a subgradient test's support inequality, of the
 #: stationarity test and of a mean value witness's secant pairing
 _SUBGRADIENT_TOL, _CRITICAL_TOL, _SECANT_TOL = 1e-6, 1e-6, 1e-6
+#: a stationarity report names the first fan row within this relative margin
+#: of the smallest support value, so values that tie up to rounding name one row
+_TIE_TOL = 1e-12
+#: a mean value search evaluates _SECTIONS interior chord points per round,
+#: one batch each; a bracket at most 2/512 wide stops moving within about 20
+#: rounds, so the cap is never what ends a search
+_SECTIONS, _SECTION_ROUNDS = 14, 64
 #: rows of one batch evaluation hold at most this many coordinates, so a fan
 #: is evaluated in chunks of half a megabyte whatever its size
 _CHUNK_ELEMENTS = 1 << 16
@@ -231,8 +237,9 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     Each shell's probes are normal draws in R^n projected onto span(g)
     (in full dimension, the draws themselves), so no basis of the span is
     privileged.  They do not depend on the direction, so the shell base
-    points are drawn and evaluated once for the whole fan; every (base
-    point, row) quotient of a shell is then one batch.
+    points are drawn, tested for membership (one batch per shell) and
+    evaluated once for the whole fan; every (base point, row) quotient of a
+    shell is then one batch.
     """
     m = dirs.shape[0]
     out = np.zeros(m)
@@ -243,19 +250,17 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     basis = g.span.basis
     best = np.full(m, -math.inf)
     for r in _RADII:
-        bases = [x]
+        probes = []
         for u in _images(basis.T, _images(basis, rng.standard_normal((_PROBES, x.size)))):
             mu = g.value(u)
             scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
-            if scale <= 1e-14:
-                continue
-            y = x + (r / scale) * u
-            if f.domain.contains(y):
-                bases.append(y)
-        ys = np.array(bases)
+            if scale > 1e-14:
+                probes.append(x + (r / scale) * u)
+        probes = np.array(probes).reshape(-1, x.size)
+        ys = np.vstack([x, probes[f.domain.contains_many(probes)]])
         fy = f.many(ys)
-        base_rows = np.repeat(np.arange(len(bases)), live.size)
-        dir_rows = np.tile(live, len(bases))
+        base_rows = np.repeat(np.arange(ys.shape[0]), live.size)
+        dir_rows = np.tile(live, ys.shape[0])
         t = _feasible_steps(f, ys, dirs, dir_rows, np.full(base_rows.size, r / 4.0), 1e-12,
                             base_rows)
         ok = t > 1e-12
@@ -385,12 +390,6 @@ def _frame_halves(w: Subspace) -> list[np.ndarray]:
     return [w.basis, _units(axes, 1e-10)[0]]
 
 
-def _frame(w: Subspace) -> np.ndarray:
-    """+/- each basis vector and, in a proper subspace, each projected axis:
-    the rows every direction fan in ``w`` opens with."""
-    return _signed(_frame_halves(w))
-
-
 def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
                    extra=()) -> tuple[np.ndarray, list[int], int]:
     """The frame rows, +/- each projected extra vector, then random unit
@@ -444,21 +443,6 @@ def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[np.all(z @ a.T <= b + _FEASIBLE_TOL * (1.0 + np.abs(b)), axis=1)]
 
 
-def _sparse_rows(a: np.ndarray, axes: int) -> csr_array:
-    """``a`` as a sparse matrix: one entry per row for its first ``axes``
-    rows, signed axes (see :func:`_at`), read off their diagonal with no
-    pass over ``a``, then the nonzero entries of the rows after them.  Its
-    CSC form is the one ``csc_array(a)`` gives."""
-    tail = a[axes:]
-    r, c = np.nonzero(tail)
-    lead = np.arange(axes)
-    counts = np.bincount(r, minlength=tail.shape[0])
-    return csr_array((np.concatenate([a[lead, lead // 2], tail[r, c]]),
-                      np.concatenate([lead // 2, c]),
-                      np.concatenate([lead, [axes], axes + np.cumsum(counts)])),
-                     shape=a.shape)
-
-
 def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
     """The solver of one row's LP: the optimal face of <z, dirs[row]> over
     the outer approximation {z : <z, v> <= h(v) + slack for every fan row v}
@@ -469,9 +453,10 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
     rows, every face is read from one vertex table (:func:`_vertex_table`)
     built here: the table vertices within a relative :data:`_ATTAINED_TOL`
     of the row's maximum.  Past the cap each row solves its LP (HiGHS),
-    whose one optimum is the face it returns; the constraint matrix goes to
-    HiGHS as :func:`_sparse_rows` of the fan's first ``axes`` rows, signed
-    axes, and the rest.
+    whose one optimum is the face it returns.  There the fan's first
+    ``axes`` rows, the signed axes ``+e_i, -e_i`` (see :func:`_at`), are the
+    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, and the inequality rows
+    are only the rows after them (none when there are none).
     """
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
@@ -501,15 +486,16 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
 
         return face
 
-    sparse = _sparse_rows(a_ub, axes)
+    bounds = np.column_stack([-b_ub[1:axes:2], b_ub[:axes:2]]) if axes else (None, None)
+    a_rows, b_rows = (a_ub[axes:], b_ub[axes:]) if axes < a_ub.shape[0] else (None, None)
 
     def solve(row: int) -> np.ndarray:
         c = -(dirs[row] if full else w.basis @ dirs[row])
-        res = linprog(c, A_ub=sparse, b_ub=b_ub, bounds=(None, None), method="highs")
+        res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs")
         if res.status != 0:
             # presolve misclassifies near-equality constraint pairs with tiny
             # right-hand sides as inconsistent; the raw solve handles them
-            res = linprog(c, A_ub=sparse, b_ub=b_ub, bounds=(None, None), method="highs",
+            res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs",
                           options={"presolve": False})
         if res.status != 0:
             raise LpInfeasibleError(_INFEASIBLE)
@@ -582,11 +568,9 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
     When the fan has at most 4,096 subsets of ``w.dim`` rows (``w`` the
     reduced space) the optimum comes from the fan's vertex table, and of a
     tied face the lexicographically smallest vertex is returned; past that
-    cap one HiGHS LP returns its optimum.  Its constraint matrix is handed
-    over sparse: one entry for each of the signed axes that open a fan over
-    the whole space, then the nonzero entries of the other rows, which is
-    the model a dense matrix gives, so the optimum is the same floats.
-    Raises
+    cap one HiGHS LP returns its optimum.  The signed axes that open a fan
+    over the whole space are that LP's variable bounds, and its inequality
+    rows are the fan's other rows.  Raises
     :class:`SupportMismatchError` when the optimum misses the objective's
     support value by more than a relative 1e-5."""
     return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
@@ -631,7 +615,7 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
         raise DegenerateGaugeError("the gauge kernel fills its span")
     objectives, _, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
     # the objectives open with the frame rows, which the fan holds already
-    k = len(_frame(w))
+    k = 2 * sum(len(h) for h in _frame_halves(w))
     dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
     rows = list(range(k)) + rows
     return SupportSet(base_point=x, directions=list(objectives),
@@ -640,14 +624,19 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
 
 
 def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
-    """Is zero a subgradient at x (stationarity in the quotient directions)?"""
+    """Is zero a subgradient at x (stationarity in the quotient directions)?
+
+    The report names the first fan row whose support value lies within a
+    relative 1e-12 of the smallest, so values that tie up to rounding name
+    the same row."""
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(g)
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
     dirs, sups, _, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
-    i = int(np.argmin(sups))
-    return {"is_critical": bool(sups[i] >= -_CRITICAL_TOL), "min_derivative": float(sups[i]),
+    low = float(np.min(sups))
+    i = int(np.argmax(sups <= low + _TIE_TOL * (1.0 + abs(low))))
+    return {"is_critical": bool(low >= -_CRITICAL_TOL), "min_derivative": low,
             "worst_direction": list(map(float, dirs[i]))}
 
 
@@ -663,22 +652,20 @@ class MeanValuePoint:
                 "zeta": list(map(float, self.zeta)), "residual": float(self.residual)}
 
 
-def _ternary(psi: Callable[[float], float], lo: float, hi: float, sign: float) -> float:
-    """Midpoint of the interval that 130 ternary-search steps for a minimum
-    of ``sign * psi`` on ``[lo, hi]`` leave.  An update that would leave
-    its end unchanged stops the search: the interval is then at a fixed
-    point, and every later step would evaluate the same two points."""
-    for _ in range(130):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if sign * psi(m1) <= sign * psi(m2):
-            if hi == m2:
-                break
-            hi = m2
-        else:
-            if lo == m1:
-                break
-            lo = m1
+def _sectioning(psi, lo: float, hi: float) -> float:
+    """Midpoint of the bracket that a k-point sectioning search (Kiefer
+    1953) for a minimum of ``psi`` (parameters in, one value each out) on
+    ``[lo, hi]`` leaves.  Each round evaluates :data:`_SECTIONS` equally
+    spaced interior points as one batch and keeps the two cells around the
+    smallest value (the first on ties).  A round that would leave the
+    bracket unchanged stops the search: every later round would evaluate the
+    same points.  At most :data:`_SECTION_ROUNDS` rounds run."""
+    for _ in range(_SECTION_ROUNDS):
+        ts = np.linspace(lo, hi, _SECTIONS + 2)
+        j = int(np.argmin(psi(ts[1:-1]))) + 1
+        if ts[j - 1] == lo and ts[j + 1] == hi:
+            break
+        lo, hi = float(ts[j - 1]), float(ts[j + 1])
     return 0.5 * (lo + hi)
 
 
@@ -688,14 +675,18 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValu
 
     When the chord is a kernel direction the function must be constant along
     it, and any quotient subgradient (which annihilates the kernel) works.
-    Otherwise the crossing parameter of the monotone map
-    t -> f'(x + t(y-x); y-x) - (f(y) - f(x)) is bisected; for non-convex
-    functions a grid scan locates a sign change first.
+    Otherwise the witness extremizes the chord potential
+    ``psi(t) = f(x + t(y-x)) - (f(y) - f(x)) t``: a scan of 513 chord points
+    (one batch) picks the deeper of its interior minimum and maximum, and a
+    sectioning search (:func:`_sectioning`, one batch per round) refines it
+    inside the scan cells around that point.  A potential that the scan finds
+    flat to a relative 1e-12 takes the chord's midpoint.
     """
     x = as_vector(x, f.domain.dim)
     y = as_vector(y, f.domain.dim)
     d = y - x
-    target = f(y) - f(x)
+    fx = f(x)
+    target = f(y) - fx
     mu = g.value(d)
     if mu <= 1e-12:
         if abs(target) > 1e-9:
@@ -706,35 +697,27 @@ def lebourg_point(f: ScalarFunction, x, y, g: Gauge, seed: int = 42) -> MeanValu
         return MeanValuePoint(point=z, alpha=0.5, zeta=zeta,
                               residual=abs(float(zeta @ d) - target))
 
-    # the potential psi(t) = f(x + t d) - target * t takes equal values at the
-    # chord endpoints, so an interior extremum exists and carries a
-    # subgradient pairing exactly to the secant slope.  Extremizing function
-    # values (instead of root-finding on derivative estimates) stays sharp at
-    # kinks.
-    fx = f(x)
+    # psi takes equal values at the chord endpoints, so an interior extremum
+    # exists and carries a subgradient pairing exactly to the secant slope.
+    # Extremizing function values (instead of root-finding on derivative
+    # estimates) stays sharp at kinks.
+    def psi(ts: np.ndarray) -> np.ndarray:
+        return f.many(x + ts[:, None] * d) - target * ts
 
-    def psi(t: float) -> float:
-        return f(x + t * d) - target * t
-
-    if f.convex:
-        t_star = _ternary(psi, 0.0, 1.0, +1.0)
+    grid = np.linspace(0.0, 1.0, 513)
+    vals = psi(grid)
+    i_min = int(np.argmin(vals[1:-1])) + 1
+    i_max = int(np.argmax(vals[1:-1])) + 1
+    drop = vals[0] - vals[i_min]
+    rise = vals[i_max] - vals[0]
+    if max(drop, rise) <= 1e-12 * (1.0 + abs(fx)):
+        t_star = 0.5  # the potential is flat: every point is a witness
+    elif drop >= rise:
+        t_star = _sectioning(psi, grid[i_min - 1], grid[i_min + 1])
     else:
-        grid = np.linspace(0.0, 1.0, 513)
-        # psi at every grid point, as one batch of the points x + t d
-        vals = f.many(x + grid[:, None] * d) - target * grid
-        i_min = int(np.argmin(vals[1:-1])) + 1
-        i_max = int(np.argmax(vals[1:-1])) + 1
-        drop = vals[0] - vals[i_min]
-        rise = vals[i_max] - vals[0]
-        scale = 1e-12 * (1.0 + abs(fx))
-        if max(drop, rise) <= scale:
-            t_star = 0.5  # the potential is flat: every point is a witness
-        elif drop >= rise:
-            t_star = _ternary(psi, grid[i_min - 1], grid[i_min + 1], +1.0)
-        else:
-            t_star = _ternary(psi, grid[i_max - 1], grid[i_max + 1], -1.0)
-        if not 0.0 < t_star < 1.0:
-            raise NoBracketError("no interior extremum of the chord potential")
+        t_star = _sectioning(lambda ts: -psi(ts), grid[i_max - 1], grid[i_max + 1])
+    if not 0.0 < t_star < 1.0:
+        raise NoBracketError("no interior extremum of the chord potential")
     z = x + t_star * d
     zeta_hi, zeta_lo = _extract(f, z, g, d, seed, signs=(1, -1))
     hi = float(zeta_hi @ d)

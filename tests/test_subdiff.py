@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from gaugecalc import (
@@ -184,6 +184,23 @@ def test_fermat_check(plane, unit_gauge):
     res = fermat_check(f, [0.5, 0.0], unit_gauge)
     assert not res["is_critical"]
     assert res["min_derivative"] < -0.5
+
+
+def test_fermat_names_the_first_of_tied_rows(plane, unit_gauge, monkeypatch):
+    # support values that tie up to one ulp name the first tied row,
+    # whichever of them is the smaller; the minimum is still reported
+    w = subdiff._reduced_basis(unit_gauge)
+    dirs, sups, rows, axes = subdiff._support_fan(fn("abs(x1) + x2^2", plane), np.zeros(2),
+                                                  unit_gauge, w, subdiff._TEST_FAN, 42)
+    reports = []
+    for bump in (-1.0, 1.0):
+        tied = np.full(sups.size, 2.0)
+        tied[[3, 6]] = 0.25, np.nextafter(0.25, bump)
+        monkeypatch.setattr(subdiff, "_support_fan", lambda *a, **k: (dirs, tied, rows, axes))
+        reports.append(fermat_check(fn("x1", plane), [0.0, 0.0], unit_gauge))
+        assert reports[-1]["min_derivative"] == float(np.min(tied))
+    assert reports[0]["worst_direction"] == reports[1]["worst_direction"] == \
+        list(map(float, dirs[3]))
 
 
 def test_fermat_blind_along_gauge_kernel(plane):
@@ -593,7 +610,7 @@ def test_fan_matches_the_list_construction(size):
         outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
         extra = [rng.standard_normal(n), outside, np.zeros(n)][:int(rng.integers(0, 4))]
         seed = int(rng.integers(1 << 20))
-        frame = subdiff._frame(w)
+        frame = subdiff._signed(subdiff._frame_halves(w))
         assert np.array_equal(frame, np.array(list_frame(w)).reshape(-1, n))
         dirs, rows, axes = subdiff._direction_fan(w, size, seed, extra)
         want, want_rows = list_fan(w, size, seed, extra)
@@ -609,7 +626,7 @@ def test_fan_matches_the_list_construction(size):
 
 def test_grid_frame_matches_the_list_construction():
     w = Subspace.full(1000)
-    assert np.all(subdiff._frame(w) == np.array(list_frame(w)))
+    assert np.all(subdiff._signed(subdiff._frame_halves(w)) == np.array(list_frame(w)))
 
 
 def signed_zeros(rng, v):
@@ -682,7 +699,7 @@ def hull_table(f, x, g, seed=42):
     """The fan, support values and objective rows of a hull at x."""
     w = subdiff._reduced_basis(g)
     objectives, _, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
-    k = len(subdiff._frame(w))
+    k = len(subdiff._signed(subdiff._frame_halves(w)))
     dirs, sups, rows, _ = subdiff._support_fan(f, np.asarray(x, float), g, w,
                                                subdiff._LP_FAN, seed, extra=objectives[k:])
     return w, dirs, sups, list(range(k)) + rows
@@ -910,34 +927,50 @@ def recording_linprog(monkeypatch, statuses=()):
     return calls
 
 
-def test_the_past_cap_lp_is_handed_the_dense_model(monkeypatch):
-    # the sparse matrix HiGHS receives is the CSC that the dense rows give
-    # (the same values; its index arrays may be wider integers), so the
-    # extraction is a dense-matrix LP's optimum, byte for byte
-    from scipy.sparse import csc_array, issparse
+def bounds_model(dirs, sups, axes):
+    """The past-cap LP's model: the signed axes ``+e_i, -e_i`` as the
+    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the other rows as
+    inequality rows."""
+    b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
+    return {"A_ub": dirs[axes:], "b_ub": b[axes:],
+            "bounds": np.column_stack([-b[1:axes:2], b[:axes:2]])}
 
+
+def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
     f, x, g, closed, w, dirs, sups, rows = grid40()
+    axes = 2 * w.dim
     calls = recording_linprog(monkeypatch)
     z = extract_subgradient(f, x, g, objective=closed)
     [call] = calls
-    assert issparse(call["A_ub"]) and call["bounds"] == (None, None)
-    got, want = csc_array(call["A_ub"]), csc_array(dirs)
-    assert got.data.tobytes() == want.data.tobytes()
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.indptr, want.indptr)
-    assert z.tobytes() == lp_optimum(w, dirs, sups, rows[0]).tobytes()
+    model = bounds_model(dirs, sups, axes)
+    for key, want in model.items():
+        assert np.array_equal(call[key], want)
+    # the extraction is that model's optimum, byte for byte, and the dense
+    # model's optimum to within the LP slack
+    own = linprog(-dirs[rows[0]], **model, method="highs")
+    assert z.tobytes() == own.x.tobytes()
+    dense = lp_optimum(w, dirs, sups, rows[0])
+    assert np.allclose(z, dense, rtol=0.0, atol=subdiff._LP_SLACK * (1.0 + np.max(np.abs(dense))))
+    # an objective with no component in w adds no row past the axes, so the
+    # LP has no inequality rows
+    calls.clear()
+    z = extract_subgradient(f, x, g, objective=np.zeros(w.dim))
+    [call] = calls
+    assert call["A_ub"] is None and call["b_ub"] is None
+    assert z[0] == model["bounds"][0, 1]
 
 
-def test_the_presolve_retry_runs_on_the_sparse_model(monkeypatch):
+def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
     f, x, g, closed, w, dirs, sups, rows = grid40()
     calls = recording_linprog(monkeypatch, statuses=[2])
     z = extract_subgradient(f, x, g, objective=closed)
     first, retry = calls
-    assert retry["A_ub"] is first["A_ub"] and retry["options"] == {"presolve": False}
-    # the raw solve on the dense matrix finds the same optimum
-    b_ub = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
-    raw = linprog(-dirs[rows[0]], A_ub=dirs, b_ub=b_ub, bounds=[(None, None)] * w.dim,
-                  method="highs", options={"presolve": False})
+    assert retry["options"] == {"presolve": False}
+    for key in ("A_ub", "b_ub", "bounds"):
+        assert retry[key] is first[key]
+    # the raw solve of the bounds model finds the same optimum
+    raw = linprog(-dirs[rows[0]], **bounds_model(dirs, sups, 2 * w.dim), method="highs",
+                  options={"presolve": False})
     assert z.tobytes() == raw.x.tobytes()
 
 
@@ -969,31 +1002,33 @@ def test_sublinearity_check_reads_only_negation_pairs(plane, unit_gauge):
 # -- mean value scan ---------------------------------------------------------
 
 
-def test_lebourg_scan_is_one_batch(plane, unit_gauge, monkeypatch):
-    f = fn("abs(x1) - abs(x2) + 0.3 * x1", plane, convex=False)
-    batches, scalars = [], []
-    many, call = ScalarFunction.many, ScalarFunction.__call__
+@pytest.mark.parametrize("expr,convex", [("abs(x1) + x2^2", True),
+                                         ("abs(x1) - abs(x2) + 0.3 * x1", False)])
+def test_lebourg_search_makes_no_scalar_call(expr, convex, plane, unit_gauge, monkeypatch):
+    # before the extraction at the witness: the scalar calls f(x) and f(y),
+    # the 513-point scan as one batch, then one batch per sectioning round
+    f = fn(expr, plane, convex=convex)
+    events = []
+    many, call, extract = ScalarFunction.many, ScalarFunction.__call__, subdiff._extract
     monkeypatch.setattr(ScalarFunction, "many",
-                        lambda self, xs: batches.append(len(xs)) or many(self, xs))
+                        lambda self, xs: events.append(len(xs)) or many(self, xs))
     monkeypatch.setattr(ScalarFunction, "__call__",
-                        lambda self, x: scalars.append(1) or call(self, x))
+                        lambda self, x: events.append("scalar") or call(self, x))
+    monkeypatch.setattr(subdiff, "_extract",
+                        lambda *a, **k: events.append("extract") or extract(*a, **k))
     lebourg_point(f, [-0.5, 0.2], [0.7, -0.3], unit_gauge)
-    # the 513-point scan is one batch, not 513 scalar calls; the scalar
-    # calls are f(y), f(x) twice and two per ternary step, of which there
-    # are 79 before the interval stops moving
-    assert 513 in batches
-    assert len(scalars) == 3 + 2 * 79
+    search = events[:events.index("extract")]
+    rounds = len(search) - 3
+    assert search == ["scalar", "scalar", 513] + [subdiff._SECTIONS] * rounds
+    assert 10 <= rounds < subdiff._SECTION_ROUNDS
 
 
-def _ternary_130(psi, lo, hi, sign):
-    """The ternary search for a minimum of ``sign * psi``, run all 130 steps."""
-    for _ in range(130):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if sign * psi(m1) <= sign * psi(m2):
-            hi = m2
-        else:
-            lo = m1
+def sectioning_uncapped(psi, lo, hi, rounds=400):
+    """The sectioning search run for ``rounds`` rounds with no stop rule."""
+    for _ in range(rounds):
+        ts = np.linspace(lo, hi, subdiff._SECTIONS + 2)
+        j = int(np.argmin(psi(ts[1:-1]))) + 1
+        lo, hi = float(ts[j - 1]), float(ts[j + 1])
     return 0.5 * (lo + hi)
 
 
@@ -1003,15 +1038,59 @@ def _ternary_130(psi, lo, hi, sign):
     ("abs(x1) - abs(x2) + 0.3 * x1", False, [-0.5, 0.2], [0.7, -0.3]),
     ("x1^3 - x1 + abs(x2)", False, [-0.9, -0.4], [0.9, 0.6]),
 ])
-def test_lebourg_ternary_stop_returns_the_130_step_point(expr, convex, x, y, plane,
-                                                          unit_gauge, monkeypatch):
+def test_lebourg_stop_rule_returns_the_uncapped_point(expr, convex, x, y, plane, unit_gauge,
+                                                      monkeypatch):
     f = fn(expr, plane, convex=convex)
     got = lebourg_point(f, x, y, unit_gauge)
     calls = []
-    monkeypatch.setattr(subdiff, "_ternary",
-                        lambda psi, lo, hi, sign: calls.append(1) or _ternary_130(psi, lo, hi, sign))
+    monkeypatch.setattr(subdiff, "_sectioning",
+                        lambda psi, lo, hi: calls.append(1) or sectioning_uncapped(psi, lo, hi))
     want = lebourg_point(f, x, y, unit_gauge)
     assert calls
     assert got.alpha == want.alpha
     assert np.array_equal(got.point, want.point)
     assert np.array_equal(got.zeta, want.zeta)
+
+
+#: separable terms in one coordinate (``{i}`` its index, ``{a}`` a kink
+#: position, ``{c}`` a positive coefficient): convex ones, then others
+CONVEX_TERMS = ["{c}*abs(x{i} - {a})", "{c}*x{i}^2", "max(x{i}, {c}*x{i} + {a})",
+                "{c}*x{i}", "exp({c}*x{i})"]
+OTHER_TERMS = ["-{c}*abs(x{i} - {a})", "x{i}^3 - {c}*x{i}", "-{c}*x{i}^2"]
+
+
+@st.composite
+def lebourg_cases(draw):
+    n = draw(st.integers(1, 3))
+    convex = draw(st.booleans())
+    terms = [draw(st.sampled_from(CONVEX_TERMS if convex else CONVEX_TERMS + OTHER_TERMS))
+             .format(i=i + 1, a=draw(st.sampled_from([-0.5, -0.1, 0.0, 0.3])),
+                     c=draw(st.sampled_from([0.2, 0.5, 1.0, 2.5])))
+             for i in range(n)]
+    point = st.lists(st.integers(-100, 100).map(lambda k: k / 100), min_size=n, max_size=n)
+    x, y = np.array(draw(point)), np.array(draw(point))
+    assume(np.linalg.norm(y - x) >= 0.1)
+    return " + ".join(terms), convex, x, y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=lebourg_cases())
+def test_lebourg_witness_is_on_the_chord_and_pairs_to_the_secant(case):
+    # random separable expressions and chords: the witness lies on the
+    # chord, and its subgradient pairs with y - x to the secant within the
+    # tolerance; for a convex function psi(t) = f(x + t d) - target t at
+    # the witness is no larger than the scan's smallest value, up to rounding
+    expr, convex, x, y = case
+    n = x.size
+    f = fn(expr, box(n, -5, 5, center=[0.0] * n), convex=convex)
+    mvp = lebourg_point(f, x, y, Gauge.of_set(box(n)))
+    assert 0.0 < mvp.alpha < 1.0
+    assert np.allclose(mvp.point, mvp.alpha * x + (1.0 - mvp.alpha) * y, rtol=0.0, atol=1e-12)
+    target = f(y) - f(x)
+    assert abs(float(mvp.zeta @ (y - x)) - target) <= \
+        subdiff._SECANT_TOL * (1.0 + abs(target))
+    if convex:
+        ts = np.linspace(0.0, 1.0, 513)
+        scan = f.many(x + ts[:, None] * (y - x)) - target * ts
+        witness = f(mvp.point) - target * (1.0 - mvp.alpha)
+        assert witness <= float(np.min(scan)) + 1e-12 * (1.0 + abs(f(x)))
