@@ -6,7 +6,7 @@ evaluators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +43,10 @@ class ScalarFunction:
         one (a composite's reads its parts' ``many``), and any other callable
         is called once per row.  Raises the error of the first row
         whose scalar call fails: a batch that raises is rerun one row at a
-        time, since an earlier row may return a non-finite value.
+        time, since an earlier row may return a non-finite value.  The batch
+        evaluator's axis evaluator (:attr:`many_along`) is not called here:
+        its values are the one exception to "the float ``self(x)``
+        returns", and may differ from it in the last bits.
         """
         xs = np.asarray(xs, dtype=float)
         batch = getattr(self.fn, "many", None)
@@ -59,6 +62,37 @@ class ScalarFunction:
             raise NonFiniteInputError(
                 f"function {self.name or '<anonymous>'} returned {vals[i]} at {xs[i]}")
         return vals
+
+    @property
+    def many_along(self) -> Optional[Callable]:
+        """The batch evaluator's axis evaluator, or None when it carries
+        none.
+
+        A batch evaluator may carry, as its ``along`` attribute, an
+        evaluator ``along(x, cols, steps)`` of the values at the points
+        ``x + steps[k] * e_{cols[k]}``, one per step, which never writes
+        them (the weighted grid's energy replaces one term of its sum).
+        Its values may differ from :meth:`many`'s in the last bits.  Like
+        :meth:`many`, the evaluator returned here raises
+        :class:`NonFiniteInputError` naming the first point whose value is
+        not finite.  Expressions and composites carry none.
+        """
+        along = getattr(getattr(self.fn, "many", None), "along", None)
+        if along is None:
+            return None
+
+        def checked(x: np.ndarray, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
+            vals = np.asarray(along(x, cols, steps), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i = int(bad[0])
+                point = x.copy()
+                point[cols[i]] += steps[i]
+                raise NonFiniteInputError(
+                    f"function {self.name or '<anonymous>'} returned {vals[i]} at {point}")
+            return vals
+
+        return checked
 
     @classmethod
     def from_expr(cls, source: str, domain: ConvexSet, convex: bool = False,

@@ -110,7 +110,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim), ambient_dim)
+        """R^n with its identity basis, written once: the identity check
+        that any other full-rank basis gets (an n^2 scan) is skipped."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "basis", np.eye(ambient_dim))
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        return space
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int) -> "Subspace":
@@ -192,6 +197,10 @@ class Representation:
     def contains_many(self, s: "ConvexSet", xs: np.ndarray, tol: float) -> np.ndarray:
         """One membership test of ``s`` per row."""
         return np.array([s.contains(x, tol) for x in xs], dtype=bool)
+
+    def contains_along(self, s: "ConvexSet") -> Optional[Callable]:
+        """The axis evaluator of :meth:`contains_many`; none by default."""
+        return None
 
     def propose_many(self, s: "ConvexSet", rng: np.random.Generator, k: int) -> list[np.ndarray]:
         """``k`` proposals, drawn from ``rng`` as ``k`` calls of ``propose``."""
@@ -777,6 +786,22 @@ class Oracle(Representation):
             raise NonFiniteInputError("vector has non-finite entries")
         return np.asarray(batch(xs), dtype=bool)
 
+    def contains_along(self, s):
+        """The batch evaluator's axis evaluator (its ``along`` attribute):
+        ``along(x, cols, steps)`` tells, without writing them, whether the
+        points ``x + steps[k] * e_{cols[k]}`` are members, the same truth
+        values as the batch evaluator's; None when it carries none."""
+        along = getattr(getattr(self.member, "many", None), "along", None)
+        if along is None:
+            return None
+
+        def checked(x: np.ndarray, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x[cols] + steps))):
+                raise NonFiniteInputError("vector has non-finite entries")
+            return np.asarray(along(x, cols, steps), dtype=bool)
+
+        return checked
+
     def propose(self, s, rng):
         """A normal draw about the anchor, of ``bounding_radius`` spread."""
         return s.anchor() + self.bounding_radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
@@ -814,6 +839,15 @@ class ConvexSet:
             raise DimensionMismatchError(
                 f"expected rows of dimension {self.dim}, got shape {xs.shape}")
         return self.representation.contains_many(self, xs, tol)
+
+    @property
+    def contains_along(self) -> Optional[Callable]:
+        """The axis evaluator of :meth:`contains_many`: ``along(x, cols,
+        steps)``, the membership of the points ``x + steps[k] *
+        e_{cols[k]}``, which it never writes; None for a set without one
+        (only an oracle whose member test's batch evaluator carries one has
+        it, see :meth:`Oracle.contains_along`)."""
+        return self.representation.contains_along(self)
 
     def anchor(self) -> np.ndarray:
         """A member point used as the base for ray searches and sampling."""

@@ -34,8 +34,10 @@ from .functions import (
 from .geometry import Gauge, Subspace, as_vector
 from .subdiff import (
     _OBJECTIVE_FAN,
+    _dense,
     _direction_fan,
     _images,
+    _projected,
     _reduced_basis,
     _signed,
     _support_values,
@@ -83,12 +85,6 @@ class RuleReport:
 # ---------------------------------------------------------------------------
 
 
-def _projected(w: Subspace, dirs: np.ndarray) -> np.ndarray:
-    """Each row's quotient representative in the reduced space ``w``: the
-    same floats as ``w.project`` of each row."""
-    return _images(w.basis.T, _images(w.basis, dirs))
-
-
 def _support(f: ScalarFunction, x, g: Gauge, w: Subspace, seed: int) -> Support:
     """Support function of f's subdifferential at x relative to g, whose
     reduced space is ``w``: the estimator the hulls read, along each row's
@@ -128,13 +124,15 @@ def _fan_for(w: Subspace, seed: int = 42) -> np.ndarray:
     """The rule fan of the reduced space ``w``: its direction fan, then +/-
     each normalized sum and difference of two basis vectors.  Its opening
     rows are the hull objectives (the fan of size ``_OBJECTIVE_FAN``) of the
-    same seed."""
+    same seed.  A rule fan is small and is written out whole, the signed
+    axes of the whole space's frame too."""
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    dirs, _, _ = _direction_fan(w, _RULE_FAN, seed)
+    dirs, _, axes = _direction_fan(w, _RULE_FAN, seed)
     pairs = [(w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
              for i in range(w.dim) for j in range(i + 1, w.dim) for s in (1.0, -1.0)]
-    return np.vstack([dirs, _signed([np.array(pairs).reshape(-1, w.ambient_dim)])])
+    return np.vstack([_dense(dirs, axes),
+                      _signed([np.array(pairs).reshape(-1, w.ambient_dim)])])
 
 
 def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
@@ -142,8 +140,9 @@ def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
     """The vertices of the set whose support values along the rule fan's
     rows are ``sups``: the optimal faces of the fan's opening rows, the
     hull objectives, in the vertex table of the fan's own support values."""
-    objectives, _, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
-    return [list(map(float, z)) for z in _vertices(w, rows, sups, range(len(objectives)))]
+    objectives, _, axes = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    return [list(map(float, z))
+            for z in _vertices(w, rows, sups, range(axes + len(objectives)))]
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:

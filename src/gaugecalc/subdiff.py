@@ -9,6 +9,8 @@ movement, so subgradients are quotient representatives that annihilate it.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import warnings
@@ -67,78 +69,127 @@ _TIE_TOL = 1e-12
 #: one batch each; a bracket at most 2/512 wide stops moving within about 20
 #: rounds, so the cap is never what ends a search
 _SECTIONS, _SECTION_ROUNDS = 14, 64
+#: the interior points of a round on [lo, hi] are lo + k * (hi - lo) / 15 for
+#: k in 1..14, the same floats as ``np.linspace(lo, hi, 16)[1:-1]``
+_SECTION_INDEX = np.arange(1.0, _SECTIONS + 1.0)
 #: rows of one batch evaluation hold at most this many coordinates, so a fan
 #: is evaluated in chunks of half a megabyte whatever its size
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
-        base_rows: Optional[np.ndarray] = None, axes: int = 0) -> np.ndarray:
-    """``op`` (a batch evaluator: point rows in, one value per row out) at
-    the points ``base + t[i] * dirs[rows[i]]``, or with ``base_rows`` at
-    ``base[base_rows[i]] + t[i] * dirs[rows[i]]``, a chunk at a time.
+@functools.lru_cache(maxsize=8)
+def _signed_axes(n: int) -> np.ndarray:
+    """The ``2n`` signed axes of R^n, ``+e_0, -e_0, +e_1, ...``, as a
+    read-only ``(2n, n)`` view of ``4n`` floats (never the ``2n * n`` of a
+    written matrix): element ``j`` of row ``r`` is ``pattern[2n - r + 2j]``,
+    where the pattern holds 0.0 at even and -0.0 at odd places but for 1.0
+    at ``2n`` and -1.0 at ``2n - 1``.  So ``-e_j`` carries the sign bit in
+    every entry, as ``-1.0 * e_j`` does."""
+    pattern = np.zeros(4 * n)
+    pattern[1::2] = -0.0
+    pattern[2 * n], pattern[2 * n - 1] = 1.0, -1.0
+    item = pattern.itemsize
+    return np.lib.stride_tricks.as_strided(pattern[2 * n:], shape=(2 * n, n),
+                                           strides=(-item, 2 * item), writeable=False)
 
-    The first ``axes`` rows of ``dirs`` are the signed axes ``+e_0, -e_0,
-    +e_1, -e_1, ...`` that open a fan over the whole space (see
-    :func:`_direction_fan`); with ``axes`` nonzero, ``rows`` is ascending
-    and there is one base point.  A point along a signed axis is a copy of
-    the base with one coordinate written, ``base[i] + dirs[r, i] * t``: the
-    copy is ``base + 0.0`` along ``+e_i`` and ``base`` along ``-e_i``, the
-    signed zeros that ``0.0 * t + base`` and ``-0.0 * t + base`` give, so
-    every point is the same floats as the product and sum over the whole
-    row, with no pass over the row."""
-    size = max(1, _CHUNK_ELEMENTS // max(dirs.shape[1], 1))
-    buf = np.empty((min(size, rows.size), dirs.shape[1]))
-    lead = int(rows.searchsorted(axes)) if axes else 0  # the axis rows lead
-    if lead:
-        cols = rows[:lead] // 2
-        step = dirs[rows[:lead], cols] * t[:lead]
-        plus, lifted, written = step > 0.0, base + 0.0, base[cols] + step
-        at = np.arange(min(size, lead))
-    out = []
-    for lo in range(0, rows.size, size):
+
+def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
+        base_rows: Optional[np.ndarray] = None, axes: int = 0, along=None) -> np.ndarray:
+    """``op`` (a batch evaluator: point rows in, one value per row out) at
+    the points ``base + t[i] * v``, ``v`` the fan row ``rows[i]``, or with
+    ``base_rows`` at ``base[base_rows[i]] + t[i] * v``, a chunk at a time.
+
+    The fan opens with ``axes`` signed axes, row ``2j`` being ``+e_j`` and
+    row ``2j + 1`` being ``-e_j``, which are not written; its rows from
+    ``axes`` on are the rows of ``dirs`` (see :func:`_direction_fan`).  With
+    ``axes`` nonzero, ``rows`` is ascending, so the axis rows lead.
+
+    With one base point and ``along``, op's axis evaluator (see
+    :attr:`ScalarFunction.many_along`), the axis rows are one call
+    ``along(base, columns, signed steps)``, whose values may differ from
+    op's in the last bits.  Otherwise a chunk's axis rows are read from
+    :func:`_signed_axes` into its point buffer, and every point is the
+    dense product and sum ``v * t + base``: the same floats as on the fan
+    written dense."""
+    n = base.shape[-1]
+    lead = bisect.bisect_left(rows, axes) if axes else 0
+    out, skip = [], 0
+    if lead and along is not None and base_rows is None:
+        cols, odd = np.divmod(rows[:lead], 2)
+        out.append(along(base, cols, np.where(odd, -t[:lead], t[:lead])))
+        skip = lead
+    size = max(1, _CHUNK_ELEMENTS // max(n, 1))
+    single = rows.size - skip <= size
+    buf = np.empty((min(size, rows.size - skip), n))
+    for lo in range(skip, rows.size, size):
         hi = min(lo + size, rows.size)
         pts = buf[:hi - lo]
         k = min(max(lead - lo, 0), hi - lo)
         if k:
-            pts[:k] = base
-            pts[:k][plus[lo:lo + k]] = lifted
-            pts[at[:k], cols[lo:lo + k]] = written[lo:lo + k]
-        dense = pts[k:]
-        dirs.take(rows[lo + k:hi], axis=0, out=dense)
-        dense *= t[lo + k:hi, None]
-        dense += base if base_rows is None else base[base_rows[lo + k:hi]]
-        out.append(np.array(op(pts)))  # a copy: the result may view the reused buffer
+            pts[:k] = _signed_axes(n)[rows[lo:lo + k]]
+        dirs.take(rows[lo + k:hi] - axes if axes else rows[lo:hi], axis=0, out=pts[k:])
+        pts *= t[lo:hi, None]
+        pts += base if base_rows is None else base[base_rows[lo:hi]]
+        # a copy unless the buffer holds one chunk: the result may view it
+        out.append(op(pts) if single else np.array(op(pts)))
+    if len(out) == 1:
+        return np.asarray(out[0])
     return np.concatenate(out) if out else np.empty(0)
 
 
 def _feasible_steps(f: ScalarFunction, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray,
                     t: np.ndarray, floor: float, base_rows: Optional[np.ndarray] = None,
                     axes: int = 0) -> np.ndarray:
-    """Halve each start step ``t[i]`` until ``base + t[i] * dirs[rows[i]]``
-    (with ``base_rows``, from ``base[base_rows[i]]``) lies in f's domain or
-    the step is at most ``floor``; one batch membership call per halving.
-    ``axes`` is as in :func:`_at`.  Returns ``t``, updated in place."""
+    """Halve each start step ``t[i]`` until ``base + t[i] * v`` (``v`` the
+    fan row ``rows[i]``; with ``base_rows``, from ``base[base_rows[i]]``)
+    lies in f's domain or the step is at most ``floor``; one batch
+    membership call per halving, which takes the axis rows through the
+    domain's axis evaluator when it has one.  ``dirs`` and ``axes`` are as
+    in :func:`_at`.  Returns ``t``, updated in place."""
+    along = f.domain.contains_along
+
     def inside(search, steps):
         return _at(f.domain.contains_many, base, dirs, rows[search], steps,
-                   None if base_rows is None else base_rows[search], axes)
+                   None if base_rows is None else base_rows[search], axes, along)
 
     return halving_steps(inside, t, floor)
 
 
+def _row(dirs: np.ndarray, axes: int, r: int) -> np.ndarray:
+    """Row ``r`` of the fan ``dirs`` with ``axes`` signed axes (see
+    :func:`_at`)."""
+    return _signed_axes(dirs.shape[1])[r] if r < axes else dirs[r - axes]
+
+
+def _dense(dirs: np.ndarray, axes: int) -> np.ndarray:
+    """Every row of the fan ``dirs`` with ``axes`` signed axes, written
+    into one matrix.  Only small fans are read this way: a rule fan, a
+    vertex table's rows and a hull's listed objectives."""
+    return np.vstack([_signed_axes(dirs.shape[1]), dirs]) if axes else dirs
+
+
+def _pairings(dirs: np.ndarray, axes: int, z: np.ndarray) -> np.ndarray:
+    """``<v, z>`` for every row ``v`` of the fan ``dirs`` with ``axes``
+    signed axes: ``+/- z[j]`` along ``+/- e_j``."""
+    out = np.empty(axes + dirs.shape[0])
+    out[:axes:2] = z[:axes // 2]
+    np.negative(z[:axes // 2], out=out[1:axes:2])
+    out[axes:] = dirs @ z
+    return out
+
+
 def _nonzero_rows(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
-    """The rows a derivative is taken along; the others read 0.  The first
-    ``axes`` rows, signed axes (see :func:`_at`), are not measured."""
-    tail = dirs[axes:]
+    """The rows a derivative is taken along; the others read 0.  The
+    ``axes`` signed axes (see :func:`_at`) are not measured."""
     return np.concatenate([np.arange(axes),
-                           axes + np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", tail, tail))
+                           axes + np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
                                                  >= 1e-14)])
 
 
 def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
             axes: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided directional derivatives of f at x along the rows of ``dirs``
-    (the first ``axes`` of them signed axes, see :func:`_at`) by halving
+    """One-sided directional derivatives of f at x along the rows of the
+    fan ``dirs`` with ``axes`` signed axes (see :func:`_at`) by halving
     difference ladders run in lockstep, and the number of sign changes
     between consecutive quotient differences on each row.
 
@@ -147,11 +198,13 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
     its quotients are nondecreasing in the step (Rockafellar 1970, Thm
     23.1), so coarser octaves cannot decide its value, while the
     oscillation count of any other function reads them.  Each step
-    evaluates every row whose ladder is still running as one batch; each
-    row keeps its own step, stopping rules and Richardson step, so its
-    value is the one a ladder on that row alone would give.
+    evaluates every row whose ladder is still running as one batch (the
+    signed axes through f's axis evaluator when it has one, see
+    :func:`_at`); each row keeps its own step, stopping rules and
+    Richardson step, so its value is the one a ladder on that row alone
+    would give, up to the last bits of an axis evaluator's values.
     """
-    m = dirs.shape[0]
+    m = axes + dirs.shape[0]
     out = np.zeros(m)
     oscillations = np.zeros(m, dtype=int)
     live = _nonzero_rows(dirs, axes)
@@ -164,9 +217,10 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
     if np.any(t[live] <= 1e-7):
         raise NoFeasibleStepError("no feasible step from x along d inside the domain")
     fx = f(x)
+    along = f.many_along
 
     def quotients(rows):
-        return (_at(f.many, x, dirs, rows, t[rows], axes=axes) - fx) / t[rows]
+        return (_at(f.many, x, dirs, rows, t[rows], axes=axes, along=along) - fx) / t[rows]
 
     q, q_prev = np.zeros(m), np.zeros(m)
     has_q, has_prev = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
@@ -231,27 +285,27 @@ def dir_deriv(f: ScalarFunction, x, d) -> float:
 
 
 def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
-                 seed: int) -> np.ndarray:
-    """Generalized directional derivatives along the rows of ``dirs``.
+                 seed: int, axes: int = 0) -> np.ndarray:
+    """Generalized directional derivatives along the rows of the fan
+    ``dirs`` with ``axes`` signed axes (see :func:`_at`).
 
     Each shell's probes are normal draws in R^n projected onto span(g)
     (in full dimension, the draws themselves), so no basis of the span is
     privileged.  They do not depend on the direction, so the shell base
     points are drawn, tested for membership (one batch per shell) and
-    evaluated once for the whole fan; every (base point, row) quotient of a
-    shell is then one batch.
+    evaluated once for the whole fan; every (row, base point) quotient of a
+    shell is then one batch, ordered by row.
     """
-    m = dirs.shape[0]
+    m = axes + dirs.shape[0]
     out = np.zeros(m)
-    live = _nonzero_rows(dirs)
+    live = _nonzero_rows(dirs, axes)
     if live.size == 0:
         return out
     rng = np.random.default_rng(seed)
-    basis = g.span.basis
     best = np.full(m, -math.inf)
     for r in _RADII:
         probes = []
-        for u in _images(basis.T, _images(basis, rng.standard_normal((_PROBES, x.size)))):
+        for u in _projected(g.span, rng.standard_normal((_PROBES, x.size))):
             mu = g.value(u)
             scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
             if scale > 1e-14:
@@ -259,14 +313,15 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
         probes = np.array(probes).reshape(-1, x.size)
         ys = np.vstack([x, probes[f.domain.contains_many(probes)]])
         fy = f.many(ys)
-        base_rows = np.repeat(np.arange(ys.shape[0]), live.size)
-        dir_rows = np.tile(live, ys.shape[0])
+        dir_rows = np.repeat(live, ys.shape[0])
+        base_rows = np.tile(np.arange(ys.shape[0]), live.size)
         t = _feasible_steps(f, ys, dirs, dir_rows, np.full(base_rows.size, r / 4.0), 1e-12,
-                            base_rows)
+                            base_rows, axes)
         ok = t > 1e-12
         base_rows, dir_rows, t = base_rows[ok], dir_rows[ok], t[ok]
         with np.errstate(over="ignore", invalid="ignore"):
-            quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows) - fy[base_rows]) / t
+            quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows, axes)
+                         - fy[base_rows]) / t
         if not np.all(np.isfinite(quotients)):
             # every value is finite, so a quotient that is not has overflowed
             raise NonFiniteInputError(
@@ -295,22 +350,26 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
 
 
 def _negation_pairs(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
-    """The rows i whose next row is exactly -dirs[i], compared a chunk of
-    rows at a time; among the first ``axes`` rows, signed axes (see
-    :func:`_at`), those are the even rows, which are not compared."""
+    """The rows i of the fan ``dirs`` with ``axes`` signed axes (see
+    :func:`_at`) whose next row is exactly the negation of row i.  Among the
+    signed axes those are the even rows; the last axis and the first written
+    row are compared as vectors, and the written rows a chunk at a time."""
     m, n = dirs.shape
     size = max(1, _CHUNK_ELEMENTS // max(n, 1))
     out = [np.arange(0, axes, 2)]
-    for lo in range(max(axes - 1, 0), m - 1, size):
+    if axes and m and np.all(dirs[0] == -_row(dirs, axes, axes - 1)):
+        out.append(np.array([axes - 1]))
+    for lo in range(0, m - 1, size):
         hi = min(lo + size, m - 1)
-        out.append(lo + np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
+        out.append(axes + lo +
+                   np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
     return np.concatenate(out)
 
 
 def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
                     seed: int = 42, axes: int = 0) -> np.ndarray:
-    """Support values of f's subdifferential at x along the rows of
-    ``dirs`` (the first ``axes`` of them signed axes, see :func:`_at`):
+    """Support values of f's subdifferential at x along the rows of the
+    fan ``dirs`` with ``axes`` signed axes (see :func:`_at`):
     directional derivatives for convex-flagged functions, generalized
     directional derivatives otherwise, one fan at a time.
 
@@ -321,16 +380,17 @@ def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge
     :class:`ConvexityFlagError` is raised.
     """
     if not f.convex:
-        return _generalized(f, x, dirs, g, seed)
+        return _generalized(f, x, dirs, g, seed, axes)
     h = _ladder(f, x, dirs, axes)[0]
     i = _negation_pairs(dirs, axes)
     total = h[i] + h[i + 1]
     bad = np.flatnonzero(total < -_SUBLINEAR_TOL * (1.0 + np.abs(h[i]) + np.abs(h[i + 1])))
     if bad.size:
         j = int(bad[0])
+        v = _row(dirs, axes, int(i[j]))
         raise ConvexityFlagError(
             f"function {f.name or '<anonymous>'} is flagged convex, but its one-sided "
-            f"derivatives at {list(map(float, x))} along +/-{list(map(float, dirs[i[j]]))} "
+            f"derivatives at {list(map(float, x))} along +/-{list(map(float, v))} "
             f"sum to {float(total[j]):.6g} < 0, which no convex function allows")
     return h
 
@@ -346,6 +406,16 @@ def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """``m @ v`` for each row v of ``vs``: the same floats as one product
     per row (a stacked product multiplies each row on its own)."""
     return np.matmul(m, vs[:, :, None])[..., 0]
+
+
+def _projected(w: Subspace, vs: np.ndarray) -> np.ndarray:
+    """``w.project`` of each row of ``vs``, the same floats as the two
+    stacked products with w's basis.  In the whole space, whose basis is the
+    identity, those products are each row plus 0.0 (a -0.0 entry reads
+    0.0), which is what is returned, with no n^2 pass."""
+    if w.dim == w.ambient_dim:
+        return vs + 0.0
+    return _images(w.basis.T, _images(w.basis, vs))
 
 
 def _norms(vs: np.ndarray) -> np.ndarray:
@@ -379,10 +449,12 @@ def _units(vs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_halves(w: Subspace) -> list[np.ndarray]:
-    """The basis vectors and, in a proper subspace, the unit projected axes:
-    the frame is +/- each of these rows."""
+    """In a proper subspace, the basis vectors and the unit projected
+    axes: the frame is +/- each of these rows.  The whole space's frame is
+    its signed axes, which are not written (none here; see
+    :func:`_direction_fan`)."""
     if w.dim == w.ambient_dim:
-        return [w.basis]
+        return []
     # projected ambient axes: boxy support sets have their facet normals
     # here, and the basis rows alone can be an arbitrarily rotated frame;
     # axis i projects to basis.T @ (column i of basis)
@@ -392,18 +464,23 @@ def _frame_halves(w: Subspace) -> list[np.ndarray]:
 
 def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
                    extra=()) -> tuple[np.ndarray, list[int], int]:
-    """The frame rows, +/- each projected extra vector, then random unit
-    directions in ``w`` up to ``max(per_dim * w.dim, floor)``.  Also the row
-    of each extra vector (its negation is the next row), or 0, the first
-    basis vector, for one with no component in ``w``, and the number of
-    leading signed-axis rows (see :func:`_at`): ``2 * w.dim`` when ``w`` is
-    the whole space, whose basis is the identity, else 0."""
+    """The fan of ``w``: the frame rows, +/- each projected extra vector,
+    then random unit directions in ``w`` up to ``max(per_dim * w.dim,
+    floor)`` rows.  Returned as the fan's written rows, the row of each
+    extra vector (its negation is the next row), or 0, the first frame row,
+    for one with no component in ``w``, and the number of signed axes.
+
+    The frame of the whole space (whose basis is the identity) is its
+    ``2 * n`` signed axes ``+e_0, -e_0, +e_1, ...``, which are counted and
+    never written (see :func:`_at`): the written rows are the rows after
+    them.  A proper subspace has 0 signed axes, and every row is written."""
     n = w.ambient_dim
+    axes = 2 * n if w.dim == n else 0
     halves = _frame_halves(w)
-    opening = 2 * sum(h.shape[0] for h in halves)
+    opening = axes + 2 * sum(h.shape[0] for h in halves)
     # w.project of each extra vector (all zero when w is {0})
     extra = np.asarray(extra, dtype=float).reshape(-1, n)
-    units, keep = _units(_images(w.basis.T, _images(w.basis, extra)), 1e-14)
+    units, keep = _units(_projected(w, extra), 1e-14)
     rows = np.where(keep, opening + 2 * (np.cumsum(keep) - 1), 0).tolist()
     halves.append(units)
     have = opening + 2 * units.shape[0]
@@ -416,7 +493,6 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
         u, _ = _units(_images(w.basis.T, rng.standard_normal((count - have, w.dim))), 1e-14)
         randoms.append(u)
         have += u.shape[0]
-    axes = 2 * w.dim if w.dim == n else 0
     return _signed(halves, np.vstack(randoms) if randoms else None), rows, axes
 
 
@@ -444,24 +520,25 @@ def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
-    """The solver of one row's LP: the optimal face of <z, dirs[row]> over
+    """The solver of one row's LP: the optimal face of <z, v> (v the fan
+    row ``row``; ``dirs`` and ``axes`` as in :func:`_at`) over
     the outer approximation {z : <z, v> <= h(v) + slack for every fan row v}
     of the subdifferential, as its vertices in lexicographic order; the
     optimum must attain that row's support value.
 
     When the fan has at most :data:`_TABLE_SUBSETS` subsets of ``w.dim``
     rows, every face is read from one vertex table (:func:`_vertex_table`)
-    built here: the table vertices within a relative :data:`_ATTAINED_TOL`
-    of the row's maximum.  Past the cap each row solves its LP (HiGHS),
-    whose one optimum is the face it returns.  There the fan's first
-    ``axes`` rows, the signed axes ``+e_i, -e_i`` (see :func:`_at`), are the
-    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, and the inequality rows
-    are only the rows after them (none when there are none).
+    built here from the fan's rows, its ``axes`` signed axes (see
+    :func:`_at`) written out too: the table vertices within a relative
+    :data:`_ATTAINED_TOL` of the row's maximum.  Past the cap each row
+    solves its LP (HiGHS), whose one optimum is the face it returns.  There
+    the signed axes ``+e_i, -e_i`` are the variable bounds
+    ``-b[2i+1] <= z_i <= b[2i]``, and the inequality rows are only the
+    written rows (none when there are none).
     """
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
     full = w.dim == w.ambient_dim
-    a_ub = dirs if full else dirs @ w.basis.T
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
 
     def checked(row: int, attained: float) -> None:
@@ -471,7 +548,8 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
                 f"support value {target:.6g} in the objective direction is not "
                 f"attained (got {attained:.6g})")
 
-    if math.comb(a_ub.shape[0], w.dim) <= _TABLE_SUBSETS:
+    if math.comb(axes + dirs.shape[0], w.dim) <= _TABLE_SUBSETS:
+        a_ub = _dense(dirs, axes) if full else dirs @ w.basis.T
         table = _vertex_table(a_ub, b_ub)
         if table.shape[0] == 0:
             raise LpInfeasibleError(_INFEASIBLE)
@@ -487,10 +565,12 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
         return face
 
     bounds = np.column_stack([-b_ub[1:axes:2], b_ub[:axes:2]]) if axes else (None, None)
-    a_rows, b_rows = (a_ub[axes:], b_ub[axes:]) if axes < a_ub.shape[0] else (None, None)
+    a_rows, b_rows = (dirs if full else dirs @ w.basis.T, b_ub[axes:]) if dirs.shape[0] \
+        else (None, None)
 
     def solve(row: int) -> np.ndarray:
-        c = -(dirs[row] if full else w.basis @ dirs[row])
+        v = _row(dirs, axes, row)
+        c = -(v if full else w.basis @ v)
         res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs")
         if res.status != 0:
             # presolve misclassifies near-equality constraint pairs with tiny
@@ -507,8 +587,9 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
 
 def _vertices(w: Subspace, dirs, sups, rows, axes: int = 0) -> list[np.ndarray]:
     """The distinct vertices of the rows' optimal faces (see
-    :func:`_optimizer`), in the order the rows and faces list them; a vertex
-    within a relative 1e-7 of one listed before is dropped.
+    :func:`_optimizer`; ``dirs`` and ``axes`` as in :func:`_at`), in the
+    order the rows and faces list them; a vertex within a relative 1e-7 of
+    one listed before is dropped.
 
     A row that a vertex found so far attains is skipped: that vertex lies
     on the row's optimal face, since it is feasible and reaches the row's
@@ -519,7 +600,7 @@ def _vertices(w: Subspace, dirs, sups, rows, axes: int = 0) -> list[np.ndarray]:
     grads = np.empty((0, dirs.shape[1]))
     for row in rows:
         h = float(sups[row])
-        if grads.size and float(np.max(grads @ dirs[row])) >= \
+        if grads.size and float(np.max(grads @ _row(dirs, axes, row))) >= \
                 h - _ATTAINED_TOL * (1.0 + abs(h)):
             continue
         for z in face(row):
@@ -555,8 +636,9 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool
     w = _reduced_basis(g)
     if w.dim == 0:
         return float(np.linalg.norm(zeta)) <= _SUBGRADIENT_TOL
-    dirs, sups, _, _ = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
-    return bool(np.all(dirs @ zeta <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
+    dirs, sups, _, axes = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
+    return bool(np.all(_pairings(dirs, axes, zeta)
+                       <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
 
 
 def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
@@ -569,8 +651,12 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
     reduced space) the optimum comes from the fan's vertex table, and of a
     tied face the lexicographically smallest vertex is returned; past that
     cap one HiGHS LP returns its optimum.  The signed axes that open a fan
-    over the whole space are that LP's variable bounds, and its inequality
-    rows are the fan's other rows.  Raises
+    over the whole space are never written: they are that LP's variable
+    bounds, and its inequality rows are the fan's other rows.  Their
+    support values come from f's axis evaluator when its batch evaluator
+    carries one (the weighted grid's energy: one term per point, in the
+    last bits not the floats of ``f.many``); for any other function they are
+    the same floats as on the fan written dense.  Raises
     :class:`SupportMismatchError` when the optimum misses the objective's
     support value by more than a relative 1e-5."""
     return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
@@ -613,12 +699,12 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    objectives, _, _ = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    objectives, _, axes = _direction_fan(w, _OBJECTIVE_FAN, seed)
     # the objectives open with the frame rows, which the fan holds already
     k = 2 * sum(len(h) for h in _frame_halves(w))
     dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
-    rows = list(range(k)) + rows
-    return SupportSet(base_point=x, directions=list(objectives),
+    rows = list(range(axes + k)) + rows
+    return SupportSet(base_point=x, directions=list(_dense(objectives, axes)),
                       support_values=[float(sups[r]) for r in rows],
                       subgradients=_vertices(w, dirs, sups, rows, axes))
 
@@ -633,11 +719,11 @@ def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
     w = _reduced_basis(g)
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
-    dirs, sups, _, _ = _support_fan(f, x, g, w, _TEST_FAN, seed)
+    dirs, sups, _, axes = _support_fan(f, x, g, w, _TEST_FAN, seed)
     low = float(np.min(sups))
     i = int(np.argmax(sups <= low + _TIE_TOL * (1.0 + abs(low))))
     return {"is_critical": bool(low >= -_CRITICAL_TOL), "min_derivative": low,
-            "worst_direction": list(map(float, dirs[i]))}
+            "worst_direction": list(map(float, _row(dirs, axes, i)))}
 
 
 @dataclass
@@ -661,11 +747,13 @@ def _sectioning(psi, lo: float, hi: float) -> float:
     bracket unchanged stops the search: every later round would evaluate the
     same points.  At most :data:`_SECTION_ROUNDS` rounds run."""
     for _ in range(_SECTION_ROUNDS):
-        ts = np.linspace(lo, hi, _SECTIONS + 2)
-        j = int(np.argmin(psi(ts[1:-1]))) + 1
-        if ts[j - 1] == lo and ts[j + 1] == hi:
+        ts = _SECTION_INDEX * ((hi - lo) / (_SECTIONS + 1)) + lo
+        j = int(np.argmin(psi(ts)))
+        left = lo if j == 0 else float(ts[j - 1])
+        right = hi if j == _SECTIONS - 1 else float(ts[j + 1])
+        if left == lo and right == hi:
             break
-        lo, hi = float(ts[j - 1]), float(ts[j + 1])
+        lo, hi = left, right
     return 0.5 * (lo + hi)
 
 

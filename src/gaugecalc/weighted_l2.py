@@ -77,17 +77,43 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
     :meth:`ScalarFunction.many` and :meth:`ConvexSet.contains_many` treat a
     whole direction fan in a few array operations; each row's value is
     bit-identical to the scalar call's.
+
+    Both batch evaluators carry an axis evaluator (their ``along``
+    attribute, see :attr:`ScalarFunction.many_along`): the values at
+    ``x + steps[k] * e_{cols[k]}`` without writing those points.  The
+    energy is a sum with one term per node, so each value is ``phi(x)``
+    with the written coordinate's term replaced, within a few ulp of
+    ``phi`` of the batch evaluator's value, and ``+inf`` exactly where the
+    point leaves the box; the box is one bound per node, so membership
+    tests the written coordinate and counts the base's coordinates already
+    below the bound once per call, the same truth values as the batch
+    evaluator's.
     """
     radius = 4.0 * math.sqrt(grid.n)
+    floor = -1.0 - 1e-12
 
     def member(x):
-        return bool(np.all(np.asarray(x, float) >= -1.0 - 1e-12))
+        return bool(np.all(np.asarray(x, float) >= floor))
 
     def energy(x):
         return phi_l2(grid, x)
 
     def member_many(xs):
-        return np.all(xs >= -1.0 - 1e-12, axis=1)
+        return np.all(xs >= floor, axis=1)
+
+    def member_along(x, cols, steps):
+        below = x < floor
+        return (x[cols] + steps >= floor) & (np.count_nonzero(below) - below[cols] == 0)
+
+    def energy_along(x, cols, steps):
+        # phi_l2's terms and sum at the base, then one term replaced per step
+        terms = grid.weights * (x - grid.nodes) ** 2 / grid.nodes
+        y = x[cols] + steps
+        nodes = grid.nodes[cols]
+        vals = terms.sum() + (grid.weights[cols] * (y - nodes) ** 2 / nodes - terms[cols])
+        below = x < -1.0
+        vals[(y < -1.0) | (np.count_nonzero(below) - below[cols] > 0)] = math.inf
+        return vals
 
     def energy_many(xs):
         # phi_l2's operation order, w * (x - t)**2 / t, in one scratch matrix
@@ -99,6 +125,8 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
         vals[xs.min(axis=1) < -1.0] = math.inf
         return vals
 
+    member_many.along = member_along
+    energy_many.along = energy_along
     member.many = member_many
     energy.many = energy_many
     domain = ConvexSet(grid.n, Oracle(member=member, bounding_radius=radius),

@@ -3,11 +3,13 @@ Python-API queries; compared with itself, this repository moves no output."""
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,8 +39,8 @@ def test_the_repo_compared_with_itself_moves_nothing(capsys):
 
 def test_compare_counts_moved_outputs_and_changed_verdicts():
     def record(out, verdicts, rc=0, ok=True, err=""):
-        return {"kind": "fermat", "rc": rc, "out": out, "err": err, "verdicts": verdicts,
-                "ok": ok, "reason": "" if ok else "fermat: miss"}
+        return {"kind": "fermat", "rc": rc, "out": out, "format": "json", "err": err,
+                "verdicts": verdicts, "ok": ok, "reason": "" if ok else "fermat: miss"}
 
     parent = {"a": record("1", [["/is_critical", True]]), "b": record("2", []),
               "c": record("3", [], rc=2, err="error: no feasible step\n"),
@@ -47,7 +49,8 @@ def test_compare_counts_moved_outputs_and_changed_verdicts():
               "c": record("3", [], rc=2, ok=False, err="error: non-finite input\n"),
               "d": record("4", [], err="RuntimeWarning: divide by zero\n")}
     table, lines, status = _tool().compare(parent, change)
-    assert table == [("fermat", 4, 4, 2, 1, 0)]
+    # the moved outputs' numbers: 1 -> 1.5 and 2 -> 2.5
+    assert table == [("fermat", 4, 4, 2, 1, 0, 0.5 / 1.5)]
     assert status == 1
     assert sum(": stderr " in line for line in lines) == 2
     assert "reference-check failures, parent: 0" in lines
@@ -75,3 +78,33 @@ def test_python_api_outputs_are_compared_by_bytes_and_json():
     assert json.loads(doc["out"]) == {"factor": 2.0, "passed": True}
     assert doc["verdicts"] == [["/passed", True]]
     assert "RuntimeWarning: quotients oscillate" in doc["err"]
+
+
+def test_the_largest_relative_change_reads_hex_vectors_and_json_numbers():
+    # an extraction's vector is decoded from its hex bytes, a JSON
+    # document's numbers are paired by their place, booleans are verdicts
+    # and not numbers, and outputs whose numbers do not pair up read inf
+    tool = _tool()
+
+    def record(kind, value, form):
+        out = np.asarray(value, float).tobytes().hex() if form == "hex" else json.dumps(value)
+        return {"kind": kind, "rc": 0, "out": out, "format": form, "err": "", "verdicts": [],
+                "ok": True, "reason": ""}
+
+    parent = {"a": record("grid/extract", [1.0, -2.0, 0.0], "hex"),
+              "b": record("grid/extract", [3.0, 4.0, 5.0], "hex"),
+              "c": record("subdiff", {"v": [1.0, 2.0], "ok": True}, "json"),
+              "d": record("lebourg", {"v": [1.0, 2.0]}, "json"),
+              "e": record("fermat", {"v": 1.0}, "json")}
+    change = {"a": record("grid/extract", [1.0, -2.0 * (1 + 1e-11), 0.0], "hex"),
+              "b": record("grid/extract", [3.0, 4.0, 5.0], "hex"),
+              "c": record("subdiff", {"v": [1.0, 2.5], "ok": False}, "json"),
+              "d": record("lebourg", {"v": [1.0, 2.0, 3.0]}, "json"),
+              "e": record("fermat", {"v": 1.0}, "json")}
+    rows = {row[0]: row[1:] for row in tool.compare(parent, change)[0]}
+    assert rows["grid/extract"][:2] == (1, 2)
+    assert rows["grid/extract"][5] == pytest.approx(1e-11, rel=1e-4)
+    assert rows["subdiff"][5] == 0.2
+    assert rows["lebourg"][5] == math.inf
+    assert rows["fermat"] == (0, 1, 0, 0, 0, None)
+    assert tool._numbers(change["c"]) == {"/v/0": 1.0, "/v/1": 2.5}

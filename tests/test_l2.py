@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugecalc import (
     EXAMPLES,
@@ -133,3 +134,52 @@ def test_batch_evaluators_match_the_scalar_calls(grid):
     assert f.many(ok).tolist() == [f(x) for x in ok]
     with pytest.raises(NonFiniteInputError):
         f.many(xs[4:7])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 1200), seed=st.integers(0, 2 ** 32 - 1))
+def test_axis_evaluators_match_the_batch_evaluators(n, seed):
+    # the energy's axis evaluator replaces one term of phi(x): within 4 ulp
+    # of phi of the written row's batch value, and +inf exactly where the
+    # written row leaves the box; the box's axis evaluator tests the
+    # written coordinate and the base's others, the same truth values as the
+    # batch test, bases with a coordinate below -1 - 1e-12 included
+    rng = np.random.default_rng(seed)
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + rng.uniform(-0.9, 1.5) + rng.uniform(-0.5, 0.5) * t \
+        + 0.05 * rng.standard_normal(n)
+    x = np.maximum(x, -1.0)
+    low = rng.random(n) < rng.choice([0.0, 0.5 / n, 2.0 / n])
+    x[low] = rng.choice([-1.5, -1.0 - 1e-12, -1.0 - 1e-13], int(low.sum()))
+    f = make_function(grid)
+    k = int(rng.integers(1, 4 * n + 2))
+    cols = rng.integers(0, n, k)
+    # signed steps of at most 1, as a ladder or a feasibility halving takes
+    steps = rng.choice([-1.0, 1.0], k) * np.where(
+        rng.random(k) < 0.5, 2.0 ** -rng.integers(0, 30, k), rng.uniform(1e-7, 1.0, k))
+    pts = np.repeat(x[None], k, axis=0)
+    pts[np.arange(k), cols] += steps
+    member, energy = f.domain.representation.member.many, f.fn.many
+    assert member.along(x, cols, steps).tolist() == member(pts).tolist()
+    got, want = energy.along(x, cols, steps), energy(pts)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    # phi's sum of terms at the base, also when a base coordinate leaves the box
+    phi = float(np.sum(grid.weights * (x - t) ** 2 / t))
+    ulp = np.spacing(np.maximum(phi, want[finite]))
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4 * ulp)
+
+
+def test_the_function_checks_its_axis_values(grid):
+    f = make_function(grid)
+    x = grid.nodes.copy()
+    along = f.many_along
+    assert along(x, np.array([3, 3]), np.array([0.5, -0.25])).tolist() == \
+        f.many(np.array([x, x]) + np.array([[0.0] * 3 + [0.5] + [0.0] * (grid.n - 4),
+                                            [0.0] * 3 + [-0.25] + [0.0] * (grid.n - 4)])).tolist()
+    with pytest.raises(NonFiniteInputError, match="grid-energy"):
+        along(x, np.array([3, 7]), np.array([0.5, -2.0]))
+    assert f.domain.contains_along(x, np.array([7]), np.array([-2.0])).tolist() == [False]
+    with pytest.raises(NonFiniteInputError):
+        f.domain.contains_along(x, np.array([7]), np.array([np.inf]))

@@ -282,9 +282,10 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # the rule fan opens with the objectives a hull draws with the same
     # seed, so the sum's vertex table needs no fan of their own
     w = subdiff._reduced_basis(unit_gauge)
-    objectives, _, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
+    objectives, _, axes = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
+    objectives = subdiff._dense(objectives, axes)
     fan = rules._fan_for(w, 42)
-    assert np.array_equal(fan[:len(objectives)], np.array(objectives))
+    assert np.array_equal(fan[:len(objectives)], objectives)
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners
     f, g = fn("abs(x1)", plane), fn("abs(x1) + abs(x2)", plane)
     r = verify_sum_rule(f, g, [0.0, 0.0], unit_gauge)

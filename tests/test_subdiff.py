@@ -200,7 +200,7 @@ def test_fermat_names_the_first_of_tied_rows(plane, unit_gauge, monkeypatch):
         reports.append(fermat_check(fn("x1", plane), [0.0, 0.0], unit_gauge))
         assert reports[-1]["min_derivative"] == float(np.min(tied))
     assert reports[0]["worst_direction"] == reports[1]["worst_direction"] == \
-        list(map(float, dirs[3]))
+        list(map(float, subdiff._dense(dirs, axes)[3]))
 
 
 def test_fermat_blind_along_gauge_kernel(plane):
@@ -389,21 +389,44 @@ def scalar_gen_dir_deriv(f, x, d, g, seed):
 
 
 def grid_fan(n, seed=7):
-    """The weighted grid's extraction fan at a state away from the nodes."""
+    """The weighted grid's extraction fan at a state away from the nodes:
+    its written rows and its number of signed axes."""
     grid = WeightedGrid(n)
     t = grid.nodes
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     g = make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                        extra=[2.0 * (x - t) / (n * t)])
-    return make_function(grid), x, g, np.array(dirs)
+    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                           extra=[2.0 * (x - t) / (n * t)])
+    return make_function(grid), x, g, dirs, axes
+
+
+def plain(f):
+    """``f`` on an oracle domain whose batch evaluators, its own and its
+    member test's, are ``f``'s without an axis evaluator: every point along
+    a signed axis is written."""
+    def value(x):
+        return f.fn(x)
+
+    rep = f.domain.representation
+
+    def member(x):
+        return rep.member(x)
+
+    value.many = lambda xs: f.fn.many(xs)
+    member.many = lambda xs: rep.member.many(xs)
+    domain = ConvexSet(f.domain.dim, Oracle(member=member, bounding_radius=rep.bounding_radius),
+                       center=f.domain.center)
+    return ScalarFunction(fn=value, domain=domain, convex=f.convex, name=f.name)
 
 
 def test_fan_ladder_matches_the_scalar_ladder_on_the_grid():
-    f, x, g, dirs = grid_fan(300)
-    got = subdiff._support_values(f, x, dirs, g, 7)
-    assert got.tolist() == [scalar_dir_deriv(f, x, d) for d in dirs]
+    # the fan written dense: every row is a written point, as in the
+    # scalar ladder
+    f, x, g, dirs, axes = grid_fan(300)
+    dense = subdiff._dense(dirs, axes)
+    got = subdiff._support_values(f, x, dense, g, 7)
+    assert got.tolist() == [scalar_dir_deriv(f, x, d) for d in dense]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -466,15 +489,24 @@ def test_a_settled_convex_row_matches_the_ladder_from_1(plane):
 @pytest.mark.parametrize("n", [200, 1000])
 def test_grid_extraction_evaluates_three_energy_rows_per_fan_row(n):
     # the fan has 2n signed axes and the objective's +/- pair; the energy is
-    # quadratic, so each row's ladder takes steps 2**-8, 2**-9 and 2**-10
+    # quadratic, so each row's ladder takes steps 2**-8, 2**-9 and 2**-10:
+    # three steps of the axis evaluator per axis row, in three calls, and
+    # three written points per written row
     grid = WeightedGrid(n)
     t = grid.nodes
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     f = make_function(grid)
-    rows, energy_many = [], f.fn.many
-    f.fn.many = lambda xs: rows.append(len(xs)) or energy_many(xs)
+    rows, steps, energy_many = [], [], f.fn.many
+
+    def many(xs):
+        rows.append(len(xs))
+        return energy_many(xs)
+
+    many.along = lambda x, cols, s: steps.append(len(s)) or energy_many.along(x, cols, s)
+    f.fn.many = many
     extract_subgradient(f, x, make_gauge(grid), objective=2.0 * (x - t) / (n * t))
-    assert sum(rows) == 3 * (2 * n + 2)
+    assert steps == [2 * n] * 3
+    assert rows == [2] * 3
 
 
 def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
@@ -513,19 +545,43 @@ def test_grid_extraction_makes_no_scalar_calls(count_calls):
 
 
 def test_fan_evaluation_allocates_a_few_chunks():
-    f, x, g, dirs = grid_fan(1000)
+    # with no axis evaluator, the 2,000 points along the signed axes are
+    # written a chunk at a time: the 16 MB of the dense fan, or of its
+    # points, are never held at once
+    f, x, g, dirs, axes = grid_fan(1000)
+    f = plain(f)
+    m = axes + dirs.shape[0]
+    chunk = subdiff._CHUNK_ELEMENTS * 8
+    assert m * x.size * 8 >= 16 * chunk
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        subdiff._support_values(f, x, dirs, g, 7)
+        subdiff._support_values(f, x, dirs, g, 7, axes)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    chunk = subdiff._CHUNK_ELEMENTS * 8
-    # the fan itself is 16 MB; the ladder's per-row state is about 30 row
-    # vectors
-    assert dirs.nbytes >= 16 * chunk
-    assert peak <= 4 * chunk + 32 * dirs.shape[0] * 8
+    # the ladder's per-row state is about 30 row vectors
+    assert peak <= 4 * chunk + 32 * m * 8
+
+
+def test_grid_extraction_traced_peak_is_under_2_mb():
+    # n = 1000: the fan's 2,000 signed axes are never written, and the
+    # axis evaluators never write their points
+    n = 1000
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.2 + 0.1 * t + 0.3 * t * t
+    f, g = make_function(grid), make_gauge(grid)
+    closed = 2.0 * (x - t) / (n * t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        z = extract_subgradient(f, x, g, objective=closed)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert float(np.linalg.norm(z - closed)) <= 1e-5 * float(np.linalg.norm(closed))
 
 
 def oscillating(dom):
@@ -610,23 +666,32 @@ def test_fan_matches_the_list_construction(size):
         outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
         extra = [rng.standard_normal(n), outside, np.zeros(n)][:int(rng.integers(0, 4))]
         seed = int(rng.integers(1 << 20))
-        frame = subdiff._signed(subdiff._frame_halves(w))
-        assert np.array_equal(frame, np.array(list_frame(w)).reshape(-1, n))
         dirs, rows, axes = subdiff._direction_fan(w, size, seed, extra)
         want, want_rows = list_fan(w, size, seed, extra)
-        assert dirs.shape == want.shape and np.all(dirs == want)
-        assert rows == want_rows
-        # a fan over the whole space opens with +e_i, -e_i for each axis
-        # (every entry of -e_i, its zeros too, carries the sign bit)
+        # a fan over the whole space opens with +e_i, -e_i for each axis,
+        # which are counted and not written
         assert axes == (2 * n if w.dim == n else 0)
-        assert np.array_equal(dirs[:axes:2], np.eye(n)[:axes // 2])
-        assert np.array_equal(-dirs[1:axes:2], np.eye(n)[:axes // 2])
-        assert np.all(np.signbit(dirs[1:axes:2]))
+        assert dirs.shape == (want.shape[0] - axes, n) and np.all(dirs == want[axes:])
+        dense = subdiff._dense(dirs, axes)
+        assert dense.shape == want.shape and np.all(dense == want)
+        assert rows == want_rows
+        frame = list_frame(w)
+        assert np.array_equal(dense[:len(frame)], np.array(frame).reshape(-1, n))
+        # written out, every entry of -e_i, its zeros too, carries the sign
+        # bit, as in the negated identity
+        assert np.array_equal(dense[:axes:2], np.eye(n)[:axes // 2])
+        assert np.array_equal(-dense[1:axes:2], np.eye(n)[:axes // 2])
+        assert np.all(np.signbit(dense[1:axes:2]))
+        assert all(subdiff._row(dirs, axes, r).tobytes() == dense[r].tobytes()
+                   for r in range(dense.shape[0]))
 
 
 def test_grid_frame_matches_the_list_construction():
-    w = Subspace.full(1000)
-    assert np.all(subdiff._signed(subdiff._frame_halves(w)) == np.array(list_frame(w)))
+    # the whole space's frame is its signed axes: no written row
+    n = 1000
+    w = Subspace.full(n)
+    assert subdiff._frame_halves(w) == []
+    assert np.all(subdiff._dense(np.empty((0, n)), 2 * n) == np.array(list_frame(w)))
 
 
 def signed_zeros(rng, v):
@@ -639,57 +704,66 @@ def signed_zeros(rng, v):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(1, 12), chunk=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_axis_points_are_the_dense_points(n, chunk, seed):
-    # a fan over the whole space opens with its signed axes; a point along
-    # one is the base plus a signed zero with one coordinate written, and
-    # must be the same floats, signed zeros included, as the dense product
-    # and sum, for any ascending rows (axis and dense rows mixed, repeated)
-    # over several chunks
+@given(n=st.integers(1, 12), chunk=st.integers(1, 40), bases=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_axis_points_are_the_dense_points(n, chunk, bases, seed):
+    # a fan over the whole space opens with its signed axes, which are not
+    # written; a point along one is its base plus a signed zero with one
+    # coordinate written, and must be the same floats, signed zeros
+    # included, as the dense product and sum, for any ascending rows (axis
+    # and written rows mixed, repeated) over several chunks, from one base
+    # point or (``bases`` > 0) from rows of several
     rng = np.random.default_rng(seed)
     dirs, _, axes = subdiff._direction_fan(Subspace.full(n), (2, 4), seed,
                                            extra=[rng.standard_normal(n)])
     dirs = np.vstack([dirs, signed_zeros(rng, rng.standard_normal((3, n)))])
-    base = signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+    dense = subdiff._dense(dirs, axes)
+    base = signed_zeros(rng, rng.standard_normal((max(bases, 1), n))
+                        * 10.0 ** rng.integers(-3, 4))
     rows = np.sort(np.concatenate([
         rng.integers(0, axes, int(rng.integers(1, 2 * axes))),
-        rng.integers(0, dirs.shape[0], int(rng.integers(0, 2 * dirs.shape[0])))]))
+        rng.integers(0, dense.shape[0], int(rng.integers(0, 2 * dense.shape[0])))]))
+    base_rows = rng.integers(0, bases, rows.size) if bases else None
+    if not bases:
+        base = base[0]
     t = np.where(rng.random(rows.size) < 0.5, 2.0 ** -rng.integers(0, 30, rows.size),
                  rng.uniform(1e-7, 1.0, rows.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
-        got = subdiff._at(np.copy, base, dirs, rows, t, axes=axes)
-        want = subdiff._at(np.copy, base, dirs, rows, t)
+        got = subdiff._at(np.copy, base, dirs, rows, t, base_rows, axes)
+        want = subdiff._at(np.copy, base, dense, rows, t, base_rows)
     assert got.shape == (rows.size, n) and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(chunk=st.integers(1, 90), seed=st.integers(0, 2 ** 32 - 1))
 def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
-    # WeightedGrid(40): the extraction fan's ladder, scans and support
-    # values read the same floats with and without the axis count, with
-    # base points that hold signed zeros, over several chunks
+    # WeightedGrid(40) without axis evaluators: the extraction fan's
+    # ladder, scans and support values read the same floats on the fan
+    # with implicit signed axes as on the fan written dense, with base
+    # points that hold signed zeros, over several chunks
     rng = np.random.default_rng(seed)
     n = 40
     grid = WeightedGrid(n)
     t = grid.nodes
     x = signed_zeros(rng, t + rng.uniform(-0.4, 1.0) + rng.uniform(-0.5, 0.5) * t)
-    f, g = make_function(grid), make_gauge(grid)
+    f, g = plain(make_function(grid)), make_gauge(grid)
     w = subdiff._reduced_basis(g)
     dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
                                            extra=[rng.standard_normal(n)])
-    assert axes == 2 * n < dirs.shape[0]
+    assert axes == 2 * n and dirs.shape[0] > 0
+    dense = subdiff._dense(dirs, axes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
         got = subdiff._ladder(f, x, dirs, axes)
-        want = subdiff._ladder(f, x, dirs)
+        want = subdiff._ladder(f, x, dense)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dirs))
+        assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dense))
         assert np.array_equal(subdiff._negation_pairs(dirs, axes),
-                              subdiff._negation_pairs(dirs))
+                              subdiff._negation_pairs(dense))
         assert subdiff._support_values(f, x, dirs, g, seed, axes).tobytes() == \
-            subdiff._support_values(f, x, dirs, g, seed).tobytes()
+            subdiff._support_values(f, x, dense, g, seed).tobytes()
 
 
 # -- hull LPs ----------------------------------------------------------------
@@ -698,11 +772,12 @@ def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
 def hull_table(f, x, g, seed=42):
     """The fan, support values and objective rows of a hull at x."""
     w = subdiff._reduced_basis(g)
-    objectives, _, _ = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
-    k = len(subdiff._signed(subdiff._frame_halves(w)))
-    dirs, sups, rows, _ = subdiff._support_fan(f, np.asarray(x, float), g, w,
-                                               subdiff._LP_FAN, seed, extra=objectives[k:])
-    return w, dirs, sups, list(range(k)) + rows
+    objectives, _, axes = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
+    k = axes + 2 * sum(len(h) for h in subdiff._frame_halves(w))
+    dirs, sups, rows, axes = subdiff._support_fan(f, np.asarray(x, float), g, w,
+                                                  subdiff._LP_FAN, seed,
+                                                  extra=objectives[k - axes:])
+    return w, subdiff._dense(dirs, axes), sups, list(range(k)) + rows
 
 
 #: HiGHS's tightest feasibility tolerances: at its default 1e-7 an optimum
@@ -730,8 +805,8 @@ def lp_optimum(w, dirs, sups, row, options=None):
     return res.x if full else w.basis.T @ res.x
 
 
-def table_size(w, dirs):
-    return math.comb(dirs.shape[0], w.dim)
+def table_size(w, dirs, axes=0):
+    return math.comb(axes + dirs.shape[0], w.dim)
 
 
 @pytest.mark.parametrize("src,x,dim", [("abs(x1) + x2^2", [0.0, 0.5], 2),
@@ -768,15 +843,16 @@ def test_a_tied_facet_lists_its_corners(plane, unit_gauge):
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: each axis objective's optimal
     # face is an edge, read whole from the table in lexicographic order
     w = subdiff._reduced_basis(unit_gauge)
-    dirs, sups, _, _ = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
-                                            unit_gauge, w, subdiff._LP_FAN, 42)
-    face = subdiff._optimizer(w, dirs, sups)
+    dirs, sups, _, axes = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
+                                               unit_gauge, w, subdiff._LP_FAN, 42)
+    assert axes == 4
+    face = subdiff._optimizer(w, dirs, sups, axes)
     for row, ends in [(0, [(2.0, -1.0), (2.0, 1.0)]), (1, [(-2.0, -1.0), (-2.0, 1.0)]),
                       (2, [(-2.0, 1.0), (2.0, 1.0)]), (3, [(-2.0, -1.0), (2.0, -1.0)])]:
         got = face(row)
         assert [tuple(z) for z in got] == sorted(map(tuple, got))
         assert sorted({tuple(np.round(z, 6)) for z in got}) == ends
-    corners = subdiff._vertices(w, dirs, sups, range(4))
+    corners = subdiff._vertices(w, dirs, sups, range(4), axes)
     assert sorted(tuple(np.round(z, 6)) for z in corners) == \
         [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
     # one pick is the face's lexicographically smallest vertex
@@ -798,8 +874,8 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
     n = dim + proper
     w = Subspace.from_spanning(rng.standard_normal((dim, n)), n) if proper \
         else Subspace.full(n)
-    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                        extra=rng.standard_normal((2, n)))
+    dirs = subdiff._dense(*subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                                   extra=rng.standard_normal((2, n)))[::2])
     assert table_size(w, dirs) <= subdiff._TABLE_SUBSETS
     count = {"polytope": dim + 3, "segment": 2}.get(shape, 1)
     points = 3.0 * rng.standard_normal((count, dim)) @ w.basis
@@ -852,8 +928,8 @@ def test_vertex_dedupe_matches_the_per_pair_loop(dim, noise, seed):
     # dedupe radius, which cuts tiny facets at its corners
     rng = np.random.default_rng(seed)
     w = Subspace.full(dim)
-    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                        extra=rng.standard_normal((6, dim)))
+    dirs = subdiff._dense(*subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                                   extra=rng.standard_normal((6, dim)))[::2])
     points = 3.0 * rng.standard_normal((dim + 3, dim))
     sups = np.max(dirs @ points.T, axis=1) + rng.uniform(0.0, noise, dirs.shape[0])
     rows = range(dirs.shape[0])
@@ -871,8 +947,8 @@ def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
            box(dim, -5, 5, center=[0.0] * dim))
     g = Gauge.of_set(box(dim))
     w = subdiff._reduced_basis(g)
-    dirs, _, _ = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
-    assert (table_size(w, dirs) > subdiff._TABLE_SUBSETS) == (lps > 0)
+    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
+    assert (table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS) == (lps > 0)
     z = extract_subgradient(f, np.zeros(dim), g)
     assert count_calls["lp"] == lps
     assert z[0] == pytest.approx(1.0, abs=1e-6)
@@ -888,16 +964,17 @@ def test_grid_extraction_is_the_lp_optimum():
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, sups, rows, _ = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
-                                               extra=[closed])
-    assert table_size(w, dirs) > subdiff._TABLE_SUBSETS
-    want = lp_optimum(w, dirs, sups, rows[0])
+    dirs, sups, rows, axes = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
+                                                  extra=[closed])
+    assert table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS
+    want = lp_optimum(w, subdiff._dense(dirs, axes), sups, rows[0])
     assert np.array_equal(extract_subgradient(f, x, g, objective=closed), want)
 
 
 def grid40():
     """WeightedGrid(40), past the cap: its function, state, gauge, closed
-    form, reduced space and extraction fan with support values."""
+    form, reduced space and extraction fan (its written rows) with support
+    values."""
     n = 40
     grid = WeightedGrid(n)
     t = grid.nodes
@@ -907,7 +984,7 @@ def grid40():
     w = subdiff._reduced_basis(g)
     dirs, sups, rows, axes = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
                                                   extra=[closed])
-    assert table_size(w, dirs) > subdiff._TABLE_SUBSETS and axes == 2 * n
+    assert table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS and axes == 2 * n
     return f, x, g, closed, w, dirs, sups, rows
 
 
@@ -929,10 +1006,10 @@ def recording_linprog(monkeypatch, statuses=()):
 
 def bounds_model(dirs, sups, axes):
     """The past-cap LP's model: the signed axes ``+e_i, -e_i`` as the
-    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the other rows as
+    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the written rows as
     inequality rows."""
     b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
-    return {"A_ub": dirs[axes:], "b_ub": b[axes:],
+    return {"A_ub": dirs, "b_ub": b[axes:],
             "bounds": np.column_stack([-b[1:axes:2], b[:axes:2]])}
 
 
@@ -947,9 +1024,9 @@ def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
         assert np.array_equal(call[key], want)
     # the extraction is that model's optimum, byte for byte, and the dense
     # model's optimum to within the LP slack
-    own = linprog(-dirs[rows[0]], **model, method="highs")
+    own = linprog(-subdiff._row(dirs, axes, rows[0]), **model, method="highs")
     assert z.tobytes() == own.x.tobytes()
-    dense = lp_optimum(w, dirs, sups, rows[0])
+    dense = lp_optimum(w, subdiff._dense(dirs, axes), sups, rows[0])
     assert np.allclose(z, dense, rtol=0.0, atol=subdiff._LP_SLACK * (1.0 + np.max(np.abs(dense))))
     # an objective with no component in w adds no row past the axes, so the
     # LP has no inequality rows
@@ -969,8 +1046,9 @@ def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
     for key in ("A_ub", "b_ub", "bounds"):
         assert retry[key] is first[key]
     # the raw solve of the bounds model finds the same optimum
-    raw = linprog(-dirs[rows[0]], **bounds_model(dirs, sups, 2 * w.dim), method="highs",
-                  options={"presolve": False})
+    axes = 2 * w.dim
+    raw = linprog(-subdiff._row(dirs, axes, rows[0]), **bounds_model(dirs, sups, axes),
+                  method="highs", options={"presolve": False})
     assert z.tobytes() == raw.x.tobytes()
 
 
@@ -1094,3 +1172,102 @@ def test_lebourg_witness_is_on_the_chord_and_pairs_to_the_secant(case):
         scan = f.many(x + ts[:, None] * (y - x)) - target * ts
         witness = f(mvp.point) - target * (1.0 - mvp.alpha)
         assert witness <= float(np.min(scan)) + 1e-12 * (1.0 + abs(f(x)))
+
+
+# -- implicit signed axes ----------------------------------------------------
+
+
+@st.composite
+def expression_fans(draw):
+    """A separable expression (convex-flagged or not), a base point on or
+    off its kinks (signed zeros included) and a whole-space fan with extra
+    vectors that may be axes themselves."""
+    n = draw(st.integers(1, 4))
+    convex = draw(st.booleans())
+    terms = [draw(st.sampled_from(CONVEX_TERMS if convex else CONVEX_TERMS + OTHER_TERMS))
+             .format(i=i + 1, a=draw(st.sampled_from([-0.5, -0.1, 0.0, 0.3])),
+                     c=draw(st.sampled_from([0.2, 0.5, 1.0, 2.5])))
+             for i in range(n)]
+    x = np.array(draw(st.lists(st.sampled_from([-0.5, -0.1, 0.0, -0.0, 0.3, 0.71]),
+                               min_size=n, max_size=n)))
+    extra = draw(st.lists(st.sampled_from(["random", "axis", "zero"]), max_size=3))
+    return " + ".join(terms), convex, x, extra, draw(st.integers(0, 2 ** 20))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=expression_fans())
+def test_support_values_without_an_axis_evaluator_match_the_dense_fan(case):
+    # an expression carries no axis evaluator: its support values on the
+    # fan with implicit signed axes, by the ladder or by the generalized
+    # path, are the bytes of those on the same fan written dense
+    expr, convex, x, kinds, seed = case
+    n = x.size
+    rng = np.random.default_rng(seed)
+    f = fn(expr, box(n, -5, 5, center=[0.0] * n), convex=convex)
+    assert f.many_along is None and f.domain.contains_along is None
+    extra = [{"random": rng.standard_normal(n), "axis": np.eye(n)[int(rng.integers(n))],
+              "zero": np.zeros(n)}[k] for k in kinds]
+    g = Gauge.of_set(box(n))
+    w = subdiff._reduced_basis(g)
+    dirs, _, axes = subdiff._direction_fan(w, subdiff._TEST_FAN, seed, extra)
+    assert axes == 2 * n
+    dense = subdiff._dense(dirs, axes)
+    assert np.array_equal(subdiff._negation_pairs(dirs, axes), subdiff._negation_pairs(dense))
+    assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dense))
+    assert subdiff._support_values(f, x, dirs, g, seed, axes).tobytes() == \
+        subdiff._support_values(f, x, dense, g, seed).tobytes()
+    z = rng.standard_normal(n)
+    assert np.array_equal(subdiff._pairings(dirs, axes, z), dense @ z)
+
+
+def test_a_written_axis_after_the_signed_axes_is_a_negation_pair():
+    # the last signed axis is -e_n; an extra vector e_n opens the written
+    # rows, so the two are compared as a pair, as on the dense fan
+    dirs, rows, axes = subdiff._direction_fan(Subspace.full(2), (2, 4), 3,
+                                              extra=[[0.0, 2.0]])
+    assert rows == [4] and axes == 4 and np.array_equal(dirs[0], [0.0, 1.0])
+    pairs = subdiff._negation_pairs(dirs, axes)
+    assert pairs.tolist()[:4] == [0, 2, 3, 4]
+    assert np.array_equal(pairs, subdiff._negation_pairs(subdiff._dense(dirs, axes)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 1100), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_whole_space_projection_is_the_two_products(n, k, seed):
+    # the identity basis's two stacked products leave each row plus 0.0:
+    # the same bytes, signed zeros included, with no n^2 pass
+    rng = np.random.default_rng(seed)
+    w = Subspace.full(n)
+    vs = signed_zeros(rng, rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4))
+    if rng.random() < 0.3:
+        vs = np.where(rng.random(vs.shape) < 0.5, -0.0, -np.abs(vs))
+    want = subdiff._images(w.basis.T, subdiff._images(w.basis, vs))
+    assert subdiff._projected(w, vs).tobytes() == want.tobytes()
+
+
+def sectioning_by_linspace(psi, lo, hi):
+    """The sectioning search with ``np.linspace`` rounds, kept here as the
+    reference that the fixed fractions must match float for float."""
+    for _ in range(subdiff._SECTION_ROUNDS):
+        ts = np.linspace(lo, hi, subdiff._SECTIONS + 2)
+        j = int(np.argmin(psi(ts[1:-1]))) + 1
+        if ts[j - 1] == lo and ts[j + 1] == hi:
+            break
+        lo, hi = float(ts[j - 1]), float(ts[j + 1])
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lo=st.floats(0.0, 1.0), width=st.floats(1e-12, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_sectioning_rounds_are_the_linspace_points(lo, width, seed):
+    # random brackets and a potential with random kinks: the same interior
+    # points every round, so the same midpoint
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    kinks = rng.uniform(lo, hi, 3)
+    slopes = rng.uniform(-2.0, 2.0, 3)
+
+    def psi(ts):
+        return np.sum(slopes * np.abs(ts[:, None] - kinks), axis=1) + 0.3 * ts * ts
+
+    assert subdiff._sectioning(psi, lo, hi) == sectioning_by_linspace(psi, lo, hi)

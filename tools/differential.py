@@ -22,8 +22,12 @@ The report gives, per query kind, how many outputs moved (standard output
 or standard error not byte-identical) out of how many, how many of those
 moved on standard error, how many queries changed their verdicts (every
 boolean and every ``verdict`` string in the JSON output) or their exit
-code, then each standard-error change and the queries that fail their
-reference check on each side.  The exit status is 0 when no verdict or
+code, and the largest relative change ``|b - a| / max(|a|, |b|)`` of any
+number in a moved standard output (the numbers of a JSON document, paired
+by their place in it, or the float64 values an extraction's hex bytes
+decode to; ``n/a`` when a moved output's numbers do not pair up), then each
+standard-error change and the queries that fail their reference check on
+each side.  The exit status is 0 when no verdict or
 exit code changes and neither side fails a reference check, 1 otherwise;
 moved outputs alone do not fail the comparison.
 """
@@ -35,11 +39,14 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from array import array
 from pathlib import Path
+from typing import Optional
 
 
 def _verdicts(doc) -> list:
@@ -64,6 +71,49 @@ def _verdicts(doc) -> list:
     return found
 
 
+def _numbers(record: dict) -> Optional[dict]:
+    """Every number of a record's standard output by its place: the float64
+    values of an extraction's hex bytes by index, or the numbers (not the
+    booleans) of a JSON document by path; None for any other output."""
+    if record["format"] == "hex":
+        return dict(enumerate(array("d", bytes.fromhex(record["out"])).tolist()))
+    if record["format"] != "json":
+        return None
+    try:
+        doc = json.loads(record["out"])
+    except json.JSONDecodeError:
+        return None
+    found = {}
+
+    def walk(node, path):
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            found[path] = float(node)
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}/{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}/{i}")
+
+    walk(doc, "")
+    return found
+
+
+def _relative_change(a: dict, b: dict) -> float:
+    """The largest ``|y - x| / max(|x|, |y|)`` over the numbers of two
+    outputs, paired by place (0 where they are equal); inf when the two
+    outputs do not hold numbers at the same places."""
+    x, y = _numbers(a), _numbers(b)
+    if x is None or y is None or x.keys() != y.keys():
+        return math.inf
+    worst = 0.0
+    for key, u in x.items():
+        v = y[key]
+        if u != v:
+            worst = max(worst, abs(v - u) / max(abs(u), abs(v)))
+    return worst
+
+
 def _issue(query) -> dict:
     """One query's exit code, standard output and error, verdicts and
     reference check; a Python-API query that returns has exit code 0."""
@@ -74,25 +124,28 @@ def _issue(query) -> dict:
             result = query.run()
         except Exception as exc:  # a query that raises is a failed query
             return {"kind": query.kind, "rc": None, "out": f"raised {type(exc).__name__}: {exc}",
-                    "err": "", "verdicts": [], "ok": False, "reason": f"{query.kind}: raised"}
+                    "format": "text", "err": "", "verdicts": [], "ok": False,
+                    "reason": f"{query.kind}: raised"}
     if isinstance(result, tuple):
         rc, out, err = result
+        form = "json"
         try:
             verdicts = _verdicts(json.loads(out)) if out.strip() else []
         except json.JSONDecodeError:
             verdicts = []
     elif hasattr(result, "tobytes"):  # an extraction's vector
         rc, out, err, verdicts = 0, result.tobytes().hex(), err.getvalue(), []
+        form = "hex"
     else:  # a worked example's report
         rc, out, err = 0, json.dumps(result, sort_keys=True), err.getvalue()
-        verdicts = _verdicts(result)
+        verdicts, form = _verdicts(result), "json"
     try:
         check = query.check(result)
         ok, reason = check.ok, check.reason
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         ok, reason = False, f"{query.kind}: malformed output ({type(exc).__name__})"
-    return {"kind": query.kind, "rc": rc, "out": out, "err": err, "verdicts": verdicts,
-            "ok": ok, "reason": reason}
+    return {"kind": query.kind, "rc": rc, "out": out, "format": form, "err": err,
+            "verdicts": verdicts, "ok": ok, "reason": reason}
 
 
 def worker(root: Path, seeds: list, counts: dict) -> None:
@@ -134,10 +187,12 @@ def run_side(root: Path, args) -> dict:
 
 def compare(parent: dict, change: dict) -> tuple[list, list, int]:
     """Table rows (kind, moved, total, standard-error changes, verdict
-    changes, exit code changes), report lines and the exit status."""
+    changes, exit code changes, largest relative change of a number in a
+    moved standard output, or None when none moved), report lines and the
+    exit status."""
     if parent.keys() != change.keys():
         sys.exit("error: the two sides issued different queries")
-    rows = collections.defaultdict(lambda: [0, 0, 0, 0, 0])
+    rows = collections.defaultdict(lambda: [0, 0, 0, 0, 0, None])
     lines, status = [], 0
     for key, a in parent.items():
         b = change[key]
@@ -145,6 +200,8 @@ def compare(parent: dict, change: dict) -> tuple[list, list, int]:
         row = rows[kind]
         row[0] += a["out"] != b["out"] or a["err"] != b["err"]
         row[1] += 1
+        if a["out"] != b["out"]:
+            row[5] = max(row[5] or 0.0, _relative_change(a, b))
         if a["err"] != b["err"]:
             row[2] += 1
             lines.append(f"{key} ({kind}): stderr {a['err']!r} -> {b['err']!r}")
@@ -181,9 +238,11 @@ def main(argv=None) -> int:
     parent, change = (run_side(root.resolve(), args) for root in (args.parent, args.change))
     table, lines, status = compare(parent, change)
     width = max([len("kind")] + [len(row[0]) for row in table])
-    print(f"{'kind':<{width}}  moved/total  stderr  verdict  exit")
-    for kind, moved, total, errs, verdicts, codes in table:
-        print(f"{kind:<{width}}  {f'{moved}/{total}':>11}  {errs:>6}  {verdicts:>7}  {codes:>4}")
+    print(f"{'kind':<{width}}  moved/total  stderr  verdict  exit  max_rel")
+    for kind, moved, total, errs, verdicts, codes, rel in table:
+        rel = "-" if rel is None else "n/a" if rel == math.inf else f"{rel:.2g}"
+        print(f"{kind:<{width}}  {f'{moved}/{total}':>11}  {errs:>6}  {verdicts:>7}  {codes:>4}"
+              f"  {rel:>7}")
     moved, total = sum(row[1] for row in table), sum(row[2] for row in table)
     print(f"{'all':<{width}}  {f'{moved}/{total}':>11}")
     print("\n".join(lines))
