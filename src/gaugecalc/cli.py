@@ -199,12 +199,13 @@ def _cmd_counterexamples(args) -> int:
     f = _load_fn("x1^2 + x2^2", 2, None, True)
     probe = np.array([0.0, 0.7])
     check = fermat_check(f, probe, g, seed=args.seed)
+    value = f(probe)
     report["kernel_blind_stationarity"] = {
         "probe": list(map(float, probe)),
         "fermat": check,
-        "value_at_probe": f(probe),
+        "value_at_probe": value,
         "value_at_minimum": 0.0,
-        "reproduced": bool(check["is_critical"] and f(probe) > 0.0),
+        "reproduced": bool(check["is_critical"] and value > 0.0),
     }
     _emit(report, args.out)
     return 0 if all(sec["reproduced"] for sec in report.values()) else 1

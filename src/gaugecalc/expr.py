@@ -212,158 +212,123 @@ def parse(src: str, arity: int) -> Node:
     return _Parser(src, arity).parse()
 
 
-class _Violation(Exception):
-    """A row of a batch breaks a domain rule; the scalar closure, rerun on
-    the rows in order, raises the tagged error of the first such row."""
-
-
-def _exact_map(op, values: np.ndarray, *args) -> np.ndarray:
+def _exact_map(op, values: np.ndarray, message: str, path: str, *args) -> np.ndarray:
     """``op(v, *args)`` (a Python float function) at each entry ``v``;
     numpy's vectorized ``exp`` and ``**`` differ from ``math.exp`` and
-    ``float.__pow__`` in the last bit on some inputs."""
+    ``float.__pow__`` in the last bit on some inputs.  An overflow raises
+    :class:`ExprDomainError` with ``message`` at ``path``."""
     try:
         return np.array(list(map(op, values.tolist(), *(repeat(a) for a in args))), dtype=float)
     except OverflowError:
-        raise _Violation from None
+        raise ExprDomainError(message, path) from None
 
 
 def _compile(node: Node, path: str):
-    """The scalar and batch closures of ``node``.
+    """The evaluator of ``node``: a matrix of point rows in, one value per
+    row out.
 
-    The scalar closure takes a point as a list of floats; its domain errors
-    carry ``path``-based subexpression paths fixed here.  The batch closure
-    takes a matrix of point rows and returns one value per row, the same
-    floats the scalar closure gives on each row; it raises :class:`_Violation`
-    where any row breaks a domain rule.
+    Each row's value depends on that row alone.  Where a row breaks a
+    domain rule, the evaluator raises :class:`ExprDomainError` with the
+    subexpression path (``path``-based, fixed here) of the first node that
+    finds a breaking row, nodes in left-to-right evaluation order; on a
+    one-row batch that is the row's first violation.  Callers run it under
+    ``np.errstate(all="ignore")``: as in Python float arithmetic, an
+    overflow or a NaN is a value here, not a warning.
     """
     at = path or "<root>"
     if isinstance(node, Const):
         value = node.value
-        return (lambda x: value), (lambda xs: np.full(xs.shape[0], value, dtype=float))
+        return lambda xs: np.full(xs.shape[0], value, dtype=float)
     if isinstance(node, Var):
         i = node.index
-        return (lambda x: x[i]), (lambda xs: xs[:, i].copy())
+        return lambda xs: xs[:, i].copy()
     if isinstance(node, Neg):
-        a, a_many = _compile(node.operand, path + ".neg")
-        return (lambda x: -a(x)), (lambda xs: -a_many(xs))
+        a = _compile(node.operand, path + ".neg")
+        return lambda xs: -a(xs)
     if isinstance(node, BinOp):
-        a, a_many = _compile(node.left, path + ".l")
-        b, b_many = _compile(node.right, path + ".r")
+        a = _compile(node.left, path + ".l")
+        b = _compile(node.right, path + ".r")
         if node.op == "+":
-            return (lambda x: a(x) + b(x)), (lambda xs: a_many(xs) + b_many(xs))
+            return lambda xs: a(xs) + b(xs)
         if node.op == "-":
-            return (lambda x: a(x) - b(x)), (lambda xs: a_many(xs) - b_many(xs))
+            return lambda xs: a(xs) - b(xs)
         if node.op == "*":
-            return (lambda x: a(x) * b(x)), (lambda xs: a_many(xs) * b_many(xs))
+            return lambda xs: a(xs) * b(xs)
 
-        def divide(x):
-            num, den = a(x), b(x)
-            if den == 0.0:
+        def divide(xs):
+            num, den = a(xs), b(xs)
+            if np.any(den == 0.0):
                 raise ExprDomainError("division by zero", at)
             return num / den
 
-        def divide_many(xs):
-            num, den = a_many(xs), b_many(xs)
-            if np.any(den == 0.0):
-                raise _Violation
-            return num / den
-
-        return divide, divide_many
+        return divide
     if isinstance(node, Pow):
-        base, base_many = _compile(node.base, path + ".pow")
+        base = _compile(node.base, path + ".pow")
         e = node.exponent
 
-        def power(x):
-            v = base(x)
-            if e < 0 and v == 0.0:
-                raise ExprDomainError("zero raised to a negative power", at)
-            try:
-                return float(v ** e)
-            except OverflowError:
-                raise ExprDomainError("power overflows", at) from None
-
-        def power_many(xs):
-            v = base_many(xs)
+        def power(xs):
+            v = base(xs)
             if e < 0 and np.any(v == 0.0):
-                raise _Violation
-            return _exact_map(pow, v, e)
+                raise ExprDomainError("zero raised to a negative power", at)
+            return _exact_map(pow, v, "power overflows", at, e)
 
-        return power, power_many
+        return power
     if isinstance(node, Dot):
         c = np.array(node.coeffs, dtype=float)
         k = c.size
-        return (lambda x: float(np.dot(c, x[:k]))), \
-            (lambda xs: np.array([np.dot(c, row) for row in xs[:, :k]], dtype=float))
+        return lambda xs: np.array([np.dot(c, row) for row in xs[:, :k]], dtype=float)
     if isinstance(node, Call):
         name = node.name
         where = f"{path}.{name}"
         parts = [_compile(a, f"{path}.{name}[{i}]") for i, a in enumerate(node.args)]
-        a, a_many = parts[0]
+        a = parts[0]
         if name == "abs":
-            return (lambda x: abs(a(x))), (lambda xs: np.abs(a_many(xs)))
+            return lambda xs: np.abs(a(xs))
         if name == "exp":
-            def exp(x):
-                v = a(x)
-                try:
-                    return math.exp(v)
-                except OverflowError:
-                    raise ExprDomainError("exp overflows", where) from None
-
-            return exp, (lambda xs: _exact_map(math.exp, a_many(xs)))
+            return lambda xs: _exact_map(math.exp, a(xs), "exp overflows", where)
         if name == "sqrt":
-            def sqrt(x):
-                v = a(x)
-                if v < 0.0:
-                    raise ExprDomainError("sqrt of a negative value", where)
-                return math.sqrt(v)
-
-            def sqrt_many(xs):
-                v = a_many(xs)
+            def sqrt(xs):
+                v = a(xs)
                 if np.any(v < 0.0):
-                    raise _Violation
+                    raise ExprDomainError("sqrt of a negative value", where)
                 return np.sqrt(v)
 
-            return sqrt, sqrt_many
+            return sqrt
         if name == "floor":
-            def floor(x):
-                v = a(x)
-                if not math.isfinite(v):
-                    raise ExprDomainError("floor of a non-finite value", where)
-                return float(math.floor(v))
-
-            def floor_many(xs):
-                v = a_many(xs)
+            def floor(xs):
+                v = a(xs)
                 if not np.all(np.isfinite(v)):
-                    raise _Violation
+                    raise ExprDomainError("floor of a non-finite value", where)
                 # + 0.0 turns -0.0 into the 0.0 that float(math.floor(-0.0)) gives
                 return np.floor(v) + 0.0
 
-            return floor, floor_many
-        scalars = [s for s, _ in parts]
-        batches = [m for _, m in parts]
-        pick, better = (max, np.greater) if name == "max" else (min, np.less)
+            return floor
+        better = np.greater if name == "max" else np.less
 
-        def extremum_many(xs):
+        def extremum(xs):
             # Python's max and min keep the first of equal values and do not
             # replace a value by one that compares unordered (NaN)
-            vals = [m(xs) for m in batches]
+            vals = [p(xs) for p in parts]
             best = vals[0]
             for v in vals[1:]:
                 best = np.where(better(v, best), v, best)
             return best
 
-        return (lambda x: pick([s(x) for s in scalars])), extremum_many
+        return extremum
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-def _point(x) -> list:
-    return np.asarray(x, dtype=float).tolist()
+def _at_point(evaluator, x) -> float:
+    """``evaluator``'s value at the point ``x``, as a one-row batch."""
+    with np.errstate(all="ignore"):
+        return float(evaluator(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def evaluate(node: Node, x) -> float:
-    """The value of ``node`` at the point ``x``; domain violations raise
-    :class:`ExprDomainError` tagged with the subexpression's path."""
-    return _compile(node, "")[0](_point(x))
+    """The value of ``node`` at the point ``x``: its compiled evaluator run
+    on one row.  Domain violations raise :class:`ExprDomainError` tagged
+    with the subexpression's path."""
+    return _at_point(_compile(node, ""), x)
 
 
 def to_source(node: Node) -> str:
@@ -389,22 +354,24 @@ def to_source(node: Node) -> str:
 def make_callable(node: Node):
     """Compile an AST once into a point evaluator that keeps its source.
 
-    The evaluator's ``many`` attribute is its batch evaluator: point rows
-    in, one value per row out, the same floats as one call per row.  When
-    any row breaks a domain rule, the rows are rerun one at a time, so the
-    batch raises the :class:`ExprDomainError` of the first such row.
+    The AST compiles to one evaluator (see :func:`_compile`), and a point
+    call runs it on a one-row batch.  The point evaluator's ``many``
+    attribute runs it on a matrix of point rows, one value per row, the
+    same floats as one point call per row.  When any row breaks a domain
+    rule, the rows are rerun one at a time as one-row batches, so ``many``
+    raises the :class:`ExprDomainError` of the first such row.
     """
-    scalar, batch = _compile(node, "")
+    evaluator = _compile(node, "")
 
     def fn(x):
-        return scalar(_point(x))
+        return _at_point(evaluator, x)
 
     def many(xs):
         xs = np.ascontiguousarray(xs, dtype=float)
         try:
             with np.errstate(all="ignore"):
-                return batch(xs)
-        except _Violation:
+                return evaluator(xs)
+        except ExprDomainError:
             return np.array([fn(x) for x in xs], dtype=float)
 
     fn.many = many

@@ -108,17 +108,20 @@ def _composite(parts: list[ScalarFunction], combine: Callable, rows: Callable,
     the point under ``rows`` (point rows in, point rows of the parts' space
     out).
 
-    Its scalar call reads each part's scalar call, and its batch evaluator
-    each part's :meth:`ScalarFunction.many` on the whole matrix; ``combine``
-    acts the same on floats and on arrays, so both give the same floats.
+    Its batch evaluator reads each part's :meth:`ScalarFunction.many` on the
+    whole matrix, and its scalar call is that batch on one row.  ``combine``
+    runs with numpy's overflow and invalid-value warnings off: an infinite
+    or NaN value is reported as :class:`NonFiniteInputError`, not warned
+    about.
     """
-    def call(x):
-        y = rows(x[None, :])[0]
-        return combine([p(y) for p in parts])
-
     def many(xs):
         ys = rows(xs)
-        return combine([p.many(ys) for p in parts])
+        values = [p.many(ys) for p in parts]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return combine(values)
+
+    def call(x):
+        return many(x[None, :])[0]
 
     call.many = many
     return ScalarFunction(fn=call, domain=domain, convex=convex, name=name)

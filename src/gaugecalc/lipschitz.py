@@ -125,7 +125,10 @@ def empirical_constant(f: ScalarFunction, g: Gauge, region: ConvexSet,
 
     Pairs with vanishing gauge are skipped unless the function differs across
     them, which contradicts any gauge-Lipschitz hypothesis and raises
-    :class:`KernelViolationError`.
+    :class:`KernelViolationError`.  After the kernel-direction probes, f is
+    evaluated at every sampled member in one batch, so an error of f (at its
+    first failing member) comes before any pair's gauge value or
+    :class:`KernelViolationError`, even one from an earlier pair.
     """
     rng = np.random.default_rng(seed)
     pts = region.sample_members(rng, 2 * pairs)
@@ -142,11 +145,12 @@ def empirical_constant(f: ScalarFunction, g: Gauge, region: ConvexSet,
                     if dfk > KERNEL_VALUE_EPS:
                         raise KernelViolationError(
                             f"function varies by {dfk:.3g} along a kernel direction")
+    values = f.many(np.array(pts).reshape(len(pts), region.dim)).tolist()
     best = 0.0
     for i in range(pairs):
         u, v = pts[2 * i], pts[2 * i + 1]
         mu = g.value(u - v)
-        dfv = abs(f(u) - f(v))
+        dfv = abs(values[2 * i] - values[2 * i + 1])
         if mu <= KERNEL_GAUGE_EPS:
             if dfv > KERNEL_VALUE_EPS:
                 raise KernelViolationError(

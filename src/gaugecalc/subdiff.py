@@ -489,8 +489,10 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
     randoms = []
     while have < count and w.dim > 0:
         # one draw of w.dim normals per missing row, in order, as a loop
-        # drawing a row at a time would take them
-        u, _ = _units(_images(w.basis.T, rng.standard_normal((count - have, w.dim))), 1e-14)
+        # drawing a row at a time would take them; in the whole space the
+        # product with the identity basis is each row plus 0.0
+        draws = rng.standard_normal((count - have, w.dim))
+        u, _ = _units(draws + 0.0 if w.dim == n else _images(w.basis.T, draws), 1e-14)
         randoms.append(u)
         have += u.shape[0]
     return _signed(halves, np.vstack(randoms) if randoms else None), rows, axes

@@ -108,9 +108,10 @@ def build_core(f: ScalarFunction, domain: ConvexSet, x0,
     full-dimensional in generic cases.
     """
     x0 = as_vector(x0, domain.dim)
+    f0 = f(x0)
     if level is None:
-        level = f(x0) + 1.0
-    if f(x0) > level + 1e-12 * (1 + abs(level)):
+        level = f0 + 1.0
+    if f0 > level + 1e-12 * (1 + abs(level)):
         raise EmptySublevelError("level is below the function value at x0")
     s_a = sublevel_set(f, domain, level)
     c_a = symmetric_core(s_a, x0)

@@ -273,11 +273,18 @@ def test_verify_partial_command(capsys):
     ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.5]", "--tol", "1e300"],
     ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]", "--level", "nan"],
     ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]", "--level", "inf"],
+    # the product of two finite values overflows: no RuntimeWarning before the error
+    ["verify", "product", "--set", UNIT_BOX_2D, "--fn", "1e200*x1", "--fn2", "1e200*x1",
+     "--point", "[1.0, 0]"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
-    assert main(argv) == 2
+    # a warning prints on a CLI process's standard error, so none may be issued
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("option, argv", [

@@ -253,6 +253,15 @@ def test_compiled_evaluators_match_the_walker(node, rows):
         assert all(same(a, float(b)) for a, b in zip(want, batch))
 
 
+def test_a_batch_raises_its_first_failing_row_not_its_first_failing_node():
+    # the batch finds row 1's sqrt error before row 0's division by zero,
+    # and raises row 0's
+    fn = make_callable(parse("sqrt(x1) + 1/x2", 2))
+    with pytest.raises(ExprDomainError, match="division by zero") as err:
+        fn.many(np.array([[1.0, 0.0], [-1.0, 1.0]]))
+    assert err.value.path == ".r"
+
+
 def test_floor_of_a_non_finite_value_is_a_domain_error():
     fn = make_callable(parse("floor(1e308*x1*10) + x2", 2))
     with pytest.raises(ExprDomainError) as err:

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,37 @@ def test_empirical_constant_flags_kernel_violation():
     f = ScalarFunction.from_expr("x2", domain=dom, convex=True)  # varies along kernel
     with pytest.raises(KernelViolationError):
         empirical_constant(f, g, box(2, -0.5, 0.5, center=[0, 0]), pairs=200)
+
+
+def test_empirical_constant_raises_an_error_of_f_before_a_zero_gauge_pair():
+    # f is evaluated at every sampled member before the pairs are read, so
+    # its error at the second pair's member wins over the first pair's
+    # KernelViolationError (a stand-in gauge reads 0 on every pair)
+    region = interval(-0.5, 0.5)
+    pts = region.sample_members(np.random.default_rng(3), 4)
+    zero = SimpleNamespace(kernel=SimpleNamespace(dim=0), value=lambda v: 0.0)
+    f = ScalarFunction(fn=lambda x: math.inf if np.array_equal(x, pts[3]) else x[0],
+                       domain=region)
+    with pytest.raises(NonFiniteInputError):
+        empirical_constant(f, zero, region, pairs=2, seed=3)
+    f.fn = lambda x: x[0]
+    with pytest.raises(KernelViolationError, match="zero-gauge pair"):
+        empirical_constant(f, zero, region, pairs=2, seed=3)
+
+
+def test_empirical_slopes_read_one_batch_of_f(count_calls):
+    # one batch over the sampled members, no point calls, the same slopes
+    dom = box(2, -5, 5, center=[0, 0])
+    f = ScalarFunction.from_expr("x1^2 - 3*abs(x2) + exp(x1*x2)", domain=dom)
+    g = Gauge.of_set(box(2))
+    region = box(2, -0.5, 0.5, center=[0, 0])
+    pts = region.sample_members(np.random.default_rng(5), 2 * 50)
+    want = max(abs(f(pts[2 * i]) - f(pts[2 * i + 1])) / g.value(pts[2 * i] - pts[2 * i + 1])
+               for i in range(50))
+    count_calls.wrap(ScalarFunction, "__call__")
+    count_calls.wrap(ScalarFunction, "many")
+    assert empirical_constant(f, g, region, pairs=50, seed=5) == want
+    assert count_calls == {"__call__": 0, "many": 1}
 
 
 def test_scale_about_halfspaces_and_vertices():

@@ -686,6 +686,18 @@ def test_fan_matches_the_list_construction(size):
                    for r in range(dense.shape[0]))
 
 
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_whole_space_random_rows_are_the_identity_products(n):
+    # the whole space's random rows are its normal draws plus 0.0, not their
+    # products with the identity basis, and are the same bytes
+    w = Subspace.full(n)
+    size = (6, 24)
+    dirs, _, axes = subdiff._direction_fan(w, size, 11)
+    draws = np.random.default_rng(11).standard_normal((max(size[0] * n, size[1]) - axes, n))
+    want, _ = subdiff._units(subdiff._images(w.basis.T, draws), 1e-14)
+    assert dirs.shape == want.shape and dirs.tobytes() == want.tobytes()
+
+
 def test_grid_frame_matches_the_list_construction():
     # the whole space's frame is its signed axes: no written row
     n = 1000

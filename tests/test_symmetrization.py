@@ -172,6 +172,15 @@ def test_in_icr_reuses_the_span_of_the_same_point(count_calls):
     assert count_calls["contains"] == count_calls["contains_many"] == 0
 
 
+def test_build_core_evaluates_f_at_the_base_point_once(count_calls):
+    dom = box(2, -5, 5, center=[0, 0])
+    f = quadratic_on(dom)
+    count_calls.wrap(ScalarFunction, "__call__")
+    build_core(f, dom, [0.5, 0.2])
+    # f(x0) for the level, and the sublevel set's membership test of x0
+    assert count_calls["__call__"] == 2
+
+
 def test_core_batch_stacks_the_rows_over_their_reflections(count_calls):
     dom = box(2)
     f = ScalarFunction.from_expr("1/(x1 - 0.25) + 1/(x1 - 0.3)", domain=dom)
