@@ -12,7 +12,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import GaugeCalcError, NonFiniteInputError
-from .geometry import ConvexSet, Oracle, whole_space
+from .geometry import ConvexSet, Oracle, _first_max, batch_callable, whole_space
 
 
 @dataclass
@@ -120,24 +120,11 @@ def _composite(parts: list[ScalarFunction], combine: Callable, rows: Callable,
         with np.errstate(over="ignore", invalid="ignore"):
             return combine(values)
 
-    def call(x):
-        return many(x[None, :])[0]
-
-    call.many = many
-    return ScalarFunction(fn=call, domain=domain, convex=convex, name=name)
+    return ScalarFunction(fn=batch_callable(many), domain=domain, convex=convex, name=name)
 
 
 def _same(xs):
     return xs
-
-
-def _first_max(values):
-    """The largest value, the first one on ties (as Python's ``max``), row
-    by row."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
 
 
 def sum_of(f: ScalarFunction, g: ScalarFunction, name: str = "") -> ScalarFunction:
@@ -190,10 +177,7 @@ def frozen_block(f: ScalarFunction, x: np.ndarray, lo: int, hi: int,
         out[:, lo:hi] = vs
         return out
 
-    def member(v):
-        return f.domain.contains(rows(v[None, :])[0])
-
-    member.many = lambda vs: f.domain.contains_many(rows(vs))
+    member = batch_callable(lambda vs: f.domain.contains_many(rows(vs)))
     radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
     domain = ConvexSet(hi - lo, Oracle(member=member, bounding_radius=radius),
                        center=x[lo:hi])

@@ -6,9 +6,11 @@ representation answers the geometric questions about its set.  The base
 class :class:`Representation` answers them from membership alone (halving
 probes, rejection and reflection sampling, bracket-and-bisect gauges); every
 other representation overrides it where an exact formula, LP or set structure
-exists.  Gauges are Minkowski functionals of a set translated so that its
-claimed center sits at the origin; they are finite exactly on the linear span
-of the translated set and vanish exactly on its lineality directions.
+exists.  Membership and gauges are answered for rows only, one value per row
+of a matrix; a point query is a one-row batch.  Gauges are Minkowski
+functionals of a set translated so that its claimed center sits at the
+origin; they are finite exactly on the linear span of the translated set and
+vanish exactly on its lineality directions.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def as_rows(xs, dim: int) -> np.ndarray:
+    """Validate and convert ``xs`` to a matrix of finite rows of dimension ``dim``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise NonFiniteInputError("vector has non-finite entries")
+    return xs
+
+
 def root_of_squares(sum_sq: Callable[[np.ndarray], float], x) -> float:
     """``sqrt(sum_sq(x))`` for a sum of squares ``sum_sq`` (homogeneous of
     degree 2).  When the plain sum overflows or underflows, ``x`` is first
@@ -83,10 +95,23 @@ def root_of_squares(sum_sq: Callable[[np.ndarray], float], x) -> float:
     return math.sqrt(sq)
 
 
-def _norm(x) -> float:
-    """Euclidean norm, the float ``np.linalg.norm`` gives wherever its sum
-    of squares neither overflows nor underflows."""
-    return root_of_squares(lambda v: float(v.dot(v)), x)
+def _row_norms(xs: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: :func:`root_of_squares` of its plain sum
+    of squares, the float ``np.linalg.norm`` gives the row wherever that sum
+    neither overflows nor underflows."""
+    with np.errstate(over="ignore"):
+        sq = np.matmul(xs[:, None, :], xs[:, :, None])[:, 0, 0]
+    out = np.sqrt(sq)
+    if not (sq.min(initial=math.inf) >= _TINY and sq.max(initial=0.0) < math.inf):
+        for i in np.flatnonzero(((sq < _TINY) & xs.any(axis=1)) | (sq == math.inf)):
+            out[i] = root_of_squares(lambda v: float(v.dot(v)), xs[i])
+    return out
+
+
+def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each row v of ``vs``: the same floats as one product
+    per row (a stacked product multiplies each row on its own)."""
+    return np.matmul(m, vs[:, :, None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -135,16 +160,27 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim)
-        return self.basis.T @ (self.basis @ x)
+    def project_many(self, vs: np.ndarray) -> np.ndarray:
+        """The projection ``basis.T @ (basis @ v)`` of each row v of ``vs``,
+        the same floats as one product per row.  In the whole space, whose
+        basis is the identity, those products are each row plus 0.0 (a -0.0
+        entry reads 0.0), which is what is returned, with no n^2 pass."""
+        if self.dim == self.ambient_dim:
+            return vs + 0.0
+        return _images(self.basis.T, _images(self.basis, vs))
 
-    def residual(self, x: np.ndarray) -> float:
-        return _norm(x - self.project(x))
+    def residuals(self, vs: np.ndarray) -> np.ndarray:
+        """The distance of each row of ``vs`` from the subspace."""
+        return _row_norms(vs - self.project_many(vs))
+
+    def contains_many(self, xs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        """Is each row x within ``tol * (1 + |x|)`` of the subspace (always, in R^n)?"""
+        if self.dim == self.ambient_dim:
+            return np.ones(xs.shape[0], dtype=bool)
+        return self.residuals(xs) <= tol * (1.0 + _row_norms(xs))
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.residual(x) <= tol * (1.0 + _norm(x))
+        return bool(self.contains_many(np.reshape(np.asarray(x, dtype=float), (1, -1)), tol)[0])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the orthogonal complement of the union of complements."""
@@ -180,12 +216,14 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 class Representation:
     """Geometry from membership alone.
 
-    Subclasses supply ``contains(s, x, tol)`` and ``propose(s, rng)`` (one
-    random point near the set, for the rejection sampler), or
-    ``propose_many(s, rng, k)`` when they can draw a block at once; every
-    method here needs only membership tests of the owning set ``s``, asked
-    a batch at a time through ``s.contains_many``, and is overridden where a
-    representation has an exact formula.
+    Subclasses answer membership for rows only, ``contains_many(s, xs,
+    tol)`` (one truth value per row of a matrix that
+    :meth:`ConvexSet.contains_many` has checked; a point query is a one-row
+    batch), and supply ``propose_many(s, rng, k)`` (``k`` random points near
+    the set, for the rejection sampler).  Gauges too are answered for rows,
+    ``gauge_many(g, us)``.  Every method here needs only membership tests of
+    the owning set ``s``, asked a batch at a time where the search allows,
+    and is overridden where a representation has an exact formula.
     """
 
     def anchor(self, s: "ConvexSet") -> np.ndarray:
@@ -194,17 +232,9 @@ class Representation:
             return origin
         raise NotInSetError("oracle set without center: no anchor found")
 
-    def contains_many(self, s: "ConvexSet", xs: np.ndarray, tol: float) -> np.ndarray:
-        """One membership test of ``s`` per row."""
-        return np.array([s.contains(x, tol) for x in xs], dtype=bool)
-
     def contains_along(self, s: "ConvexSet") -> Optional[Callable]:
         """The axis evaluator of :meth:`contains_many`; none by default."""
         return None
-
-    def propose_many(self, s: "ConvexSet", rng: np.random.Generator, k: int) -> list[np.ndarray]:
-        """``k`` proposals, drawn from ``rng`` as ``k`` calls of ``propose``."""
-        return [self.propose(s, rng) for _ in range(k)]
 
     def sample(self, s: "ConvexSet", rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Rejection sampling: each output is the first of 50 proposals that
@@ -255,36 +285,18 @@ class Representation:
         members = np.array(s.sample_members(np.random.default_rng(0), SYMMETRY_SAMPLES))
         return bool(np.all(s.contains_many(2.0 * p - members)))
 
-    def gauge(self, g: "Gauge", x: np.ndarray) -> float:
-        """Bracket and bisect the monotone membership predicate."""
-        if not g.span.contains(x, max(g.tol, 1e-8)):
-            return math.inf
-        if g.kernel.dim > 0 and g.kernel.contains(x, 1e-10):
-            return 0.0
-
-        def pred(t: float) -> bool:
-            return g.set.contains(g.set.center + x / t)
-
-        t = 1.0
-        if pred(t):
-            while pred(t * 0.5):
-                t *= 0.5
-                if t <= g.tol * 1e-3:
-                    return 0.0
-            lo, hi = 0.5 * t, t
-        else:
-            while not pred(t * 2.0):
-                t *= 2.0
-                if t >= 1e15:
-                    return math.inf
-            lo, hi = t, 2.0 * t
-        while hi - lo > g.tol * hi:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    def gauge_many(self, g: "Gauge", us: np.ndarray) -> np.ndarray:
+        """``inf`` off the span and 0 at a zero row or on the kernel; every
+        other row is bracketed and bisected on its own (:func:`_bisected`)."""
+        out = np.full(us.shape[0], math.inf)
+        live = g.span.contains_many(us, max(g.tol, 1e-8))
+        flat = ~us.any(axis=1)
+        if g.kernel.dim > 0:
+            flat |= live & g.kernel.contains_many(us, 1e-10)
+        out[flat] = 0.0
+        for i in np.flatnonzero(live & ~flat):
+            out[i] = _bisected(g, us[i])
+        return out
 
     def kernel(self, g: "Gauge") -> Subspace:
         """Large-radius membership probes over span basis directions, the
@@ -292,10 +304,9 @@ class Representation:
         any rotated frame of it) and pairwise basis combinations."""
         s, p = g.set, g.set.center
         basis = g.span.basis
-        probe_dirs: list[np.ndarray] = list(basis)
-        for a in (g.span.project(e) for e in np.eye(g.dim)):
-            if np.linalg.norm(a) > 1e-10:
-                probe_dirs.append(a / np.linalg.norm(a))
+        axes = g.span.project_many(np.eye(g.dim))
+        norms = _row_norms(axes)
+        probe_dirs = list(basis) + list(axes[norms > 1e-10] / norms[norms > 1e-10, None])
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 probe_dirs.append((basis[i] + basis[j]) / math.sqrt(2))
@@ -307,14 +318,46 @@ class Representation:
 
     def symmetric_core(self, s: "ConvexSet", x0: np.ndarray) -> "ConvexSet":
         """``s ∩ (2 x0 - s)``: the sublevel set, inside ``s``, of the reflection test."""
-        outside = _batched(lambda y: 0.0 if s.contains(2.0 * x0 - y) else 1.0,
-                           lambda ys: np.where(s.contains_many(2.0 * x0 - ys), 0.0, 1.0))
+        outside = batch_callable(lambda ys: np.where(s.contains_many(2.0 * x0 - ys), 0.0, 1.0))
         return ConvexSet(s.dim, Sublevel(outside, 0.0, s), center=x0)
 
     def extreme_points(self) -> list[np.ndarray]:
         """Points known to include every extreme point of the set (empty when
         unknown); a convex function attains its sup over the set there."""
         return []
+
+
+def _bisected(g: "Gauge", x: np.ndarray) -> float:
+    """The gauge at ``x`` from membership alone: "``center + x / t`` is a
+    member" is bracketed by halving or doubling ``t`` from 1 and bisected to
+    relative ``g.tol``.  A bracket below ``1e-3 g.tol |x|`` reads 0 and one
+    above ``1e15 |x|`` reads ``inf``: bounds relative to ``|x|``, so
+    ``2**k x`` takes the same steps scaled by ``2**k``."""
+    def pred(t: float) -> bool:
+        return g.set.contains(g.set.center + x / t)
+
+    size = float(_row_norms(x[None, :])[0])
+    floor, ceiling = g.tol * 1e-3 * size, 1e15 * size  # Python floats: inf, not a warning
+    t = 1.0
+    if pred(t):
+        while pred(t * 0.5):
+            t *= 0.5
+            if t <= floor:
+                return 0.0
+        lo, hi = 0.5 * t, t
+    else:
+        while not pred(t * 2.0):
+            t *= 2.0
+            if t >= ceiling:
+                return math.inf
+        lo, hi = t, 2.0 * t
+    while hi - lo > g.tol * hi:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def halving_steps(inside: Callable[[np.ndarray, np.ndarray], np.ndarray], t: np.ndarray,
@@ -373,16 +416,9 @@ class Halfspaces(Representation):
         object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float).ravel())
 
-    def contains(self, s, x, tol):
-        slack = self.offsets - self.normals @ x
-        return bool(np.all(slack >= -tol * (1.0 + np.abs(self.offsets))))
-
     def contains_many(self, s, xs, tol):
-        """One stacked product: each row's slacks are the floats of
-        :meth:`contains`."""
-        if not np.all(np.isfinite(xs)):
-            raise NonFiniteInputError("vector has non-finite entries")
-        slack = self.offsets - np.matmul(self.normals, xs[:, :, None])[:, :, 0]
+        """Every slack ``b - a.x`` at least ``-tol (1 + |b|)``: one stacked product."""
+        slack = self.offsets - _images(self.normals, xs)
         return np.all(slack >= -tol * (1.0 + np.abs(self.offsets)), axis=1)
 
     def _active(self, x: np.ndarray) -> np.ndarray:
@@ -488,23 +524,22 @@ class Halfspaces(Representation):
                 return False
         return True
 
-    def gauge(self, g, x):
-        """Ratio formula ``max a.x / (b - a.p)`` over rows with ``a.x > 0``
-        (beyond a relative ``1e-3 * g.tol`` of ``|x|``, which ``math.hypot``
-        takes without overflow); ``inf`` when such a row holds with equality
-        at the center."""
-        num = self.normals @ x
+    def gauge_many(self, g, us):
+        """Ratio formula ``max a.x / (b - a.p)`` over the rows with ``a.x >
+        0`` (beyond a relative ``1e-3 * g.tol`` of ``|x|``, taken without
+        overflow), every ``a.x`` in one stacked product; ``inf`` when such
+        a row holds with equality at the center."""
+        num = _images(self.normals, us)
         den = self.offsets - self.normals @ g.set.center
-        rising = num > g.tol * math.hypot(*x) * 1e-3
-        if (den[rising] <= g.tol * (1.0 + np.abs(self.offsets[rising]))).any():
-            return math.inf
-        return float((num[rising] / den[rising]).max(initial=0.0))
+        rising = num > (g.tol * _row_norms(us) * 1e-3)[:, None]
+        through = den <= g.tol * (1.0 + np.abs(self.offsets))
+        ratios = np.divide(num, den, out=np.zeros(num.shape), where=rising & ~through)
+        return np.where((rising & through).any(axis=1), math.inf, ratios.max(axis=1, initial=0.0))
 
     def kernel(self, g):
         """Null space of the normals, inside the gauge span."""
         null = _null_space(self.normals)
-        inside = [v for v in null if g.span.contains(v, 1e-8)]
-        return Subspace.from_spanning(inside, g.dim)
+        return Subspace.from_spanning(null[g.span.contains_many(null, 1e-8)], g.dim)
 
     def scaled(self, s, p, factor, q):
         # y = q + factor (z - p), z in s  <=>  a.y <= factor b + a.(q - factor p)
@@ -602,11 +637,14 @@ class Vertices(Representation):
         normals = rows[:, :-1] @ span.basis
         return Halfspaces(normals, normals @ base - rows[:, -1])
 
-    def contains(self, s, x, tol):
-        """Affine residual and facet slack."""
+    def contains_many(self, s, xs, tol):
+        """The facet rows' slacks, and each row's affine residual (0 in a
+        full-dimensional hull) at most ``tol * (1 + |x|)``."""
         base, span = self.affine_hull
-        return (span.residual(x - base) <= tol * (1.0 + float(np.linalg.norm(x)))
-                and self.facets.contains(s, x, tol))
+        inside = self.facets.contains_many(s, xs, tol)
+        if span.dim < s.dim:
+            inside &= span.residuals(xs - base) <= tol * (1.0 + _row_norms(xs))
+        return inside
 
     def anchor(self, s):
         return self.points.mean(axis=0)
@@ -626,16 +664,16 @@ class Vertices(Representation):
         return not np.any(self.facets._active(x))
 
     def is_symmetric(self, s, p):
-        """Every reflected vertex ``2p - v`` lies in the hull."""
-        return all(self.contains(s, 2.0 * p - v, SYMMETRY_TOL) for v in self.points)
+        """Every reflected vertex ``2p - v`` lies in the hull: one batch test."""
+        return bool(np.all(self.contains_many(s, 2.0 * p - self.points, SYMMETRY_TOL)))
 
-    def gauge(self, g, x):
+    def gauge_many(self, g, us):
         """Span check, projection, then the facet ratio formula."""
-        if not g.span.contains(x, max(g.tol, 1e-8)):
-            return math.inf
-        if g.span.dim < g.dim:
-            x = g.span.project(x)
-        return self.facets.gauge(g, x)
+        out = np.full(us.shape[0], math.inf)
+        on = g.span.contains_many(us, max(g.tol, 1e-8))
+        if on.any():
+            out[on] = self.facets.gauge_many(g, g.span.project_many(us[on]))
+        return out
 
     def kernel(self, g):
         return Subspace.zero(g.dim)  # a hull is bounded
@@ -666,12 +704,23 @@ def _values(fn: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
     return np.asarray(batch(xs), dtype=float)
 
 
-def _batched(fn: Callable[[np.ndarray], float],
-             many: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
-    """``fn`` carrying the batch evaluator ``many``.  A lambda stays a
-    lambda, so a sublevel set of it still refuses to serialize."""
-    fn.many = many
-    return fn
+def _first_max(values: list[np.ndarray]) -> np.ndarray:
+    """The largest value, the first one on ties (as Python's ``max``), row
+    by row."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def batch_callable(many: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A callable carrying the batch evaluator ``many`` (rows in, one value
+    per row out) as its ``many`` attribute; its point call runs ``many`` on
+    one row.  It is a lambda, so a sublevel set of it refuses to
+    serialize."""
+    point = lambda x: many(np.reshape(x, (1, -1)))[0]  # noqa: E731
+    point.many = many
+    return point
 
 
 @dataclass(frozen=True)
@@ -691,13 +740,9 @@ class Sublevel(Representation):
     level: float
     base_domain: "ConvexSet"
 
-    def contains(self, s, x, tol):
-        if not self.base_domain.contains(x, tol):
-            return False
-        return float(self.fn(x)) <= self.level + tol * (1.0 + abs(self.level))
-
     def contains_many(self, s, xs, tol):
-        rows = np.flatnonzero(self.base_domain.contains_many(xs, tol))
+        base = self.base_domain
+        rows = np.flatnonzero(base.representation.contains_many(base, xs, tol))
         inside = np.zeros(xs.shape[0], dtype=bool)
         if rows.size:
             inside[rows] = (_values(self.fn, xs[rows])
@@ -705,12 +750,13 @@ class Sublevel(Representation):
         return inside
 
     def anchor(self, s):
-        cand = self.base_domain.anchor()
-        if s.contains(cand):
-            return cand
-        for y in self.base_domain.sample_members(np.random.default_rng(0), 64):
-            if s.contains(y):
-                return y
+        """The first member among the base domain's anchor and 64 base-domain
+        samples, tested in one batch."""
+        probes = np.vstack([self.base_domain.anchor(),
+                            *self.base_domain.sample_members(np.random.default_rng(0), 64)])
+        members = np.flatnonzero(s.contains_many(probes))
+        if members.size:
+            return probes[members[0]]
         raise NotInSetError("could not locate a member of the sublevel set")
 
     def propose_many(self, s, rng, k):
@@ -720,8 +766,7 @@ class Sublevel(Representation):
     def scaled(self, s, p, factor, q):
         """The sublevel set of ``fn(p + (y - q) / factor)`` over the base domain's copy."""
         fn, base = self.fn, self.base_domain.representation.scaled(self.base_domain, p, factor, q)
-        copy = _batched(lambda y: fn(p + (y - q) / factor),
-                        lambda ys: _values(fn, p + (ys - q) / factor))
+        copy = batch_callable(lambda ys: _values(fn, p + (ys - q) / factor))
         return ConvexSet(s.dim, Sublevel(copy, self.level, base), center=q)
 
     def symmetric_core(self, s, x0):
@@ -734,11 +779,9 @@ class Sublevel(Representation):
 
         def first_max(ys):
             both = _values(fn, np.vstack([ys, 2.0 * x0 - ys]))
-            a, b = both[:len(ys)], both[len(ys):]
-            return np.where(b > a, b, a)
+            return _first_max([both[:len(ys)], both[len(ys):]])
 
-        core = _batched(lambda y: max(fn(y), fn(2.0 * x0 - y)), first_max)
-        return ConvexSet(s.dim, Sublevel(core, self.level, base), center=x0)
+        return ConvexSet(s.dim, Sublevel(batch_callable(first_max), self.level, base), center=x0)
 
     def to_json(self) -> dict:
         # a lambda's or a ScalarFunction's name would not read back as its function
@@ -773,17 +816,13 @@ class Oracle(Representation):
     member: Callable[[np.ndarray], bool]
     bounding_radius: float
 
-    def contains(self, s, x, tol):
-        return bool(self.member(x))
-
     def contains_many(self, s, xs, tol):
         """The member callback's batch evaluator (its ``many`` attribute,
-        rows in, one truth value per row out) when it carries one."""
+        rows in, one truth value per row out) when it carries one, else one
+        callback call per row."""
         batch = getattr(self.member, "many", None)
         if batch is None:
-            return super().contains_many(s, xs, tol)
-        if not np.all(np.isfinite(xs)):
-            raise NonFiniteInputError("vector has non-finite entries")
+            return np.array([bool(self.member(x)) for x in xs], dtype=bool)
         return np.asarray(batch(xs), dtype=bool)
 
     def contains_along(self, s):
@@ -802,13 +841,15 @@ class Oracle(Representation):
 
         return checked
 
-    def propose(self, s, rng):
-        """A normal draw about the anchor, of ``bounding_radius`` spread."""
-        return s.anchor() + self.bounding_radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
+    def propose_many(self, s, rng, k):
+        """Normal draws about the anchor, of ``bounding_radius`` spread: one
+        block, the floats of ``k`` one-point draws."""
+        return list(s.anchor() + self.bounding_radius * rng.standard_normal((k, s.dim))
+                    / math.sqrt(s.dim))
 
     def scaled(self, s, p, factor, q):
         """``factor * (s - p) + q``."""
-        copy = Oracle(member=lambda x: s.contains(p + (x - q) / factor),
+        copy = Oracle(member=batch_callable(lambda xs: s.contains_many(p + (xs - q) / factor)),
                       bounding_radius=factor * self.bounding_radius)
         return ConvexSet(s.dim, copy, center=q)
 
@@ -827,18 +868,16 @@ class ConvexSet:
             object.__setattr__(self, "center", as_vector(self.center, self.dim))
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return self.representation.contains(self, as_vector(x, self.dim), tol)
+        """Membership of one point: the representation's batch test, on one row."""
+        x = as_vector(x, self.dim)
+        return bool(self.representation.contains_many(self, x[None, :], tol)[0])
 
     __contains__ = contains
 
     def contains_many(self, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Membership of each row of ``xs``, the same truth values as
-        :meth:`contains`."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"expected rows of dimension {self.dim}, got shape {xs.shape}")
-        return self.representation.contains_many(self, xs, tol)
+        """Membership of each row of ``xs``, which must be finite rows of
+        the set's dimension (checked here, once per batch)."""
+        return self.representation.contains_many(self, as_rows(xs, self.dim), tol)
 
     @property
     def contains_along(self) -> Optional[Callable]:
@@ -941,6 +980,8 @@ class Gauge:
 
     ``kernel`` collects the two-sided zero-gauge directions (the lineality
     space of the translated set); ``span`` is where the gauge is finite.
+    Values are computed for rows, :meth:`values`; a point value is a
+    one-row batch.
     """
 
     span: Subspace
@@ -969,28 +1010,35 @@ class Gauge:
 
     __call__ = value
 
+    def values(self, us) -> np.ndarray:
+        """The gauge at each row of ``us`` (see :func:`minkowski_gauge`); an
+        explicit evaluator is read through its batch evaluator (its ``many``
+        attribute) when it carries one, else once per row."""
+        us = as_rows(us, self.dim)
+        if self.fn is None:
+            return self.set.representation.gauge_many(self, us)
+        nonzero = us.any(axis=1)
+        out = np.where(nonzero, math.inf, 0.0)
+        on = nonzero & self.span.contains_many(us, self.tol * 10)
+        out[on] = _values(self.fn, us[on])
+        return out
+
     @property
     def dim(self) -> int:
         return self.span.ambient_dim
 
 
 def minkowski_gauge(g: Gauge, x) -> float:
-    """inf{t > 0 : x in t(S - p)}; +inf off the span, 0 on the kernel.
+    """inf{t > 0 : x in t(S - p)}; +inf off the span, 0 on the kernel:
+    :meth:`Gauge.values` on one row.
 
     Exact for halfspace sets and vertex sets: the ratio formula
     ``max a.x / (b - a.p)`` over the rows, for a vertex set over the hull's
     facet rows inside its affine hull after the span check.  Other
-    representations are bracketed and bisected on the monotone membership
-    predicate to relative ``g.tol``.
+    representations are bracketed and bisected, one row at a time, on the
+    monotone membership predicate to relative ``g.tol``.
     """
-    x = as_vector(x, g.dim)
-    if not x.any():
-        return 0.0
-    if g.fn is not None:
-        if not g.span.contains(x, g.tol * 10):
-            return math.inf
-        return float(g.fn(x))
-    return g.set.representation.gauge(g, x)
+    return float(g.values(as_vector(x, g.dim)[None, :])[0])
 
 
 def kernel_of_gauge(g: Gauge) -> Subspace:
@@ -1057,10 +1105,7 @@ def whole_space(dim: int) -> ConvexSet:
     """R^dim, centered at the origin: every finite point is a member, and
     its member test carries a batch evaluator, so a fan's membership tests
     are one call."""
-    def member(v):
-        return True
-
-    member.many = lambda xs: np.ones(xs.shape[0], dtype=bool)
+    member = batch_callable(lambda xs: np.ones(xs.shape[0], dtype=bool))
     return ConvexSet(dim, Oracle(member=member, bounding_radius=1e3), center=np.zeros(dim))
 
 

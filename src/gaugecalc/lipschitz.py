@@ -128,7 +128,9 @@ def empirical_constant(f: ScalarFunction, g: Gauge, region: ConvexSet,
     :class:`KernelViolationError`.  After the kernel-direction probes, f is
     evaluated at every sampled member in one batch, so an error of f (at its
     first failing member) comes before any pair's gauge value or
-    :class:`KernelViolationError`, even one from an earlier pair.
+    :class:`KernelViolationError`, even one from an earlier pair.  The
+    pairs' gauges are one batch too, and the first zero-gauge pair across
+    which f varies raises.
     """
     rng = np.random.default_rng(seed)
     pts = region.sample_members(rng, 2 * pairs)
@@ -145,21 +147,17 @@ def empirical_constant(f: ScalarFunction, g: Gauge, region: ConvexSet,
                     if dfk > KERNEL_VALUE_EPS:
                         raise KernelViolationError(
                             f"function varies by {dfk:.3g} along a kernel direction")
-    values = f.many(np.array(pts).reshape(len(pts), region.dim)).tolist()
-    best = 0.0
-    for i in range(pairs):
-        u, v = pts[2 * i], pts[2 * i + 1]
-        mu = g.value(u - v)
-        dfv = abs(values[2 * i] - values[2 * i + 1])
-        if mu <= KERNEL_GAUGE_EPS:
-            if dfv > KERNEL_VALUE_EPS:
-                raise KernelViolationError(
-                    f"function varies by {dfv:.3g} across a zero-gauge pair")
-            continue
-        if not math.isfinite(mu):
-            continue
-        best = max(best, dfv / mu)
-    return best
+    pts = np.array(pts).reshape(len(pts), region.dim)
+    values = f.many(pts)
+    mus = g.values(pts[0::2] - pts[1::2])
+    gaps = np.abs(values[0::2] - values[1::2])
+    zero = mus <= KERNEL_GAUGE_EPS
+    varies = np.flatnonzero(zero & (gaps > KERNEL_VALUE_EPS))
+    if varies.size:
+        raise KernelViolationError(
+            f"function varies by {gaps[varies[0]]:.3g} across a zero-gauge pair")
+    live = ~zero & np.isfinite(mus)
+    return float((gaps[live] / mus[live]).max(initial=0.0))
 
 
 def local_witness(f: ScalarFunction, core: SublevelCore, x, eps: float) -> LocalWitness:

@@ -31,13 +31,12 @@ from .functions import (
     product_of,
     sum_of,
 )
-from .geometry import Gauge, Subspace, as_vector
+from .geometry import Gauge, Subspace, _first_max, as_vector, batch_callable
 from .subdiff import (
     _OBJECTIVE_FAN,
     _dense,
     _direction_fan,
     _images,
-    _projected,
     _reduced_basis,
     _signed,
     _support_values,
@@ -90,7 +89,7 @@ def _support(f: ScalarFunction, x, g: Gauge, w: Subspace, seed: int) -> Support:
     reduced space is ``w``: the estimator the hulls read, along each row's
     quotient representative (so that it also accepts directions from outside
     the reduced space)."""
-    return lambda dirs: _support_values(f, x, _projected(w, dirs), g, seed)
+    return lambda dirs: _support_values(f, x, w.project_many(dirs), g, seed)
 
 
 def _scaled(h: Support, c: float) -> Support:
@@ -146,7 +145,9 @@ def _listed_vertices(w: Subspace, rows: np.ndarray, sups: np.ndarray,
 
 
 def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
-    """Gauge on the product space: max of the factor gauges."""
+    """Gauge on the product space: max of the factor gauges, each read on
+    a batch of rows at once (the first factor's value on ties, as ``max``
+    keeps)."""
     n1, n2 = g1.dim, g2.dim
     n = n1 + n2
 
@@ -160,11 +161,9 @@ def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
     kernel = Subspace.from_spanning(
         np.vstack([embed(g1.kernel.basis, 0, n1), embed(g2.kernel.basis, n1, n2)]), n)
 
-    def fn(v):
-        v = np.asarray(v, dtype=float)
-        return max(g1.value(v[:n1]), g2.value(v[n1:]))
-
-    return Gauge.from_callable(fn, span, kernel=kernel)
+    return Gauge.from_callable(
+        batch_callable(lambda vs: _first_max([g1.values(vs[:, :n1]), g2.values(vs[:, n1:])])),
+        span, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(gauge)
     dirs = _fan_for(w, seed)
-    rows = _projected(w, dirs)
+    rows = w.project_many(dirs)
     hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
     hr = _support_values(f, x, rows, gauge, seed) + _support_values(g, x, rows, gauge, seed)
     return _compare("sum", dirs, hl, hr,
@@ -269,21 +268,22 @@ class InnerMap:
 def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
                      seed: int = 42) -> None:
     """Sampled check that the inner map contracts the gauges near x:
-    mu(g(u) - g(w)) <= p(u - w).  Raises with the witness pair on failure."""
+    mu(g(u) - g(w)) <= p(u - w).  The pairs are one normal block (the
+    draws of u then w, pair by pair), and each side's gauges one batch.
+    Raises with the first violating pair as the witness."""
     x = as_vector(x, inner.in_dim)
     rng = np.random.default_rng(seed)
     tol = _DOMINATION_TOL
-    for _ in range(_DOMINATION_PAIRS):
-        u = x + _DOMINATION_RADIUS * rng.standard_normal(inner.in_dim)
-        w = x + _DOMINATION_RADIUS * rng.standard_normal(inner.in_dim)
-        lhs = gauge_out.value(inner(u) - inner(w))
-        rhs = gauge_in.value(u - w)
-        if not math.isfinite(rhs):
-            continue
-        if lhs > rhs * (1.0 + tol) + tol:
-            raise ConditionViolationError(
-                f"gauge of the image difference ({lhs:.6g}) exceeds the gauge of "
-                f"the argument difference ({rhs:.6g})", witness=(u, w))
+    pairs = x + _DOMINATION_RADIUS * rng.standard_normal((_DOMINATION_PAIRS, 2, inner.in_dim))
+    us, ws = pairs[:, 0], pairs[:, 1]
+    lhs = gauge_out.values(np.array([inner(u) - inner(w) for u, w in zip(us, ws)]))
+    rhs = gauge_in.values(us - ws)
+    bad = np.flatnonzero(np.isfinite(rhs) & (lhs > rhs * (1.0 + tol) + tol))
+    if bad.size:
+        i = int(bad[0])
+        raise ConditionViolationError(
+            f"gauge of the image difference ({lhs[i]:.6g}) exceeds the gauge of "
+            f"the argument difference ({rhs[i]:.6g})", witness=(us[i], ws[i]))
 
 
 def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
@@ -303,7 +303,7 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     jac = np.asarray(inner.jacobian(x), dtype=float)
     w = _reduced_basis(gauge_in)
     dirs = _fan_for(w, seed)
-    rows = _projected(w, dirs)
+    rows = w.project_many(dirs)
     hl = _support_values(comp, x, rows, gauge_in, seed)
     hr = _support(f, y, gauge_out, _reduced_basis(gauge_out), seed)(_images(jac, dirs))
     return _compare("chain1", dirs, hl, hr,
@@ -320,7 +320,7 @@ def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
     w = _reduced_basis(gauge)
     dirs = _fan_for(w, seed)
-    rows = _projected(w, dirs)
+    rows = w.project_many(dirs)
     pieces = [_support_values(fs[i], x, rows, gauge, seed) for i in active]
     return _compare("max", dirs, _support_values(max_of(list(fs)), x, rows, gauge, seed),
                     np.max(pieces, axis=0),

@@ -31,7 +31,7 @@ from .errors import (
     SupportMismatchError,
 )
 from .functions import ScalarFunction
-from .geometry import Gauge, Subspace, _complement_rows, as_vector, halving_steps
+from .geometry import Gauge, Subspace, _complement_rows, _images, as_vector, halving_steps
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
@@ -292,9 +292,9 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     Each shell's probes are normal draws in R^n projected onto span(g)
     (in full dimension, the draws themselves), so no basis of the span is
     privileged.  They do not depend on the direction, so the shell base
-    points are drawn, tested for membership (one batch per shell) and
-    evaluated once for the whole fan; every (row, base point) quotient of a
-    shell is then one batch, ordered by row.
+    points are drawn, gauged and tested for membership (one batch each per
+    shell) and evaluated once for the whole fan; every (row, base point)
+    quotient of a shell is then one batch, ordered by row.
     """
     m = axes + dirs.shape[0]
     out = np.zeros(m)
@@ -304,13 +304,11 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     rng = np.random.default_rng(seed)
     best = np.full(m, -math.inf)
     for r in _RADII:
-        probes = []
-        for u in _projected(g.span, rng.standard_normal((_PROBES, x.size))):
-            mu = g.value(u)
-            scale = mu if (math.isfinite(mu) and mu > 1e-9) else float(np.linalg.norm(u))
-            if scale > 1e-14:
-                probes.append(x + (r / scale) * u)
-        probes = np.array(probes).reshape(-1, x.size)
+        us = g.span.project_many(rng.standard_normal((_PROBES, x.size)))
+        mu = g.values(us)
+        scale = np.where(np.isfinite(mu) & (mu > 1e-9), mu, _norms(us))
+        keep = scale > 1e-14
+        probes = x + (r / scale[keep])[:, None] * us[keep]
         ys = np.vstack([x, probes[f.domain.contains_many(probes)]])
         fy = f.many(ys)
         dir_rows = np.repeat(live, ys.shape[0])
@@ -402,22 +400,6 @@ def _reduced_basis(g: Gauge) -> Subspace:
     return g.span.intersect(Subspace(_complement_rows(g.kernel), g.span.ambient_dim))
 
 
-def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """``m @ v`` for each row v of ``vs``: the same floats as one product
-    per row (a stacked product multiplies each row on its own)."""
-    return np.matmul(m, vs[:, :, None])[..., 0]
-
-
-def _projected(w: Subspace, vs: np.ndarray) -> np.ndarray:
-    """``w.project`` of each row of ``vs``, the same floats as the two
-    stacked products with w's basis.  In the whole space, whose basis is the
-    identity, those products are each row plus 0.0 (a -0.0 entry reads
-    0.0), which is what is returned, with no n^2 pass."""
-    if w.dim == w.ambient_dim:
-        return vs + 0.0
-    return _images(w.basis.T, _images(w.basis, vs))
-
-
 def _norms(vs: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of ``vs``, the same floats as one call
     per row."""
@@ -480,7 +462,7 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
     opening = axes + 2 * sum(h.shape[0] for h in halves)
     # w.project of each extra vector (all zero when w is {0})
     extra = np.asarray(extra, dtype=float).reshape(-1, n)
-    units, keep = _units(_projected(w, extra), 1e-14)
+    units, keep = _units(w.project_many(extra), 1e-14)
     rows = np.where(keep, opening + 2 * (np.cumsum(keep) - 1), 0).tolist()
     halves.append(units)
     have = opening + 2 * units.shape[0]

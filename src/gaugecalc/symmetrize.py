@@ -85,7 +85,8 @@ def literal_ca_member(s_a: ConvexSet, x0, x) -> bool:
     """Per-point scaled-reflection membership predicate.
 
     True iff some alpha in the grid keeps both the alpha-scaled point and its
-    alpha-scaled reflection inside the sublevel set.  Kept alongside
+    alpha-scaled reflection inside the sublevel set; every alpha's two
+    points are tested in one batch.  Kept alongside
     :func:`symmetric_core` so the two symmetrization readings can be compared;
     on asymmetric sets this predicate does not describe a symmetric set.
     """
@@ -93,11 +94,9 @@ def literal_ca_member(s_a: ConvexSet, x0, x) -> bool:
     x = as_vector(x, s_a.dim)
     if not s_a.contains(x):
         raise NotInSetError("probe point is not in the sublevel set")
-    d = x - x0
-    for alpha in _ALPHA_GRID:
-        if s_a.contains(x0 + alpha * d) and s_a.contains(x0 - alpha * d):
-            return True
-    return False
+    steps = np.array(_ALPHA_GRID)[:, None] * (x - x0)
+    inside = s_a.contains_many(np.vstack([x0 + steps, x0 - steps]))
+    return bool(np.any(inside[:len(_ALPHA_GRID)] & inside[len(_ALPHA_GRID):]))
 
 
 def build_core(f: ScalarFunction, domain: ConvexSet, x0,
@@ -122,15 +121,8 @@ def verify_span_equality(core: SublevelCore, tol: float = 1e-8) -> bool:
     """Do the core and the sublevel set span the same subspace?"""
     span_s = span_of_difference(core.s_a, core.x0)
     span_c = span_of_difference(core.c_a, core.x0)
-    if span_s.dim != span_c.dim:
-        return False
-    for b in span_s.basis:
-        if span_c.residual(b) > tol:
-            return False
-    for b in span_c.basis:
-        if span_s.residual(b) > tol:
-            return False
-    return True
+    return (span_s.dim == span_c.dim and bool(np.all(span_c.residuals(span_s.basis) <= tol))
+            and bool(np.all(span_s.residuals(span_c.basis) <= tol)))
 
 
 def verify_icr_membership(core: SublevelCore) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 from .functions import ScalarFunction
-from .geometry import ConvexSet, Gauge, Oracle, Subspace, root_of_squares
+from .geometry import ConvexSet, Gauge, Oracle, Subspace, batch_callable, root_of_squares
 
 DEFAULT_N = 1000
 NUMERIC_TOL = 1e-6
@@ -92,9 +92,6 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
     radius = 4.0 * math.sqrt(grid.n)
     floor = -1.0 - 1e-12
 
-    def member(x):
-        return bool(np.all(np.asarray(x, float) >= floor))
-
     def energy(x):
         return phi_l2(grid, x)
 
@@ -127,7 +124,7 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
 
     member_many.along = member_along
     energy_many.along = energy_along
-    member.many = member_many
+    member = batch_callable(member_many)
     energy.many = energy_many
     domain = ConvexSet(grid.n, Oracle(member=member, bounding_radius=radius),
                        center=grid.nodes.copy())

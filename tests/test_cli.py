@@ -69,9 +69,9 @@ def test_core_command(capsys):
 def test_core_counts_on_a_3d_box(capsys, count_calls):
     # the symmetric core of a sublevel set is a sublevel set of the reflected
     # maximum, sampled from the box's own halfspace core; each sampler round,
-    # reach probe and reflection test is one batch membership test (10 scalar
-    # tests, 9 scalar evaluations and 58 batches here, where one proposal at
-    # a time made 852 tests and 883 evaluations)
+    # reach probe and reflection test is one batch membership test (5 point
+    # tests, each a one-row batch, 1 point evaluation and 19 batches here,
+    # where one proposal at a time made 852 tests and 883 evaluations)
     cube = {"dim": 3, "repr": {"halfspaces": [
         {"normal": n, "offset": b} for n, b in (([1, 0, 0], 2), ([-1, 0, 0], 1),
                                                 ([0, 1, 0], 2), ([0, -1, 0], 1),
@@ -232,6 +232,8 @@ def test_malformed_set_exits_2(capsys):
 
 
 SEGMENT_2D = json.dumps({"dim": 2, "repr": {"vertices": [[-1, 0], [1, 0]]}, "center": [0, 0]})
+DIAMOND_2D = json.dumps({"dim": 2, "repr": {"vertices": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+                         "center": [0, 0]})
 EMPTY_HALFSPACES = json.dumps({"dim": 2, "repr": {"halfspaces": []}, "center": [0, 0]})
 INTERVAL_1D = json.dumps({"dim": 1, "center": [0],
                           "repr": {"halfspaces": [{"normal": [1], "offset": 1},
@@ -276,6 +278,8 @@ def test_verify_partial_command(capsys):
     # the product of two finite values overflows: no RuntimeWarning before the error
     ["verify", "product", "--set", UNIT_BOX_2D, "--fn", "1e200*x1", "--fn2", "1e200*x1",
      "--point", "[1.0, 0]"],
+    # a vertex set's membership test squares no entry of a far point
+    ["lipschitz", "--set", DIAMOND_2D, "--fn", "x1", "--point", "[1e200, 0]"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, capsys):
     # a warning prints on a CLI process's standard error, so none may be issued

@@ -95,16 +95,19 @@ def test_the_largest_relative_change_reads_hex_vectors_and_json_numbers():
               "b": record("grid/extract", [3.0, 4.0, 5.0], "hex"),
               "c": record("subdiff", {"v": [1.0, 2.0], "ok": True}, "json"),
               "d": record("lebourg", {"v": [1.0, 2.0]}, "json"),
-              "e": record("fermat", {"v": 1.0}, "json")}
+              "e": record("fermat", {"v": 1.0}, "json"),
+              "f": record("gauge", {"v": math.inf}, "json")}
     change = {"a": record("grid/extract", [1.0, -2.0 * (1 + 1e-11), 0.0], "hex"),
               "b": record("grid/extract", [3.0, 4.0, 5.0], "hex"),
               "c": record("subdiff", {"v": [1.0, 2.5], "ok": False}, "json"),
               "d": record("lebourg", {"v": [1.0, 2.0, 3.0]}, "json"),
-              "e": record("fermat", {"v": 1.0}, "json")}
+              "e": record("fermat", {"v": 1.0}, "json"),
+              "f": record("gauge", {"v": 1e60}, "json")}
     rows = {row[0]: row[1:] for row in tool.compare(parent, change)[0]}
     assert rows["grid/extract"][:2] == (1, 2)
     assert rows["grid/extract"][5] == pytest.approx(1e-11, rel=1e-4)
     assert rows["subdiff"][5] == 0.2
     assert rows["lebourg"][5] == math.inf
     assert rows["fermat"] == (0, 1, 0, 0, 0, None)
+    assert rows["gauge"][5] == 1.0  # inf -> finite: the ratio's limit, not NaN
     assert tool._numbers(change["c"]) == {"/v/0": 1.0, "/v/1": 2.5}

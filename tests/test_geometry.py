@@ -83,8 +83,8 @@ def test_a_full_rank_subspace_has_the_identity_basis(n):
 def test_subspace_project_residual():
     s = Subspace.from_spanning([[1.0, 0.0, 0.0]], 3)
     x = np.array([2.0, 3.0, 0.0])
-    assert np.allclose(s.project(x), [2.0, 0.0, 0.0])
-    assert s.residual(x) == pytest.approx(3.0)
+    assert np.allclose(s.project_many(x[None, :]), [[2.0, 0.0, 0.0]])
+    assert s.residuals(x[None, :])[0] == pytest.approx(3.0)
     assert s.contains([5.0, 0.0, 0.0])
     assert not s.contains([0.0, 1.0, 0.0])
 
@@ -464,7 +464,7 @@ def test_vertex_sets_agree_with_the_conic_weights_lp(case):
     g = Gauge.of_set(s)
     span = Subspace.from_spanning(points - center, dim)
     for d in rng.standard_normal((12, dim)):
-        x = span.project(d)
+        x = span.project_many(d[None, :])[0]
         want = _conic_gauge(points, center, x)
         assert g.value(x) == pytest.approx(want, rel=1e-8)
         for t in (0.5, 0.9, 1.1, 2.0):  # members iff the reference gauge is at most 1
@@ -507,8 +507,7 @@ def test_masked_ratio_gauge_is_bit_identical_to_the_row_loop():
         xs = list(rng.standard_normal((4, n)))
         a = normals[int(rng.integers(m))]
         xs += [x - (a @ x) / (a @ a) * a for x in xs]  # a.x ~ 0: under the rising cut
-        for x in xs:
-            got = s.representation.gauge(g, x)
+        for x, got in zip(xs, g.values(np.array(xs))):
             want = _loop_ratio_gauge(normals, offsets, center, x, g.tol)
             assert got == want
             seen_inf += math.isinf(want)
@@ -561,6 +560,27 @@ def test_bisection_gauge_on_sublevel_ball():
     rng = np.random.default_rng(5)
     for x in rng.uniform(-3, 3, (10, 3)):
         assert g.value(x) == pytest.approx(0.5 * float(np.linalg.norm(x)), rel=1e-8)
+
+
+def _unit_discs():
+    dom = box(2, -2, 2)
+    return [ConvexSet(2, Sublevel(ScalarFunction.from_expr("x1^2 + x2^2", dom), 1.0, dom),
+                      center=np.zeros(2)),
+            ConvexSet(2, Oracle(member=lambda x: float(x @ x) <= 1.0, bounding_radius=2.0),
+                      center=np.zeros(2))]
+
+
+@pytest.mark.parametrize("k", [-200, -45, 0, 45, 200])
+def test_bisection_gauges_are_positively_homogeneous(k):
+    # the bracket's 0 and inf bounds scale with |x|: bounds fixed at 1e-12
+    # and 1e15 read 0.0 for 2**-45 x and inf for 2**200 x
+    x = np.array([0.6, -0.3])
+    for s in _unit_discs():
+        g = Gauge.of_set(s)
+        assert g.value(x) == pytest.approx(math.hypot(*x), rel=1e-8)
+        assert g.value(2.0 ** k * x) == pytest.approx(2.0 ** k * g.value(x), rel=g.tol)
+        assert g.value([1e16, 0.0]) == pytest.approx(1e16, rel=1e-8)
+        assert g.value([1e-13, 0.0]) == pytest.approx(1e-13, rel=1e-8)
 
 
 def test_gauge_off_span_is_infinite():
@@ -635,6 +655,70 @@ def test_kernel_of_gauge_trivial_for_bounded_set():
     assert kernel_of_gauge(Gauge.of_set(box(3))).dim == 0
 
 
+def _lp_gauge(normals, offsets, center, u):
+    """Reference gauge of ``{x : A x <= b}`` about ``p``, one LP:
+    min t subject to A u <= t (b - A p), t >= 0; infeasible means inf."""
+    res = linprog([1.0], A_ub=-(offsets - normals @ center)[:, None], b_ub=-(normals @ u),
+                  bounds=[(0.0, None)], method="highs")
+    return float(res.fun) if res.status == 0 else math.inf
+
+
+def _random_polytope(seed, n, kind):
+    """A random polytope about an interior center, as halfspaces and (when
+    bounded) as vertices: full-dimensional; "flat" in a k < n plane (a
+    pair of opposite rows per normal direction); or "kernel", the k-dim
+    polytope times the other n - k directions (unbounded, lineality n - k).
+    Returns (halfspace set, vertex set or None, span frame, kernel frame)."""
+    rng = np.random.default_rng(seed)
+    k = n if kind == "full" or n == 1 else int(rng.integers(1, n))
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    inner, outer = frame[:, :k], frame[:, k:]
+    coords = rng.standard_normal((k + 3, k))
+    if k == 1:
+        rows = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+    else:
+        rows = ConvexHull(coords).equations  # a.y + e <= 0
+    origin = rng.standard_normal(n)
+    normals = rows[:, :-1] @ inner.T
+    offsets = normals @ origin - rows[:, -1]
+    if kind == "flat":
+        normals = np.vstack([normals, outer.T, -outer.T])
+        offsets = np.concatenate([offsets, outer.T @ origin, -(outer.T @ origin)])
+    center = origin + inner @ coords.mean(axis=0)
+    rows_set = ConvexSet(n, Halfspaces(normals, offsets), center=center)
+    hull = None if kind == "kernel" else ConvexSet(n, Vertices(origin + coords @ inner.T),
+                                                    center=center)
+    return rows_set, hull, inner, outer
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       kind=st.sampled_from(["full", "flat", "kernel"]))
+def test_batch_gauges_match_the_lp_and_the_point_values(seed, n, kind):
+    # every row against the min-t LP of the halfspace rows, and the batch
+    # byte for byte against one point value per row
+    rows_set, hull, inner, outer = _random_polytope(seed, n, kind)
+    rep = rows_set.representation
+    rng = np.random.default_rng(seed + 1)
+    draws = 3.0 * rng.standard_normal((10, n))
+    us = np.vstack([draws @ inner @ inner.T, draws[:3], np.zeros((1, n))])
+    if kind == "kernel" and outer.shape[1]:  # zero on the kernel, unchanged along it
+        kern = draws[:3, :outer.shape[1]] @ outer.T
+        us = np.vstack([us, kern, us[:3] + kern])
+    want = [_lp_gauge(rep.normals, rep.offsets, rows_set.center, u) for u in us]
+    for s in (rows_set, hull):
+        if s is None:
+            continue
+        g = Gauge.of_set(s)
+        got = g.values(us)
+        assert got.tobytes() == np.array([g.value(u) for u in us]).tobytes()
+        for u, a, b in zip(us, got, want):
+            if math.isinf(b):
+                assert math.isinf(a), (u, a)
+            else:
+                assert a == pytest.approx(b, rel=1e-7, abs=1e-9), u
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -702,13 +786,38 @@ def test_oracle_sets_not_serializable():
         set_to_json(s)
 
 
+def walked_member(s, x, tol=DEFAULT_TOL):
+    """Reference membership of one point, the per-point formula of each
+    representation: a halfspace set's slacks; a vertex set's affine
+    residual, then its facet rows' slacks; a sublevel set's base domain,
+    then ``fn(x) <= level``; an oracle's member callback."""
+    rep = s.representation
+    if isinstance(rep, Halfspaces):
+        return bool(np.all(rep.offsets - rep.normals @ x >= -tol * (1.0 + np.abs(rep.offsets))))
+    if isinstance(rep, Vertices):
+        base, span = rep.affine_hull
+        d = x - base
+        return bool(np.linalg.norm(d - span.basis.T @ (span.basis @ d))
+                    <= tol * (1.0 + np.linalg.norm(x))
+                    and walked_member(ConvexSet(s.dim, rep.facets), x, tol))
+    if isinstance(rep, Sublevel):
+        return (walked_member(rep.base_domain, x, tol)
+                and float(rep.fn(x)) <= rep.level + tol * (1.0 + abs(rep.level)))
+    return bool(rep.member(x))
+
+
 def test_contains_many_matches_contains():
     hexagon = ConvexSet(2, Vertices(np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)]
                                               for k in range(6)])), center=np.zeros(2))
+    segment = ConvexSet(2, Vertices(np.array([[-1.0, -0.5], [1.0, 0.5]])))
     pts = np.random.default_rng(2).uniform(-1.2, 1.2, (40, 2))
-    for s in (box(2), hexagon, ConvexSet(2, Oracle(member=lambda v: v @ v <= 1.0,
-                                                   bounding_radius=1.0))):
-        assert s.contains_many(pts).tolist() == [s.contains(p) for p in pts]
+    pts[:8] = np.linspace(-1.2, 1.2, 8)[:, None] * [1.0, 0.5]  # on the segment's line
+    for s in (box(2), hexagon, segment, ConvexSet(2, Oracle(member=lambda v: v @ v <= 1.0,
+                                                            bounding_radius=1.0))):
+        want = [walked_member(s, p) for p in pts]
+        assert s.contains_many(pts).tolist() == want
+        assert [s.contains(p) for p in pts] == want
+        assert any(want) and not all(want)
     with pytest.raises(DimensionMismatchError):
         box(2).contains_many(np.zeros((3, 3)))
 
@@ -807,7 +916,7 @@ def _scalar_sample(s, rng, n, pulled=None):
             return _scalar_sample(rep.base_domain, rng, 1, pulled)[0]
     else:
         def propose():
-            return rep.propose(s, rng)
+            return s.anchor() + rep.bounding_radius * rng.standard_normal(s.dim) / math.sqrt(s.dim)
     anchor = s.anchor()
     out = []
     for _ in range(n):
@@ -915,8 +1024,9 @@ def test_contains_many_equals_contains_row_by_row(name):
     s = _membership_cases()[name]
     pts = np.random.default_rng(4).uniform(-1.5, 2.5, (300, 2))
     for tol in (DEFAULT_TOL, 1e-3):
-        want = [s.contains(p, tol) for p in pts]
+        want = [walked_member(s, p, tol) for p in pts]
         assert s.contains_many(pts, tol).tolist() == want
+        assert [s.contains(p, tol) for p in pts] == want
         assert any(want) and not all(want)
     with pytest.raises(NonFiniteInputError):
         s.contains_many(np.array([[0.5, 0.0], [math.inf, 0.0]]))
@@ -951,13 +1061,28 @@ def test_batched_reach_probes_equal_the_scalar_halving():
 
 
 def test_derived_batch_evaluators_equal_their_scalar_calls():
-    # the reflected maximum of a core keeps the first value on ties, as max
-    cases = _membership_cases()
-    for name in ("sublevel core", "scaled core", "vertex core"):
+    # each derived evaluator against its formula at one point: a sublevel
+    # core's reflected maximum (the first value on ties, as max keeps), a
+    # scaled copy's pulled-back value, a vertex core's reflection test; a
+    # point call is the batch on one row
+    cases, sampled = _membership_cases(), _sampled_sets()
+    f, x0 = cases["sublevel"].representation.fn, np.array([0.5, 0.1])
+    g, y0 = sampled["sublevel"].representation.fn, np.array([0.3, -0.1])
+    tri = ConvexSet(2, Vertices(np.array([[-1.0, -1.0], [2.0, -0.5], [0.0, 1.5]])))
+    formulas = {
+        "sublevel core": lambda y: max(f(y), f(2.0 * x0 - y)),
+        "scaled core": lambda y: max(g(y0 + y / 0.5), g(2.0 * y0 - (y0 + y / 0.5))),
+        "vertex core": lambda y: 0.0 if walked_member(tri, 2.0 * np.array([0.2, 0.0]) - y)
+        else 1.0,
+    }
+    for name, formula in formulas.items():
         s = cases[name]
         rep = s.representation
         pts = np.random.default_rng(9).uniform(-1.5, 2.5, (200, 2))
         rows = pts[rep.base_domain.contains_many(pts)]
-        assert np.array_equal(rep.fn.many(rows), [rep.fn(y) for y in rows])
+        want = [formula(y) for y in rows]
+        assert np.array_equal(rep.fn.many(rows), want)
+        assert [rep.fn(y) for y in rows] == want
+        assert 0 < len(rows) < len(pts)
         with pytest.raises(ValueError):
             set_to_json(s)

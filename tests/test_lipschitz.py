@@ -130,7 +130,7 @@ def test_empirical_constant_raises_an_error_of_f_before_a_zero_gauge_pair():
     # KernelViolationError (a stand-in gauge reads 0 on every pair)
     region = interval(-0.5, 0.5)
     pts = region.sample_members(np.random.default_rng(3), 4)
-    zero = SimpleNamespace(kernel=SimpleNamespace(dim=0), value=lambda v: 0.0)
+    zero = SimpleNamespace(kernel=SimpleNamespace(dim=0), values=lambda us: np.zeros(len(us)))
     f = ScalarFunction(fn=lambda x: math.inf if np.array_equal(x, pts[3]) else x[0],
                        domain=region)
     with pytest.raises(NonFiniteInputError):

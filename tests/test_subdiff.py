@@ -280,12 +280,13 @@ def counting_fn(src, dom, convex):
 
 def test_gen_dir_deriv_scans_only_the_reported_shells(plane, unit_gauge, monkeypatch):
     f, calls = counting_fn("abs(x1) + x2^2", plane, convex=False)
-    gauge_calls = []
-    value = unit_gauge.value
-    monkeypatch.setattr(unit_gauge, "value", lambda v: gauge_calls.append(1) or value(v))
+    gauge_rows = []
+    values = unit_gauge.values
+    monkeypatch.setattr(unit_gauge, "values", lambda us: gauge_rows.append(len(us)) or values(us))
     got = gen_dir_deriv(f, [0.0, 0.5], [1.0, 0.0], unit_gauge)
-    # two shells of 12 probes each, plus the base point: 2 * 13 quotients
-    assert (calls.calls, len(gauge_calls)) == (52, 24)
+    # two shells of 12 probes each, plus the base point: 2 * 13 quotients;
+    # each shell's probes are gauged in one batch
+    assert (calls.calls, gauge_rows) == (52, [12, 12])
     # the value a scan of all 18 shells reports
     assert got == 1.0000000009313226
 
@@ -625,7 +626,7 @@ def list_frame(w):
         dirs.append(-b)
     if w.dim < w.ambient_dim:
         for i in range(w.ambient_dim):
-            a = w.project(np.eye(w.ambient_dim)[i])
+            a = w.basis.T @ (w.basis @ np.eye(w.ambient_dim)[i])
             na = float(np.linalg.norm(a))
             if na > 1e-10:
                 dirs.append(a / na)
@@ -637,7 +638,7 @@ def list_fan(w, size, seed, extra=()):
     dirs = list_frame(w)
     rows = []
     for v in extra:
-        p = w.project(v)
+        p = w.basis.T @ (w.basis @ v)
         nv = float(np.linalg.norm(p))
         rows.append(len(dirs) if nv > 1e-14 else 0)
         if nv > 1e-14:
@@ -1254,7 +1255,7 @@ def test_the_whole_space_projection_is_the_two_products(n, k, seed):
     if rng.random() < 0.3:
         vs = np.where(rng.random(vs.shape) < 0.5, -0.0, -np.abs(vs))
     want = subdiff._images(w.basis.T, subdiff._images(w.basis, vs))
-    assert subdiff._projected(w, vs).tobytes() == want.tobytes()
+    assert w.project_many(vs).tobytes() == want.tobytes()
 
 
 def sectioning_by_linspace(psi, lo, hi):

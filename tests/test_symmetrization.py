@@ -172,13 +172,20 @@ def test_in_icr_reuses_the_span_of_the_same_point(count_calls):
     assert count_calls["contains"] == count_calls["contains_many"] == 0
 
 
-def test_build_core_evaluates_f_at_the_base_point_once(count_calls):
+def test_build_core_evaluates_f_at_the_base_point_once(monkeypatch):
     dom = box(2, -5, 5, center=[0, 0])
     f = quadratic_on(dom)
-    count_calls.wrap(ScalarFunction, "__call__")
-    build_core(f, dom, [0.5, 0.2])
-    # f(x0) for the level, and the sublevel set's membership test of x0
-    assert count_calls["__call__"] == 2
+    x0 = np.array([0.5, 0.2])
+    rows = []
+    call, many = ScalarFunction.__call__, ScalarFunction.many
+    monkeypatch.setattr(ScalarFunction, "__call__",
+                        lambda self, x: rows.append(np.asarray(x, float)) or call(self, x))
+    monkeypatch.setattr(ScalarFunction, "many",
+                        lambda self, xs: rows.extend(np.asarray(xs, float)) or many(self, xs))
+    build_core(f, dom, x0)
+    # f(x0) for the level, and the sublevel set's membership test of x0 (a
+    # one-row batch): rows of f at x0, over point calls and batches alike
+    assert sum(np.array_equal(r, x0) for r in rows) == 2
 
 
 def test_core_batch_stacks_the_rows_over_their_reflections(count_calls):

@@ -6,7 +6,9 @@
 For each seed, the first ``--calculus`` queries of the ``calculus``
 workload, the first ``--certify`` queries of ``certify`` and the first
 ``--grid`` queries of ``grid`` are issued, followed by each workload's
-known-defect queries.  A CLI query's output is its standard output; a
+known-defect queries, then the fixed Python-API queries of
+:func:`api_queries`, which the benchmark never issues.  A CLI query's
+output is its standard output; a
 ``grid`` query calls the Python API, and its output is an extraction's
 vector as the hex of its bytes (``tobytes()``) or a worked example's
 sorted-key JSON, with the warnings it prints as its standard error.  Each
@@ -23,9 +25,10 @@ or standard error not byte-identical) out of how many, how many of those
 moved on standard error, how many queries changed their verdicts (every
 boolean and every ``verdict`` string in the JSON output) or their exit
 code, and the largest relative change ``|b - a| / max(|a|, |b|)`` of any
-number in a moved standard output (the numbers of a JSON document, paired
-by their place in it, or the float64 values an extraction's hex bytes
-decode to; ``n/a`` when a moved output's numbers do not pair up), then each
+number in a moved standard output (1 where one side is infinite; the
+numbers of a JSON document, paired by their place in it, or the float64
+values an extraction's hex bytes decode to; ``n/a`` when a moved output's
+numbers do not pair up), then each
 standard-error change and the queries that fail their reference check on
 each side.  The exit status is 0 when no verdict or
 exit code changes and neither side fails a reference check, 1 otherwise;
@@ -46,6 +49,7 @@ import sys
 import warnings
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 
@@ -109,8 +113,9 @@ def _relative_change(a: dict, b: dict) -> float:
     worst = 0.0
     for key, u in x.items():
         v = y[key]
-        if u != v:
-            worst = max(worst, abs(v - u) / max(abs(u), abs(v)))
+        if u != v:  # an infinite side reads 1, the limit of the ratio
+            top = max(abs(u), abs(v))
+            worst = max(worst, 1.0 if math.isinf(top) else abs(v - u) / top)
     return worst
 
 
@@ -148,6 +153,96 @@ def _issue(query) -> dict:
             "verdicts": verdicts, "ok": ok, "reason": reason}
 
 
+#: the scales 2**k at which the bisection gauges are read
+API_SCALES = (-200, -45, -10, 0, 10, 45, 200)
+
+
+def api_queries(seed: int) -> list:
+    """Python-API queries drawn from ``seed``, with calls that each side's
+    program has had since before batch gauges: bisection gauges of a sublevel and
+    an oracle unit disc at ``2**k`` times one direction, one kind per set
+    and scale; ``literal_ca_member`` on members of a clipped sublevel set;
+    vertex-set ``check_symmetry`` on symmetric and perturbed polygons;
+    ``empirical_constant`` on a sublevel core; and ``check_domination`` of
+    three linear maps.  Each output is a JSON document, and its check asks
+    only that the document has the expected fields and types."""
+    import numpy as np
+    import gaugecalc as gc
+    from gaugecalc.rules import InnerMap, check_domination
+
+    rng = np.random.default_rng([seed, 0xA91])
+    queries = []
+
+    def add(kind, run, fields):
+        def check(result):
+            ok = isinstance(result, dict) and all(isinstance(result.get(k), t)
+                                                  for k, t in fields.items())
+            return SimpleNamespace(ok=ok, reason="" if ok else f"{kind}: malformed result")
+
+        queries.append(SimpleNamespace(kind=kind, run=run, check=check))
+
+    dom = gc.box(2, -2.0, 2.0)
+    discs = {"sublevel": lambda: gc.ConvexSet(2, gc.Sublevel(
+                 gc.ScalarFunction.from_expr("x1^2 + x2^2", dom), 1.0, dom), center=np.zeros(2)),
+             "oracle": lambda: gc.ConvexSet(2, gc.Oracle(
+                 member=lambda x: float(x @ x) <= 1.0, bounding_radius=2.0), center=np.zeros(2))}
+    d = rng.standard_normal(2)
+    d *= 0.7 / np.linalg.norm(d)
+    for name, disc in discs.items():
+        for k in API_SCALES:
+            add(f"api/bisection-{name} 2^{k}",
+                lambda disc=disc, x=2.0 ** k * d: {"value": gc.Gauge.of_set(disc()).value(x)},
+                {"value": float})
+
+    box = gc.box(2, -1.0, 2.0)
+    f = gc.ScalarFunction.from_expr("(x1 - 0.3)^2 + 2*(x2 + 0.1)^2", box, convex=True)
+    s_a = gc.sublevel_set(f, box, 1.5)
+    x0 = np.array([0.2, 0.0])
+    for x in s_a.sample_members(rng, 6):
+        add("api/literal_ca_member", lambda x=x: {"member": gc.literal_ca_member(s_a, x0, x)},
+            {"member": bool})
+
+    half = rng.standard_normal((3, 2))
+    p = rng.standard_normal(2)
+    moved = np.vstack([p + half, p - half])
+    moved[0] += 1e-3
+    for pts, q in ((np.vstack([p + half, p - half]), p), (np.vstack([p + half, p - half]),
+                   p + 1e-3), (moved, p), (np.vstack([half, -half]) @ np.eye(2, 3), np.zeros(3))):
+        add("api/vertex-symmetry",
+            lambda pts=pts, q=q: {"symmetric": gc.check_symmetry(
+                gc.ConvexSet(pts.shape[1], gc.Vertices(pts)), q)}, {"symmetric": bool})
+
+    g = gc.ScalarFunction.from_expr("x1^2 + abs(x2) + 0.5*x1*x2", dom, convex=True)
+    c0 = rng.uniform(-0.5, 0.5, 2)
+
+    def empirical():
+        core = gc.build_core(g, dom, c0)
+        region = gc.scale_about(core.c_a, c0, 0.5)
+        return {"L": gc.empirical_constant(g, gc.Gauge.of_set(core.c_a), region, pairs=12,
+                                           seed=seed)}
+
+    add("api/empirical-core", empirical, {"L": float})
+
+    diamond = gc.ConvexSet(2, gc.Vertices(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])),
+                           center=np.zeros(2))
+    for name, a, out in (("contracting", 0.4 * np.array([[0.6, -0.8], [0.8, 0.6]]), diamond),
+                         ("expanding", 2.0 * np.eye(2), gc.box(2)),
+                         ("sheared", np.array([[0.8, 0.3], [0.0, 0.5]]), gc.box(2))):
+        def domination(a=a, out=out, name=name):
+            inner = InnerMap(fn=lambda v: a @ v, jacobian=lambda v: a, in_dim=2, out_dim=2,
+                             name=name)
+            try:
+                check_domination(inner, c0, gc.Gauge.of_set(out), gc.Gauge.of_set(gc.box(2)),
+                                 seed=seed)
+            except gc.ConditionViolationError as exc:
+                return {"raised": True, "message": str(exc),
+                        "witness": [list(map(float, w)) for w in exc.witness]}
+            return {"raised": False}
+
+        add("api/domination", domination, {"raised": bool})
+    return queries
+
+
 def worker(root: Path, seeds: list, counts: dict) -> None:
     """Issue the queries with ``root``'s program and references; print one
     JSON object mapping each query's key to its record."""
@@ -167,6 +262,8 @@ def worker(root: Path, seeds: list, counts: dict) -> None:
                 records[f"{name} seed {seed} query {i}"] = _issue(w.query(seed, i))
             for k, query in enumerate(w.defect_set(seed)):
                 records[f"{name} seed {seed} defect {k}"] = _issue(query)
+        for i, query in enumerate(api_queries(seed)):
+            records[f"api seed {seed} query {i}"] = _issue(query)
     for record in records.values():  # a warning names its file under the checkout
         record["err"] = record["err"].replace(f"{root}{os.sep}", "")
     json.dump(records, sys.stdout)
