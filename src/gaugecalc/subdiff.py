@@ -31,7 +31,8 @@ from .errors import (
     SupportMismatchError,
 )
 from .functions import ScalarFunction
-from .geometry import Gauge, Subspace, _complement_rows, _images, as_vector, halving_steps
+from .geometry import (Gauge, Subspace, _complement_rows, _images, _row_norms, as_vector,
+                       halving_steps)
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
@@ -93,105 +94,142 @@ def _signed_axes(n: int) -> np.ndarray:
                                            strides=(-item, 2 * item), writeable=False)
 
 
-def _at(op, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray, t: np.ndarray,
-        base_rows: Optional[np.ndarray] = None, axes: int = 0, along=None) -> np.ndarray:
-    """``op`` (a batch evaluator: point rows in, one value per row out) at
-    the points ``base + t[i] * v``, ``v`` the fan row ``rows[i]``, or with
-    ``base_rows`` at ``base[base_rows[i]] + t[i] * v``, a chunk at a time.
+@dataclass(frozen=True, eq=False)
+class Fan:
+    """A direction fan: ``axes`` signed axes (row ``2j`` is ``+e_j``, row
+    ``2j + 1`` is ``-e_j``), counted and never written, then the rows
+    ``dirs``.  Its first ``frame`` rows are its frame; ``extras`` holds the
+    row of each extra vector (its negation is the next row), 0 for one with
+    no component in the fan's space (see :func:`_direction_fan`)."""
 
-    The fan opens with ``axes`` signed axes, row ``2j`` being ``+e_j`` and
-    row ``2j + 1`` being ``-e_j``, which are not written; its rows from
-    ``axes`` on are the rows of ``dirs`` (see :func:`_direction_fan`).  With
-    ``axes`` nonzero, ``rows`` is ascending, so the axis rows lead.
+    dirs: np.ndarray
+    axes: int = 0
+    extras: tuple = ()
+    frame: int = 0
 
-    With one base point and ``along``, op's axis evaluator (see
-    :attr:`ScalarFunction.many_along`), the axis rows are one call
-    ``along(base, columns, signed steps)``, whose values may differ from
-    op's in the last bits.  Otherwise a chunk's axis rows are read from
-    :func:`_signed_axes` into its point buffer, and every point is the
-    dense product and sum ``v * t + base``: the same floats as on the fan
-    written dense."""
-    n = base.shape[-1]
-    lead = bisect.bisect_left(rows, axes) if axes else 0
-    out, skip = [], 0
-    if lead and along is not None and base_rows is None:
-        cols, odd = np.divmod(rows[:lead], 2)
-        out.append(along(base, cols, np.where(odd, -t[:lead], t[:lead])))
-        skip = lead
-    size = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    single = rows.size - skip <= size
-    buf = np.empty((min(size, rows.size - skip), n))
-    for lo in range(skip, rows.size, size):
-        hi = min(lo + size, rows.size)
-        pts = buf[:hi - lo]
-        k = min(max(lead - lo, 0), hi - lo)
-        if k:
-            pts[:k] = _signed_axes(n)[rows[lo:lo + k]]
-        dirs.take(rows[lo + k:hi] - axes if axes else rows[lo:hi], axis=0, out=pts[k:])
-        pts *= t[lo:hi, None]
-        pts += base if base_rows is None else base[base_rows[lo:hi]]
-        # a copy unless the buffer holds one chunk: the result may view it
-        out.append(op(pts) if single else np.array(op(pts)))
-    if len(out) == 1:
-        return np.asarray(out[0])
-    return np.concatenate(out) if out else np.empty(0)
+    def __len__(self) -> int:
+        return self.axes + self.dirs.shape[0]
+
+    def row(self, r: int) -> np.ndarray:
+        return _signed_axes(self.dirs.shape[1])[r] if r < self.axes else self.dirs[r - self.axes]
+
+    def dense(self) -> np.ndarray:
+        """Every row written into one matrix.  Only small fans are read
+        this way: a rule fan, a vertex table's rows and a hull's listed
+        objectives."""
+        return np.vstack([_signed_axes(self.dirs.shape[1]), self.dirs]) if self.axes \
+            else self.dirs
+
+    def pairings(self, z: np.ndarray) -> np.ndarray:
+        """``<v, z>`` for every row ``v``: ``+/- z[j]`` along ``+/- e_j``."""
+        axes = self.axes
+        out = np.empty(len(self))
+        out[:axes:2] = z[:axes // 2]
+        np.negative(z[:axes // 2], out=out[1:axes:2])
+        out[axes:] = self.dirs @ z
+        return out
+
+    def nonzero_rows(self) -> np.ndarray:
+        """The rows a derivative is taken along; the others read 0.  The
+        signed axes are not measured."""
+        return np.concatenate([np.arange(self.axes),
+                               self.axes + np.flatnonzero(_row_norms(self.dirs) >= 1e-14)])
+
+    def negation_pairs(self) -> np.ndarray:
+        """The rows i whose next row is exactly the negation of row i.
+        Among the signed axes those are the even rows; the last axis and the
+        first written row are compared as vectors, and the written rows a
+        chunk at a time."""
+        dirs, axes = self.dirs, self.axes
+        m, n = dirs.shape
+        size = max(1, _CHUNK_ELEMENTS // max(n, 1))
+        out = [np.arange(0, axes, 2)]
+        if axes and m and np.all(dirs[0] == -self.row(axes - 1)):
+            out.append(np.array([axes - 1]))
+        for lo in range(0, m - 1, size):
+            hi = min(lo + size, m - 1)
+            out.append(axes + lo +
+                       np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
+        return np.concatenate(out)
+
+    def bounds(self, b: np.ndarray):
+        """One value per row, split into the signed axes' variable bounds
+        ``-b[2i+1] <= z_i <= b[2i]`` (or ``(None, None)``) and the rest."""
+        axes = self.axes
+        return np.column_stack([-b[1:axes:2], b[:axes:2]]) if axes else (None, None), b[axes:]
+
+    def with_extras(self, w: Subspace, extra) -> "Fan":
+        """This fan's frame, then +/- each ``extra`` vector projected onto
+        ``w`` and normalized.  The row of a vector whose projection is at
+        most a relative 1e-14 of its own length (every vector when ``w`` is
+        {0}) is 0, the first frame row, and it adds none."""
+        extra = np.asarray(extra, dtype=float).reshape(-1, w.ambient_dim)
+        units, keep = _units(w.project_many(extra), 1e-14 * _row_norms(extra))
+        rows = np.where(keep, self.frame + 2 * (np.cumsum(keep) - 1), 0).tolist()
+        return Fan(np.vstack([self.dirs[:self.frame - self.axes], _signed([units])]), self.axes,
+                   tuple(rows), self.frame)
+
+    def at(self, op, base: np.ndarray, rows: np.ndarray, t: np.ndarray,
+           base_rows: Optional[np.ndarray] = None, along=None) -> np.ndarray:
+        """``op`` (a batch evaluator: point rows in, one value per row out)
+        at the points ``base + t[i] * v``, ``v`` the row ``rows[i]``, or with
+        ``base_rows`` at ``base[base_rows[i]] + t[i] * v``, a chunk at a
+        time.  With signed axes, ``rows`` is ascending, so the axis rows
+        lead.
+
+        With one base point and ``along``, op's axis evaluator (see
+        :attr:`ScalarFunction.many_along`), the axis rows are one call
+        ``along(base, columns, signed steps)``, whose values may differ from
+        op's in the last bits.  Otherwise a chunk's axis rows are read from
+        :func:`_signed_axes` into its point buffer, and every point is the
+        dense product and sum ``v * t + base``: the same floats as on the
+        fan written dense."""
+        dirs, axes = self.dirs, self.axes
+        n = base.shape[-1]
+        lead = bisect.bisect_left(rows, axes) if axes else 0
+        out, skip = [], 0
+        if lead and along is not None and base_rows is None:
+            cols, odd = np.divmod(rows[:lead], 2)
+            out.append(along(base, cols, np.where(odd, -t[:lead], t[:lead])))
+            skip = lead
+        size = max(1, _CHUNK_ELEMENTS // max(n, 1))
+        single = rows.size - skip <= size
+        buf = np.empty((min(size, rows.size - skip), n))
+        for lo in range(skip, rows.size, size):
+            hi = min(lo + size, rows.size)
+            pts = buf[:hi - lo]
+            k = min(max(lead - lo, 0), hi - lo)
+            if k:
+                pts[:k] = _signed_axes(n)[rows[lo:lo + k]]
+            dirs.take(rows[lo + k:hi] - axes if axes else rows[lo:hi], axis=0, out=pts[k:])
+            pts *= t[lo:hi, None]
+            pts += base if base_rows is None else base[base_rows[lo:hi]]
+            # a copy unless the buffer holds one chunk: the result may view it
+            out.append(op(pts) if single else np.array(op(pts)))
+        if len(out) == 1:
+            return np.asarray(out[0])
+        return np.concatenate(out) if out else np.empty(0)
+
+    def feasible_steps(self, domain, base: np.ndarray, rows: np.ndarray, t: np.ndarray,
+                       floor: float, base_rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Halve each start step ``t[i]`` until ``base + t[i] * v`` (``v``
+        the row ``rows[i]``; with ``base_rows``, from ``base[base_rows[i]]``)
+        lies in ``domain`` or the step is at most ``floor``; one batch
+        membership call per halving, which takes the axis rows through the
+        domain's axis evaluator when it has one.  Returns ``t``, updated in
+        place."""
+        def inside(search, steps):
+            return self.at(domain.contains_many, base, rows[search], steps,
+                           None if base_rows is None else base_rows[search],
+                           domain.contains_along)
+
+        return halving_steps(inside, t, floor)
 
 
-def _feasible_steps(f: ScalarFunction, base: np.ndarray, dirs: np.ndarray, rows: np.ndarray,
-                    t: np.ndarray, floor: float, base_rows: Optional[np.ndarray] = None,
-                    axes: int = 0) -> np.ndarray:
-    """Halve each start step ``t[i]`` until ``base + t[i] * v`` (``v`` the
-    fan row ``rows[i]``; with ``base_rows``, from ``base[base_rows[i]]``)
-    lies in f's domain or the step is at most ``floor``; one batch
-    membership call per halving, which takes the axis rows through the
-    domain's axis evaluator when it has one.  ``dirs`` and ``axes`` are as
-    in :func:`_at`.  Returns ``t``, updated in place."""
-    along = f.domain.contains_along
-
-    def inside(search, steps):
-        return _at(f.domain.contains_many, base, dirs, rows[search], steps,
-                   None if base_rows is None else base_rows[search], axes, along)
-
-    return halving_steps(inside, t, floor)
-
-
-def _row(dirs: np.ndarray, axes: int, r: int) -> np.ndarray:
-    """Row ``r`` of the fan ``dirs`` with ``axes`` signed axes (see
-    :func:`_at`)."""
-    return _signed_axes(dirs.shape[1])[r] if r < axes else dirs[r - axes]
-
-
-def _dense(dirs: np.ndarray, axes: int) -> np.ndarray:
-    """Every row of the fan ``dirs`` with ``axes`` signed axes, written
-    into one matrix.  Only small fans are read this way: a rule fan, a
-    vertex table's rows and a hull's listed objectives."""
-    return np.vstack([_signed_axes(dirs.shape[1]), dirs]) if axes else dirs
-
-
-def _pairings(dirs: np.ndarray, axes: int, z: np.ndarray) -> np.ndarray:
-    """``<v, z>`` for every row ``v`` of the fan ``dirs`` with ``axes``
-    signed axes: ``+/- z[j]`` along ``+/- e_j``."""
-    out = np.empty(axes + dirs.shape[0])
-    out[:axes:2] = z[:axes // 2]
-    np.negative(z[:axes // 2], out=out[1:axes:2])
-    out[axes:] = dirs @ z
-    return out
-
-
-def _nonzero_rows(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
-    """The rows a derivative is taken along; the others read 0.  The
-    ``axes`` signed axes (see :func:`_at`) are not measured."""
-    return np.concatenate([np.arange(axes),
-                           axes + np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-                                                 >= 1e-14)])
-
-
-def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
-            axes: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _ladder(f: ScalarFunction, x: np.ndarray, fan: Fan) -> tuple[np.ndarray, np.ndarray]:
     """One-sided directional derivatives of f at x along the rows of the
-    fan ``dirs`` with ``axes`` signed axes (see :func:`_at`) by halving
-    difference ladders run in lockstep, and the number of sign changes
-    between consecutive quotient differences on each row.
+    fan by halving difference ladders run in lockstep, and the number of
+    sign changes between consecutive quotient differences on each row.
 
     Each row starts at the largest feasible step of at most 1, or of at
     most :data:`_CONVEX_START` (``2**-8``) for a function flagged convex:
@@ -200,27 +238,27 @@ def _ladder(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray,
     oscillation count of any other function reads them.  Each step
     evaluates every row whose ladder is still running as one batch (the
     signed axes through f's axis evaluator when it has one, see
-    :func:`_at`); each row keeps its own step, stopping rules and
+    :meth:`Fan.at`); each row keeps its own step, stopping rules and
     Richardson step, so its value is the one a ladder on that row alone
     would give, up to the last bits of an axis evaluator's values.
     """
-    m = axes + dirs.shape[0]
+    m = len(fan)
     out = np.zeros(m)
     oscillations = np.zeros(m, dtype=int)
-    live = _nonzero_rows(dirs, axes)
+    live = fan.nonzero_rows()
     if live.size == 0:
         return out, oscillations
     t = np.full(m, _CONVEX_START if f.convex else 1.0)
     # the floor sits well above the membership tolerance so that boundary
     # fuzz is not mistaken for a feasible sliver
-    t[live] = _feasible_steps(f, x, dirs, live, t[live], 1e-7, axes=axes)
+    t[live] = fan.feasible_steps(f.domain, x, live, t[live], 1e-7)
     if np.any(t[live] <= 1e-7):
         raise NoFeasibleStepError("no feasible step from x along d inside the domain")
     fx = f(x)
     along = f.many_along
 
     def quotients(rows):
-        return (_at(f.many, x, dirs, rows, t[rows], axes=axes, along=along) - fx) / t[rows]
+        return (fan.at(f.many, x, rows, t[rows], along=along) - fx) / t[rows]
 
     q, q_prev = np.zeros(m), np.zeros(m)
     has_q, has_prev = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
@@ -277,17 +315,15 @@ def dir_deriv(f: ScalarFunction, x, d) -> float:
     """
     x = as_vector(x, f.domain.dim)
     d = as_vector(d, f.domain.dim)
-    values, oscillations = _ladder(f, x, d[None, :])
+    values, oscillations = _ladder(f, x, Fan(d[None, :]))
     if not f.convex and oscillations[0] >= 3:
         warnings.warn("difference quotients oscillate; the one-sided derivative "
                       "may not exist at this point", RuntimeWarning, stacklevel=2)
     return float(values[0])
 
 
-def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
-                 seed: int, axes: int = 0) -> np.ndarray:
-    """Generalized directional derivatives along the rows of the fan
-    ``dirs`` with ``axes`` signed axes (see :func:`_at`).
+def _generalized(f: ScalarFunction, x: np.ndarray, fan: Fan, g: Gauge, seed: int) -> np.ndarray:
+    """Generalized directional derivatives along the rows of the fan.
 
     Each shell's probes are normal draws in R^n projected onto span(g)
     (in full dimension, the draws themselves), so no basis of the span is
@@ -296,9 +332,9 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     shell) and evaluated once for the whole fan; every (row, base point)
     quotient of a shell is then one batch, ordered by row.
     """
-    m = axes + dirs.shape[0]
+    m = len(fan)
     out = np.zeros(m)
-    live = _nonzero_rows(dirs, axes)
+    live = fan.nonzero_rows()
     if live.size == 0:
         return out
     rng = np.random.default_rng(seed)
@@ -306,20 +342,19 @@ def _generalized(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
     for r in _RADII:
         us = g.span.project_many(rng.standard_normal((_PROBES, x.size)))
         mu = g.values(us)
-        scale = np.where(np.isfinite(mu) & (mu > 1e-9), mu, _norms(us))
+        scale = np.where(np.isfinite(mu) & (mu > 1e-9), mu, _row_norms(us))
         keep = scale > 1e-14
         probes = x + (r / scale[keep])[:, None] * us[keep]
         ys = np.vstack([x, probes[f.domain.contains_many(probes)]])
         fy = f.many(ys)
         dir_rows = np.repeat(live, ys.shape[0])
         base_rows = np.tile(np.arange(ys.shape[0]), live.size)
-        t = _feasible_steps(f, ys, dirs, dir_rows, np.full(base_rows.size, r / 4.0), 1e-12,
-                            base_rows, axes)
+        t = fan.feasible_steps(f.domain, ys, dir_rows, np.full(base_rows.size, r / 4.0), 1e-12,
+                               base_rows)
         ok = t > 1e-12
         base_rows, dir_rows, t = base_rows[ok], dir_rows[ok], t[ok]
         with np.errstate(over="ignore", invalid="ignore"):
-            quotients = (_at(f.many, ys, dirs, dir_rows, t, base_rows, axes)
-                         - fy[base_rows]) / t
+            quotients = (fan.at(f.many, ys, dir_rows, t, base_rows) - fy[base_rows]) / t
         if not np.all(np.isfinite(quotients)):
             # every value is finite, so a quotient that is not has overflowed
             raise NonFiniteInputError(
@@ -344,31 +379,13 @@ def gen_dir_deriv(f: ScalarFunction, x, d, g: Gauge, seed: int = 42) -> float:
     """
     x = as_vector(x, f.domain.dim)
     d = as_vector(d, f.domain.dim)
-    return float(_generalized(f, x, d[None, :], g, seed)[0])
+    return float(_generalized(f, x, Fan(d[None, :]), g, seed)[0])
 
 
-def _negation_pairs(dirs: np.ndarray, axes: int = 0) -> np.ndarray:
-    """The rows i of the fan ``dirs`` with ``axes`` signed axes (see
-    :func:`_at`) whose next row is exactly the negation of row i.  Among the
-    signed axes those are the even rows; the last axis and the first written
-    row are compared as vectors, and the written rows a chunk at a time."""
-    m, n = dirs.shape
-    size = max(1, _CHUNK_ELEMENTS // max(n, 1))
-    out = [np.arange(0, axes, 2)]
-    if axes and m and np.all(dirs[0] == -_row(dirs, axes, axes - 1)):
-        out.append(np.array([axes - 1]))
-    for lo in range(0, m - 1, size):
-        hi = min(lo + size, m - 1)
-        out.append(axes + lo +
-                   np.flatnonzero(np.all(dirs[lo + 1:hi + 1] == -dirs[lo:hi], axis=1)))
-    return np.concatenate(out)
-
-
-def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge,
-                    seed: int = 42, axes: int = 0) -> np.ndarray:
+def _support_values(f: ScalarFunction, x: np.ndarray, fan: Fan, g: Gauge,
+                    seed: int = 42) -> np.ndarray:
     """Support values of f's subdifferential at x along the rows of the
-    fan ``dirs`` with ``axes`` signed axes (see :func:`_at`):
-    directional derivatives for convex-flagged functions, generalized
+    fan: directional derivatives for convex-flagged functions, generalized
     directional derivatives otherwise, one fan at a time.
 
     A convex function's one-sided derivative is sublinear, so on every
@@ -378,14 +395,14 @@ def _support_values(f: ScalarFunction, x: np.ndarray, dirs: np.ndarray, g: Gauge
     :class:`ConvexityFlagError` is raised.
     """
     if not f.convex:
-        return _generalized(f, x, dirs, g, seed, axes)
-    h = _ladder(f, x, dirs, axes)[0]
-    i = _negation_pairs(dirs, axes)
+        return _generalized(f, x, fan, g, seed)
+    h = _ladder(f, x, fan)[0]
+    i = fan.negation_pairs()
     total = h[i] + h[i + 1]
     bad = np.flatnonzero(total < -_SUBLINEAR_TOL * (1.0 + np.abs(h[i]) + np.abs(h[i + 1])))
     if bad.size:
         j = int(bad[0])
-        v = _row(dirs, axes, int(i[j]))
+        v = fan.row(int(i[j]))
         raise ConvexityFlagError(
             f"function {f.name or '<anonymous>'} is flagged convex, but its one-sided "
             f"derivatives at {list(map(float, x))} along +/-{list(map(float, v))} "
@@ -400,91 +417,65 @@ def _reduced_basis(g: Gauge) -> Subspace:
     return g.span.intersect(Subspace(_complement_rows(g.kernel), g.span.ambient_dim))
 
 
-def _norms(vs: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of ``vs``, the same floats as one call
-    per row."""
-    return np.sqrt(np.matmul(vs[:, None, :], vs[:, :, None])[:, 0, 0])
-
-
-def _signed(halves: list[np.ndarray], tail: Optional[np.ndarray] = None) -> np.ndarray:
+def _signed(halves: list[np.ndarray]) -> np.ndarray:
     """Each row of the ``halves`` blocks followed by its negation, block by
-    block, then the rows of ``tail``, written once into one array."""
+    block, written once into one array."""
     m = sum(h.shape[0] for h in halves)
-    out = np.empty((2 * m + (0 if tail is None else tail.shape[0]), halves[0].shape[1]))
+    out = np.empty((2 * m, halves[0].shape[1]))
     pos = 0
     for h in halves:
         end = pos + 2 * h.shape[0]
         out[pos:end:2] = h
         np.negative(h, out=out[pos + 1:end:2])
         pos = end
-    if tail is not None:
-        out[pos:] = tail
     return out
 
 
-def _units(vs: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``vs`` longer than ``floor``, normalized, and which rows
-    those were."""
-    norms = _norms(vs)
+def _units(vs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``vs`` longer than ``floor`` (one number, or one per
+    row), normalized by its overflow-safe length, and which rows those
+    were."""
+    norms = _row_norms(vs)
     keep = norms > floor
     return vs[keep] / norms[keep, None], keep
 
 
-def _frame_halves(w: Subspace) -> list[np.ndarray]:
-    """In a proper subspace, the basis vectors and the unit projected
-    axes: the frame is +/- each of these rows.  The whole space's frame is
-    its signed axes, which are not written (none here; see
-    :func:`_direction_fan`)."""
-    if w.dim == w.ambient_dim:
-        return []
-    # projected ambient axes: boxy support sets have their facet normals
-    # here, and the basis rows alone can be an arbitrarily rotated frame;
-    # axis i projects to basis.T @ (column i of basis)
-    axes = _images(w.basis.T, np.ascontiguousarray(w.basis.T))
-    return [w.basis, _units(axes, 1e-10)[0]]
+def _fan_length(w: Subspace, size: tuple[int, int], opening: int) -> int:
+    """The rows of a fan of ``size`` over ``w`` whose frame and extras take
+    ``opening``: random rows fill it to ``max(per_dim * w.dim, floor)``."""
+    return max(opening, size[0] * w.dim, size[1]) if w.dim else opening
 
 
-def _direction_fan(w: Subspace, size: tuple[int, int], seed: int,
-                   extra=()) -> tuple[np.ndarray, list[int], int]:
-    """The fan of ``w``: the frame rows, +/- each projected extra vector,
-    then random unit directions in ``w`` up to ``max(per_dim * w.dim,
-    floor)`` rows.  Returned as the fan's written rows, the row of each
-    extra vector (its negation is the next row), or 0, the first frame row,
-    for one with no component in ``w``, and the number of signed axes.
+def _direction_fan(w: Subspace, size: tuple[int, int], seed: int, extra=()) -> Fan:
+    """The fan of ``w``: the frame rows, +/- each projected extra vector
+    (see :meth:`Fan.with_extras`), then random unit directions in ``w`` up
+    to ``max(per_dim * w.dim, floor)`` rows.
 
     The frame of the whole space (whose basis is the identity) is its
     ``2 * n`` signed axes ``+e_0, -e_0, +e_1, ...``, which are counted and
-    never written (see :func:`_at`): the written rows are the rows after
-    them.  A proper subspace has 0 signed axes, and every row is written."""
+    never written (see :class:`Fan`).  A proper subspace has 0 signed axes,
+    and every row is written: its frame is +/- each basis vector and each
+    unit projected axis."""
     n = w.ambient_dim
     axes = 2 * n if w.dim == n else 0
-    halves = _frame_halves(w)
-    opening = axes + 2 * sum(h.shape[0] for h in halves)
-    # w.project of each extra vector (all zero when w is {0})
-    extra = np.asarray(extra, dtype=float).reshape(-1, n)
-    units, keep = _units(w.project_many(extra), 1e-14)
-    rows = np.where(keep, opening + 2 * (np.cumsum(keep) - 1), 0).tolist()
-    halves.append(units)
-    have = opening + 2 * units.shape[0]
+    # projected ambient axes: boxy support sets have their facet normals
+    # here, and the basis rows alone can be an arbitrarily rotated frame;
+    # axis i projects to basis.T @ (column i of basis)
+    written = np.empty((0, n)) if axes else \
+        _signed([w.basis, _units(_images(w.basis.T, np.ascontiguousarray(w.basis.T)), 1e-10)[0]])
+    fan = Fan(written, axes, frame=axes + written.shape[0]).with_extras(w, extra)
+    blocks, have = [fan.dirs], len(fan)
     rng = np.random.default_rng(seed)
-    count = max(size[0] * w.dim, size[1])
-    randoms = []
-    while have < count and w.dim > 0:
+    count = _fan_length(w, size, have)
+    while have < count:
         # one draw of w.dim normals per missing row, in order, as a loop
         # drawing a row at a time would take them; in the whole space the
         # product with the identity basis is each row plus 0.0
         draws = rng.standard_normal((count - have, w.dim))
         u, _ = _units(draws + 0.0 if w.dim == n else _images(w.basis.T, draws), 1e-14)
-        randoms.append(u)
+        blocks.append(u)
         have += u.shape[0]
-    return _signed(halves, np.vstack(randoms) if randoms else None), rows, axes
-
-
-def _support_fan(f: ScalarFunction, x, g: Gauge, w: Subspace, size, seed: int,
-                 extra=()) -> tuple[np.ndarray, np.ndarray, list[int], int]:
-    """:func:`_direction_fan` with f's support value along each row."""
-    dirs, rows, axes = _direction_fan(w, size, seed, extra)
-    return dirs, _support_values(f, x, dirs, g, seed, axes), rows, axes
+    return Fan(np.vstack(blocks), axes, fan.extras, fan.frame)
 
 
 def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -503,22 +494,20 @@ def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[np.all(z @ a.T <= b + _FEASIBLE_TOL * (1.0 + np.abs(b)), axis=1)]
 
 
-def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
+def _optimizer(w: Subspace, fan: Fan, sups):
     """The solver of one row's LP: the optimal face of <z, v> (v the fan
-    row ``row``; ``dirs`` and ``axes`` as in :func:`_at`) over
-    the outer approximation {z : <z, v> <= h(v) + slack for every fan row v}
-    of the subdifferential, as its vertices in lexicographic order; the
-    optimum must attain that row's support value.
+    row ``row``) over the outer approximation {z : <z, v> <= h(v) + slack
+    for every fan row v} of the subdifferential, as its vertices in
+    lexicographic order; the optimum must attain that row's support value.
 
     When the fan has at most :data:`_TABLE_SUBSETS` subsets of ``w.dim``
     rows, every face is read from one vertex table (:func:`_vertex_table`)
-    built here from the fan's rows, its ``axes`` signed axes (see
-    :func:`_at`) written out too: the table vertices within a relative
-    :data:`_ATTAINED_TOL` of the row's maximum.  Past the cap each row
-    solves its LP (HiGHS), whose one optimum is the face it returns.  There
-    the signed axes ``+e_i, -e_i`` are the variable bounds
-    ``-b[2i+1] <= z_i <= b[2i]``, and the inequality rows are only the
-    written rows (none when there are none).
+    built here from the fan's rows, its signed axes written out too: the
+    table vertices within a relative :data:`_ATTAINED_TOL` of the row's
+    maximum.  Past the cap each row solves its LP (HiGHS), whose one optimum
+    is the face it returns.  There the signed axes are the variable bounds
+    (see :meth:`Fan.bounds`), and the inequality rows are only the written
+    rows (none when there are none).
     """
     # in the whole space the basis is the identity: the rows are their own
     # coordinates
@@ -532,8 +521,8 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
                 f"support value {target:.6g} in the objective direction is not "
                 f"attained (got {attained:.6g})")
 
-    if math.comb(axes + dirs.shape[0], w.dim) <= _TABLE_SUBSETS:
-        a_ub = _dense(dirs, axes) if full else dirs @ w.basis.T
+    if math.comb(len(fan), w.dim) <= _TABLE_SUBSETS:
+        a_ub = fan.dense() if full else fan.dirs @ w.basis.T
         table = _vertex_table(a_ub, b_ub)
         if table.shape[0] == 0:
             raise LpInfeasibleError(_INFEASIBLE)
@@ -548,12 +537,12 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
 
         return face
 
-    bounds = np.column_stack([-b_ub[1:axes:2], b_ub[:axes:2]]) if axes else (None, None)
-    a_rows, b_rows = (dirs if full else dirs @ w.basis.T, b_ub[axes:]) if dirs.shape[0] \
+    bounds, b_rows = fan.bounds(b_ub)
+    a_rows, b_rows = (fan.dirs if full else fan.dirs @ w.basis.T, b_rows) if b_rows.size \
         else (None, None)
 
     def solve(row: int) -> np.ndarray:
-        v = _row(dirs, axes, row)
+        v = fan.row(row)
         c = -(v if full else w.basis @ v)
         res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs")
         if res.status != 0:
@@ -569,26 +558,25 @@ def _optimizer(w: Subspace, dirs, sups, axes: int = 0):
     return solve
 
 
-def _vertices(w: Subspace, dirs, sups, rows, axes: int = 0) -> list[np.ndarray]:
-    """The distinct vertices of the rows' optimal faces (see
-    :func:`_optimizer`; ``dirs`` and ``axes`` as in :func:`_at`), in the
-    order the rows and faces list them; a vertex within a relative 1e-7 of
-    one listed before is dropped.
+def _vertices(w: Subspace, fan: Fan, sups, rows) -> list[np.ndarray]:
+    """The distinct vertices of the fan rows' optimal faces (see
+    :func:`_optimizer`), in the order the rows and faces list them; a
+    vertex within a relative 1e-7 of one listed before is dropped.
 
     A row that a vertex found so far attains is skipped: that vertex lies
     on the row's optimal face, since it is feasible and reaches the row's
     support value to within a relative 1e-9, and the optimum lies at most
     the constraint slack above it.
     """
-    face = _optimizer(w, dirs, sups, axes)
-    grads = np.empty((0, dirs.shape[1]))
+    face = _optimizer(w, fan, sups)
+    grads = np.empty((0, fan.dirs.shape[1]))
     for row in rows:
         h = float(sups[row])
-        if grads.size and float(np.max(grads @ _row(dirs, axes, row))) >= \
+        if grads.size and float(np.max(grads @ fan.row(row))) >= \
                 h - _ATTAINED_TOL * (1.0 + abs(h)):
             continue
         for z in face(row):
-            if not np.any(_norms(grads - z) <= 1e-7 * (1 + np.linalg.norm(z))):
+            if not np.any(_row_norms(grads - z) <= 1e-7 * (1 + np.linalg.norm(z))):
                 grads = np.vstack([grads, z])
     return list(grads)
 
@@ -602,10 +590,10 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
         raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
                                    "is zero-dimensional")
     obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
-    dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=[obj])
-    face = _optimizer(w, dirs, sups, axes)
+    fan = _direction_fan(w, _LP_FAN, seed, extra=[obj])
+    face = _optimizer(w, fan, _support_values(f, x, fan, g, seed))
     # one pick per sign: the lexicographically smallest vertex of the face
-    return [face(rows[0] + (s < 0))[0] for s in signs]
+    return [face(fan.extras[0] + (s < 0))[0] for s in signs]
 
 
 def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool:
@@ -620,16 +608,20 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool
     w = _reduced_basis(g)
     if w.dim == 0:
         return float(np.linalg.norm(zeta)) <= _SUBGRADIENT_TOL
-    dirs, sups, _, axes = _support_fan(f, x, g, w, _TEST_FAN, seed, extra=[zeta])
-    return bool(np.all(_pairings(dirs, axes, zeta)
-                       <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
+    fan = _direction_fan(w, _TEST_FAN, seed, extra=[zeta])
+    sups = _support_values(f, x, fan, g, seed)
+    return bool(np.all(fan.pairings(zeta) <= sups + _SUBGRADIENT_TOL * (1.0 + np.abs(sups))))
 
 
 def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
                         seed: int = 42) -> np.ndarray:
     """Subgradient maximizing <zeta, objective> over the support constraints
     of one direction fan at x that holds +/- the objective (by default the
-    first reduced basis vector).
+    first reduced basis vector), projected onto the reduced space and
+    normalized with an overflow-safe length, so that an objective of any
+    finite scale keeps its direction.  An objective whose projection is at
+    most a relative 1e-14 of its own length has no component there and
+    reads the fan's first frame row.
 
     When the fan has at most 4,096 subsets of ``w.dim`` rows (``w`` the
     reduced space) the optimum comes from the fan's vertex table, and of a
@@ -667,8 +659,12 @@ class SupportSet:
 def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> SupportSet:
     """Extract subgradients along many objectives and record support values.
 
-    One fan per base point holds +/- every objective (the frame objectives
-    are its own opening rows).  The subgradients are the vertices of the
+    The objectives are drawn once: the frame rows of the reduced space
+    ``w`` (the ``2n`` signed axes in the whole space), then random unit
+    directions in ``w`` up to ``max(4 * w.dim, 8)`` rows.  The support fan
+    is that frame, then each random objective followed by its negation, and
+    draws no random rows of its own (in the plane: 4 signed axes and +/- 4
+    random objectives, 12 rows).  The subgradients are the vertices of the
     objectives' optimal faces (see :func:`_vertices`), read from one vertex
     table of the fan's support values while the fan has at most 4,096
     subsets of ``w.dim`` rows, so a tied facet lists its corners; past that
@@ -683,14 +679,14 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    objectives, _, axes = _direction_fan(w, _OBJECTIVE_FAN, seed)
-    # the objectives open with the frame rows, which the fan holds already
-    k = 2 * sum(len(h) for h in _frame_halves(w))
-    dirs, sups, rows, axes = _support_fan(f, x, g, w, _LP_FAN, seed, extra=objectives[k:])
-    rows = list(range(axes + k)) + rows
-    return SupportSet(base_point=x, directions=list(_dense(objectives, axes)),
+    objectives = _direction_fan(w, _OBJECTIVE_FAN, seed)
+    directions = objectives.dense()
+    fan = objectives.with_extras(w, directions[objectives.frame:])
+    sups = _support_values(f, x, fan, g, seed)
+    rows = [*range(fan.frame), *fan.extras]
+    return SupportSet(base_point=x, directions=list(directions),
                       support_values=[float(sups[r]) for r in rows],
-                      subgradients=_vertices(w, dirs, sups, rows, axes))
+                      subgradients=_vertices(w, fan, sups, rows))
 
 
 def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
@@ -703,11 +699,12 @@ def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
     w = _reduced_basis(g)
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
-    dirs, sups, _, axes = _support_fan(f, x, g, w, _TEST_FAN, seed)
+    fan = _direction_fan(w, _TEST_FAN, seed)
+    sups = _support_values(f, x, fan, g, seed)
     low = float(np.min(sups))
     i = int(np.argmax(sups <= low + _TIE_TOL * (1.0 + abs(low))))
     return {"is_critical": bool(low >= -_CRITICAL_TOL), "min_derivative": low,
-            "worst_direction": list(map(float, _row(dirs, axes, i)))}
+            "worst_direction": list(map(float, fan.row(i)))}
 
 
 @dataclass

@@ -282,16 +282,33 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # the rule fan opens with the objectives a hull draws with the same
     # seed, so the sum's vertex table needs no fan of their own
     w = subdiff._reduced_basis(unit_gauge)
-    objectives, _, axes = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42)
-    objectives = subdiff._dense(objectives, axes)
+    objectives = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42).dense()
     fan = rules._fan_for(w, 42)
-    assert np.array_equal(fan[:len(objectives)], objectives)
+    assert np.array_equal(fan.dirs[:len(objectives)], objectives)
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners
     f, g = fn("abs(x1)", plane), fn("abs(x1) + abs(x2)", plane)
     r = verify_sum_rule(f, g, [0.0, 0.0], unit_gauge)
     assert r.verdict == "equality_holds"
     corners = sorted(map(tuple, np.round(r.details["lhs_vertices"], 6)))
     assert corners == [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("rule", ["sum", "chain1"])
+def test_listed_vertices_draw_no_fan(rule, plane, unit_gauge, count_calls, monkeypatch):
+    # the hull objectives are the rule fan's opening rows: listing their
+    # vertices counts them and draws no fan of its own
+    count_calls.wrap(rules, "_direction_fan", "fan")
+    listed, during = rules._listed_vertices, []
+
+    def counted(*args):
+        before = count_calls["fan"]
+        out = listed(*args)
+        during.append(count_calls["fan"] - before)
+        return out
+
+    monkeypatch.setattr(rules, "_listed_vertices", counted)
+    _criterion_08_fixtures(plane, unit_gauge)[rule]()
+    assert during == [0] and count_calls["fan"] == 1
 
 
 @pytest.mark.parametrize("rule", ["sum", "product", "chain2", "max", "partial", "chain1"])

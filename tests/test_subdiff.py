@@ -189,18 +189,16 @@ def test_fermat_check(plane, unit_gauge):
 def test_fermat_names_the_first_of_tied_rows(plane, unit_gauge, monkeypatch):
     # support values that tie up to one ulp name the first tied row,
     # whichever of them is the smaller; the minimum is still reported
-    w = subdiff._reduced_basis(unit_gauge)
-    dirs, sups, rows, axes = subdiff._support_fan(fn("abs(x1) + x2^2", plane), np.zeros(2),
-                                                  unit_gauge, w, subdiff._TEST_FAN, 42)
+    fan = subdiff._direction_fan(subdiff._reduced_basis(unit_gauge), subdiff._TEST_FAN, 42)
     reports = []
     for bump in (-1.0, 1.0):
-        tied = np.full(sups.size, 2.0)
+        tied = np.full(len(fan), 2.0)
         tied[[3, 6]] = 0.25, np.nextafter(0.25, bump)
-        monkeypatch.setattr(subdiff, "_support_fan", lambda *a, **k: (dirs, tied, rows, axes))
+        monkeypatch.setattr(subdiff, "_support_values", lambda *a, **k: tied)
         reports.append(fermat_check(fn("x1", plane), [0.0, 0.0], unit_gauge))
         assert reports[-1]["min_derivative"] == float(np.min(tied))
     assert reports[0]["worst_direction"] == reports[1]["worst_direction"] == \
-        list(map(float, subdiff._dense(dirs, axes)[3]))
+        list(map(float, fan.dense()[3]))
 
 
 def test_fermat_blind_along_gauge_kernel(plane):
@@ -390,16 +388,14 @@ def scalar_gen_dir_deriv(f, x, d, g, seed):
 
 
 def grid_fan(n, seed=7):
-    """The weighted grid's extraction fan at a state away from the nodes:
-    its written rows and its number of signed axes."""
+    """The weighted grid's extraction fan at a state away from the nodes."""
     grid = WeightedGrid(n)
     t = grid.nodes
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     g = make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                           extra=[2.0 * (x - t) / (n * t)])
-    return make_function(grid), x, g, dirs, axes
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, seed, extra=[2.0 * (x - t) / (n * t)])
+    return make_function(grid), x, g, fan
 
 
 def plain(f):
@@ -424,9 +420,9 @@ def plain(f):
 def test_fan_ladder_matches_the_scalar_ladder_on_the_grid():
     # the fan written dense: every row is a written point, as in the
     # scalar ladder
-    f, x, g, dirs, axes = grid_fan(300)
-    dense = subdiff._dense(dirs, axes)
-    got = subdiff._support_values(f, x, dense, g, 7)
+    f, x, g, fan = grid_fan(300)
+    dense = fan.dense()
+    got = subdiff._support_values(f, x, subdiff.Fan(dense), g, 7)
     assert got.tolist() == [scalar_dir_deriv(f, x, d) for d in dense]
 
 
@@ -458,8 +454,8 @@ def test_fan_ladder_matches_the_scalar_ladder(n, seed):
     if not feasible.all():
         # a row that leaves the domain at once fails the whole fan
         with pytest.raises(NoFeasibleStepError):
-            subdiff._support_values(f, x, dirs, g, seed)
-    got = subdiff._support_values(f, x, dirs[feasible], g, seed)
+            subdiff._support_values(f, x, subdiff.Fan(dirs), g, seed)
+    got = subdiff._support_values(f, x, subdiff.Fan(dirs[feasible]), g, seed)
     assert got.tolist() == [w for w in want if w is not None]
 
 
@@ -516,7 +512,7 @@ def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
     x = np.array([0.0, 0.0])
     dirs = np.vstack([np.eye(2), -np.eye(2), [[0.0, 0.0]],
                       np.random.default_rng(3).standard_normal((7, 2))])
-    got = subdiff._support_values(f, x, dirs, unit_gauge, 11)
+    got = subdiff._support_values(f, x, subdiff.Fan(dirs), unit_gauge, 11)
     per_row = [gen_dir_deriv(f, x, d, unit_gauge, seed=11) for d in dirs]
     assert got.tolist() == per_row
     assert per_row == [scalar_gen_dir_deriv(f, x, d, unit_gauge, 11) for d in dirs]
@@ -525,7 +521,7 @@ def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
 def test_fan_generalized_path_evaluates_base_points_once(plane, unit_gauge):
     f, calls = counting_fn("abs(x1) + x2^2", plane, convex=False)
     dirs = np.vstack([np.eye(2), -np.eye(2)])
-    subdiff._support_values(f, np.array([0.0, 0.5]), dirs, unit_gauge, 42)
+    subdiff._support_values(f, np.array([0.0, 0.5]), subdiff.Fan(dirs), unit_gauge, 42)
     # per shell: 13 base values, then one quotient per base point and row
     assert calls.calls == 2 * (13 + 13 * 4)
 
@@ -549,15 +545,15 @@ def test_fan_evaluation_allocates_a_few_chunks():
     # with no axis evaluator, the 2,000 points along the signed axes are
     # written a chunk at a time: the 16 MB of the dense fan, or of its
     # points, are never held at once
-    f, x, g, dirs, axes = grid_fan(1000)
+    f, x, g, fan = grid_fan(1000)
     f = plain(f)
-    m = axes + dirs.shape[0]
+    m = len(fan)
     chunk = subdiff._CHUNK_ELEMENTS * 8
     assert m * x.size * 8 >= 16 * chunk
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        subdiff._support_values(f, x, dirs, g, 7, axes)
+        subdiff._support_values(f, x, fan, g, 7)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -667,24 +663,25 @@ def test_fan_matches_the_list_construction(size):
         outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
         extra = [rng.standard_normal(n), outside, np.zeros(n)][:int(rng.integers(0, 4))]
         seed = int(rng.integers(1 << 20))
-        dirs, rows, axes = subdiff._direction_fan(w, size, seed, extra)
+        fan = subdiff._direction_fan(w, size, seed, extra)
         want, want_rows = list_fan(w, size, seed, extra)
         # a fan over the whole space opens with +e_i, -e_i for each axis,
         # which are counted and not written
+        axes = fan.axes
         assert axes == (2 * n if w.dim == n else 0)
-        assert dirs.shape == (want.shape[0] - axes, n) and np.all(dirs == want[axes:])
-        dense = subdiff._dense(dirs, axes)
-        assert dense.shape == want.shape and np.all(dense == want)
-        assert rows == want_rows
+        assert fan.dirs.shape == (want.shape[0] - axes, n) and np.all(fan.dirs == want[axes:])
+        dense = fan.dense()
+        assert len(fan) == dense.shape[0] and dense.shape == want.shape and np.all(dense == want)
+        assert list(fan.extras) == want_rows
         frame = list_frame(w)
+        assert fan.frame == len(frame)
         assert np.array_equal(dense[:len(frame)], np.array(frame).reshape(-1, n))
         # written out, every entry of -e_i, its zeros too, carries the sign
         # bit, as in the negated identity
         assert np.array_equal(dense[:axes:2], np.eye(n)[:axes // 2])
         assert np.array_equal(-dense[1:axes:2], np.eye(n)[:axes // 2])
         assert np.all(np.signbit(dense[1:axes:2]))
-        assert all(subdiff._row(dirs, axes, r).tobytes() == dense[r].tobytes()
-                   for r in range(dense.shape[0]))
+        assert all(fan.row(r).tobytes() == dense[r].tobytes() for r in range(dense.shape[0]))
 
 
 @pytest.mark.parametrize("n", [1, 3, 40])
@@ -693,18 +690,19 @@ def test_whole_space_random_rows_are_the_identity_products(n):
     # products with the identity basis, and are the same bytes
     w = Subspace.full(n)
     size = (6, 24)
-    dirs, _, axes = subdiff._direction_fan(w, size, 11)
-    draws = np.random.default_rng(11).standard_normal((max(size[0] * n, size[1]) - axes, n))
+    fan = subdiff._direction_fan(w, size, 11)
+    draws = np.random.default_rng(11).standard_normal((max(size[0] * n, size[1]) - 2 * n, n))
     want, _ = subdiff._units(subdiff._images(w.basis.T, draws), 1e-14)
-    assert dirs.shape == want.shape and dirs.tobytes() == want.tobytes()
+    assert fan.dirs.shape == want.shape and fan.dirs.tobytes() == want.tobytes()
 
 
 def test_grid_frame_matches_the_list_construction():
     # the whole space's frame is its signed axes: no written row
     n = 1000
     w = Subspace.full(n)
-    assert subdiff._frame_halves(w) == []
-    assert np.all(subdiff._dense(np.empty((0, n)), 2 * n) == np.array(list_frame(w)))
+    fan = subdiff._direction_fan(w, (0, 0), 1)
+    assert fan.dirs.shape == (0, n) and fan.axes == fan.frame == 2 * n
+    assert np.all(fan.dense() == np.array(list_frame(w)))
 
 
 def signed_zeros(rng, v):
@@ -727,10 +725,10 @@ def test_axis_points_are_the_dense_points(n, chunk, bases, seed):
     # and written rows mixed, repeated) over several chunks, from one base
     # point or (``bases`` > 0) from rows of several
     rng = np.random.default_rng(seed)
-    dirs, _, axes = subdiff._direction_fan(Subspace.full(n), (2, 4), seed,
-                                           extra=[rng.standard_normal(n)])
-    dirs = np.vstack([dirs, signed_zeros(rng, rng.standard_normal((3, n)))])
-    dense = subdiff._dense(dirs, axes)
+    fan = subdiff._direction_fan(Subspace.full(n), (2, 4), seed, extra=[rng.standard_normal(n)])
+    axes = 2 * n
+    fan = subdiff.Fan(np.vstack([fan.dirs, signed_zeros(rng, rng.standard_normal((3, n)))]), axes)
+    dense = fan.dense()
     base = signed_zeros(rng, rng.standard_normal((max(bases, 1), n))
                         * 10.0 ** rng.integers(-3, 4))
     rows = np.sort(np.concatenate([
@@ -743,8 +741,8 @@ def test_axis_points_are_the_dense_points(n, chunk, bases, seed):
                  rng.uniform(1e-7, 1.0, rows.size))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
-        got = subdiff._at(np.copy, base, dirs, rows, t, base_rows, axes)
-        want = subdiff._at(np.copy, base, dense, rows, t, base_rows)
+        got = fan.at(np.copy, base, rows, t, base_rows)
+        want = subdiff.Fan(dense).at(np.copy, base, rows, t, base_rows)
     assert got.shape == (rows.size, n) and got.tobytes() == want.tobytes()
 
 
@@ -762,20 +760,18 @@ def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
     x = signed_zeros(rng, t + rng.uniform(-0.4, 1.0) + rng.uniform(-0.5, 0.5) * t)
     f, g = plain(make_function(grid)), make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                           extra=[rng.standard_normal(n)])
-    assert axes == 2 * n and dirs.shape[0] > 0
-    dense = subdiff._dense(dirs, axes)
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, seed, extra=[rng.standard_normal(n)])
+    assert fan.axes == 2 * n and fan.dirs.shape[0] > 0
+    dense = subdiff.Fan(fan.dense())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subdiff, "_CHUNK_ELEMENTS", chunk * n)
-        got = subdiff._ladder(f, x, dirs, axes)
+        got = subdiff._ladder(f, x, fan)
         want = subdiff._ladder(f, x, dense)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dense))
-        assert np.array_equal(subdiff._negation_pairs(dirs, axes),
-                              subdiff._negation_pairs(dense))
-        assert subdiff._support_values(f, x, dirs, g, seed, axes).tobytes() == \
+        assert np.array_equal(fan.nonzero_rows(), dense.nonzero_rows())
+        assert np.array_equal(fan.negation_pairs(), dense.negation_pairs())
+        assert subdiff._support_values(f, x, fan, g, seed).tobytes() == \
             subdiff._support_values(f, x, dense, g, seed).tobytes()
 
 
@@ -783,14 +779,13 @@ def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
 
 
 def hull_table(f, x, g, seed=42):
-    """The fan, support values and objective rows of a hull at x."""
+    """The fan (written dense), support values and objective rows of a hull
+    at x."""
     w = subdiff._reduced_basis(g)
-    objectives, _, axes = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
-    k = axes + 2 * sum(len(h) for h in subdiff._frame_halves(w))
-    dirs, sups, rows, axes = subdiff._support_fan(f, np.asarray(x, float), g, w,
-                                                  subdiff._LP_FAN, seed,
-                                                  extra=objectives[k - axes:])
-    return w, subdiff._dense(dirs, axes), sups, list(range(k)) + rows
+    objectives = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
+    fan = objectives.with_extras(w, objectives.dense()[objectives.frame:])
+    sups = subdiff._support_values(f, np.asarray(x, float), fan, g, seed)
+    return w, fan.dense(), sups, [*range(fan.frame), *fan.extras]
 
 
 #: HiGHS's tightest feasibility tolerances: at its default 1e-7 an optimum
@@ -818,8 +813,8 @@ def lp_optimum(w, dirs, sups, row, options=None):
     return res.x if full else w.basis.T @ res.x
 
 
-def table_size(w, dirs, axes=0):
-    return math.comb(axes + dirs.shape[0], w.dim)
+def table_size(w, fan):
+    return math.comb(len(fan), w.dim)
 
 
 @pytest.mark.parametrize("src,x,dim", [("abs(x1) + x2^2", [0.0, 0.5], 2),
@@ -833,7 +828,7 @@ def test_skipped_hull_rows_are_attained_by_a_listed_vertex(src, x, dim, count_ca
     count_calls.wrap(subdiff, "linprog", "lp")
     f = fn(src, box(dim, -5, 5, center=[0.0] * dim))
     w, dirs, sups, rows = hull_table(f, x, Gauge.of_set(box(dim)))
-    verts = np.array(subdiff._vertices(w, dirs, sups, rows))
+    verts = np.array(subdiff._vertices(w, subdiff.Fan(dirs), sups, rows))
     assert count_calls["lp"] == 0
     radius = 1e-7 * (1.0 + float(np.max(np.linalg.norm(verts, axis=1))))
     for r in rows:
@@ -852,20 +847,70 @@ def test_readme_hull_solves_no_lp(plane, unit_gauge, count_calls):
     assert len(support.directions) == 8 and len(support.subgradients) == 2
 
 
+@pytest.mark.parametrize("dim,rows", [(2, 12), (3, 18)])
+def test_a_hull_builds_one_fan(dim, rows, count_calls, monkeypatch):
+    # the objectives are drawn once; the support fan is their frame, then
+    # +/- each random objective, with no random rows of its own, so in the
+    # plane no row repeats an objective
+    count_calls.wrap(subdiff, "_direction_fan", "fan")
+    fans, support = [], subdiff._support_values
+    monkeypatch.setattr(subdiff, "_support_values",
+                        lambda f, x, fan, *a: fans.append(fan) or support(f, x, fan, *a))
+    f = fn(" + ".join(f"abs(x{i + 1})" for i in range(dim)), box(dim, -5, 5, center=[0.0] * dim))
+    hull = subdifferential_hull(f, np.zeros(dim), Gauge.of_set(box(dim)))
+    assert count_calls["fan"] == 1
+    [fan] = fans
+    dense = fan.dense()
+    assert len(fan) == dense.shape[0] == rows
+    gaps = np.linalg.norm(dense[:, None, :] - dense[None, :, :], axis=2)
+    assert np.min(gaps[np.triu_indices(rows, 1)]) > 1e-6
+    # the listed directions are the frame, then each random objective once
+    assert len(hull.directions) == fan.frame + len(fan.extras)
+    assert np.array_equal(np.array(hull.directions)[:fan.frame], dense[:fan.frame])
+    assert np.allclose(np.array(hull.directions)[fan.frame:], dense[list(fan.extras)],
+                       rtol=0.0, atol=1e-15)
+
+
+def test_an_objective_keeps_its_direction_at_any_scale():
+    # the objective (1, 1) * 2**k is normalized with an overflow-safe length,
+    # so every finite scale gives the bytes of k = 0, with no warning
+    f = fn("abs(x1) + abs(x2)", box(2))
+    g = Gauge.of_set(box(2))
+    want = extract_subgradient(f, [0.0, 0.0], g, objective=[1.0, 1.0])
+    assert want.tolist() == pytest.approx([1.0, 1.0], abs=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-700, -60, 0, 600):
+            got = extract_subgradient(f, [0.0, 0.0], g, objective=2.0 ** k * np.ones(2))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_an_extra_vector_off_the_space_reads_the_first_frame_row():
+    # the projection of a long vector orthogonal to w is rounding noise above
+    # an absolute 1e-14 but below a relative one: it adds no row
+    w = Subspace.from_spanning(np.random.default_rng(4).standard_normal((2, 3)), 3)
+    off = 1e6 * subdiff._complement_rows(w)[0]
+    assert float(np.linalg.norm(w.project_many(off[None, :]))) > 1e-14
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, 7, extra=[off])
+    assert fan.extras == (0,)
+    assert np.array_equal(fan.dirs, subdiff._direction_fan(w, subdiff._LP_FAN, 7).dirs)
+
+
 def test_a_tied_facet_lists_its_corners(plane, unit_gauge):
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: each axis objective's optimal
     # face is an edge, read whole from the table in lexicographic order
     w = subdiff._reduced_basis(unit_gauge)
-    dirs, sups, _, axes = subdiff._support_fan(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2),
-                                               unit_gauge, w, subdiff._LP_FAN, 42)
-    assert axes == 4
-    face = subdiff._optimizer(w, dirs, sups, axes)
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42)
+    sups = subdiff._support_values(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2), fan,
+                                   unit_gauge, 42)
+    assert fan.axes == 4
+    face = subdiff._optimizer(w, fan, sups)
     for row, ends in [(0, [(2.0, -1.0), (2.0, 1.0)]), (1, [(-2.0, -1.0), (-2.0, 1.0)]),
                       (2, [(-2.0, 1.0), (2.0, 1.0)]), (3, [(-2.0, -1.0), (2.0, -1.0)])]:
         got = face(row)
         assert [tuple(z) for z in got] == sorted(map(tuple, got))
         assert sorted({tuple(np.round(z, 6)) for z in got}) == ends
-    corners = subdiff._vertices(w, dirs, sups, range(4), axes)
+    corners = subdiff._vertices(w, fan, sups, range(4))
     assert sorted(tuple(np.round(z, 6)) for z in corners) == \
         [(-2.0, -1.0), (-2.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
     # one pick is the face's lexicographically smallest vertex
@@ -887,9 +932,10 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
     n = dim + proper
     w = Subspace.from_spanning(rng.standard_normal((dim, n)), n) if proper \
         else Subspace.full(n)
-    dirs = subdiff._dense(*subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                                   extra=rng.standard_normal((2, n)))[::2])
-    assert table_size(w, dirs) <= subdiff._TABLE_SUBSETS
+    fan = subdiff.Fan(subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                             extra=rng.standard_normal((2, n))).dense())
+    dirs = fan.dirs
+    assert table_size(w, fan) <= subdiff._TABLE_SUBSETS
     count = {"polytope": dim + 3, "segment": 2}.get(shape, 1)
     points = 3.0 * rng.standard_normal((count, dim)) @ w.basis
     sups = np.max(dirs @ points.T, axis=1)
@@ -898,10 +944,10 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
     if shape == "inconsistent":
         sups -= 1e-3
         with pytest.raises(LpInfeasibleError):
-            subdiff._optimizer(w, dirs, sups)
+            subdiff._optimizer(w, fan, sups)
         assert all(lp_optimum(w, dirs, sups, r) is None for r in range(len(dirs)))
         return
-    face = subdiff._optimizer(w, dirs, sups)
+    face = subdiff._optimizer(w, fan, sups)
     b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
     for r in range(len(dirs)):
         got = face(r)
@@ -919,7 +965,7 @@ def test_vertex_table_matches_the_lp(dim, proper, shape, seed):
 def vertices_by_pairs(w, dirs, sups, rows):
     """The per-pair dedupe loop that :func:`subdiff._vertices` replaced,
     kept here as the reference it must match float for float."""
-    face = subdiff._optimizer(w, dirs, sups)
+    face = subdiff._optimizer(w, subdiff.Fan(dirs), sups)
     grads = []
     for row in rows:
         h = float(sups[row])
@@ -941,13 +987,13 @@ def test_vertex_dedupe_matches_the_per_pair_loop(dim, noise, seed):
     # dedupe radius, which cuts tiny facets at its corners
     rng = np.random.default_rng(seed)
     w = Subspace.full(dim)
-    dirs = subdiff._dense(*subdiff._direction_fan(w, subdiff._LP_FAN, seed,
-                                                   extra=rng.standard_normal((6, dim)))[::2])
+    dirs = subdiff._direction_fan(w, subdiff._LP_FAN, seed,
+                                  extra=rng.standard_normal((6, dim))).dense()
     points = 3.0 * rng.standard_normal((dim + 3, dim))
     sups = np.max(dirs @ points.T, axis=1) + rng.uniform(0.0, noise, dirs.shape[0])
     rows = range(dirs.shape[0])
     want = vertices_by_pairs(w, dirs, sups, rows)
-    assert [z.tolist() for z in subdiff._vertices(w, dirs, sups, rows)] == \
+    assert [z.tolist() for z in subdiff._vertices(w, subdiff.Fan(dirs), sups, rows)] == \
         [z.tolist() for z in want]
 
 
@@ -960,8 +1006,8 @@ def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
            box(dim, -5, 5, center=[0.0] * dim))
     g = Gauge.of_set(box(dim))
     w = subdiff._reduced_basis(g)
-    dirs, _, axes = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
-    assert (table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS) == (lps > 0)
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
+    assert (table_size(w, fan) > subdiff._TABLE_SUBSETS) == (lps > 0)
     z = extract_subgradient(f, np.zeros(dim), g)
     assert count_calls["lp"] == lps
     assert z[0] == pytest.approx(1.0, abs=1e-6)
@@ -977,17 +1023,16 @@ def test_grid_extraction_is_the_lp_optimum():
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, sups, rows, axes = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
-                                                  extra=[closed])
-    assert table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS
-    want = lp_optimum(w, subdiff._dense(dirs, axes), sups, rows[0])
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[closed])
+    sups = subdiff._support_values(f, x, fan, g, 42)
+    assert table_size(w, fan) > subdiff._TABLE_SUBSETS
+    want = lp_optimum(w, fan.dense(), sups, fan.extras[0])
     assert np.array_equal(extract_subgradient(f, x, g, objective=closed), want)
 
 
 def grid40():
     """WeightedGrid(40), past the cap: its function, state, gauge, closed
-    form, reduced space and extraction fan (its written rows) with support
-    values."""
+    form, reduced space and extraction fan with support values."""
     n = 40
     grid = WeightedGrid(n)
     t = grid.nodes
@@ -995,10 +1040,10 @@ def grid40():
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
     w = subdiff._reduced_basis(g)
-    dirs, sups, rows, axes = subdiff._support_fan(f, x, g, w, subdiff._LP_FAN, 42,
-                                                  extra=[closed])
-    assert table_size(w, dirs, axes) > subdiff._TABLE_SUBSETS and axes == 2 * n
-    return f, x, g, closed, w, dirs, sups, rows
+    fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[closed])
+    sups = subdiff._support_values(f, x, fan, g, 42)
+    assert table_size(w, fan) > subdiff._TABLE_SUBSETS and fan.axes == 2 * n
+    return f, x, g, closed, w, fan, sups
 
 
 def recording_linprog(monkeypatch, statuses=()):
@@ -1017,29 +1062,29 @@ def recording_linprog(monkeypatch, statuses=()):
     return calls
 
 
-def bounds_model(dirs, sups, axes):
-    """The past-cap LP's model: the signed axes ``+e_i, -e_i`` as the
-    variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the written rows as
-    inequality rows."""
+def bounds_model(fan, sups):
+    """The past-cap LP's model of a whole-space fan: its ``2n`` signed axes
+    ``+e_i, -e_i`` as the variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the
+    written rows as inequality rows."""
     b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
-    return {"A_ub": dirs, "b_ub": b[axes:],
+    axes = 2 * fan.dirs.shape[1]
+    return {"A_ub": fan.dirs, "b_ub": b[axes:],
             "bounds": np.column_stack([-b[1:axes:2], b[:axes:2]])}
 
 
 def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
-    f, x, g, closed, w, dirs, sups, rows = grid40()
-    axes = 2 * w.dim
+    f, x, g, closed, w, fan, sups = grid40()
     calls = recording_linprog(monkeypatch)
     z = extract_subgradient(f, x, g, objective=closed)
     [call] = calls
-    model = bounds_model(dirs, sups, axes)
+    model = bounds_model(fan, sups)
     for key, want in model.items():
         assert np.array_equal(call[key], want)
     # the extraction is that model's optimum, byte for byte, and the dense
     # model's optimum to within the LP slack
-    own = linprog(-subdiff._row(dirs, axes, rows[0]), **model, method="highs")
+    own = linprog(-fan.row(fan.extras[0]), **model, method="highs")
     assert z.tobytes() == own.x.tobytes()
-    dense = lp_optimum(w, subdiff._dense(dirs, axes), sups, rows[0])
+    dense = lp_optimum(w, fan.dense(), sups, fan.extras[0])
     assert np.allclose(z, dense, rtol=0.0, atol=subdiff._LP_SLACK * (1.0 + np.max(np.abs(dense))))
     # an objective with no component in w adds no row past the axes, so the
     # LP has no inequality rows
@@ -1051,7 +1096,7 @@ def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
 
 
 def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
-    f, x, g, closed, w, dirs, sups, rows = grid40()
+    f, x, g, closed, w, fan, sups = grid40()
     calls = recording_linprog(monkeypatch, statuses=[2])
     z = extract_subgradient(f, x, g, objective=closed)
     first, retry = calls
@@ -1059,9 +1104,8 @@ def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
     for key in ("A_ub", "b_ub", "bounds"):
         assert retry[key] is first[key]
     # the raw solve of the bounds model finds the same optimum
-    axes = 2 * w.dim
-    raw = linprog(-subdiff._row(dirs, axes, rows[0]), **bounds_model(dirs, sups, axes),
-                  method="highs", options={"presolve": False})
+    raw = linprog(-fan.row(fan.extras[0]), **bounds_model(fan, sups), method="highs",
+                  options={"presolve": False})
     assert z.tobytes() == raw.x.tobytes()
 
 
@@ -1085,9 +1129,9 @@ def test_sublinearity_check_reads_only_negation_pairs(plane, unit_gauge):
     # unpaired rows are not compared
     f = fn("abs(x1) + x2^2", plane)
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    h = subdiff._support_values(f, np.array([0.0, 0.0]), dirs, unit_gauge)
+    h = subdiff._support_values(f, np.array([0.0, 0.0]), subdiff.Fan(dirs), unit_gauge)
     assert h[0] + h[1] == pytest.approx(2.0, abs=1e-9)
-    assert subdiff._negation_pairs(dirs).tolist() == [0]
+    assert subdiff.Fan(dirs).negation_pairs().tolist() == [0]
 
 
 # -- mean value scan ---------------------------------------------------------
@@ -1222,26 +1266,25 @@ def test_support_values_without_an_axis_evaluator_match_the_dense_fan(case):
               "zero": np.zeros(n)}[k] for k in kinds]
     g = Gauge.of_set(box(n))
     w = subdiff._reduced_basis(g)
-    dirs, _, axes = subdiff._direction_fan(w, subdiff._TEST_FAN, seed, extra)
-    assert axes == 2 * n
-    dense = subdiff._dense(dirs, axes)
-    assert np.array_equal(subdiff._negation_pairs(dirs, axes), subdiff._negation_pairs(dense))
-    assert np.array_equal(subdiff._nonzero_rows(dirs, axes), subdiff._nonzero_rows(dense))
-    assert subdiff._support_values(f, x, dirs, g, seed, axes).tobytes() == \
+    fan = subdiff._direction_fan(w, subdiff._TEST_FAN, seed, extra)
+    assert fan.axes == 2 * n
+    dense = subdiff.Fan(fan.dense())
+    assert np.array_equal(fan.negation_pairs(), dense.negation_pairs())
+    assert np.array_equal(fan.nonzero_rows(), dense.nonzero_rows())
+    assert subdiff._support_values(f, x, fan, g, seed).tobytes() == \
         subdiff._support_values(f, x, dense, g, seed).tobytes()
     z = rng.standard_normal(n)
-    assert np.array_equal(subdiff._pairings(dirs, axes, z), dense @ z)
+    assert np.array_equal(fan.pairings(z), dense.dirs @ z)
 
 
 def test_a_written_axis_after_the_signed_axes_is_a_negation_pair():
     # the last signed axis is -e_n; an extra vector e_n opens the written
     # rows, so the two are compared as a pair, as on the dense fan
-    dirs, rows, axes = subdiff._direction_fan(Subspace.full(2), (2, 4), 3,
-                                              extra=[[0.0, 2.0]])
-    assert rows == [4] and axes == 4 and np.array_equal(dirs[0], [0.0, 1.0])
-    pairs = subdiff._negation_pairs(dirs, axes)
+    fan = subdiff._direction_fan(Subspace.full(2), (2, 4), 3, extra=[[0.0, 2.0]])
+    assert fan.extras == (4,) and fan.axes == 4 and np.array_equal(fan.dirs[0], [0.0, 1.0])
+    pairs = fan.negation_pairs()
     assert pairs.tolist()[:4] == [0, 2, 3, 4]
-    assert np.array_equal(pairs, subdiff._negation_pairs(subdiff._dense(dirs, axes)))
+    assert np.array_equal(pairs, subdiff.Fan(fan.dense()).negation_pairs())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -155,6 +155,8 @@ def _issue(query) -> dict:
 
 #: the scales 2**k at which the bisection gauges are read
 API_SCALES = (-200, -45, -10, 0, 10, 45, 200)
+#: the scales 2**k of an extraction objective
+EXTRACT_SCALES = (-700, -60, 0, 600)
 
 
 def api_queries(seed: int) -> list:
@@ -163,9 +165,12 @@ def api_queries(seed: int) -> list:
     an oracle unit disc at ``2**k`` times one direction, one kind per set
     and scale; ``literal_ca_member`` on members of a clipped sublevel set;
     vertex-set ``check_symmetry`` on symmetric and perturbed polygons;
-    ``empirical_constant`` on a sublevel core; and ``check_domination`` of
-    three linear maps.  Each output is a JSON document, and its check asks
-    only that the document has the expected fields and types."""
+    ``empirical_constant`` on a sublevel core; ``check_domination`` of
+    three linear maps; and ``extract_subgradient`` of ``abs(x1) + abs(x2)``
+    at the origin of the unit box along the objective ``2**k * (1, 1)``,
+    one kind per scale (a correct extraction is ``(1, 1)`` at every scale).
+    Each output is a JSON document, and its check asks only that the
+    document has the expected fields and types."""
     import numpy as np
     import gaugecalc as gc
     from gaugecalc.rules import InnerMap, check_domination
@@ -240,6 +245,13 @@ def api_queries(seed: int) -> list:
             return {"raised": False}
 
         add("api/domination", domination, {"raised": bool})
+
+    kinks = gc.ScalarFunction.from_expr("abs(x1) + abs(x2)", gc.box(2), convex=True)
+    for k in EXTRACT_SCALES:
+        add(f"api/extract-scaled 2^{k}",
+            lambda c=2.0 ** k * np.ones(2): {"zeta": gc.extract_subgradient(
+                kinks, np.zeros(2), gc.Gauge.of_set(gc.box(2)), objective=c).tolist()},
+            {"zeta": list})
     return queries
 
 
