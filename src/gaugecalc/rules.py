@@ -33,11 +33,10 @@ from .functions import (
 )
 from .geometry import Gauge, Subspace, _first_max, as_vector, batch_callable
 from .subdiff import (
-    _OBJECTIVE_FAN,
     Fan,
     _direction_fan,
-    _fan_length,
     _images,
+    _objective_count,
     _reduced_basis,
     _signed,
     _support_values,
@@ -120,27 +119,26 @@ def _compare(rule: str, dirs: np.ndarray, hl: np.ndarray, hr: np.ndarray,
                       num_directions=len(dirs), details=details)
 
 
-def _fan_for(w: Subspace, seed: int = 42) -> Fan:
-    """The rule fan of the reduced space ``w``: its direction fan, then +/-
-    each normalized sum and difference of two basis vectors.  Its opening
-    rows are the hull objectives (the fan of size ``_OBJECTIVE_FAN``) of the
-    same seed.  A rule fan is small and is written out whole, the whole
-    space's frame too; it keeps its frame's row count."""
+def _fan_for(w: Subspace, seed: int = 42) -> tuple[np.ndarray, int]:
+    """The rule fan of the reduced space ``w``, written out whole (the
+    whole space's frame too): its direction fan, then +/- each normalized
+    sum and difference of two basis vectors; and how many of its opening
+    rows are the hull objectives of the same seed."""
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
     fan = _direction_fan(w, _RULE_FAN, seed)
     pairs = [(w.basis[i] + s * w.basis[j]) / math.sqrt(2.0)
              for i in range(w.dim) for j in range(i + 1, w.dim) for s in (1.0, -1.0)]
-    return Fan(np.vstack([fan.dense(), _signed([np.array(pairs).reshape(-1, w.ambient_dim)])]),
-               frame=fan.frame)
+    return np.vstack([fan.dense(), _signed([np.array(pairs).reshape(-1, w.ambient_dim)])]), \
+        _objective_count(w, fan.frame)
 
 
-def _listed_vertices(w: Subspace, rows: Fan, sups: np.ndarray) -> list[list[float]]:
+def _listed_vertices(w: Subspace, rows: Fan, sups: np.ndarray,
+                     objectives: int) -> list[list[float]]:
     """The vertices of the set whose support values along the rows of the
     rule fan (its quotient representatives) are ``sups``: the optimal faces
-    of the fan's opening rows, the hull objectives, in the vertex table of
-    the fan's own support values."""
-    objectives = _fan_length(w, _OBJECTIVE_FAN, rows.frame)
+    of the fan's ``objectives`` opening rows, the hull objectives, in the
+    vertex table of the fan's own support values."""
     return [list(map(float, z)) for z in _vertices(w, rows, sups, range(objectives))]
 
 
@@ -181,12 +179,12 @@ def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     """
     x = as_vector(x, f.domain.dim)
     w = _reduced_basis(gauge)
-    fan = _fan_for(w, seed)
-    rows = Fan(w.project_many(fan.dirs), frame=fan.frame)
+    dirs, objectives = _fan_for(w, seed)
+    rows = Fan(w.project_many(dirs))
     hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
     hr = _support_values(f, x, rows, gauge, seed) + _support_values(g, x, rows, gauge, seed)
-    return _compare("sum", fan.dirs, hl, hr,
-                    {"x": list(map(float, x)), "lhs_vertices": _listed_vertices(w, rows, hl)})
+    return _compare("sum", dirs, hl, hr, {"x": list(map(float, x)), "lhs_vertices":
+                                          _listed_vertices(w, rows, hl, objectives)})
 
 
 def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
@@ -198,7 +196,7 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     x = as_vector(x, f.domain.dim)
     fx, gx = f(x), g(x)
     w = _reduced_basis(gauge)
-    dirs = _fan_for(w, seed).dirs
+    dirs = _fan_for(w, seed)[0]
     h_g = _scaled(_support(g, x, gauge, w, seed), fx)
     h_f = _scaled(_support(f, x, gauge, w, seed), gx)
     return _compare("product", dirs, _support(product_of(f, g), x, gauge, w, seed)(dirs),
@@ -233,7 +231,7 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
     u0 = h(x)
     a_lo, a_hi = _outer_derivative_range(g, u0)
     w = _reduced_basis(gauge)
-    dirs = _fan_for(w, seed).dirs
+    dirs = _fan_for(w, seed)[0]
     hl = _support(outer_of(g, h, composite_convex), x, gauge, w, seed)(dirs)
     h_inner = _support(h, x, gauge, w, seed)
     # each sign of the slopes reads the inner support function once; a
@@ -301,12 +299,12 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     y = inner(x)
     jac = np.asarray(inner.jacobian(x), dtype=float)
     w = _reduced_basis(gauge_in)
-    fan = _fan_for(w, seed)
-    rows = Fan(w.project_many(fan.dirs), frame=fan.frame)
+    dirs, objectives = _fan_for(w, seed)
+    rows = Fan(w.project_many(dirs))
     hl = _support_values(comp, x, rows, gauge_in, seed)
-    hr = _support(f, y, gauge_out, _reduced_basis(gauge_out), seed)(_images(jac, fan.dirs))
-    return _compare("chain1", fan.dirs, hl, hr,
-                    {"x": list(map(float, x)), "rhs_vertices": _listed_vertices(w, rows, hr)})
+    hr = _support(f, y, gauge_out, _reduced_basis(gauge_out), seed)(_images(jac, dirs))
+    return _compare("chain1", dirs, hl, hr, {"x": list(map(float, x)), "rhs_vertices":
+                                             _listed_vertices(w, rows, hr, objectives)})
 
 
 def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
@@ -317,7 +315,7 @@ def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
     peak = max(vals)
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
     w = _reduced_basis(gauge)
-    dirs = _fan_for(w, seed).dirs
+    dirs = _fan_for(w, seed)[0]
     rows = Fan(w.project_many(dirs))
     pieces = [_support_values(fs[i], x, rows, gauge, seed) for i in active]
     return _compare("max", dirs, _support_values(max_of(list(fs)), x, rows, gauge, seed),
@@ -340,7 +338,7 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
     f1 = frozen_block(f, x, 0, n1, f"{f.name}|block1")
     f2 = frozen_block(f, x, n1, n1 + n2, f"{f.name}|block2")
     w = _reduced_basis(prod_gauge)
-    dirs = _fan_for(w, seed).dirs
+    dirs = _fan_for(w, seed)[0]
     h_1 = _support(f1, x[:n1], gauge_1, _reduced_basis(gauge_1), seed)
     h_2 = _support(f2, x[n1:], gauge_2, _reduced_basis(gauge_2), seed)
     return _compare("partial", dirs, _support(f, x, prod_gauge, w, seed)(dirs),

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -446,10 +446,32 @@ def _fan_length(w: Subspace, size: tuple[int, int], opening: int) -> int:
     return max(opening, size[0] * w.dim, size[1]) if w.dim else opening
 
 
+def _objective_count(w: Subspace, frame: int) -> int:
+    """The objectives of a hull over ``w`` whose frame has ``frame`` rows:
+    the frame, then random rows up to ``max(4 * w.dim, 8)``."""
+    return _fan_length(w, _OBJECTIVE_FAN, frame)
+
+
+def _random_units(w: Subspace, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` rows of the seed's stream of random unit
+    directions in ``w``, so a longer draw extends a shorter one."""
+    rng = np.random.default_rng(seed)
+    blocks, have = [np.empty((0, w.ambient_dim))], 0
+    while have < count:
+        # one draw of w.dim normals per missing row, in order, as a loop
+        # drawing a row at a time would take them; in the whole space the
+        # product with the identity basis is each row plus 0.0
+        draws = rng.standard_normal((count - have, w.dim))
+        u, _ = _units(draws + 0.0 if w.dim == w.ambient_dim else _images(w.basis.T, draws), 1e-14)
+        blocks.append(u)
+        have += u.shape[0]
+    return np.vstack(blocks)
+
+
 def _direction_fan(w: Subspace, size: tuple[int, int], seed: int, extra=()) -> Fan:
     """The fan of ``w``: the frame rows, +/- each projected extra vector
-    (see :meth:`Fan.with_extras`), then random unit directions in ``w`` up
-    to ``max(per_dim * w.dim, floor)`` rows.
+    (see :meth:`Fan.with_extras`), then random unit directions in ``w`` (see
+    :func:`_random_units`) up to ``max(per_dim * w.dim, floor)`` rows.
 
     The frame of the whole space (whose basis is the identity) is its
     ``2 * n`` signed axes ``+e_0, -e_0, +e_1, ...``, which are counted and
@@ -464,18 +486,25 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int, extra=()) -> F
     written = np.empty((0, n)) if axes else \
         _signed([w.basis, _units(_images(w.basis.T, np.ascontiguousarray(w.basis.T)), 1e-10)[0]])
     fan = Fan(written, axes, frame=axes + written.shape[0]).with_extras(w, extra)
-    blocks, have = [fan.dirs], len(fan)
-    rng = np.random.default_rng(seed)
-    count = _fan_length(w, size, have)
-    while have < count:
-        # one draw of w.dim normals per missing row, in order, as a loop
-        # drawing a row at a time would take them; in the whole space the
-        # product with the identity basis is each row plus 0.0
-        draws = rng.standard_normal((count - have, w.dim))
-        u, _ = _units(draws + 0.0 if w.dim == n else _images(w.basis.T, draws), 1e-14)
-        blocks.append(u)
-        have += u.shape[0]
-    return Fan(np.vstack(blocks), axes, fan.extras, fan.frame)
+    draws = _random_units(w, _fan_length(w, size, len(fan)) - len(fan), seed)
+    return replace(fan, dirs=np.vstack([fan.dirs, draws]))
+
+
+def _hull_fan(w: Subspace, seed: int) -> tuple[np.ndarray, Fan]:
+    """A hull's objectives over ``w`` (see :func:`_objective_count`),
+    written dense, and its support fan: their frame, +/- each random
+    objective, then the rows an extraction fan (``_LP_FAN``) holding
+    those extras would draw past them.  That fan draws from the same
+    stream, so its first rows repeat the objectives: in the plane all 4 do
+    (12 rows, not 16), while over a plane in R^3, whose 10 frame rows fill
+    the objectives, all 6 are support rows."""
+    frame = _direction_fan(w, (0, 0), seed)  # a fan of size (0, 0): the frame alone
+    k = _objective_count(w, len(frame)) - len(frame)
+    tail = _fan_length(w, _LP_FAN, len(frame) + 2 * k) - len(frame) - 2 * k
+    stream = _random_units(w, max(k, tail), seed)
+    fan = frame.with_extras(w, stream[:k])
+    return np.vstack([frame.dense(), stream[:k]]), replace(fan, dirs=np.vstack([fan.dirs,
+                                                                               stream[k:]]))
 
 
 def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -569,15 +598,23 @@ def _vertices(w: Subspace, fan: Fan, sups, rows) -> list[np.ndarray]:
     the constraint slack above it.
     """
     face = _optimizer(w, fan, sups)
-    grads = np.empty((0, fan.dirs.shape[1]))
+    n = fan.dirs.shape[1]
+    grads = np.empty((0, n))
     for row in rows:
         h = float(sups[row])
         if grads.size and float(np.max(grads @ fan.row(row))) >= \
                 h - _ATTAINED_TOL * (1.0 + abs(h)):
             continue
-        for z in face(row):
-            if not np.any(_row_norms(grads - z) <= 1e-7 * (1 + np.linalg.norm(z))):
-                grads = np.vstack([grads, z])
+        zs = face(row)
+        listed = np.vstack([grads, zs])
+        # each face vertex against every vertex listed before it, one norm
+        # call; it is kept unless it is near a kept one
+        near = _row_norms((listed - zs[:, None, :]).reshape(-1, n)).reshape(len(zs), -1) <= \
+            1e-7 * (1 + _row_norms(zs))[:, None]
+        keep = np.arange(len(listed)) < len(grads)
+        for i, m in enumerate(range(len(grads), len(listed))):
+            keep[m] = not np.any(near[i, :m] & keep[:m])
+        grads = listed[keep]
     return list(grads)
 
 
@@ -662,13 +699,15 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     The objectives are drawn once: the frame rows of the reduced space
     ``w`` (the ``2n`` signed axes in the whole space), then random unit
     directions in ``w`` up to ``max(4 * w.dim, 8)`` rows.  The support fan
-    is that frame, then each random objective followed by its negation, and
-    draws no random rows of its own (in the plane: 4 signed axes and +/- 4
-    random objectives, 12 rows).  The subgradients are the vertices of the
-    objectives' optimal faces (see :func:`_vertices`), read from one vertex
-    table of the fan's support values while the fan has at most 4,096
-    subsets of ``w.dim`` rows, so a tied facet lists its corners; past that
-    cap each objective solves its LP.  Each objective's optimum attains its
+    is that frame, then each random objective followed by its negation,
+    then the random rows of the same stream past the objectives that an
+    extraction fan would hold (see :func:`_hull_fan`; in the plane: 4
+    signed axes and +/- 4 random objectives, 12 rows).  The subgradients
+    are the vertices of the objectives' optimal faces (see
+    :func:`_vertices`), read from one vertex table of the fan's support
+    values while the fan has at most 4,096 subsets of ``w.dim`` rows, so a
+    tied facet lists its corners; past that cap each objective solves its
+    LP.  Each objective's optimum attains its
     support value to a relative 1e-5, or :class:`SupportMismatchError` is
     raised; an objective skipped because a listed vertex attains it is
     attained to a relative 1e-9.  The vertices describe the subdifferential
@@ -679,9 +718,7 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     w = _reduced_basis(g)
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
-    objectives = _direction_fan(w, _OBJECTIVE_FAN, seed)
-    directions = objectives.dense()
-    fan = objectives.with_extras(w, directions[objectives.frame:])
+    directions, fan = _hull_fan(w, seed)
     sups = _support_values(f, x, fan, g, seed)
     rows = [*range(fan.frame), *fan.extras]
     return SupportSet(base_point=x, directions=list(directions),

@@ -282,9 +282,9 @@ def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # the rule fan opens with the objectives a hull draws with the same
     # seed, so the sum's vertex table needs no fan of their own
     w = subdiff._reduced_basis(unit_gauge)
-    objectives = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, 42).dense()
-    fan = rules._fan_for(w, 42)
-    assert np.array_equal(fan.dirs[:len(objectives)], objectives)
+    objectives = subdiff._hull_fan(w, 42)[0]
+    dirs, count = rules._fan_for(w, 42)
+    assert count == len(objectives) and np.array_equal(dirs[:count], objectives)
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: its four corners
     f, g = fn("abs(x1)", plane), fn("abs(x1) + abs(x2)", plane)
     r = verify_sum_rule(f, g, [0.0, 0.0], unit_gauge)

@@ -630,14 +630,26 @@ def list_frame(w):
     return dirs
 
 
+def safe_norm(v):
+    """The length of ``v``, taken on ``v`` divided by its largest entry
+    where the plain sum of squares overflows or underflows."""
+    with np.errstate(over="ignore"):
+        sq = float(v.dot(v))
+    top = float(np.max(np.abs(v), initial=0.0))
+    if not np.finfo(float).tiny <= sq < math.inf and top > 0.0:
+        return top * math.sqrt(float((v / top).dot(v / top)))
+    return math.sqrt(sq)
+
+
 def list_fan(w, size, seed, extra=()):
     dirs = list_frame(w)
     rows = []
     for v in extra:
         p = w.basis.T @ (w.basis @ v)
-        nv = float(np.linalg.norm(p))
-        rows.append(len(dirs) if nv > 1e-14 else 0)
-        if nv > 1e-14:
+        nv = safe_norm(p)
+        kept = nv > 1e-14 * safe_norm(v)
+        rows.append(len(dirs) if kept else 0)
+        if kept:
             dirs.append(p / nv)
             dirs.append(-p / nv)
     rng = np.random.default_rng(seed)
@@ -659,9 +671,14 @@ def test_fan_matches_the_list_construction(size):
         k = int(rng.integers(0, n + 1))
         w = Subspace.full(n) if k == n else \
             Subspace.from_spanning(rng.standard_normal((k, n)), n)
-        # a random vector, one with no component in w, and the zero vector
+        # a random vector, one with no component in w, the zero vector, a
+        # long one with no component in w (its projection is rounding noise
+        # above an absolute 1e-14) and random vectors whose plain sum of
+        # squares overflows or underflows
         outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
-        extra = [rng.standard_normal(n), outside, np.zeros(n)][:int(rng.integers(0, 4))]
+        extra = [rng.standard_normal(n), outside, np.zeros(n), 1e6 * outside,
+                 2.0 ** 600 * rng.standard_normal(n),
+                 2.0 ** -700 * rng.standard_normal(n)][:int(rng.integers(0, 7))]
         seed = int(rng.integers(1 << 20))
         fan = subdiff._direction_fan(w, size, seed, extra)
         want, want_rows = list_fan(w, size, seed, extra)
@@ -782,8 +799,7 @@ def hull_table(f, x, g, seed=42):
     """The fan (written dense), support values and objective rows of a hull
     at x."""
     w = subdiff._reduced_basis(g)
-    objectives = subdiff._direction_fan(w, subdiff._OBJECTIVE_FAN, seed)
-    fan = objectives.with_extras(w, objectives.dense()[objectives.frame:])
+    fan = subdiff._hull_fan(w, seed)[1]
     sups = subdiff._support_values(f, np.asarray(x, float), fan, g, seed)
     return w, fan.dense(), sups, [*range(fan.frame), *fan.extras]
 
@@ -849,16 +865,21 @@ def test_readme_hull_solves_no_lp(plane, unit_gauge, count_calls):
 
 @pytest.mark.parametrize("dim,rows", [(2, 12), (3, 18)])
 def test_a_hull_builds_one_fan(dim, rows, count_calls, monkeypatch):
-    # the objectives are drawn once; the support fan is their frame, then
-    # +/- each random objective, with no random rows of its own, so in the
-    # plane no row repeats an objective
+    # the frame is built once and the random objectives are drawn once; the
+    # support fan is the frame, then +/- each random objective, and in the
+    # whole plane or 3-space no random row past them, so no row repeats an
+    # objective
     count_calls.wrap(subdiff, "_direction_fan", "fan")
     fans, support = [], subdiff._support_values
     monkeypatch.setattr(subdiff, "_support_values",
                         lambda f, x, fan, *a: fans.append(fan) or support(f, x, fan, *a))
+    draws, draw = [], subdiff._random_units
+    monkeypatch.setattr(subdiff, "_random_units",
+                        lambda w, count, seed: draws.append(count) or draw(w, count, seed))
     f = fn(" + ".join(f"abs(x{i + 1})" for i in range(dim)), box(dim, -5, 5, center=[0.0] * dim))
     hull = subdifferential_hull(f, np.zeros(dim), Gauge.of_set(box(dim)))
-    assert count_calls["fan"] == 1
+    # 4 * dim objectives, the first 2 * dim of them the frame's signed axes
+    assert count_calls["fan"] == 1 and [c for c in draws if c] == [2 * dim]
     [fan] = fans
     dense = fan.dense()
     assert len(fan) == dense.shape[0] == rows
@@ -869,6 +890,28 @@ def test_a_hull_builds_one_fan(dim, rows, count_calls, monkeypatch):
     assert np.array_equal(np.array(hull.directions)[:fan.frame], dense[:fan.frame])
     assert np.allclose(np.array(hull.directions)[fan.frame:], dense[list(fan.extras)],
                        rtol=0.0, atol=1e-15)
+
+
+def test_a_plane_hull_reads_the_extraction_fans_random_rows():
+    # over a plane in R^3 the 10 frame rows fill the 8 objectives, so the
+    # hull draws no random objective, and its support fan is an extraction
+    # fan's: the frame, then 6 random rows.  d(|x1| + |x2 - 0.1| + x1^2)(0)
+    # is the segment [-1, 1] x {-1} x {0}; over this plane the random rows
+    # pin its projection (the frame alone leaves a vertex 0.47 off it).
+    # Over other planes the hull is looser than the projection.
+    basis = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+    pts = np.vstack([basis, basis.mean(axis=0)])
+    g = Gauge.of_set(ConvexSet(3, Vertices(np.vstack([pts, -pts])), center=np.zeros(3)))
+    w = subdiff._reduced_basis(g)
+    directions, fan = subdiff._hull_fan(w, 42)
+    lp_fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42)
+    assert len(directions) == fan.frame == 10 and fan.extras == ()
+    assert fan.dirs.tobytes() == lp_fan.dirs.tobytes() and len(fan) == 16
+    f = fn("abs(x1) + abs(x2 - 0.1) + x1^2", box(3, -5, 5, center=[0.0] * 3))
+    hull = subdifferential_hull(f, np.zeros(3), g)
+    ends = w.project_many(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]))
+    assert sorted(map(tuple, np.round(hull.subgradients, 6))) == \
+        sorted(map(tuple, np.round(ends, 6)))
 
 
 def test_an_objective_keeps_its_direction_at_any_scale():
