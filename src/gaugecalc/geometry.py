@@ -16,6 +16,7 @@ vanish exactly on its lineality directions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -30,6 +31,7 @@ from .errors import (
     NonFiniteInputError,
     NotInSetError,
     SetFormatError,
+    UsageError,
 )
 
 RANK_TOL = 1e-10
@@ -114,20 +116,37 @@ def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.matmul(m, vs[:, :, None])[..., 0]
 
 
-@dataclass(frozen=True)
+def _units(vs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``vs`` longer than ``floor`` (one number, or one per
+    row), normalized by its overflow-safe length, and which rows those
+    were."""
+    norms = _row_norms(vs)
+    keep = norms > floor
+    return vs[keep] / norms[keep, None], keep
+
+
+def _rank(s: np.ndarray) -> int:
+    """The numerical rank of a matrix with singular values ``s``, largest first."""
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
+
+
 class Subspace:
-    """A linear subspace of R^n given by an orthonormal row basis; R^n
-    itself always by the identity, whatever frame it was built from."""
+    """A linear subspace of R^n given by ``dim`` orthonormal rows ``basis``.
+    The whole space (``dim == ambient_dim``) is one space whatever frame
+    built it: rows are their own coordinates, so :meth:`coords` and
+    :meth:`lift` return their input, and its identity basis is written
+    only when something reads it."""
 
-    basis: np.ndarray  # shape (k, n), orthonormal rows; k may be 0
-    ambient_dim: int
+    def __init__(self, basis, ambient_dim: int):
+        basis = np.asarray(basis, dtype=float).reshape(-1, ambient_dim)
+        self.ambient_dim, self.dim = ambient_dim, basis.shape[0]
+        if not self.is_full:
+            self.basis = basis  # a whole space's frame is dropped
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
-        n = self.ambient_dim
-        if b.shape[0] == n and not (np.all(b.diagonal() == 1.0) and np.count_nonzero(b) == n):
-            b = np.eye(n)
-        object.__setattr__(self, "basis", b)
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The whole space's basis, the identity, written on first read."""
+        return np.eye(self.ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -135,39 +154,40 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        """R^n with its identity basis, written once: the identity check
-        that any other full-rank basis gets (an n^2 scan) is skipped."""
-        space = object.__new__(cls)
-        object.__setattr__(space, "basis", np.eye(ambient_dim))
-        object.__setattr__(space, "ambient_dim", ambient_dim)
-        return space
+        """R^n, from a frame of broadcast zeros that is never written."""
+        return cls(np.broadcast_to(0.0, (ambient_dim, ambient_dim)), ambient_dim)
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int) -> "Subspace":
         """Orthonormalize a (possibly redundant) spanning family via SVD."""
         arr = np.asarray(vectors, dtype=float).reshape(-1, ambient_dim)
-        if arr.size == 0:
-            return cls.zero(ambient_dim)
-        norms = np.linalg.norm(arr, axis=1)
-        arr = arr[norms > RANK_TOL]
+        arr = arr[_row_norms(arr) > RANK_TOL]
         if arr.shape[0] == 0:
             return cls.zero(ambient_dim)
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0])))
-        return cls(vt[:rank], ambient_dim)
+        return cls(vt[:_rank(s)], ambient_dim)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def is_full(self) -> bool:
+        """Is this the whole space?"""
+        return self.dim == self.ambient_dim
+
+    def coords(self, vs: np.ndarray) -> np.ndarray:
+        """The coordinates ``basis @ v`` of each row v of ``vs``, the same
+        floats as one product per row; in the whole space, ``vs`` itself."""
+        return vs if self.is_full else _images(self.basis, vs)
+
+    def lift(self, cs: np.ndarray) -> np.ndarray:
+        """The ambient row ``basis.T @ c`` of each coordinate row c of ``cs``,
+        as :meth:`coords` computes; in the whole space, ``cs`` itself."""
+        return cs if self.is_full else _images(self.basis.T, cs)
 
     def project_many(self, vs: np.ndarray) -> np.ndarray:
-        """The projection ``basis.T @ (basis @ v)`` of each row v of ``vs``,
-        the same floats as one product per row.  In the whole space, whose
-        basis is the identity, those products are each row plus 0.0 (a -0.0
-        entry reads 0.0), which is what is returned, with no n^2 pass."""
-        if self.dim == self.ambient_dim:
-            return vs + 0.0
-        return _images(self.basis.T, _images(self.basis, vs))
+        """The projection ``lift(coords(v))`` of each row v of ``vs``.  In
+        the whole space it is each row plus 0.0 (a -0.0 entry reads 0.0), the
+        floats of the two products with the identity, with no n^2 pass."""
+        out = self.lift(self.coords(vs))
+        return out + 0.0 if self.is_full else out
 
     def residuals(self, vs: np.ndarray) -> np.ndarray:
         """The distance of each row of ``vs`` from the subspace."""
@@ -175,37 +195,34 @@ class Subspace:
 
     def contains_many(self, xs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Is each row x within ``tol * (1 + |x|)`` of the subspace (always, in R^n)?"""
-        if self.dim == self.ambient_dim:
+        if self.is_full:
             return np.ones(xs.shape[0], dtype=bool)
         return self.residuals(xs) <= tol * (1.0 + _row_norms(xs))
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
         return bool(self.contains_many(np.reshape(np.asarray(x, dtype=float), (1, -1)), tol)[0])
 
+    def complement(self) -> "Subspace":
+        """The orthogonal complement: the null space of the basis rows."""
+        return _null_space(self.basis, self.ambient_dim)
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the orthogonal complement of the union of complements."""
-        comp = np.vstack([_complement_rows(self), _complement_rows(other)])
-        return Subspace(_null_space(comp), self.ambient_dim)
+        """Intersection: the null space of both complements' rows."""
+        return _null_space(np.vstack([self.complement().basis, other.complement().basis]),
+                           self.ambient_dim)
+
+    def unit_axes(self) -> np.ndarray:
+        """The ambient axes projected in (axis i lifts column i of the basis)
+        and normalized, those longer than 1e-10."""
+        return _units(self.lift(np.ascontiguousarray(self.basis.T)), 1e-10)[0]
 
 
-def _complement_rows(s: Subspace) -> np.ndarray:
-    """Orthonormal row basis of the orthogonal complement of ``s``."""
-    n = s.ambient_dim
-    if s.dim == 0:
-        return np.eye(n)
-    if s.dim == n:
-        return np.zeros((0, n))
-    u, sv, vt = np.linalg.svd(s.basis, full_matrices=True)
-    return vt[s.dim:]
-
-
-def _null_space(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.eye(a.shape[1]) if a.ndim == 2 else np.zeros((0, 0))
+def _null_space(a: np.ndarray, n: int) -> Subspace:
+    """The null space of the rows of ``a`` in R^n (R^n when it has none)."""
+    if a.shape[0] == 0:
+        return Subspace.full(n)
     u, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-    return vt[rank:]
+    return Subspace(vt[_rank(s):], n)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +321,7 @@ class Representation:
         any rotated frame of it) and pairwise basis combinations."""
         s, p = g.set, g.set.center
         basis = g.span.basis
-        axes = g.span.project_many(np.eye(g.dim))
-        norms = _row_norms(axes)
-        probe_dirs = list(basis) + list(axes[norms > 1e-10] / norms[norms > 1e-10, None])
+        probe_dirs = list(basis) + list(g.span.unit_axes())
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 probe_dirs.append((basis[i] + basis[j]) / math.sqrt(2))
@@ -497,7 +512,7 @@ class Halfspaces(Representation):
         point is interior and the span is R^n, found with no LP and no
         membership test."""
         active, equal = self._implicit(base)
-        return Subspace(_null_space(self.normals[active[equal]]), s.dim)
+        return _null_space(self.normals[active[equal]], s.dim)
 
     def in_icr(self, s, x):
         """Every active row is an implicit equality."""
@@ -538,7 +553,7 @@ class Halfspaces(Representation):
 
     def kernel(self, g):
         """Null space of the normals, inside the gauge span."""
-        null = _null_space(self.normals)
+        null = _null_space(self.normals, g.dim).basis
         return Subspace.from_spanning(null[g.span.contains_many(null, 1e-8)], g.dim)
 
     def scaled(self, s, p, factor, q):
@@ -553,12 +568,18 @@ class Halfspaces(Representation):
                          center=x0)
 
     def extreme_points(self):
-        """The vertices of a bounded set with interior: one qhull halfspace
-        intersection about the Chebyshev centre (the two endpoints in 1-D).
-        Empty when the set is unbounded, has no interior, or could have more
-        than :data:`MAX_VERTICES` vertices by the Upper Bound Theorem.  On a
-        2-core Xeon VM a 12-D box (4,096 vertices) takes about 0.04 s; a 16-D
-        box (65,536 vertices, 2.3 s) is past the guard."""
+        """The vertices of a bounded set with interior, listed at most once
+        per set (see :attr:`_vertex_list`)."""
+        return list(self._vertex_list)
+
+    @cached_property
+    def _vertex_list(self) -> list[np.ndarray]:
+        """One qhull halfspace intersection about the Chebyshev centre (the
+        two endpoints in 1-D).  Empty when the set is unbounded, has no
+        interior, or could have more than :data:`MAX_VERTICES` vertices by
+        the Upper Bound Theorem.  On a 2-core Xeon VM a 12-D box (4,096
+        vertices) takes about 0.04 s; a 16-D box (65,536 vertices, 2.3 s) is
+        past the guard."""
         keep = np.linalg.norm(self.normals, axis=1) > 1e-14
         a, b = self.normals[keep], self.offsets[keep]
         m, n = a.shape
@@ -621,11 +642,14 @@ class Vertices(Representation):
         n = self.points.shape[1]
         base = self.points.mean(axis=0)
         span = Subspace.from_spanning(self.points - base, n)
-        return (np.zeros(n) if span.dim == n else base), span
+        return (np.zeros(n) if span.is_full else base), span
 
     @cached_property
     def facets(self) -> Halfspaces:
-        """The hull's facets ``a.x <= b`` inside the affine hull, ``|a| = 1``."""
+        """The hull's facets ``a.x <= b`` inside the affine hull, ``|a| = 1``.
+        Qhull reads the span coordinates divided by ``2**e``, ``e`` the
+        binary exponent of their largest magnitude (an exact scaling), and
+        the offsets are scaled back, so huge coordinates do not overflow it."""
         base, span = self.affine_hull
         coords = (self.points - base) @ span.basis.T
         if span.dim == 0:
@@ -633,7 +657,9 @@ class Vertices(Representation):
         elif span.dim == 1:
             rows = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
         else:
-            rows = ConvexHull(coords).equations  # a.y + c <= 0 in span coordinates
+            e = int(np.frexp(np.abs(coords).max())[1])
+            rows = ConvexHull(np.ldexp(coords, -e)).equations  # a.y + c <= 0 in span coordinates
+            rows[:, -1] = np.ldexp(rows[:, -1], e)
         normals = rows[:, :-1] @ span.basis
         return Halfspaces(normals, normals @ base - rows[:, -1])
 
@@ -642,7 +668,7 @@ class Vertices(Representation):
         full-dimensional hull) at most ``tol * (1 + |x|)``."""
         base, span = self.affine_hull
         inside = self.facets.contains_many(s, xs, tol)
-        if span.dim < s.dim:
+        if not span.is_full:
             inside &= span.residuals(xs - base) <= tol * (1.0 + _row_norms(xs))
         return inside
 
@@ -979,9 +1005,11 @@ class Gauge:
     """Minkowski functional of ``set - center`` (or an explicit evaluator).
 
     ``kernel`` collects the two-sided zero-gauge directions (the lineality
-    space of the translated set); ``span`` is where the gauge is finite.
-    Values are computed for rows, :meth:`values`; a point value is a
-    one-row batch.
+    space of the translated set); ``span`` is where the gauge is finite, and
+    :attr:`reduced` is where its subdifferentials are asked.  Values are
+    computed for rows, :meth:`values`; a point value is a one-row batch.
+    ``tol`` is a relative tolerance, a real number in (0, 1): one of 1 or
+    more accepts every point in every span test.
     """
 
     span: Subspace
@@ -989,6 +1017,10 @@ class Gauge:
     set: Optional[ConvexSet] = None
     tol: float = DEFAULT_TOL
     fn: Optional[Callable[[np.ndarray], float]] = None
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
+            raise UsageError(f"a gauge tolerance must be a real number in (0, 1), got {self.tol!r}")
 
     @classmethod
     def of_set(cls, s: ConvexSet, tol: float = DEFAULT_TOL) -> "Gauge":
@@ -1026,6 +1058,14 @@ class Gauge:
     @property
     def dim(self) -> int:
         return self.span.ambient_dim
+
+    @cached_property
+    def reduced(self) -> Subspace:
+        """span(gauge) intersected with the orthogonal complement of its
+        kernel, computed on its first read and kept."""
+        if self.kernel.dim == 0:
+            return self.span
+        return self.span.intersect(self.kernel.complement())
 
 
 def minkowski_gauge(g: Gauge, x) -> float:

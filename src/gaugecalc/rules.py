@@ -31,17 +31,8 @@ from .functions import (
     product_of,
     sum_of,
 )
-from .geometry import Gauge, Subspace, _first_max, as_vector, batch_callable
-from .subdiff import (
-    Fan,
-    _direction_fan,
-    _images,
-    _objective_count,
-    _reduced_basis,
-    _signed,
-    _support_values,
-    _vertices,
-)
+from .geometry import Gauge, Subspace, _first_max, _images, as_vector, batch_callable
+from .subdiff import Fan, _direction_fan, _objective_count, _signed, _support_values, _vertices
 
 DEFAULT_RULE_TOL = 1e-4
 #: fan size (per_dim, floor) of the comparison; max-rule activity tolerance
@@ -84,12 +75,12 @@ class RuleReport:
 # ---------------------------------------------------------------------------
 
 
-def _support(f: ScalarFunction, x, g: Gauge, w: Subspace, seed: int) -> Support:
-    """Support function of f's subdifferential at x relative to g, whose
-    reduced space is ``w``: the estimator the hulls read, along each row's
-    quotient representative (so that it also accepts directions from outside
-    the reduced space)."""
-    return lambda dirs: _support_values(f, x, Fan(w.project_many(dirs)), g, seed)
+def _support(f: ScalarFunction, x, g: Gauge, seed: int) -> Support:
+    """Support function of f's subdifferential at x relative to g: the
+    estimator the hulls read, along each row's quotient representative in
+    g's reduced space (so that it also accepts directions from outside
+    it)."""
+    return lambda dirs: _support_values(f, x, Fan(g.reduced.project_many(dirs)), g, seed)
 
 
 def _scaled(h: Support, c: float) -> Support:
@@ -178,7 +169,7 @@ def verify_sum_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     are the hull objectives.
     """
     x = as_vector(x, f.domain.dim)
-    w = _reduced_basis(gauge)
+    w = gauge.reduced
     dirs, objectives = _fan_for(w, seed)
     rows = Fan(w.project_many(dirs))
     hl = _support_values(sum_of(f, g), x, rows, gauge, seed)
@@ -195,11 +186,10 @@ def verify_product_rule(f: ScalarFunction, g: ScalarFunction, x, gauge: Gauge,
     """
     x = as_vector(x, f.domain.dim)
     fx, gx = f(x), g(x)
-    w = _reduced_basis(gauge)
-    dirs = _fan_for(w, seed)[0]
-    h_g = _scaled(_support(g, x, gauge, w, seed), fx)
-    h_f = _scaled(_support(f, x, gauge, w, seed), gx)
-    return _compare("product", dirs, _support(product_of(f, g), x, gauge, w, seed)(dirs),
+    dirs = _fan_for(gauge.reduced, seed)[0]
+    h_g = _scaled(_support(g, x, gauge, seed), fx)
+    h_f = _scaled(_support(f, x, gauge, seed), gx)
+    return _compare("product", dirs, _support(product_of(f, g), x, gauge, seed)(dirs),
                     h_g(dirs) + h_f(dirs),
                     {"x": list(map(float, x)), "f_at_x": fx, "g_at_x": gx})
 
@@ -230,10 +220,9 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
     x = as_vector(x, h.domain.dim)
     u0 = h(x)
     a_lo, a_hi = _outer_derivative_range(g, u0)
-    w = _reduced_basis(gauge)
-    dirs = _fan_for(w, seed)[0]
-    hl = _support(outer_of(g, h, composite_convex), x, gauge, w, seed)(dirs)
-    h_inner = _support(h, x, gauge, w, seed)
+    dirs = _fan_for(gauge.reduced, seed)[0]
+    hl = _support(outer_of(g, h, composite_convex), x, gauge, seed)(dirs)
+    h_inner = _support(h, x, gauge, seed)
     # each sign of the slopes reads the inner support function once; a
     # negative slope reflects the set
     signs = {1.0 if a >= 0.0 else -1.0 for a in (a_lo, a_hi)}
@@ -298,11 +287,11 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     comp = precomposed(f, inner, inner.in_dim, f"{f.name}({inner.name})")
     y = inner(x)
     jac = np.asarray(inner.jacobian(x), dtype=float)
-    w = _reduced_basis(gauge_in)
+    w = gauge_in.reduced
     dirs, objectives = _fan_for(w, seed)
     rows = Fan(w.project_many(dirs))
     hl = _support_values(comp, x, rows, gauge_in, seed)
-    hr = _support(f, y, gauge_out, _reduced_basis(gauge_out), seed)(_images(jac, dirs))
+    hr = _support(f, y, gauge_out, seed)(_images(jac, dirs))
     return _compare("chain1", dirs, hl, hr, {"x": list(map(float, x)), "rhs_vertices":
                                              _listed_vertices(w, rows, hr, objectives)})
 
@@ -314,7 +303,7 @@ def verify_max_rule(fs: Sequence[ScalarFunction], x, gauge: Gauge,
     vals = [fi(x) for fi in fs]
     peak = max(vals)
     active = [i for i, v in enumerate(vals) if v >= peak - _ACTIVE_TOL * (1 + abs(peak))]
-    w = _reduced_basis(gauge)
+    w = gauge.reduced
     dirs = _fan_for(w, seed)[0]
     rows = Fan(w.project_many(dirs))
     pieces = [_support_values(fs[i], x, rows, gauge, seed) for i in active]
@@ -337,11 +326,10 @@ def verify_partial_rule(f: ScalarFunction, x, gauge_1: Gauge, gauge_2: Gauge,
     prod_gauge = _product_gauge(gauge_1, gauge_2)
     f1 = frozen_block(f, x, 0, n1, f"{f.name}|block1")
     f2 = frozen_block(f, x, n1, n1 + n2, f"{f.name}|block2")
-    w = _reduced_basis(prod_gauge)
-    dirs = _fan_for(w, seed)[0]
-    h_1 = _support(f1, x[:n1], gauge_1, _reduced_basis(gauge_1), seed)
-    h_2 = _support(f2, x[n1:], gauge_2, _reduced_basis(gauge_2), seed)
-    return _compare("partial", dirs, _support(f, x, prod_gauge, w, seed)(dirs),
+    dirs = _fan_for(prod_gauge.reduced, seed)[0]
+    h_1 = _support(f1, x[:n1], gauge_1, seed)
+    h_2 = _support(f2, x[n1:], gauge_2, seed)
+    return _compare("partial", dirs, _support(f, x, prod_gauge, seed)(dirs),
                     h_1(dirs[:, :n1]) + h_2(dirs[:, n1:]),
                     {"x": list(map(float, x)),
                      "block_dims": [int(n1), int(n2)]})

@@ -31,8 +31,7 @@ from .errors import (
     SupportMismatchError,
 )
 from .functions import ScalarFunction
-from .geometry import (Gauge, Subspace, _complement_rows, _images, _row_norms, as_vector,
-                       halving_steps)
+from .geometry import Gauge, Subspace, _row_norms, _units, as_vector, halving_steps
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
@@ -410,13 +409,6 @@ def _support_values(f: ScalarFunction, x: np.ndarray, fan: Fan, g: Gauge,
     return h
 
 
-def _reduced_basis(g: Gauge) -> Subspace:
-    """span(gauge) intersected with the orthogonal complement of its kernel."""
-    if g.kernel.dim == 0:
-        return g.span
-    return g.span.intersect(Subspace(_complement_rows(g.kernel), g.span.ambient_dim))
-
-
 def _signed(halves: list[np.ndarray]) -> np.ndarray:
     """Each row of the ``halves`` blocks followed by its negation, block by
     block, written once into one array."""
@@ -431,19 +423,12 @@ def _signed(halves: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _units(vs: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``vs`` longer than ``floor`` (one number, or one per
-    row), normalized by its overflow-safe length, and which rows those
-    were."""
-    norms = _row_norms(vs)
-    keep = norms > floor
-    return vs[keep] / norms[keep, None], keep
-
-
 def _fan_length(w: Subspace, size: tuple[int, int], opening: int) -> int:
     """The rows of a fan of ``size`` over ``w`` whose frame and extras take
-    ``opening``: random rows fill it to ``max(per_dim * w.dim, floor)``."""
-    return max(opening, size[0] * w.dim, size[1]) if w.dim else opening
+    ``opening``: random rows fill it to ``max(per_dim * w.dim, floor)``.  A
+    line has no direction but +/- its basis vector, so its fan has no
+    random row."""
+    return max(opening, size[0] * w.dim, size[1]) if w.dim > 1 else opening
 
 
 def _objective_count(w: Subspace, frame: int) -> int:
@@ -459,10 +444,9 @@ def _random_units(w: Subspace, count: int, seed: int) -> np.ndarray:
     blocks, have = [np.empty((0, w.ambient_dim))], 0
     while have < count:
         # one draw of w.dim normals per missing row, in order, as a loop
-        # drawing a row at a time would take them; in the whole space the
-        # product with the identity basis is each row plus 0.0
-        draws = rng.standard_normal((count - have, w.dim))
-        u, _ = _units(draws + 0.0 if w.dim == w.ambient_dim else _images(w.basis.T, draws), 1e-14)
+        # drawing a row at a time would take them, lifted out of w's
+        # coordinates (in the whole space, the draws themselves)
+        u, _ = _units(w.lift(rng.standard_normal((count - have, w.dim))), 1e-14)
         blocks.append(u)
         have += u.shape[0]
     return np.vstack(blocks)
@@ -477,14 +461,14 @@ def _direction_fan(w: Subspace, size: tuple[int, int], seed: int, extra=()) -> F
     ``2 * n`` signed axes ``+e_0, -e_0, +e_1, ...``, which are counted and
     never written (see :class:`Fan`).  A proper subspace has 0 signed axes,
     and every row is written: its frame is +/- each basis vector and each
-    unit projected axis."""
+    unit projected axis (:meth:`Subspace.unit_axes`), but a line's frame is
+    +/- its basis vector alone, where every axis projects."""
     n = w.ambient_dim
-    axes = 2 * n if w.dim == n else 0
+    axes = 2 * n if w.is_full else 0
     # projected ambient axes: boxy support sets have their facet normals
-    # here, and the basis rows alone can be an arbitrarily rotated frame;
-    # axis i projects to basis.T @ (column i of basis)
+    # here, and the basis rows alone can be an arbitrarily rotated frame
     written = np.empty((0, n)) if axes else \
-        _signed([w.basis, _units(_images(w.basis.T, np.ascontiguousarray(w.basis.T)), 1e-10)[0]])
+        _signed([w.basis, w.unit_axes()] if w.dim > 1 else [w.basis])
     fan = Fan(written, axes, frame=axes + written.shape[0]).with_extras(w, extra)
     draws = _random_units(w, _fan_length(w, size, len(fan)) - len(fan), seed)
     return replace(fan, dirs=np.vstack([fan.dirs, draws]))
@@ -538,9 +522,6 @@ def _optimizer(w: Subspace, fan: Fan, sups):
     (see :meth:`Fan.bounds`), and the inequality rows are only the written
     rows (none when there are none).
     """
-    # in the whole space the basis is the identity: the rows are their own
-    # coordinates
-    full = w.dim == w.ambient_dim
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
 
     def checked(row: int, attained: float) -> None:
@@ -551,11 +532,11 @@ def _optimizer(w: Subspace, fan: Fan, sups):
                 f"attained (got {attained:.6g})")
 
     if math.comb(len(fan), w.dim) <= _TABLE_SUBSETS:
-        a_ub = fan.dense() if full else fan.dirs @ w.basis.T
+        a_ub = w.coords(fan.dense())
         table = _vertex_table(a_ub, b_ub)
         if table.shape[0] == 0:
             raise LpInfeasibleError(_INFEASIBLE)
-        ambient = table if full else table @ w.basis
+        ambient = w.lift(table)
 
         def face(row: int) -> np.ndarray:
             values = table @ a_ub[row]
@@ -567,12 +548,10 @@ def _optimizer(w: Subspace, fan: Fan, sups):
         return face
 
     bounds, b_rows = fan.bounds(b_ub)
-    a_rows, b_rows = (fan.dirs if full else fan.dirs @ w.basis.T, b_rows) if b_rows.size \
-        else (None, None)
+    a_rows, b_rows = (w.coords(fan.dirs), b_rows) if b_rows.size else (None, None)
 
     def solve(row: int) -> np.ndarray:
-        v = fan.row(row)
-        c = -(v if full else w.basis @ v)
+        c = -w.coords(fan.row(row)[None, :])[0]
         res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs")
         if res.status != 0:
             # presolve misclassifies near-equality constraint pairs with tiny
@@ -582,7 +561,7 @@ def _optimizer(w: Subspace, fan: Fan, sups):
         if res.status != 0:
             raise LpInfeasibleError(_INFEASIBLE)
         checked(row, float(-res.fun))
-        return (res.x if full else w.basis.T @ res.x)[None, :]
+        return w.lift(res.x[None, :])
 
     return solve
 
@@ -622,11 +601,13 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
              signs=(1,)) -> list[np.ndarray]:
     """Subgradients maximizing <z, s * objective> for each sign s on one fan
     at x; the objective defaults to the first reduced basis vector."""
-    w = _reduced_basis(g)
+    w = g.reduced
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
                                    "is zero-dimensional")
-    obj = w.basis[0] if objective is None else as_vector(objective, f.domain.dim)
+    # the first basis vector, lifted from its coordinates: no identity is written
+    obj = w.lift(np.eye(1, w.dim))[0] if objective is None else \
+        as_vector(objective, f.domain.dim)
     fan = _direction_fan(w, _LP_FAN, seed, extra=[obj])
     face = _optimizer(w, fan, _support_values(f, x, fan, g, seed))
     # one pick per sign: the lexicographically smallest vertex of the face
@@ -642,7 +623,7 @@ def is_subgradient(f: ScalarFunction, x, zeta, g: Gauge, seed: int = 42) -> bool
     """
     x = as_vector(x, f.domain.dim)
     zeta = as_vector(zeta, f.domain.dim)
-    w = _reduced_basis(g)
+    w = g.reduced
     if w.dim == 0:
         return float(np.linalg.norm(zeta)) <= _SUBGRADIENT_TOL
     fan = _direction_fan(w, _TEST_FAN, seed, extra=[zeta])
@@ -698,7 +679,8 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
 
     The objectives are drawn once: the frame rows of the reduced space
     ``w`` (the ``2n`` signed axes in the whole space), then random unit
-    directions in ``w`` up to ``max(4 * w.dim, 8)`` rows.  The support fan
+    directions in ``w`` up to ``max(4 * w.dim, 8)`` rows (none over a
+    line, whose objectives are +/- its basis vector).  The support fan
     is that frame, then each random objective followed by its negation,
     then the random rows of the same stream past the objectives that an
     extraction fan would hold (see :func:`_hull_fan`; in the plane: 4
@@ -715,7 +697,7 @@ def subdifferential_hull(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> Supp
     once the fan covers the facet normals).
     """
     x = as_vector(x, f.domain.dim)
-    w = _reduced_basis(g)
+    w = g.reduced
     if w.dim == 0:
         raise DegenerateGaugeError("the gauge kernel fills its span")
     directions, fan = _hull_fan(w, seed)
@@ -733,7 +715,7 @@ def fermat_check(f: ScalarFunction, x, g: Gauge, seed: int = 42) -> dict:
     relative 1e-12 of the smallest, so values that tie up to rounding name
     the same row."""
     x = as_vector(x, f.domain.dim)
-    w = _reduced_basis(g)
+    w = g.reduced
     if w.dim == 0:
         return {"is_critical": True, "min_derivative": 0.0, "worst_direction": None}
     fan = _direction_fan(w, _TEST_FAN, seed)

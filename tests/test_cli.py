@@ -44,6 +44,20 @@ def test_gauge_of_a_point_whose_squared_norm_overflows(capsys, point, value):
     assert caught == []
 
 
+@pytest.mark.parametrize("scale,value", [(1e154, 1.5e-154), (1e200, 1.5e-200),
+                                         (1e300, 1.5e-300), (1.0, 1.5)])
+def test_gauge_of_a_huge_vertex_set(capsys, scale, value):
+    # qhull reads the coordinates scaled by a power of two, so a diamond of
+    # huge vertices +/- scale e_i has the unit diamond's facets, scaled
+    diamond = json.dumps({"dim": 2, "center": [0, 0], "repr": {"vertices": [
+        [scale, 0], [-scale, 0], [0, scale], [0, -scale]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run(capsys, "gauge", "--set", diamond, "--point", "[1, 0.5]")
+    assert code == 0 and doc["span_dim"] == 2
+    assert doc["value"] == pytest.approx(value, rel=1e-15)
+
+
 def test_core_of_a_wide_interval_prints_no_warning(capsys):
     # a chord's longest step divides the slack (1e9 here) only by the rates
     # of the rows it approaches, so no division overflows

@@ -22,6 +22,7 @@ from gaugecalc import (
     SetFormatError,
     Sublevel,
     Subspace,
+    UsageError,
     Vertices,
     box,
     check_symmetry,
@@ -73,11 +74,12 @@ def test_a_full_rank_subspace_has_the_identity_basis(n):
     for s in (Subspace(rotated, n), Subspace(-np.eye(n), n),
               Subspace.from_spanning(rng.standard_normal((n + 2, n)), n),
               Subspace.full(n).intersect(Subspace(rotated, n))):
-        assert s.dim == n
+        assert s.dim == n and s.is_full
         assert np.array_equal(s.basis, np.eye(n))
-    # an identity basis is kept as given, not copied
-    eye = np.eye(n)
-    assert np.shares_memory(Subspace(eye, n).basis, eye)
+    # rows are their own coordinates: the same array, in and out
+    vs = rng.standard_normal((3, n))
+    s = Subspace(rotated, n)
+    assert s.coords(vs) is vs and s.lift(vs) is vs
 
 
 def test_subspace_project_residual():
@@ -87,6 +89,47 @@ def test_subspace_project_residual():
     assert s.residuals(x[None, :])[0] == pytest.approx(3.0)
     assert s.contains([5.0, 0.0, 0.0])
     assert not s.contains([0.0, 1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), data=st.data())
+def test_subspace_coordinates_and_complement(n, data):
+    # random spanning families of every rank (redundant rows included), and
+    # rotated full-rank frames, which are the whole space
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        w = Subspace(np.linalg.qr(rng.standard_normal((n, n)))[0], n)
+    else:
+        k = data.draw(st.integers(0, n))
+        family = rng.standard_normal((k, n))
+        extra = rng.standard_normal((int(rng.integers(0, 3)), k)) @ family
+        w = Subspace.from_spanning(np.vstack([family, extra]), n)
+        assert w.dim == k
+    vs = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4)
+    vs[rng.random(vs.shape) < 0.2] = -0.0
+    cs = w.coords(vs)
+    assert cs.shape == (5, w.dim)
+    assert (w.lift(cs) + 0.0).tobytes() == w.project_many(vs).tobytes()
+    if w.is_full:
+        # rows are their own coordinates: the input's bytes, in and out
+        assert w.coords(vs).tobytes() == vs.tobytes() and w.lift(vs).tobytes() == vs.tobytes()
+    c = w.complement()
+    assert c.dim + w.dim == n and c.ambient_dim == n
+    assert np.allclose(c.basis @ c.basis.T, np.eye(c.dim), atol=1e-12)
+    assert np.allclose(c.basis @ w.basis.T, 0.0, atol=1e-12)
+    axes = w.unit_axes()
+    assert np.allclose(np.linalg.norm(axes, axis=1), 1.0) and np.all(w.contains_many(axes))
+    assert axes.shape[0] == np.count_nonzero(np.linalg.norm(w.basis, axis=0) > 1e-10)
+
+
+@pytest.mark.parametrize("tol", [np.array([1e-9, 1e-9]), 0.0, 1.0, -1e-9, math.nan, "1e-9",
+                                 None])
+def test_a_gauge_tolerance_is_a_real_number_in_0_1(tol):
+    with pytest.raises(UsageError, match="real number in \\(0, 1\\)"):
+        Gauge.of_set(box(2), tol=tol)
+    g = Gauge.of_set(box(2), tol=np.float64(1e-6))
+    assert g.value([0.5, 0.25]) == pytest.approx(0.5)
 
 
 def test_subspace_intersect():

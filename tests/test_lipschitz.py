@@ -155,6 +155,17 @@ def test_empirical_slopes_read_one_batch_of_f(count_calls):
     assert count_calls == {"__call__": 0, "many": 1}
 
 
+def test_a_halfspace_set_lists_its_vertices_once(count_calls):
+    # the symmetry check and M read one vertex list, kept on the set
+    from gaugecalc import geometry
+
+    count_calls.wrap(geometry, "HalfspaceIntersection", "qhull")
+    dom = box(2, -5, 5, center=[0, 0])
+    cert = theoretical_constant(paraboloid(dom), box(2), [0, 0], 0.5)
+    assert cert.M == 2.0
+    assert count_calls["qhull"] == 1
+
+
 def test_scale_about_halfspaces_and_vertices():
     half = scale_about(box(2), [0.0, 0.0], 0.5)
     assert half.contains([0.49, 0.0]) and not half.contains([0.51, 0.0])

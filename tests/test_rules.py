@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc import functions, rules, subdiff
+from gaugecalc import functions, geometry, rules, subdiff
 from gaugecalc import (
     ConditionViolationError,
     DegenerateGaugeError,
@@ -281,7 +281,7 @@ def test_partial_rule(plane):
 def test_sum_vertices_read_the_rule_fan(plane, unit_gauge):
     # the rule fan opens with the objectives a hull draws with the same
     # seed, so the sum's vertex table needs no fan of their own
-    w = subdiff._reduced_basis(unit_gauge)
+    w = unit_gauge.reduced
     objectives = subdiff._hull_fan(w, 42)[0]
     dirs, count = rules._fan_for(w, 42)
     assert count == len(objectives) and np.array_equal(dirs[:count], objectives)
@@ -349,4 +349,4 @@ def test_stacked_projections_and_pushes_equal_the_row_products(n, k, seed):
     want = np.array([w.basis.T @ (w.basis @ v) for v in dirs])
     assert np.array_equal(w.project_many(dirs), want)
     jac = rng.standard_normal((k, n))
-    assert np.array_equal(subdiff._images(jac, dirs), np.array([jac @ v for v in dirs]))
+    assert np.array_equal(geometry._images(jac, dirs), np.array([jac @ v for v in dirs]))

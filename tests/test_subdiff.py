@@ -25,7 +25,7 @@ from gaugecalc import (
     lebourg_point,
     subdifferential_hull,
 )
-from gaugecalc import WeightedGrid, make_function, make_gauge, subdiff
+from gaugecalc import WeightedGrid, geometry, make_function, make_gauge, subdiff
 from gaugecalc.errors import LpInfeasibleError
 from gaugecalc.geometry import ConvexSet, Halfspaces, Oracle, Vertices, whole_space
 
@@ -189,7 +189,7 @@ def test_fermat_check(plane, unit_gauge):
 def test_fermat_names_the_first_of_tied_rows(plane, unit_gauge, monkeypatch):
     # support values that tie up to one ulp name the first tied row,
     # whichever of them is the smaller; the minimum is still reported
-    fan = subdiff._direction_fan(subdiff._reduced_basis(unit_gauge), subdiff._TEST_FAN, 42)
+    fan = subdiff._direction_fan(unit_gauge.reduced, subdiff._TEST_FAN, 42)
     reports = []
     for bump in (-1.0, 1.0):
         tied = np.full(len(fan), 2.0)
@@ -393,7 +393,7 @@ def grid_fan(n, seed=7):
     t = grid.nodes
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     g = make_gauge(grid)
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, seed, extra=[2.0 * (x - t) / (n * t)])
     return make_function(grid), x, g, fan
 
@@ -563,22 +563,28 @@ def test_fan_evaluation_allocates_a_few_chunks():
 
 def test_grid_extraction_traced_peak_is_under_2_mb():
     # n = 1000: the fan's 2,000 signed axes are never written, and the
-    # axis evaluators never write their points
+    # axis evaluators never write their points; the gauge's whole space
+    # keeps no frame and reads rows as their own coordinates, so no 8 MB
+    # identity basis is written, not even for the default objective (the
+    # first basis vector, lifted)
     n = 1000
     grid = WeightedGrid(n)
     t = grid.nodes
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
-    f, g = make_function(grid), make_gauge(grid)
+    f = make_function(grid)
     closed = 2.0 * (x - t) / (n * t)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        g = make_gauge(grid)
         z = extract_subgradient(f, x, g, objective=closed)
+        extract_subgradient(f, x, g)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
     assert float(np.linalg.norm(z - closed)) <= 1e-5 * float(np.linalg.norm(closed))
+    assert "basis" not in vars(g.reduced)
 
 
 def oscillating(dom):
@@ -615,12 +621,13 @@ def test_dir_deriv_warns_once_per_call_on_oscillation(plane):
 
 def list_frame(w):
     """The list construction of a fan's frame that the array one replaced,
-    kept here as the reference it must match with ``==``."""
+    kept here as the reference it must match with ``==``.  A line's frame is
+    +/- its basis vector alone."""
     dirs = []
     for b in w.basis:
         dirs.append(b)
         dirs.append(-b)
-    if w.dim < w.ambient_dim:
+    if 1 < w.dim < w.ambient_dim:
         for i in range(w.ambient_dim):
             a = w.basis.T @ (w.basis @ np.eye(w.ambient_dim)[i])
             na = float(np.linalg.norm(a))
@@ -654,7 +661,7 @@ def list_fan(w, size, seed, extra=()):
             dirs.append(-p / nv)
     rng = np.random.default_rng(seed)
     count = max(size[0] * w.dim, size[1])
-    while len(dirs) < count and w.dim > 0:
+    while len(dirs) < count and w.dim > 1:
         u = w.basis.T @ rng.standard_normal(w.dim)
         nu = float(np.linalg.norm(u))
         if nu > 1e-14:
@@ -675,7 +682,7 @@ def test_fan_matches_the_list_construction(size):
         # long one with no component in w (its projection is rounding noise
         # above an absolute 1e-14) and random vectors whose plain sum of
         # squares overflows or underflows
-        outside = np.zeros(n) if w.dim == n else subdiff._complement_rows(w)[0]
+        outside = np.zeros(n) if w.dim == n else w.complement().basis[0]
         extra = [rng.standard_normal(n), outside, np.zeros(n), 1e6 * outside,
                  2.0 ** 600 * rng.standard_normal(n),
                  2.0 ** -700 * rng.standard_normal(n)][:int(rng.integers(0, 7))]
@@ -703,13 +710,14 @@ def test_fan_matches_the_list_construction(size):
 
 @pytest.mark.parametrize("n", [1, 3, 40])
 def test_whole_space_random_rows_are_the_identity_products(n):
-    # the whole space's random rows are its normal draws plus 0.0, not their
-    # products with the identity basis, and are the same bytes
+    # the whole space's random rows are its normal draws, not their products
+    # with the identity basis, and are the same bytes; R^1 has none
     w = Subspace.full(n)
     size = (6, 24)
     fan = subdiff._direction_fan(w, size, 11)
-    draws = np.random.default_rng(11).standard_normal((max(size[0] * n, size[1]) - 2 * n, n))
-    want, _ = subdiff._units(subdiff._images(w.basis.T, draws), 1e-14)
+    count = max(size[0] * n, size[1]) - 2 * n if n > 1 else 0
+    draws = np.random.default_rng(11).standard_normal((count, n))
+    want, _ = geometry._units(geometry._images(w.basis.T, draws), 1e-14)
     assert fan.dirs.shape == want.shape and fan.dirs.tobytes() == want.tobytes()
 
 
@@ -776,7 +784,7 @@ def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
     t = grid.nodes
     x = signed_zeros(rng, t + rng.uniform(-0.4, 1.0) + rng.uniform(-0.5, 0.5) * t)
     f, g = plain(make_function(grid)), make_gauge(grid)
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, seed, extra=[rng.standard_normal(n)])
     assert fan.axes == 2 * n and fan.dirs.shape[0] > 0
     dense = subdiff.Fan(fan.dense())
@@ -798,7 +806,7 @@ def test_grid_ladder_is_the_same_on_the_axis_path(chunk, seed):
 def hull_table(f, x, g, seed=42):
     """The fan (written dense), support values and objective rows of a hull
     at x."""
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._hull_fan(w, seed)[1]
     sups = subdiff._support_values(f, np.asarray(x, float), fan, g, seed)
     return w, fan.dense(), sups, [*range(fan.frame), *fan.extras]
@@ -892,6 +900,29 @@ def test_a_hull_builds_one_fan(dim, rows, count_calls, monkeypatch):
                        rtol=0.0, atol=1e-15)
 
 
+def test_a_line_fan_is_its_two_directions():
+    # every unit direction of a line is +/- its basis vector b, so its fans
+    # are +/- b, then +/- each extra vector: no random row and no projected
+    # axis.  The subgradients are those of the longer fans that repeated b
+    f = fn("abs(x1)", box(1, -5, 5, center=[0.0]))
+    hull = subdifferential_hull(f, [0.0], Gauge.of_set(box(1)))
+    assert np.array_equal(hull.directions, [[1.0], [-1.0]])
+    assert np.array_equal(hull.subgradients, [[1.00000002], [-1.00000002]])
+    b = np.array([1.0, 2.0, 2.0]) / 3.0
+    g = Gauge.of_set(ConvexSet(3, Vertices(np.vstack([b, -b])), center=np.zeros(3)))
+    w = g.reduced
+    assert len(subdiff._direction_fan(w, subdiff._LP_FAN, 42)) == 2
+    assert len(subdiff._direction_fan(w, subdiff._TEST_FAN, 42, extra=[[1.0, 0.0, 0.0]])) == 4
+    # d(|x1| + x2)(0) projects onto the line as [1/3, 1] * b
+    f3 = fn("abs(x1) + x2", box(3, -5, 5, center=[0.0] * 3), convex=True)
+    hull = subdifferential_hull(f3, np.zeros(3), g)
+    assert np.allclose(np.abs(hull.directions), b, rtol=0.0, atol=1e-15)
+    assert len(hull.directions) == 2
+    assert np.array_equal(hull.subgradients, [
+        [0.11111110666666664, 0.22222221333333317, 0.22222221333333317],
+        [0.33333334000000014, 0.66666668, 0.66666668]])
+
+
 def test_a_plane_hull_reads_the_extraction_fans_random_rows():
     # over a plane in R^3 the 10 frame rows fill the 8 objectives, so the
     # hull draws no random objective, and its support fan is an extraction
@@ -902,7 +933,7 @@ def test_a_plane_hull_reads_the_extraction_fans_random_rows():
     basis = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
     pts = np.vstack([basis, basis.mean(axis=0)])
     g = Gauge.of_set(ConvexSet(3, Vertices(np.vstack([pts, -pts])), center=np.zeros(3)))
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     directions, fan = subdiff._hull_fan(w, 42)
     lp_fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42)
     assert len(directions) == fan.frame == 10 and fan.extras == ()
@@ -932,7 +963,7 @@ def test_an_extra_vector_off_the_space_reads_the_first_frame_row():
     # the projection of a long vector orthogonal to w is rounding noise above
     # an absolute 1e-14 but below a relative one: it adds no row
     w = Subspace.from_spanning(np.random.default_rng(4).standard_normal((2, 3)), 3)
-    off = 1e6 * subdiff._complement_rows(w)[0]
+    off = 1e6 * w.complement().basis[0]
     assert float(np.linalg.norm(w.project_many(off[None, :]))) > 1e-14
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 7, extra=[off])
     assert fan.extras == (0,)
@@ -942,7 +973,7 @@ def test_an_extra_vector_off_the_space_reads_the_first_frame_row():
 def test_a_tied_facet_lists_its_corners(plane, unit_gauge):
     # d(2|x1| + |x2|)(0) = [-2, 2] x [-1, 1]: each axis objective's optimal
     # face is an edge, read whole from the table in lexicographic order
-    w = subdiff._reduced_basis(unit_gauge)
+    w = unit_gauge.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42)
     sups = subdiff._support_values(fn("2*abs(x1) + abs(x2)", plane), np.zeros(2), fan,
                                    unit_gauge, 42)
@@ -1048,7 +1079,7 @@ def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
     f = fn(" + ".join(f"abs(x{i + 1})" for i in range(dim)),
            box(dim, -5, 5, center=[0.0] * dim))
     g = Gauge.of_set(box(dim))
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[w.basis[0]])
     assert (table_size(w, fan) > subdiff._TABLE_SUBSETS) == (lps > 0)
     z = extract_subgradient(f, np.zeros(dim), g)
@@ -1065,7 +1096,7 @@ def test_grid_extraction_is_the_lp_optimum():
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[closed])
     sups = subdiff._support_values(f, x, fan, g, 42)
     assert table_size(w, fan) > subdiff._TABLE_SUBSETS
@@ -1082,7 +1113,7 @@ def grid40():
     x = t + 0.2 + 0.1 * t + 0.3 * t * t
     closed = 2.0 * (x - t) / (n * t)
     f, g = make_function(grid), make_gauge(grid)
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[closed])
     sups = subdiff._support_values(f, x, fan, g, 42)
     assert table_size(w, fan) > subdiff._TABLE_SUBSETS and fan.axes == 2 * n
@@ -1308,7 +1339,7 @@ def test_support_values_without_an_axis_evaluator_match_the_dense_fan(case):
     extra = [{"random": rng.standard_normal(n), "axis": np.eye(n)[int(rng.integers(n))],
               "zero": np.zeros(n)}[k] for k in kinds]
     g = Gauge.of_set(box(n))
-    w = subdiff._reduced_basis(g)
+    w = g.reduced
     fan = subdiff._direction_fan(w, subdiff._TEST_FAN, seed, extra)
     assert fan.axes == 2 * n
     dense = subdiff.Fan(fan.dense())
@@ -1340,7 +1371,7 @@ def test_the_whole_space_projection_is_the_two_products(n, k, seed):
     vs = signed_zeros(rng, rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4))
     if rng.random() < 0.3:
         vs = np.where(rng.random(vs.shape) < 0.5, -0.0, -np.abs(vs))
-    want = subdiff._images(w.basis.T, subdiff._images(w.basis, vs))
+    want = geometry._images(w.basis.T, geometry._images(w.basis, vs))
     assert w.project_many(vs).tobytes() == want.tobytes()
 
 

@@ -157,6 +157,8 @@ def _issue(query) -> dict:
 API_SCALES = (-200, -45, -10, 0, 10, 45, 200)
 #: the scales 2**k of an extraction objective
 EXTRACT_SCALES = (-700, -60, 0, 600)
+#: the scales 2**k of the huge diamonds whose gauges are read
+DIAMOND_SCALES = (0, 512, 996)
 
 
 def api_queries(seed: int) -> list:
@@ -169,8 +171,14 @@ def api_queries(seed: int) -> list:
     three linear maps; and ``extract_subgradient`` of ``abs(x1) + abs(x2)``
     at the origin of the unit box along the objective ``2**k * (1, 1)``,
     one kind per scale (a correct extraction is ``(1, 1)`` at every scale).
-    Each output is a JSON document, and its check asks only that the
-    document has the expected fields and types."""
+    Then questions in proper reduced spaces of R^3: ``subdifferential_hull``
+    and ``extract_subgradient`` (along a random objective) over a hexagon
+    spanning a plane and over a segment spanning a line, and extraction on
+    a prism gauge whose kernel is a line; and the gauge of the diamond
+    ``+/- 2**k e_i`` at a random point, one kind per scale, which reads the
+    name of the error a side raises.  Each output is a JSON document, and
+    its check asks only that the document has the expected fields and
+    types."""
     import numpy as np
     import gaugecalc as gc
     from gaugecalc.rules import InnerMap, check_domination
@@ -252,6 +260,39 @@ def api_queries(seed: int) -> list:
             lambda c=2.0 ** k * np.ones(2): {"zeta": gc.extract_subgradient(
                 kinks, np.zeros(2), gc.Gauge.of_set(gc.box(2)), objective=c).tolist()},
             {"zeta": list})
+
+    cube = gc.box(3, -5.0, 5.0, center=np.zeros(3))
+    b1, b2 = np.array([1.0, 0.0, 2.0]), np.array([0.0, 1.0, -1.0])
+    hexagon = np.vstack([b1, b2, 0.5 * (b1 + b2)])
+    segment = np.array([[1.0, 2.0, 2.0]]) / 3.0
+    prism = gc.Halfspaces(np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 1.0, 1.0],
+                                    [0.0, -1.0, -1.0]]), np.ones(4))
+    reduced = {"plane": (gc.Vertices(np.vstack([hexagon, -hexagon])),
+                         "abs(x1) + abs(x2 - 0.1) + x1^2"),
+               "line": (gc.Vertices(np.vstack([segment, -segment])), "abs(x1) + x2"),
+               "prism": (prism, "abs(x1 + x2) + 0.5*abs(x2 + x3) + (x1 + x2)^2")}
+    for name, (rep, src) in reduced.items():
+        def gauge(rep=rep):
+            return gc.Gauge.of_set(gc.ConvexSet(3, rep, center=np.zeros(3)))
+
+        f3 = gc.ScalarFunction.from_expr(src, cube, convex=True)
+        if name != "prism":
+            add(f"api/hull-{name}", lambda f3=f3, gauge=gauge: gc.subdifferential_hull(
+                f3, np.zeros(3), gauge(), seed=seed).to_json(), {"subgradients": list})
+        add(f"api/extract-{name}",
+            lambda f3=f3, gauge=gauge, c=rng.standard_normal(3): {"zeta": gc.extract_subgradient(
+                f3, np.zeros(3), gauge(), objective=c, seed=seed).tolist()}, {"zeta": list})
+
+    x = rng.standard_normal(2)
+    for k in DIAMOND_SCALES:
+        def huge(corners=2.0 ** k * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])):
+            try:
+                diamond = gc.ConvexSet(2, gc.Vertices(corners), center=np.zeros(2))
+                return {"value": gc.Gauge.of_set(diamond).value(x)}
+            except Exception as exc:  # the parent's qhull crash reads as a moved output
+                return {"value": type(exc).__name__}
+
+        add(f"api/gauge-huge-diamond 2^{k}", huge, {"value": (float, str)})
     return queries
 
 
