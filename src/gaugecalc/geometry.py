@@ -466,7 +466,7 @@ class Halfspaces(Representation):
         """Centre and radius of the largest ball in the set; None when the
         system is infeasible."""
         n = self.normals.shape[1]
-        a_ub = np.hstack([self.normals, np.linalg.norm(self.normals, axis=1)[:, None]])
+        a_ub = np.hstack([self.normals, _row_norms(self.normals)[:, None]])
         c = np.append(np.zeros(n), -1.0)
         res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
                       method="highs")
@@ -523,9 +523,9 @@ class Halfspaces(Representation):
         <= b``.  When the set lists its vertices (:meth:`extreme_points`),
         ``min_s a.y`` is attained at one, so every reflected vertex
         ``2p - v`` must meet every row: one matrix product.  Otherwise
-        (unbounded, flat or past the vertex guard) one support LP per row
-        gives the minimum."""
-        norms = np.linalg.norm(self.normals, axis=1)
+        (unbounded, flat or past the vertex guard) one support LP per row,
+        over the unit rows, gives the minimum."""
+        norms = _row_norms(self.normals)
         keep = norms > 1e-14
         units, bounds = self.normals[keep] / norms[keep, None], self.offsets[keep] / norms[keep]
         vertices = self.extreme_points()
@@ -533,7 +533,7 @@ class Halfspaces(Representation):
             reflected = (2.0 * p - np.array(vertices)) @ units.T
             return bool(np.all(reflected <= bounds + SYMMETRY_TOL * (1.0 + np.abs(bounds))))
         for a, b in zip(units, bounds):
-            low = linprog(a, A_ub=self.normals, b_ub=self.offsets,
+            low = linprog(a, A_ub=units, b_ub=bounds,
                           bounds=[(None, None)] * s.dim, method="highs")
             if low.status != 0 or 2.0 * (a @ p) - low.fun > b + SYMMETRY_TOL * (1.0 + abs(b)):
                 return False
@@ -580,7 +580,7 @@ class Halfspaces(Representation):
         the Upper Bound Theorem.  On a 2-core Xeon VM a 12-D box (4,096
         vertices) takes about 0.04 s; a 16-D box (65,536 vertices, 2.3 s) is
         past the guard."""
-        keep = np.linalg.norm(self.normals, axis=1) > 1e-14
+        keep = _row_norms(self.normals) > 1e-14
         a, b = self.normals[keep], self.offsets[keep]
         m, n = a.shape
         # a bounded set in R^n has at least n + 1 rows; the guard needs no solve

@@ -52,7 +52,8 @@ _LP_SLACK = 1e-8
 #: relative margin
 _ATTAINED_TOL = 1e-9
 #: most ``w.dim``-row subsets of a fan whose vertex table is built; past it
-#: every objective solves its own LP.  A table vertex meets every row to a
+#: every objective solves its own LP, or a box cut by one slab its closed
+#: form (see :func:`_optimizer`).  A table vertex meets every row to a
 #: relative _FEASIBLE_TOL; a subset of unit rows is singular when its
 #: |determinant| is at most _SINGULAR_DET
 _TABLE_SUBSETS, _FEASIBLE_TOL, _SINGULAR_DET = 4096, 1e-9, 1e-12
@@ -152,8 +153,10 @@ class Fan:
         return np.concatenate(out)
 
     def bounds(self, b: np.ndarray):
-        """One value per row, split into the signed axes' variable bounds
-        ``-b[2i+1] <= z_i <= b[2i]`` (or ``(None, None)``) and the rest."""
+        """One value per row, split into the box of the signed axes
+        ``-b[2i+1] <= z_i <= b[2i]`` as ``(lo, hi)`` rows (or ``(None,
+        None)``) and the rest: the variable bounds of a past-cap LP, or the
+        box that the closed form of :func:`_slab_optimum` reads."""
         axes = self.axes
         return np.column_stack([-b[1:axes:2], b[:axes:2]]) if axes else (None, None), b[axes:]
 
@@ -507,6 +510,46 @@ def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z[np.all(z @ a.T <= b + _FEASIBLE_TOL * (1.0 + np.abs(b)), axis=1)]
 
 
+def _slab_optimum(v: np.ndarray, lo: np.ndarray, hi: np.ndarray, top: float,
+                  floor: float) -> np.ndarray:
+    """The lexicographically smallest maximizer of <v, z> over the box
+    ``lo <= z <= hi`` cut by the slab ``floor <= <v, z> <= top`` (either
+    side may be infinite).
+
+    That is the box's maximizing corner (``hi`` where ``v_i > 0``, else
+    ``lo``) when it lies below ``top``; otherwise the lexicographically
+    smallest point of the box on the plane ``<v, z> = top``, the greedy
+    fill of a continuous knapsack (Dantzig 1957).  Its coordinates sit at
+    ``lo`` while the rest of the box can still reach the plane, then one
+    break coordinate meets it, and the rest sit at the corner that reaches
+    it: the maximizing one when the plane lies above what the rest could
+    give with the break at ``lo``, the minimizing one when below.  Prefix
+    and suffix sums find the break in one pass.  Raises
+    :class:`LpInfeasibleError` when ``lo > hi`` somewhere or the slab
+    misses the box."""
+    if np.any(lo > hi):
+        raise LpInfeasibleError(_INFEASIBLE)
+    up, down = np.where(v > 0, hi, lo), np.where(v < 0, hi, lo)
+    # pre[k]: the first k coordinates at lo; most[k], least[k]: the
+    # coordinates from k on at the maximizing and the minimizing corner
+    pre = np.concatenate([[0.0], np.cumsum(v * lo)])
+    most = np.concatenate([np.cumsum((v * up)[::-1])[::-1], [0.0]])
+    least = np.concatenate([np.cumsum((v * down)[::-1])[::-1], [0.0]])
+    if most[0] < floor or least[0] > top or top < floor:
+        raise LpInfeasibleError(_INFEASIBLE)
+    if most[0] <= top:
+        return up
+    short, over = pre + most < top, pre + least > top
+    stop = np.flatnonzero(short | over)
+    if stop.size == 0:
+        return lo.copy()  # <v, lo> is the plane's value
+    j = int(stop[0]) - 1
+    rest, corner = (most, up) if short[j + 1] else (least, down)
+    z = np.concatenate([lo[:j + 1], corner[j + 1:]])
+    z[j] = min(max((top - pre[j] - rest[j + 1]) / v[j], lo[j]), hi[j])
+    return z
+
+
 def _optimizer(w: Subspace, fan: Fan, sups):
     """The solver of one row's LP: the optimal face of <z, v> (v the fan
     row ``row``) over the outer approximation {z : <z, v> <= h(v) + slack
@@ -517,9 +560,14 @@ def _optimizer(w: Subspace, fan: Fan, sups):
     rows, every face is read from one vertex table (:func:`_vertex_table`)
     built here from the fan's rows, its signed axes written out too: the
     table vertices within a relative :data:`_ATTAINED_TOL` of the row's
-    maximum.  Past the cap each row solves its LP (HiGHS), whose one optimum
-    is the face it returns.  There the signed axes are the variable bounds
-    (see :meth:`Fan.bounds`), and the inequality rows are only the written
+    maximum.  Past the cap the signed axes are a box (see
+    :meth:`Fan.bounds`).  When the fan's written rows are at most one pair
+    ``+u, -u`` and the row is one of them (or, with no written row, an
+    axis), the outer approximation is that box cut by one slab, and the
+    face returned is its lexicographically smallest optimal vertex, in
+    closed form (:func:`_slab_optimum`).  Any other row past the cap solves
+    its LP (HiGHS), whose one optimum is the face it returns: the signed
+    axes are its variable bounds, and its inequality rows are the written
     rows (none when there are none).
     """
     b_ub = sups + _LP_SLACK * (1.0 + np.abs(sups))
@@ -548,9 +596,19 @@ def _optimizer(w: Subspace, fan: Fan, sups):
         return face
 
     bounds, b_rows = fan.bounds(b_ub)
-    a_rows, b_rows = (w.coords(fan.dirs), b_rows) if b_rows.size else (None, None)
+    dirs, axes = fan.dirs, fan.axes
+    slab = axes and (b_rows.size == 0 or b_rows.size == 2 and np.all(dirs[1] == -dirs[0]))
+    a_rows, b_rows = (w.coords(dirs), b_rows) if b_rows.size else (None, None)
 
     def solve(row: int) -> np.ndarray:
+        if slab and (row >= axes or a_rows is None):
+            v = fan.row(row)
+            # a written row's own bound, and its partner's bound negated
+            top, floor = (math.inf, -math.inf) if a_rows is None else \
+                (b_rows[row - axes], -b_rows[(row - axes) ^ 1])
+            z = _slab_optimum(v, bounds[:, 0], bounds[:, 1], top, floor)
+            checked(row, float(v @ z))
+            return z[None, :]
         c = -w.coords(fan.row(row)[None, :])[0]
         res = linprog(c, A_ub=a_rows, b_ub=b_rows, bounds=bounds, method="highs")
         if res.status != 0:
@@ -643,14 +701,20 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
 
     When the fan has at most 4,096 subsets of ``w.dim`` rows (``w`` the
     reduced space) the optimum comes from the fan's vertex table, and of a
-    tied face the lexicographically smallest vertex is returned; past that
-    cap one HiGHS LP returns its optimum.  The signed axes that open a fan
-    over the whole space are never written: they are that LP's variable
-    bounds, and its inequality rows are the fan's other rows.  Their
-    support values come from f's axis evaluator when its batch evaluator
-    carries one (the weighted grid's energy: one term per point, in the
-    last bits not the floats of ``f.many``); for any other function they are
-    the same floats as on the fan written dense.  Raises
+    tied face the lexicographically smallest vertex is returned.  Past that
+    cap the signed axes that open a fan over the whole space, never
+    written, are a box.  In the whole space with n >= 7 the fan is that box
+    and the objective's +/- pair, a slab (for an objective with no
+    component and n >= 8, the box alone), and the optimum is solved in
+    closed form, again the lexicographically smallest optimal vertex (see
+    :func:`_slab_optimum`); otherwise (n = 5 or 6, whose fans carry random
+    rows, or a wide proper subspace) one HiGHS LP returns its optimum, with
+    the box as its variable bounds and the fan's other rows as its
+    inequality rows.  The signed axes' support values come from f's axis
+    evaluator when its batch evaluator carries one (the weighted grid's
+    energy: one term per point, in the last bits not the floats of
+    ``f.many``); for any other function they are the same floats as on the
+    fan written dense.  Raises
     :class:`SupportMismatchError` when the optimum misses the objective's
     support value by more than a relative 1e-5."""
     return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]

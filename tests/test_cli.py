@@ -58,6 +58,24 @@ def test_gauge_of_a_huge_vertex_set(capsys, scale, value):
     assert doc["value"] == pytest.approx(value, rel=1e-15)
 
 
+def test_lipschitz_on_a_box_of_huge_normals_exits_cleanly(capsys):
+    # the Chebyshev and symmetry LPs take overflow-safe row norms: the box
+    # of normals +/-1e200 e_i exits 0 or 2, with no traceback or warning
+    rows = [{"normal": [s * 1e200 * (j == i) for j in range(2)], "offset": 1e200}
+            for i in range(2) for s in (1, -1)]
+    huge = json.dumps({"dim": 2, "center": [0, 0], "repr": {"halfspaces": rows}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["lipschitz", "--set", huge, "--fn", "x1^2+x2^2", "--point", "[0,0]"])
+    out, err = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        doc = json.loads(out)
+        assert code == 0 and doc["empirical_L"] <= doc["theoretical_L"]
+
+
 def test_core_of_a_wide_interval_prints_no_warning(capsys):
     # a chord's longest step divides the slack (1e9 here) only by the rates
     # of the rows it approaches, so no division overflows

@@ -83,7 +83,10 @@ def test_python_api_outputs_are_compared_by_bytes_and_json():
 def test_the_largest_relative_change_reads_hex_vectors_and_json_numbers():
     # an extraction's vector is decoded from its hex bytes, a JSON
     # document's numbers are paired by their place, booleans are verdicts
-    # and not numbers, and outputs whose numbers do not pair up read inf
+    # and not numbers, and outputs whose numbers do not pair up read inf.
+    # A change reads against the largest magnitude of its vector (an
+    # extraction, or a JSON list), and a number outside any list against
+    # its own
     tool = _tool()
 
     def record(kind, value, form):
@@ -96,13 +99,17 @@ def test_the_largest_relative_change_reads_hex_vectors_and_json_numbers():
               "c": record("subdiff", {"v": [1.0, 2.0], "ok": True}, "json"),
               "d": record("lebourg", {"v": [1.0, 2.0]}, "json"),
               "e": record("fermat", {"v": 1.0}, "json"),
-              "f": record("gauge", {"v": math.inf}, "json")}
+              "f": record("gauge", {"v": math.inf}, "json"),
+              "g": record("api/hull-plane", [1.0, 3.8198201767452616e-09], "hex"),
+              "h": record("lipschitz", {"M": 2.0, "pairs": 1000}, "json")}
     change = {"a": record("grid/extract", [1.0, -2.0 * (1 + 1e-11), 0.0], "hex"),
               "b": record("grid/extract", [3.0, 4.0, 5.0], "hex"),
               "c": record("subdiff", {"v": [1.0, 2.5], "ok": False}, "json"),
               "d": record("lebourg", {"v": [1.0, 2.0, 3.0]}, "json"),
               "e": record("fermat", {"v": 1.0}, "json"),
-              "f": record("gauge", {"v": 1e60}, "json")}
+              "f": record("gauge", {"v": 1e60}, "json"),
+              "g": record("api/hull-plane", [1.0, 3.819820223210553e-09], "hex"),
+              "h": record("lipschitz", {"M": 2.5, "pairs": 1000}, "json")}
     rows = {row[0]: row[1:] for row in tool.compare(parent, change)[0]}
     assert rows["grid/extract"][:2] == (1, 2)
     assert rows["grid/extract"][5] == pytest.approx(1e-11, rel=1e-4)
@@ -110,4 +117,6 @@ def test_the_largest_relative_change_reads_hex_vectors_and_json_numbers():
     assert rows["lebourg"][5] == math.inf
     assert rows["fermat"] == (0, 1, 0, 0, 0, None)
     assert rows["gauge"][5] == 1.0  # inf -> finite: the ratio's limit, not NaN
-    assert tool._numbers(change["c"]) == {"/v/0": 1.0, "/v/1": 2.5}
+    assert rows["api/hull-plane"][5] == pytest.approx(4.6e-17, rel=0.01)
+    assert rows["lipschitz"][5] == 0.2
+    assert tool._numbers(change["c"]) == {"/v/0": (1.0, "/v"), "/v/1": (2.5, "/v")}

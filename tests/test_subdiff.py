@@ -1087,9 +1087,50 @@ def test_a_fan_past_the_cap_solves_lps(dim, lps, count_calls):
     assert z[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_grid_extraction_is_the_lp_optimum():
-    # n = 200: far past the cap, the extraction is the LP's optimum, float
-    # for float
+def bounds_model(fan, sups):
+    """The past-cap LP's model of a whole-space fan: its ``2n`` signed axes
+    ``+e_i, -e_i`` as the variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the
+    written rows as inequality rows."""
+    b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
+    axes = 2 * fan.dirs.shape[1]
+    return {"A_ub": fan.dirs, "b_ub": b[axes:],
+            "bounds": np.column_stack([-b[1:axes:2], b[:axes:2]])}
+
+
+def assert_feasible(z, model):
+    """z meets the model's bounds exactly and its rows to rounding."""
+    lo, hi = model["bounds"].T
+    assert np.all(lo <= z) and np.all(z <= hi)
+    b = model["b_ub"]
+    assert np.all(model["A_ub"] @ z <= b + 1e-12 * (1.0 + np.abs(b)))
+
+
+def lexicographic_optimum(c, model):
+    """The lexicographically smallest maximizer of <c, z> over a bounds
+    model (``A_ub`` None: the box alone), by sequential HiGHS LPs at TIGHT
+    tolerances: the maximum, then the least z_0 on the optimal face, z_0
+    fixed there, then the least z_1, and so on; None when HiGHS finds no
+    optimum."""
+    best = linprog(-c, **model, method="highs", options=TIGHT)
+    if best.status != 0:
+        return None
+    rows = model["A_ub"] is not None
+    a_ub = np.vstack([model["A_ub"], -c]) if rows else -c[None, :]
+    b_ub = np.append(model["b_ub"] if rows else [], best.fun)
+    bounds = np.array(model["bounds"], dtype=float)
+    for i in range(c.size):
+        res = linprog(np.eye(1, c.size, i)[0], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                      method="highs", options=TIGHT)
+        assert res.status == 0
+        bounds[i] = res.x[i]
+    return bounds[:, 0]
+
+
+def test_grid_extraction_is_the_lp_optimum(count_calls):
+    # n = 200: far past the cap, the extraction solves no LP; it is a point
+    # of the bounds model that reaches HiGHS's optimum (at its tightest
+    # tolerances) to within the LP slack
+    count_calls.wrap(subdiff, "linprog", "lp")
     n = 200
     grid = WeightedGrid(n)
     t = grid.nodes
@@ -1100,8 +1141,12 @@ def test_grid_extraction_is_the_lp_optimum():
     fan = subdiff._direction_fan(w, subdiff._LP_FAN, 42, extra=[closed])
     sups = subdiff._support_values(f, x, fan, g, 42)
     assert table_size(w, fan) > subdiff._TABLE_SUBSETS
-    want = lp_optimum(w, fan.dense(), sups, fan.extras[0])
-    assert np.array_equal(extract_subgradient(f, x, g, objective=closed), want)
+    z = extract_subgradient(f, x, g, objective=closed)
+    assert count_calls["lp"] == 0
+    assert_feasible(z, bounds_model(fan, sups))
+    u = fan.row(fan.extras[0])
+    want = float(lp_optimum(w, fan.dense(), sups, fan.extras[0], TIGHT) @ u)
+    assert abs(float(u @ z) - want) <= subdiff._LP_SLACK * (1.0 + abs(want))
 
 
 def grid40():
@@ -1120,6 +1165,27 @@ def grid40():
     return f, x, g, closed, w, fan, sups
 
 
+def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(count_calls):
+    # the signed axes are a box and the objective's pair a slab: the
+    # extraction solves no LP and returns the bounds model's
+    # lexicographically smallest optimum
+    f, x, g, closed, w, fan, sups = grid40()
+    count_calls.wrap(subdiff, "linprog", "lp")
+    z = extract_subgradient(f, x, g, objective=closed)
+    # an objective with no component in w adds no row past the axes: the
+    # box's corner, the first upper bound and every other lower bound
+    corner = extract_subgradient(f, x, g, objective=np.zeros(w.dim))
+    assert count_calls["lp"] == 0
+    model = bounds_model(fan, sups)
+    assert_feasible(z, model)
+    u = fan.row(fan.extras[0])
+    own = linprog(-u, **model, method="highs", options=TIGHT)
+    assert abs(float(u @ z) + own.fun) <= subdiff._LP_SLACK * (1.0 + abs(own.fun))
+    assert np.allclose(z, lexicographic_optimum(u, model), rtol=0.0, atol=1e-10)
+    lo, hi = model["bounds"].T
+    assert corner.tolist() == [hi[0], *lo[1:]]
+
+
 def recording_linprog(monkeypatch, statuses=()):
     """Wrap subdiff's linprog to record each call's arguments; the first
     calls report the given ``statuses`` instead of their result."""
@@ -1136,20 +1202,22 @@ def recording_linprog(monkeypatch, statuses=()):
     return calls
 
 
-def bounds_model(fan, sups):
-    """The past-cap LP's model of a whole-space fan: its ``2n`` signed axes
-    ``+e_i, -e_i`` as the variable bounds ``-b[2i+1] <= z_i <= b[2i]``, the
-    written rows as inequality rows."""
-    b = sups + subdiff._LP_SLACK * (1.0 + np.abs(sups))
-    axes = 2 * fan.dirs.shape[1]
-    return {"A_ub": fan.dirs, "b_ub": b[axes:],
-            "bounds": np.column_stack([-b[1:axes:2], b[:axes:2]])}
+def six():
+    """A whole-space extraction in R^6, past the cap with 2 random rows
+    (8,008 six-row subsets), which HiGHS solves: its function, point,
+    gauge, objective, fan and support values."""
+    f = fn("abs(x1) + 2*abs(x2) + abs(x3 + x4) + x5^2 + x6^2", box(6, -5, 5, center=[0.0] * 6))
+    x, g = np.zeros(6), Gauge.of_set(box(6))
+    objective = np.array([1.0, -1.0, 0.5, 0.25, 2.0, 0.0])
+    fan = subdiff._direction_fan(g.reduced, subdiff._LP_FAN, 42, extra=[objective])
+    assert table_size(g.reduced, fan) == 8008 and fan.dirs.shape[0] == 4
+    return f, x, g, objective, fan, subdiff._support_values(f, x, fan, g, 42)
 
 
-def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
-    f, x, g, closed, w, fan, sups = grid40()
+def test_a_fan_with_random_rows_takes_the_signed_axes_as_bounds(monkeypatch):
+    f, x, g, objective, fan, sups = six()
     calls = recording_linprog(monkeypatch)
-    z = extract_subgradient(f, x, g, objective=closed)
+    z = extract_subgradient(f, x, g, objective=objective)
     [call] = calls
     model = bounds_model(fan, sups)
     for key, want in model.items():
@@ -1158,21 +1226,14 @@ def test_the_past_cap_lp_takes_the_signed_axes_as_bounds(monkeypatch):
     # model's optimum to within the LP slack
     own = linprog(-fan.row(fan.extras[0]), **model, method="highs")
     assert z.tobytes() == own.x.tobytes()
-    dense = lp_optimum(w, fan.dense(), sups, fan.extras[0])
+    dense = lp_optimum(g.reduced, fan.dense(), sups, fan.extras[0])
     assert np.allclose(z, dense, rtol=0.0, atol=subdiff._LP_SLACK * (1.0 + np.max(np.abs(dense))))
-    # an objective with no component in w adds no row past the axes, so the
-    # LP has no inequality rows
-    calls.clear()
-    z = extract_subgradient(f, x, g, objective=np.zeros(w.dim))
-    [call] = calls
-    assert call["A_ub"] is None and call["b_ub"] is None
-    assert z[0] == model["bounds"][0, 1]
 
 
 def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
-    f, x, g, closed, w, fan, sups = grid40()
+    f, x, g, objective, fan, sups = six()
     calls = recording_linprog(monkeypatch, statuses=[2])
-    z = extract_subgradient(f, x, g, objective=closed)
+    z = extract_subgradient(f, x, g, objective=objective)
     first, retry = calls
     assert retry["options"] == {"presolve": False}
     for key in ("A_ub", "b_ub", "bounds"):
@@ -1181,6 +1242,90 @@ def test_the_presolve_retry_runs_on_the_bounds_model(monkeypatch):
     raw = linprog(-fan.row(fan.extras[0]), **bounds_model(fan, sups), method="highs",
                   options={"presolve": False})
     assert z.tobytes() == raw.x.tobytes()
+
+
+def slab_case(kind, n, rng):
+    """A box ``lo <= z <= hi`` (some sides of zero width), an objective v
+    (some entries 0) and a slab ``floor <= <v, z> <= top`` of the ``kind``:
+    ``cut`` (top between the box's least and most value of <v, z>),
+    ``corner`` (top at or above the most), ``axis`` (v = +/- e_j, no
+    slab), ``tie`` (small integers, top the value at a random corner, so
+    sums tie exactly), ``inverted`` (lo > hi somewhere) or ``miss`` (the
+    slab lies off the box)."""
+    if kind == "tie":
+        v = rng.integers(-2, 3, n).astype(float)
+        lo = rng.integers(-3, 2, n).astype(float)
+        hi = lo + rng.integers(0, 3, n)
+    else:
+        v = rng.standard_normal(n) * (rng.random(n) < 0.75)
+        v /= max(np.linalg.norm(v), 1e-300)
+        lo = rng.uniform(-3.0, 1.0, n)
+        hi = lo + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.9)
+    most, least = float(v @ np.where(v > 0, hi, lo)), float(v @ np.where(v < 0, hi, lo))
+    floor = -math.inf if rng.random() < 0.5 else least - rng.uniform(0.0, 1.0)
+    if kind == "cut":
+        top = least + rng.uniform(0.0, 1.0) * (most - least)
+    elif kind == "corner":
+        top = most + (rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.0)
+    elif kind == "axis":
+        v = np.eye(1, n, rng.integers(n))[0] * rng.choice([-1.0, 1.0])
+        top, floor = math.inf, -math.inf
+    elif kind == "tie":
+        top = float(v @ np.where(rng.random(n) < 0.5, lo, hi))
+    elif kind == "inverted":
+        top, floor = most, least - 1.0
+        lo[rng.integers(n)] += 3.0
+    else:  # miss: the whole slab lies below or above the box
+        top, floor = (least - 1.0, least - 2.0) if rng.random() < 0.5 else \
+            (most + 2.0, most + 1.0)
+    return v, lo, hi, top, floor
+
+
+def slab_model(v, lo, hi, top, floor):
+    """The box and slab as a HiGHS bounds model, infinite sides dropped."""
+    rows = [(v, top)] * (top < math.inf) + [(-v, -floor)] * (floor > -math.inf)
+    return {"A_ub": np.array([a for a, _ in rows]) if rows else None,
+            "b_ub": np.array([b for _, b in rows]) if rows else None,
+            "bounds": np.column_stack([lo, hi])}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(7, 40),
+       kind=st.sampled_from(["cut", "corner", "axis", "tie", "inverted", "miss"]),
+       seed=st.integers(0, 1 << 20))
+def test_the_slab_optimum_is_the_lexicographic_lp_optimum(n, kind, seed):
+    # the closed form against sequential HiGHS LPs; an empty box or a slab
+    # off the box is infeasible for both.  Every bound scaled by 2^+/-500
+    # (HiGHS reads 1e20 and more as infinite) scales the answer exactly
+    v, lo, hi, top, floor = slab_case(kind, n, np.random.default_rng(seed))
+    want = lexicographic_optimum(v, slab_model(v, lo, hi, top, floor))
+    if want is None:
+        assert kind in ("inverted", "miss")
+        for s in (1.0, 2.0 ** -500, 2.0 ** 500):
+            with pytest.raises(LpInfeasibleError):
+                subdiff._slab_optimum(v, s * lo, s * hi, s * top, s * floor)
+        return
+    z = subdiff._slab_optimum(v, lo, hi, top, floor)
+    assert np.all(lo <= z) and np.all(z <= hi)
+    assert floor - 1e-12 <= float(v @ z) <= top + 1e-12
+    assert np.allclose(z, want, rtol=0.0, atol=1e-9)
+    for s in (2.0 ** -500, 2.0 ** 500):
+        assert subdiff._slab_optimum(v, s * lo, s * hi, s * top, s * floor).tobytes() == \
+            (s * z).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["inverted", "miss"])
+def test_an_empty_box_or_slab_is_infeasible_on_both_paths(kind):
+    # a fan of signed axes and the pair +v, -v takes the closed form; the
+    # same model with +v written twice reaches HiGHS, and both raise
+    n = 12
+    v, lo, hi, top, floor = slab_case(kind, n, np.random.default_rng(7))
+    axis_sups = np.column_stack([hi, -lo]).ravel()
+    for dirs, sups in [([v, -v], [top, -floor]), ([v, -v, v], [top, -floor, top])]:
+        face = subdiff._optimizer(Subspace.full(n), subdiff.Fan(np.array(dirs), 2 * n),
+                                  np.concatenate([axis_sups, sups]))
+        with pytest.raises(LpInfeasibleError):
+            face(2 * n)
 
 
 # -- the convex flag ---------------------------------------------------------

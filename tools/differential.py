@@ -24,15 +24,21 @@ The report gives, per query kind, how many outputs moved (standard output
 or standard error not byte-identical) out of how many, how many of those
 moved on standard error, how many queries changed their verdicts (every
 boolean and every ``verdict`` string in the JSON output) or their exit
-code, and the largest relative change ``|b - a| / max(|a|, |b|)`` of any
-number in a moved standard output (1 where one side is infinite; the
-numbers of a JSON document, paired by their place in it, or the float64
-values an extraction's hex bytes decode to; ``n/a`` when a moved output's
-numbers do not pair up), then each
+code, and the largest relative change of any number in a moved standard
+output (``n/a`` when a moved output's numbers do not pair up), then each
 standard-error change and the queries that fail their reference check on
 each side.  The exit status is 0 when no verdict or
 exit code changes and neither side fails a reference check, 1 otherwise;
 moved outputs alone do not fail the comparison.
+
+A number's change is measured against the vector that holds it: ``|b - a|``
+over the largest finite magnitude in that vector on either side, so a
+last-bit move of a near-zero entry reads as the rounding it is.  The
+numbers are the float64 values an extraction's hex bytes decode to (one
+vector), or those of a JSON document, paired by their place in it, whose
+vectors are its innermost lists; a number outside any list (a document's
+``M``, say, beside its ``pairs`` and ``seed`` counts) is its own vector.
+A change to or from an infinite value reads 1.
 """
 
 from __future__ import annotations
@@ -76,11 +82,14 @@ def _verdicts(doc) -> list:
 
 
 def _numbers(record: dict) -> Optional[dict]:
-    """Every number of a record's standard output by its place: the float64
-    values of an extraction's hex bytes by index, or the numbers (not the
-    booleans) of a JSON document by path; None for any other output."""
+    """Every number of a record's standard output by its place, with the
+    place of the vector that holds it: the float64 values of an
+    extraction's hex bytes by index (one vector, place ""), or the numbers
+    (not the booleans) of a JSON document by path, a list's items in that
+    list and any other number in a vector of its own; None for any other
+    output."""
     if record["format"] == "hex":
-        return dict(enumerate(array("d", bytes.fromhex(record["out"])).tolist()))
+        return {i: (v, "") for i, v in enumerate(array("d", bytes.fromhex(record["out"])))}
     if record["format"] != "json":
         return None
     try:
@@ -89,33 +98,38 @@ def _numbers(record: dict) -> Optional[dict]:
         return None
     found = {}
 
-    def walk(node, path):
+    def walk(node, path, vector):
         if isinstance(node, (int, float)) and not isinstance(node, bool):
-            found[path] = float(node)
+            found[path] = (float(node), vector)
         elif isinstance(node, dict):
             for key, value in node.items():
-                walk(value, f"{path}/{key}")
+                walk(value, f"{path}/{key}", f"{path}/{key}")
         elif isinstance(node, list):
             for i, value in enumerate(node):
-                walk(value, f"{path}/{i}")
+                walk(value, f"{path}/{i}", path)
 
-    walk(doc, "")
+    walk(doc, "", "")
     return found
 
 
 def _relative_change(a: dict, b: dict) -> float:
-    """The largest ``|y - x| / max(|x|, |y|)`` over the numbers of two
-    outputs, paired by place (0 where they are equal); inf when the two
-    outputs do not hold numbers at the same places."""
+    """The largest ``|y - x|`` over the numbers of two outputs, paired by
+    place, each over the largest finite magnitude in its vector on either
+    side (0 where they are equal, 1 where one side is infinite); inf when
+    the two outputs do not hold numbers at the same places."""
     x, y = _numbers(a), _numbers(b)
     if x is None or y is None or x.keys() != y.keys():
         return math.inf
+    scale = collections.defaultdict(float)
+    for value, vector in [*x.values(), *y.values()]:
+        if math.isfinite(value):
+            scale[vector] = max(scale[vector], abs(value))
     worst = 0.0
-    for key, u in x.items():
-        v = y[key]
+    for key, (u, vector) in x.items():
+        v = y[key][0]
         if u != v:  # an infinite side reads 1, the limit of the ratio
-            top = max(abs(u), abs(v))
-            worst = max(worst, 1.0 if math.isinf(top) else abs(v - u) / top)
+            worst = max(worst, 1.0 if math.isinf(u) or math.isinf(v)
+                        else abs(v - u) / scale[vector])
     return worst
 
 
