@@ -43,6 +43,11 @@ _SHRINK_FLOOR = 1e-12
 SPAN_SAMPLES_PER_DIM = 4
 #: reflected members drawn when symmetry is checked from membership alone
 SYMMETRY_SAMPLES = 128
+#: proposals a rejection round draws past its acceptance estimate
+_ROUND_MARGIN = 8
+#: most proposals one output of the rejection sampler consumes: 50 misses,
+#: then one proposal kept or pulled inside
+_MOST_PER_OUTPUT = 51
 #: member pairs whose midpoints the convexity spot check tests
 CONVEXITY_TRIALS = 32
 #: tolerance of the exact symmetry checks (halfspace and vertex sets)
@@ -258,18 +263,37 @@ class Representation:
         is a member; when none is, the next proposal pulled inside toward the
         anchor.
 
-        Each round draws one proposal per output still missing and tests the
-        block with one ``contains_many``.  Every missing output takes at
-        least one more proposal, so no round draws a proposal that a loop of
-        one proposal at a time would not: the samples, and the state ``rng``
-        is left in, are those of that loop."""
+        Each round draws a block of proposals and tests it with one
+        ``contains_many``, and the outputs consume the block in order.  The
+        first round draws one proposal per output; a later one draws as many
+        as the acceptance so far says the missing outputs need
+        (:func:`_round_size`).  When a round draws more than its outputs
+        consume, ``rng`` is rewound to the round's start and the consumed
+        proposals are drawn again, so the samples, and the state ``rng`` is
+        left in, are those of a loop of one proposal at a time.  A round
+        larger than one proposal per missing output that raises is rerun at
+        that size, every proposal of which the loop tests, so no error comes
+        from a proposal the loop would never test."""
         anchor = s.anchor()
         out: list[np.ndarray] = []
-        misses = 0
+        misses = tested = accepted = 0
         while len(out) < n:
-            block = self.propose_many(s, rng, n - len(out))
-            inside = s.contains_many(np.array(block).reshape(-1, s.dim))
+            missing = n - len(out)
+            size, start = _round_size(missing, tested, accepted), rng.bit_generator.state
+            try:
+                block, inside = self._round(s, rng, size)
+            except Exception:  # rerun at the loop's size: an error there is the loop's own
+                if size == missing:
+                    raise
+                rng.bit_generator.state = start
+                size = missing
+                block, inside = self._round(s, rng, size)
+            tested, accepted = tested + size, accepted + int(np.count_nonzero(inside))
+            used = 0
             for cand, member in zip(block, inside):
+                if len(out) == n:
+                    break
+                used += 1
                 if misses == 50:
                     out.append(cand if member else _pull_inside(s, anchor, cand))
                     misses = 0
@@ -278,22 +302,40 @@ class Representation:
                     misses = 0
                 else:
                     misses += 1
+            if used < size:
+                rng.bit_generator.state = start
+                self.propose_many(s, rng, used)
         return out
 
+    def _round(self, s: "ConvexSet", rng: np.random.Generator,
+               size: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """``size`` proposals and their membership, one batch test."""
+        block = self.propose_many(s, rng, size)
+        return block, s.contains_many(np.array(block).reshape(-1, s.dim))
+
     def span(self, s: "ConvexSet", base: np.ndarray) -> Subspace:
-        """Coordinate directions reachable from ``base`` plus chords to
-        sampled members (sublevel and oracle sets)."""
+        """Coordinate directions reachable from ``base`` (:func:`_axis_reaches`)
+        plus chords to sampled members.  When the reachable axes already
+        have rank n the span is R^n, which no chord changes, and no member
+        is drawn."""
+        reached = _axis_reaches(s, base)
+        if reached.reshape(s.dim, 2).any(axis=1).all():
+            return Subspace.full(s.dim)
         rng = np.random.default_rng(0)
-        axes = np.stack([np.eye(s.dim), -np.eye(s.dim)], axis=1).reshape(-1, s.dim)
-        dirs = list(axes[_reaches(s, base, axes)])
+        dirs = list(_signed_axes(s.dim)[reached])
         for y in s.sample_members(rng, SPAN_SAMPLES_PER_DIM * s.dim):
             dirs.append(y - base)
         return Subspace.from_spanning(dirs, s.dim)
 
     def in_icr(self, s: "ConvexSet", x: np.ndarray) -> bool:
         """Sampled verdict: both ways along every span direction stay in the
-        set for some step (may report false positives on cusps)."""
-        basis = s.span(x).basis
+        set for some step (may report false positives on cusps).  When the
+        span is R^n those directions are the signed axes, whose probes the
+        span kept, so no membership test is made."""
+        span = s.span(x)
+        if span.is_full:
+            return bool(np.all(_axis_reaches(s, x)))
+        basis = span.basis
         return bool(np.all(_reaches(s, x, np.vstack([basis, -basis]))))
 
     def is_symmetric(self, s: "ConvexSet", p: np.ndarray) -> bool:
@@ -397,6 +439,31 @@ def _reaches(s: "ConvexSet", x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return t > _SHRINK_FLOOR
 
 
+def _signed_axes(n: int) -> np.ndarray:
+    """The rows ``e_0, -e_0, e_1, -e_1, ...`` of R^n."""
+    return np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)
+
+
+def _axis_reaches(s: "ConvexSet", x: np.ndarray) -> np.ndarray:
+    """:func:`_reaches` from ``x`` along :func:`_signed_axes`, probed at
+    most once per point and kept on the set."""
+    return s._kept("axis reaches", x, lambda: _reaches(s, x, _signed_axes(s.dim)))
+
+
+def _round_size(missing: int, tested: int, accepted: int) -> int:
+    """Proposals for a rejection round with ``missing`` outputs to fill,
+    after ``accepted`` of ``tested`` proposals were members: one per output
+    in the first round; then ``missing`` over the acceptance so far, plus
+    :data:`_ROUND_MARGIN`, and never more than :data:`_MOST_PER_OUTPUT`
+    per output, all that 50 misses and the output itself can consume."""
+    if tested == 0:
+        return missing
+    cap = _MOST_PER_OUTPUT * missing
+    if accepted == 0:
+        return cap
+    return min(-(-missing * tested // accepted) + _ROUND_MARGIN, cap)
+
+
 def _max_vertex_count(m: int, n: int) -> int:
     """Upper Bound Theorem: the most vertices a polytope in R^n with m > n
     facets can have (attained by the duals of cyclic polytopes)."""
@@ -462,13 +529,28 @@ class Halfspaces(Representation):
         return active, res.x[n:] < 0.5
 
     @cached_property
+    def _scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and their offsets divided by ``2**(e - 1)``, ``e`` the
+        binary exponent of the row's norm: a scaling by a power of two to
+        norms in [1, 2), which leaves such rows as they are, so what reads
+        these depends on the set and not on how its rows are written.  A
+        zero row, and one whose offset the scaling would overflow, is kept
+        as written."""
+        norms = _row_norms(self.normals)
+        e = np.where(norms > 0.0, np.frexp(norms)[1] - 1, 0)
+        with np.errstate(over="ignore"):
+            e[np.isinf(np.ldexp(self.offsets, -e))] = 0
+        return np.ldexp(self.normals, -e[:, None]), np.ldexp(self.offsets, -e)
+
+    @cached_property
     def _chebyshev(self) -> Optional[tuple[np.ndarray, float]]:
-        """Centre and radius of the largest ball in the set; None when the
-        system is infeasible."""
-        n = self.normals.shape[1]
-        a_ub = np.hstack([self.normals, _row_norms(self.normals)[:, None]])
+        """Centre and radius of the largest ball in the set, over the
+        :attr:`_scaled_rows`; None when the system is infeasible."""
+        a, b = self._scaled_rows
+        n = a.shape[1]
+        a_ub = np.hstack([a, _row_norms(a)[:, None]])
         c = np.append(np.zeros(n), -1.0)
-        res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
+        res = linprog(c, A_ub=a_ub, b_ub=b, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
                       method="highs")
         return (res.x[:n], float(res.x[-1])) if res.status == 0 else None
 
@@ -574,14 +656,15 @@ class Halfspaces(Representation):
 
     @cached_property
     def _vertex_list(self) -> list[np.ndarray]:
-        """One qhull halfspace intersection about the Chebyshev centre (the
-        two endpoints in 1-D).  Empty when the set is unbounded, has no
-        interior, or could have more than :data:`MAX_VERTICES` vertices by
-        the Upper Bound Theorem.  On a 2-core Xeon VM a 12-D box (4,096
-        vertices) takes about 0.04 s; a 16-D box (65,536 vertices, 2.3 s) is
-        past the guard."""
-        keep = _row_norms(self.normals) > 1e-14
-        a, b = self.normals[keep], self.offsets[keep]
+        """One qhull halfspace intersection of the :attr:`_scaled_rows`
+        about the Chebyshev centre (the two endpoints in 1-D).  Empty when
+        the set is unbounded, has no interior, or could have more than
+        :data:`MAX_VERTICES` vertices by the Upper Bound Theorem.  On a
+        2-core Xeon VM a 12-D box (4,096 vertices) takes about 0.04 s; a
+        16-D box (65,536 vertices, 2.3 s) is past the guard."""
+        a, b = self._scaled_rows
+        keep = _row_norms(a) > 1e-14
+        a, b = a[keep], b[keep]
         m, n = a.shape
         # a bounded set in R^n has at least n + 1 rows; the guard needs no solve
         if m <= n or _max_vertex_count(m, n) > MAX_VERTICES or self._chebyshev is None:
@@ -923,17 +1006,22 @@ class ConvexSet:
         return self.representation.sample(self, rng, n)
 
     @cached_property
-    def _spans(self) -> dict[bytes, Subspace]:
+    def _by_point(self) -> dict[tuple[str, bytes], object]:
         return {}
+
+    def _kept(self, what: str, x: np.ndarray, compute: Callable[[], object]):
+        """``compute()``, the answer to question ``what`` at the point ``x``,
+        computed at most once per question and point and kept on the set."""
+        key = (what, x.tobytes())
+        if key not in self._by_point:
+            self._by_point[key] = compute()
+        return self._by_point[key]
 
     def span(self, base: np.ndarray) -> Subspace:
         """span(S - base) for a member point ``base``, computed at most once
         per point and kept on the set (it depends on the set's anchor, so
         not on the representation)."""
-        key = base.tobytes()
-        if key not in self._spans:
-            self._spans[key] = self.representation.span(self, base)
-        return self._spans[key]
+        return self._kept("span", base, lambda: self.representation.span(self, base))
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +1043,10 @@ def span_of_difference(s: ConvexSet, base) -> Subspace:
     halfspace sets (the null space of the implicit equalities, R^n at an
     interior point with no LP and no membership test); otherwise probed
     from membership chords (coordinate directions plus random chords
-    through sampled members), and kept on the set for the next request at
-    the same point.
+    through sampled members; R^n with no member drawn when the reachable
+    coordinate directions already have rank n), and kept on the set for the
+    next request at the same point, as are its coordinate probes, which
+    :func:`in_icr` then reads at a point whose span is R^n.
     """
     return s.span(_member(s, base, "base point"))
 
@@ -967,7 +1057,8 @@ def in_icr(s: ConvexSet, x) -> bool:
     Exact for halfspace sets (every active row holds with equality on the
     whole set) and vertex sets (no facet row of the hull is active);
     membership-sampled for
-    sublevel and oracle sets (may report false positives on cusps).
+    sublevel and oracle sets (may report false positives on cusps), with no
+    new probe where the point's span is R^n.
     """
     x = _member(s, x, "point")
     return s.representation.in_icr(s, x)

@@ -76,6 +76,26 @@ def test_lipschitz_on_a_box_of_huge_normals_exits_cleanly(capsys):
         assert code == 0 and doc["empirical_L"] <= doc["theoretical_L"]
 
 
+def test_lipschitz_reads_a_box_of_scaled_normals_as_the_unit_box(capsys):
+    # the Chebyshev LP and the interior floor read each row divided by a
+    # power of two near its norm, so the box [-1, 1]^2 lists its 4 vertices
+    # and reads the exact M and theoretical_L however its rows are written
+    docs = {}
+    for scale in (1.0, 1e10, 1e200):
+        rows = [{"normal": [s * scale * (j == i) for j in range(2)], "offset": scale}
+                for i in range(2) for s in (1, -1)]
+        box_doc = json.dumps({"dim": 2, "center": [0, 0], "repr": {"halfspaces": rows}})
+        code, docs[scale] = run(capsys, "lipschitz", "--set", box_doc, "--fn", "x1^2+x2^2",
+                                "--point", "[0,0]")
+        assert code == 0
+        assert len(geometry.set_from_json(json.loads(box_doc)).representation
+                   .extreme_points()) == 4
+    for scale in (1e10, 1e200):
+        assert docs[scale]["M"] == docs[1.0]["M"] == 2.0
+        assert docs[scale]["theoretical_L"] == docs[1.0]["theoretical_L"] == 6.0
+        assert docs[scale]["empirical_L"] == pytest.approx(docs[1.0]["empirical_L"], rel=1e-12)
+
+
 def test_core_of_a_wide_interval_prints_no_warning(capsys):
     # a chord's longest step divides the slack (1e9 here) only by the rates
     # of the rows it approaches, so no division overflows

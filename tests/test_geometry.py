@@ -948,7 +948,7 @@ def _scalar_dirichlet(s, rng, n):
 def _scalar_sample(s, rng, n, pulled=None):
     """The rejection sampler one proposal and one membership test at a time:
     the first of 50 proposals that is a member, else the next proposal
-    bisected toward the anchor.  ``pulled`` counts the bisected outputs."""
+    bisected toward the anchor.  ``pulled`` collects the bisected outputs."""
     rep = s.representation
     if isinstance(rep, Halfspaces):
         return _scalar_chords(s, rng, n)
@@ -970,8 +970,6 @@ def _scalar_sample(s, rng, n, pulled=None):
         else:
             cand = propose()
             if not s.contains(cand):
-                if pulled is not None:
-                    pulled.append(1)
                 lo, hi = 0.0, 1.0
                 for _ in range(40):
                     mid = 0.5 * (lo + hi)
@@ -980,6 +978,8 @@ def _scalar_sample(s, rng, n, pulled=None):
                     else:
                         hi = mid
                 cand = anchor + lo * (cand - anchor)
+                if pulled is not None:
+                    pulled.append(cand)
         out.append(cand)
     return out
 
@@ -1007,15 +1007,73 @@ def _sampled_sets():
 
 
 @pytest.mark.parametrize("name", list(_sampled_sets()))
-def test_block_sampler_equals_one_proposal_at_a_time(name):
-    s = _sampled_sets()[name]
-    rng, ref_rng, pulled = np.random.default_rng(5), np.random.default_rng(5), []
-    got = s.sample_members(rng, 40)
-    want = _scalar_sample(s, ref_rng, 40, pulled)
-    assert np.array_equal(np.array(got), np.array(want))
+def test_block_sampler_equals_one_proposal_at_a_time(name, monkeypatch):
+    # rounds sized by acceptance, rewound to the proposals the loop consumes;
+    # the slab accepts about 3% of its proposals, so its rounds reach the cap
+    # of 51 proposals per missing output and some outputs are pulled inside
+    from gaugecalc import geometry
+
+    pulled, pull = [], geometry._pull_inside
+    monkeypatch.setattr(geometry, "_pull_inside",
+                        lambda *args: pulled.append(pull(*args)) or pulled[-1])
+    for n in (1, 40, 128, 300):
+        s, want_pulled = _sampled_sets()[name], []
+        pulled.clear()
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = s.sample_members(rng, n)
+        want = _scalar_sample(s, ref_rng, n, want_pulled)
+        assert np.array_equal(np.array(got), np.array(want))
+        assert rng.random() == ref_rng.random()
+        assert np.array_equal(np.array(pulled), np.array(want_pulled))
+        if name == "oracle slab" and n >= 40:
+            assert want_pulled
+
+
+def _flagged_disk(bad: set, hits: list) -> ConvexSet:
+    """The disk of radius 0.8 as a sublevel set over the unit box, whose
+    function reads inf (and notes it in ``hits``) at the points of ``bad``."""
+    def fn(x):
+        if x.tobytes() in bad:
+            hits.append(x)
+            return math.inf
+        return float(x @ x)
+
+    dom = box(2)
+    return ConvexSet(2, Sublevel(ScalarFunction(fn, dom, name="flagged"), 0.64, dom),
+                     center=np.zeros(2))
+
+
+def _proposal_stream(n: int):
+    """The disk's samples by the one-proposal loop from seed 3, and its
+    proposals (the box's chords) from the same seed, past the loop's last."""
+    want = _scalar_sample(_flagged_disk(set(), []), np.random.default_rng(3), n)
+    stream = box(2).sample_members(np.random.default_rng(3), 4 * n)
+    used = next(i for i, y in enumerate(stream) if np.array_equal(y, want[-1])) + 1
+    return want, stream, used
+
+
+def test_an_error_past_the_last_consumed_proposal_does_not_surface():
+    # every proposal after the loop's last is bad: an oversized last round
+    # meets one, reruns at one proposal per missing output and meets none
+    want, stream, used = _proposal_stream(128)
+    hits = []
+    s = _flagged_disk({y.tobytes() for y in stream[used:]}, hits)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(np.array(s.sample_members(rng, 128)), np.array(want))
+    _scalar_sample(s, ref_rng, 128)
     assert rng.random() == ref_rng.random()
-    if name == "oracle slab":
-        assert pulled
+    assert hits  # the oversized round did reach a bad proposal
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_an_error_the_loop_meets_surfaces_unchanged(where):
+    want, stream, used = _proposal_stream(128)
+    bad = stream[used // 2 if where == "middle" else used - 1]
+    with pytest.raises(NonFiniteInputError) as ref:
+        _scalar_sample(_flagged_disk({bad.tobytes()}, []), np.random.default_rng(3), 128)
+    with pytest.raises(NonFiniteInputError) as got:
+        _flagged_disk({bad.tobytes()}, []).sample_members(np.random.default_rng(3), 128)
+    assert str(got.value) == str(ref.value) and "flagged returned inf" in str(got.value)
 
 
 def test_halfspace_chords_equal_the_per_sample_loop():

@@ -172,6 +172,39 @@ def test_in_icr_reuses_the_span_of_the_same_point(count_calls):
     assert count_calls["contains"] == count_calls["contains_many"] == 0
 
 
+def test_core_spans_and_interior_probe_only_the_signed_axes(count_calls):
+    # the README core example: both signed axes reach from x0 in S_a and in
+    # C_a, so each span is R^n with no member drawn, and in_icr reads the
+    # axis probes its span kept
+    dom = interval(-1.0, 2.0, center=0.5)
+    core = build_core(quadratic_on(dom), dom, [0.0], level=1.0)
+    count_calls.wrap(geometry.ConvexSet, "sample_members")
+    assert verify_span_equality(core)
+    assert count_calls["sample_members"] == 0
+    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    assert verify_icr_membership(core)
+    assert count_calls["contains_many"] == 0
+
+
+def test_the_symmetry_draw_takes_a_few_membership_rounds(count_calls):
+    # criterion-02 cores: rounds sized by the acceptance so far fill the
+    # 128 members in at most 3 membership batches
+    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    for i in range(20):
+        dim = 1 + i % 6
+        rng = np.random.default_rng(1000 + i)
+        lo, hi = -1.0 - rng.uniform(0, 2), 1.0 + rng.uniform(0, 2)
+        dom = box(dim, lo, hi, center=[(lo + hi) / 2] * dim)
+        shift = rng.uniform(-0.3, 0.3, dim)
+        terms = " + ".join(f"(x{j + 1} - {float(shift[j])!r})^2" for j in range(dim))
+        f = ScalarFunction.from_expr(terms, domain=dom)
+        x0 = rng.uniform(-0.2, 0.2, dim)
+        c_a = build_core(f, dom, x0, level=max(f(x0), f(dom.center)) + 1.0).c_a
+        count_calls["contains_many"] = 0
+        c_a.sample_members(np.random.default_rng(0), geometry.SYMMETRY_SAMPLES)
+        assert 1 <= count_calls["contains_many"] <= 3
+
+
 def test_build_core_evaluates_f_at_the_base_point_once(monkeypatch):
     dom = box(2, -5, 5, center=[0, 0])
     f = quadratic_on(dom)
