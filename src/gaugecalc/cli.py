@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import GaugeCalcError, UsageError
 from .functions import ScalarFunction
-from .geometry import ConvexSet, Gauge, Vertices, as_vector, set_from_json, whole_space
+from .geometry import (
+    ConvexSet,
+    Gauge,
+    Vertices,
+    as_vector,
+    batch_callable,
+    set_from_json,
+    whole_space,
+)
 from .lipschitz import counterexample_suite, theoretical_constant
 from .rules import (
     InnerMap,
@@ -163,8 +171,9 @@ def _cmd_verify(args) -> int:
         report = verify_chain_rule_2(_OUTER_FUNCTIONS[args.outer], f, x, g, seed=args.seed)
     elif rule == "chain1":
         # demo inner map: contraction by 1/2, which satisfies the gauge
-        # domination hypothesis for any gauge used on both sides
-        inner = InnerMap(fn=lambda v: 0.5 * v,
+        # domination hypothesis for any gauge used on both sides; its batch
+        # form gives each row the floats of the point call
+        inner = InnerMap(fn=batch_callable(lambda vs: 0.5 * vs),
                          jacobian=lambda v: 0.5 * np.eye(s.dim),
                          in_dim=s.dim, out_dim=s.dim, name="half")
         report = verify_chain_rule_1(f, inner, x, g, g, seed=args.seed)

@@ -1,7 +1,7 @@
 """Scalar function oracles on convex domains, and the composites built from
 them (sums, products, maxima, and the chain and partial rules'
 compositions), which one helper builds so that each keeps its parts' batch
-evaluators."""
+evaluators (chain1's inner map through its batch form)."""
 
 from __future__ import annotations
 
@@ -158,13 +158,13 @@ def outer_of(outer: Callable[[float], float], h: ScalarFunction,
                       f"outer({h.name})")
 
 
-def precomposed(f: ScalarFunction, inner: Callable[[np.ndarray], np.ndarray], dim: int,
+def precomposed(f: ScalarFunction, images: Callable[[np.ndarray], np.ndarray], dim: int,
                 name: str) -> ScalarFunction:
-    """``f(inner(x))`` on the whole of R^dim for a point map ``inner``."""
-    def rows(xs):
-        return np.array([inner(v) for v in xs]).reshape(len(xs), f.domain.dim)
-
-    return _composite([f], lambda v: v[0], rows, whole_space(dim), False, name)
+    """``f(g(x))`` on the whole of R^dim for a point map g given by its
+    batch form ``images`` (point rows in, image rows out, such as
+    :meth:`gaugecalc.rules.InnerMap.many`), which maps each matrix of
+    points in one call."""
+    return _composite([f], lambda v: v[0], images, whole_space(dim), False, name)
 
 
 def frozen_block(f: ScalarFunction, x: np.ndarray, lo: int, hi: int,

@@ -606,10 +606,13 @@ class Halfspaces(Representation):
         ``min_s a.y`` is attained at one, so every reflected vertex
         ``2p - v`` must meet every row: one matrix product.  Otherwise
         (unbounded, flat or past the vertex guard) one support LP per row,
-        over the unit rows, gives the minimum."""
-        norms = _row_norms(self.normals)
+        over the unit rows, gives the minimum.  The unit rows are those of
+        the :attr:`_scaled_rows`, so a row is dropped only when it is zero
+        as written."""
+        a, b = self._scaled_rows
+        norms = _row_norms(a)
         keep = norms > 1e-14
-        units, bounds = self.normals[keep] / norms[keep, None], self.offsets[keep] / norms[keep]
+        units, bounds = a[keep] / norms[keep, None], b[keep] / norms[keep]
         vertices = self.extreme_points()
         if vertices:
             reflected = (2.0 * p - np.array(vertices)) @ units.T
@@ -625,17 +628,21 @@ class Halfspaces(Representation):
         """Ratio formula ``max a.x / (b - a.p)`` over the rows with ``a.x >
         0`` (beyond a relative ``1e-3 * g.tol`` of ``|x|``, taken without
         overflow), every ``a.x`` in one stacked product; ``inf`` when such
-        a row holds with equality at the center."""
-        num = _images(self.normals, us)
-        den = self.offsets - self.normals @ g.set.center
+        a row holds with equality at the center.  The rows are the
+        :attr:`_scaled_rows`, whose power-of-two scaling leaves each ratio
+        as it is and puts both cuts on the scale of a unit row."""
+        a, b = self._scaled_rows
+        num = _images(a, us)
+        den = b - a @ g.set.center
         rising = num > (g.tol * _row_norms(us) * 1e-3)[:, None]
-        through = den <= g.tol * (1.0 + np.abs(self.offsets))
+        through = den <= g.tol * (1.0 + np.abs(b))
         ratios = np.divide(num, den, out=np.zeros(num.shape), where=rising & ~through)
         return np.where((rising & through).any(axis=1), math.inf, ratios.max(axis=1, initial=0.0))
 
     def kernel(self, g):
-        """Null space of the normals, inside the gauge span."""
-        null = _null_space(self.normals, g.dim).basis
+        """Null space of the normals (the :attr:`_scaled_rows`, so that the
+        rank cut is relative to unit rows), inside the gauge span."""
+        null = _null_space(self._scaled_rows[0], g.dim).basis
         return Subspace.from_spanning(null[g.span.contains_many(null, 1e-8)], g.dim)
 
     def scaled(self, s, p, factor, q):

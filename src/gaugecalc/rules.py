@@ -21,7 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditionViolationError, DegenerateGaugeError, NonFiniteInputError
+from .errors import (
+    ConditionViolationError,
+    DegenerateGaugeError,
+    DimensionMismatchError,
+    NonFiniteInputError,
+)
 from .functions import (
     ScalarFunction,
     frozen_block,
@@ -31,7 +36,7 @@ from .functions import (
     product_of,
     sum_of,
 )
-from .geometry import Gauge, Subspace, _first_max, _images, as_vector, batch_callable
+from .geometry import Gauge, Subspace, _first_max, _images, as_rows, as_vector, batch_callable
 from .subdiff import Fan, _direction_fan, _objective_count, _signed, _support_values, _vertices
 
 DEFAULT_RULE_TOL = 1e-4
@@ -239,7 +244,14 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
 
 @dataclass
 class InnerMap:
-    """A differentiable map used as the inner factor of a pre-composition."""
+    """A differentiable map used as the inner factor of a pre-composition.
+
+    ``fn`` maps a point to its image.  One that carries a batch evaluator
+    as its ``many`` attribute (point rows in, image rows out, as
+    :func:`~gaugecalc.geometry.batch_callable` attaches) maps a whole
+    matrix in one call through :meth:`many`; any other is called once per
+    row, the convention of :meth:`ScalarFunction.many`.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]  # (out_dim, in_dim)
@@ -250,19 +262,37 @@ class InnerMap:
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(as_vector(x, self.in_dim)), dtype=float)
 
+    def many(self, xs) -> np.ndarray:
+        """The images of the rows of ``xs``, one row each: the batch
+        evaluator on the whole matrix, or :meth:`__call__` on each row when
+        ``fn`` carries none.  Raises :class:`DimensionMismatchError` unless
+        the images are rows of dimension :attr:`out_dim`."""
+        xs = as_rows(xs, self.in_dim)
+        batch = getattr(self.fn, "many", None)
+        if batch is None:
+            ys = np.array([self(x) for x in xs] or np.empty((0, self.out_dim)), dtype=float)
+        else:
+            ys = np.asarray(batch(xs), dtype=float)
+        if ys.shape != (len(xs), self.out_dim):
+            raise DimensionMismatchError(
+                f"inner map {self.name or '<anonymous>'} returned images of shape "
+                f"{ys.shape} for {len(xs)} points, expected rows of dimension {self.out_dim}")
+        return ys
+
 
 def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
                      seed: int = 42) -> None:
     """Sampled check that the inner map contracts the gauges near x:
     mu(g(u) - g(w)) <= p(u - w).  The pairs are one normal block (the
-    draws of u then w, pair by pair), and each side's gauges one batch.
+    draws of u then w, pair by pair); the map reads each side's points in
+    one :meth:`InnerMap.many` batch, and each side's gauges are one batch.
     Raises with the first violating pair as the witness."""
     x = as_vector(x, inner.in_dim)
     rng = np.random.default_rng(seed)
     tol = _DOMINATION_TOL
     pairs = x + _DOMINATION_RADIUS * rng.standard_normal((_DOMINATION_PAIRS, 2, inner.in_dim))
     us, ws = pairs[:, 0], pairs[:, 1]
-    lhs = gauge_out.values(np.array([inner(u) - inner(w) for u, w in zip(us, ws)]))
+    lhs = gauge_out.values(inner.many(us) - inner.many(ws))
     rhs = gauge_in.values(us - ws)
     bad = np.flatnonzero(np.isfinite(rhs) & (lhs > rhs * (1.0 + tol) + tol))
     if bad.size:
@@ -281,10 +311,12 @@ def verify_chain_rule_1(f: ScalarFunction, inner: InnerMap, x, gauge_out: Gauge,
     Requires the gauge-domination hypothesis on the inner map, checked by
     sampling.  The report also lists the vertices of the right side, read,
     as the sum rule's left side is, from its support values on the rule fan.
+    The composite and the domination check map their points in batches
+    (:meth:`InnerMap.many`); ``g(x)`` is the map's one point call.
     """
     x = as_vector(x, inner.in_dim)
     check_domination(inner, x, gauge_out, gauge_in, seed=seed)
-    comp = precomposed(f, inner, inner.in_dim, f"{f.name}({inner.name})")
+    comp = precomposed(f, inner.many, inner.in_dim, f"{f.name}({inner.name})")
     y = inner(x)
     jac = np.asarray(inner.jacobian(x), dtype=float)
     w = gauge_in.reduced

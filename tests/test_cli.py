@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaugecalc import NonFiniteInputError, cli, functions, geometry, subdiff
+from gaugecalc import NonFiniteInputError, cli, functions, geometry, rules, subdiff
 from gaugecalc.cli import main
 from gaugecalc.geometry import box, set_to_json
 
@@ -94,6 +94,30 @@ def test_lipschitz_reads_a_box_of_scaled_normals_as_the_unit_box(capsys):
         assert docs[scale]["M"] == docs[1.0]["M"] == 2.0
         assert docs[scale]["theoretical_L"] == docs[1.0]["theoretical_L"] == 6.0
         assert docs[scale]["empirical_L"] == pytest.approx(docs[1.0]["empirical_L"], rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_gauge_reads_a_box_of_scaled_normals_as_the_unit_box(capsys, scale):
+    # the ratio formula's rise cut and the kernel's rank cut read each row
+    # divided by a power of two near its norm, so tiny rows are no kernel
+    rows = [{"normal": [s * scale * (j == i) for j in range(2)], "offset": scale}
+            for i in range(2) for s in (1, -1)]
+    box_doc = json.dumps({"dim": 2, "center": [0, 0], "repr": {"halfspaces": rows}})
+    code, doc = run(capsys, "gauge", "--set", box_doc, "--point", "[0.5, 0.25]")
+    assert code == 0
+    assert doc == {"kernel_dim": 0, "span_dim": 2, "value": 0.5}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_chain1_calls_the_inner_map_once(capsys, count_calls, dim):
+    # the composite and the domination pairs map their points through the
+    # map's batch form; only y = g(x) is a point call
+    count_calls.wrap(rules.InnerMap, "__call__", "inner")
+    fn = " + ".join(["abs(x1)"] + [f"x{i + 1}^2" for i in range(1, dim)])
+    code, doc = run(capsys, "verify", "chain1", "--set", json.dumps(set_to_json(box(dim))),
+                    "--fn", fn, "--point", json.dumps([0.0] + [0.4] * (dim - 1)))
+    assert code == 0 and doc["verdict"] == "equality_holds"
+    assert count_calls["inner"] == 1
 
 
 def test_core_of_a_wide_interval_prints_no_warning(capsys):

@@ -16,6 +16,7 @@ from gaugecalc import (
 )
 from gaugecalc.cli import _OUTER_FUNCTIONS
 from gaugecalc.functions import frozen_block, outer_of, precomposed
+from gaugecalc.geometry import batch_callable
 
 PLANE = box(2, -5, 5, center=[0, 0])
 #: ties, signed zeros and values on both sides of the domain box
@@ -44,7 +45,7 @@ def composites():
     out = {"sum": sum_of(f, g), "product": product_of(f, g),
            # the pieces x1 and x2 tie on rows with x1 == x2, signed zeros too
            "max": max_of([fn("x1"), fn("x2"), fn("x1 - 1")]),
-           "chain1": precomposed(f, inner, 2, "f(a)")}
+           "chain1": precomposed(f, inner.many, 2, "f(a)")}
     for name, outer in _OUTER_FUNCTIONS.items():
         out[f"chain2-{name}"] = outer_of(outer, fn("0.5*x1 - x2"), False)
     return out
@@ -108,12 +109,25 @@ def test_a_failing_batch_raises_the_first_failing_rows_error(build, rows):
     assert isinstance(first, (ExprDomainError, NonFiniteInputError, OverflowError))
 
 
+@pytest.mark.parametrize("batch", [True, False])
+def test_precomposed_batch_equals_the_per_row_composite(batch):
+    a = np.array([[0.5, 0.0], [0.25, -0.25]])
+    point, rows = (lambda v: a[:, 0] * v[0] + a[:, 1] * v[1],
+                   lambda vs: vs[:, :1] * a[:, 0] + vs[:, 1:] * a[:, 1])
+    inner = InnerMap(fn=batch_callable(rows) if batch else point, jacobian=lambda v: a,
+                     in_dim=2, out_dim=2, name="a")
+    f = fn("abs(x1) - x2 + x1*x2")
+    xs = np.random.default_rng(7).uniform(-4.0, 4.0, (30, 2))
+    got = precomposed(f, inner.many, 2, "f(a)").many(xs)
+    assert same(got, [f(inner(x)) for x in xs])
+
+
 def test_every_composite_keeps_its_parts_domain_and_name():
     f, g = fn("x1", convex=True), fn("x2", convex=True)
     assert sum_of(f, g).domain is PLANE and sum_of(f, g).convex
     assert not product_of(f, g).convex
     assert max_of([f, g]).name == "max(x1,x2)"
-    comp = precomposed(f, lambda v: 0.5 * v[:2], 3, "x1(half)")
+    comp = precomposed(f, lambda vs: 0.5 * vs[:, :2], 3, "x1(half)")
     assert comp.domain.dim == 3 and not comp.convex
     with pytest.raises(NonFiniteInputError):
         comp.domain.contains_many(np.array([[0.0, np.inf, 0.0]]))

@@ -343,6 +343,21 @@ def test_check_symmetry():
     assert check_symmetry(shifted, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_symmetry_does_not_depend_on_the_row_scale(scale):
+    # the box x in [-1, 2], y in [-1, 1] (its vertices) and the slab x in
+    # [-1, 2] (one LP per row) are not symmetric about 0 however their rows
+    # are written; the slab x in [-1, 1] is
+    normals = scale * np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
+    box_ = ConvexSet(2, Halfspaces(normals, scale * np.array([2.0, 1.0, 1.0, 1.0])),
+                     center=np.zeros(2))
+    assert not check_symmetry(box_, [0.0, 0.0])
+    for right, want in ((2.0, False), (1.0, True)):
+        slab = ConvexSet(2, Halfspaces(normals[:2], scale * np.array([right, 1.0])),
+                         center=np.zeros(2))
+        assert check_symmetry(slab, [0.0, 0.0]) == want
+
+
 def lp_symmetric(s, p):
     """The per-row support LP test that a halfspace set without a vertex
     list still takes, kept as the reference for the vertex test."""

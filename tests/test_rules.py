@@ -9,6 +9,7 @@ from gaugecalc import functions, geometry, rules, subdiff
 from gaugecalc import (
     ConditionViolationError,
     DegenerateGaugeError,
+    DimensionMismatchError,
     Gauge,
     NonFiniteInputError,
     InnerMap,
@@ -155,6 +156,45 @@ def test_chain_rule_1_condition_violation(plane, unit_gauge):
     f = fn("x1^2 + x2^2", plane)
     with pytest.raises(ConditionViolationError):
         verify_chain_rule_1(f, inner, [0.0, 0.0], unit_gauge, unit_gauge)
+
+
+def _pointwise(v):
+    return np.array([v[0] * v[2], v[1] - 0.5 * v[2]])
+
+
+def _rowwise(vs):
+    return np.stack([vs[:, 0] * vs[:, 2], vs[:, 1] - 0.5 * vs[:, 2]], axis=1)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_inner_map_batch_equals_its_point_calls(batch):
+    inner = InnerMap(fn=geometry.batch_callable(_rowwise) if batch else _pointwise,
+                     jacobian=lambda v: None, in_dim=3, out_dim=2, name="m")
+    xs = np.random.default_rng(5).standard_normal((40, 3))
+    got = inner.many(xs)
+    assert got.shape == (40, 2)
+    assert np.array_equal(got, np.array([inner(x) for x in xs]))
+    assert inner.many(np.zeros((0, 3))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("out_dim", [1, 3])
+def test_inner_map_images_must_have_its_out_dim(plane, unit_gauge, batch, out_dim):
+    # the map returns rows of dimension 2 but declares another out_dim
+    inner = InnerMap(fn=geometry.batch_callable(_rowwise) if batch else _pointwise,
+                     jacobian=lambda v: np.eye(2, 3), in_dim=3, out_dim=out_dim, name="m")
+    with pytest.raises(DimensionMismatchError):
+        inner.many(np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatchError):
+        check_domination(inner, np.zeros(3), unit_gauge, Gauge.of_set(box(3)))
+
+
+def test_chain_rule_1_rejects_images_the_outer_gauge_cannot_read(plane, unit_gauge):
+    wide = InnerMap(fn=lambda v: np.append(v, 0.0), jacobian=lambda v: np.eye(3, 2),
+                    in_dim=2, out_dim=3, name="wide")
+    with pytest.raises(DimensionMismatchError):
+        verify_chain_rule_1(fn("abs(x1) + x2^2", plane), wide, [0.1, 0.2], unit_gauge,
+                            unit_gauge)
 
 
 def test_max_rule_equality_on_linear_pieces(plane, unit_gauge):

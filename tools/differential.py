@@ -182,7 +182,11 @@ def api_queries(seed: int) -> list:
     and scale; ``literal_ca_member`` on members of a clipped sublevel set;
     vertex-set ``check_symmetry`` on symmetric and perturbed polygons;
     ``empirical_constant`` on a sublevel core; ``check_domination`` of
-    three linear maps; and ``extract_subgradient`` of ``abs(x1) + abs(x2)``
+    three linear maps, and ``verify_chain_rule_1`` at the origin with each
+    of them as the inner map, once as the point map ``a @ v`` and once
+    carrying a batch evaluator, column by column, whose rows are the floats
+    of its own point call on one row (so only a defect in the batch path
+    moves its output); and ``extract_subgradient`` of ``abs(x1) + abs(x2)``
     at the origin of the unit box along the objective ``2**k * (1, 1)``,
     one kind per scale (a correct extraction is ``(1, 1)`` at every scale).
     Then questions in proper reduced spaces of R^3: ``subdifferential_hull``
@@ -195,7 +199,8 @@ def api_queries(seed: int) -> list:
     types."""
     import numpy as np
     import gaugecalc as gc
-    from gaugecalc.rules import InnerMap, check_domination
+    from gaugecalc.geometry import batch_callable
+    from gaugecalc.rules import InnerMap, check_domination, verify_chain_rule_1
 
     rng = np.random.default_rng([seed, 0xA91])
     queries = []
@@ -250,6 +255,7 @@ def api_queries(seed: int) -> list:
 
     add("api/empirical-core", empirical, {"L": float})
 
+    outer = gc.ScalarFunction.from_expr("abs(x1) + abs(x2) + 0.5*x1*x2", dom)
     diamond = gc.ConvexSet(2, gc.Vertices(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])),
                            center=np.zeros(2))
     for name, a, out in (("contracting", 0.4 * np.array([[0.6, -0.8], [0.8, 0.6]]), diamond),
@@ -267,6 +273,21 @@ def api_queries(seed: int) -> list:
             return {"raised": False}
 
         add("api/domination", domination, {"raised": bool})
+
+        for batch in (False, True):
+            def chain1(a=a, out=out, name=name, batch=batch):
+                rows = lambda vs: vs[:, :1] * a[:, 0] + vs[:, 1:] * a[:, 1]  # noqa: E731
+                inner = InnerMap(fn=batch_callable(rows) if batch
+                                 else lambda v: a @ v, jacobian=lambda v: a, in_dim=2,
+                                 out_dim=2, name=name)
+                try:
+                    report = verify_chain_rule_1(outer, inner, np.zeros(2), gc.Gauge.of_set(out),
+                                                 gc.Gauge.of_set(gc.box(2)), seed=seed)
+                except gc.ConditionViolationError as exc:
+                    return {"raised": True, "message": str(exc)}
+                return {"raised": False, "report": report.to_json()}
+
+            add(f"api/chain1-{'batch' if batch else 'point'}", chain1, {"raised": bool})
 
     kinks = gc.ScalarFunction.from_expr("abs(x1) + abs(x2)", gc.box(2), convex=True)
     for k in EXTRACT_SCALES:
