@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -439,9 +439,20 @@ def _reaches(s: "ConvexSet", x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return t > _SHRINK_FLOOR
 
 
+@lru_cache(maxsize=8)
 def _signed_axes(n: int) -> np.ndarray:
-    """The rows ``e_0, -e_0, e_1, -e_1, ...`` of R^n."""
-    return np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)
+    """The ``2n`` signed axes of R^n, ``+e_0, -e_0, +e_1, ...``, as a
+    read-only ``(2n, n)`` view of ``4n`` floats (never the ``2n * n`` of a
+    written matrix): element ``j`` of row ``r`` is ``pattern[2n - r + 2j]``,
+    where the pattern holds 0.0 at even and -0.0 at odd places but for 1.0
+    at ``2n`` and -1.0 at ``2n - 1``.  So ``-e_j`` carries the sign bit in
+    every entry, as ``-1.0 * e_j`` does."""
+    pattern = np.zeros(4 * n)
+    pattern[1::2] = -0.0
+    pattern[2 * n], pattern[2 * n - 1] = 1.0, -1.0
+    item = pattern.itemsize
+    return np.lib.stride_tricks.as_strided(pattern[2 * n:], shape=(2 * n, n),
+                                           strides=(-item, 2 * item), writeable=False)
 
 
 def _axis_reaches(s: "ConvexSet", x: np.ndarray) -> np.ndarray:
@@ -487,6 +498,14 @@ def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarra
 class Halfspaces(Representation):
     """Intersection of halfspaces ``normal . x <= offset``.
 
+    Each row and its offset are stored divided by ``2**e``, the power of two
+    that puts the row's norm in ``[2**-0.5, 2**0.5)``: an exact scaling,
+    which leaves the set and its gauge as they are and rows of norm 1 (to
+    rounding) unchanged, so every method reads one row form and what it
+    answers depends on the set, not on how its rows were written.  A zero
+    row, and one whose offset the scaling would overflow, is stored as
+    written.  :meth:`to_json` writes the stored rows, the same set.
+
     The Chebyshev centre (one LP) is computed at most once per set; anchors,
     samples and the vertex list all start from it.
     """
@@ -495,8 +514,18 @@ class Halfspaces(Representation):
     offsets: np.ndarray  # (m,)
 
     def __post_init__(self):
-        object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float).ravel())
+        a, b = np.asarray(self.normals, dtype=float), np.asarray(self.offsets, dtype=float).ravel()
+        norms = _row_norms(a)
+        if not 2.0 ** -0.5 <= norms.min(initial=1.0) <= norms.max(initial=1.0) < 2.0 ** 0.5:
+            frac, e = np.frexp(norms)
+            e = np.where(norms > 0.0, e - (frac < 2.0 ** -0.5), 0)
+            with np.errstate(over="ignore"):
+                e[np.isinf(np.ldexp(b, -e))] = 0
+            a, b = np.ldexp(a, -e[:, None]), np.ldexp(b, -e)
+            norms = _row_norms(a)
+        object.__setattr__(self, "normals", a)
+        object.__setattr__(self, "offsets", b)
+        object.__setattr__(self, "_norms", norms)
 
     def contains_many(self, s, xs, tol):
         """Every slack ``b - a.x`` at least ``-tol (1 + |b|)``: one stacked product."""
@@ -529,30 +558,22 @@ class Halfspaces(Representation):
         return active, res.x[n:] < 0.5
 
     @cached_property
-    def _scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and their offsets divided by ``2**(e - 1)``, ``e`` the
-        binary exponent of the row's norm: a scaling by a power of two to
-        norms in [1, 2), which leaves such rows as they are, so what reads
-        these depends on the set and not on how its rows are written.  A
-        zero row, and one whose offset the scaling would overflow, is kept
-        as written."""
-        norms = _row_norms(self.normals)
-        e = np.where(norms > 0.0, np.frexp(norms)[1] - 1, 0)
-        with np.errstate(over="ignore"):
-            e[np.isinf(np.ldexp(self.offsets, -e))] = 0
-        return np.ldexp(self.normals, -e[:, None]), np.ldexp(self.offsets, -e)
-
-    @cached_property
     def _chebyshev(self) -> Optional[tuple[np.ndarray, float]]:
-        """Centre and radius of the largest ball in the set, over the
-        :attr:`_scaled_rows`; None when the system is infeasible."""
-        a, b = self._scaled_rows
-        n = a.shape[1]
-        a_ub = np.hstack([a, _row_norms(a)[:, None]])
+        """Centre and radius of the largest ball in the set; None when the
+        system is infeasible."""
+        n = self.normals.shape[1]
+        a_ub = np.hstack([self.normals, self._norms[:, None]])
         c = np.append(np.zeros(n), -1.0)
-        res = linprog(c, A_ub=a_ub, b_ub=b, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
+        res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(-1e7, 1e7)] * n + [(0.0, 1e6)],
                       method="highs")
         return (res.x[:n], float(res.x[-1])) if res.status == 0 else None
+
+    @cached_property
+    def _bounding(self) -> np.ndarray:
+        """The rows that bound the set: all but a zero row and a row stored
+        as written because its offset over its norm overflows."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.isfinite(self.offsets / self._norms)
 
     def anchor(self, s):
         """Chebyshev centre."""
@@ -606,13 +627,11 @@ class Halfspaces(Representation):
         ``min_s a.y`` is attained at one, so every reflected vertex
         ``2p - v`` must meet every row: one matrix product.  Otherwise
         (unbounded, flat or past the vertex guard) one support LP per row,
-        over the unit rows, gives the minimum.  The unit rows are those of
-        the :attr:`_scaled_rows`, so a row is dropped only when it is zero
-        as written."""
-        a, b = self._scaled_rows
-        norms = _row_norms(a)
-        keep = norms > 1e-14
-        units, bounds = a[keep] / norms[keep, None], b[keep] / norms[keep]
+        over the unit rows, gives the minimum.  The unit rows are the
+        :attr:`_bounding` rows divided by their norms."""
+        keep = self._bounding
+        units = self.normals[keep] / self._norms[keep, None]
+        bounds = self.offsets[keep] / self._norms[keep]
         vertices = self.extreme_points()
         if vertices:
             reflected = (2.0 * p - np.array(vertices)) @ units.T
@@ -628,10 +647,8 @@ class Halfspaces(Representation):
         """Ratio formula ``max a.x / (b - a.p)`` over the rows with ``a.x >
         0`` (beyond a relative ``1e-3 * g.tol`` of ``|x|``, taken without
         overflow), every ``a.x`` in one stacked product; ``inf`` when such
-        a row holds with equality at the center.  The rows are the
-        :attr:`_scaled_rows`, whose power-of-two scaling leaves each ratio
-        as it is and puts both cuts on the scale of a unit row."""
-        a, b = self._scaled_rows
+        a row holds with equality at the center."""
+        a, b = self.normals, self.offsets
         num = _images(a, us)
         den = b - a @ g.set.center
         rising = num > (g.tol * _row_norms(us) * 1e-3)[:, None]
@@ -640,9 +657,8 @@ class Halfspaces(Representation):
         return np.where((rising & through).any(axis=1), math.inf, ratios.max(axis=1, initial=0.0))
 
     def kernel(self, g):
-        """Null space of the normals (the :attr:`_scaled_rows`, so that the
-        rank cut is relative to unit rows), inside the gauge span."""
-        null = _null_space(self._scaled_rows[0], g.dim).basis
+        """Null space of the normals, inside the gauge span."""
+        null = _null_space(self.normals, g.dim).basis
         return Subspace.from_spanning(null[g.span.contains_many(null, 1e-8)], g.dim)
 
     def scaled(self, s, p, factor, q):
@@ -663,15 +679,13 @@ class Halfspaces(Representation):
 
     @cached_property
     def _vertex_list(self) -> list[np.ndarray]:
-        """One qhull halfspace intersection of the :attr:`_scaled_rows`
+        """One qhull halfspace intersection of the :attr:`_bounding` rows
         about the Chebyshev centre (the two endpoints in 1-D).  Empty when
         the set is unbounded, has no interior, or could have more than
         :data:`MAX_VERTICES` vertices by the Upper Bound Theorem.  On a
         2-core Xeon VM a 12-D box (4,096 vertices) takes about 0.04 s; a
         16-D box (65,536 vertices, 2.3 s) is past the guard."""
-        a, b = self._scaled_rows
-        keep = _row_norms(a) > 1e-14
-        a, b = a[keep], b[keep]
+        a, b = self.normals[self._bounding], self.offsets[self._bounding]
         m, n = a.shape
         # a bounded set in R^n has at least n + 1 rows; the guard needs no solve
         if m <= n or _max_vertex_count(m, n) > MAX_VERTICES or self._chebyshev is None:

@@ -10,7 +10,6 @@ movement, so subgradients are quotient representatives that annihilate it.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import warnings
@@ -31,7 +30,8 @@ from .errors import (
     SupportMismatchError,
 )
 from .functions import ScalarFunction
-from .geometry import Gauge, Subspace, _row_norms, _units, as_vector, halving_steps
+from .geometry import (Gauge, Subspace, _row_norms, _signed_axes, _units, as_vector,
+                       halving_steps)
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10
@@ -76,22 +76,6 @@ _SECTION_INDEX = np.arange(1.0, _SECTIONS + 1.0)
 #: rows of one batch evaluation hold at most this many coordinates, so a fan
 #: is evaluated in chunks of half a megabyte whatever its size
 _CHUNK_ELEMENTS = 1 << 16
-
-
-@functools.lru_cache(maxsize=8)
-def _signed_axes(n: int) -> np.ndarray:
-    """The ``2n`` signed axes of R^n, ``+e_0, -e_0, +e_1, ...``, as a
-    read-only ``(2n, n)`` view of ``4n`` floats (never the ``2n * n`` of a
-    written matrix): element ``j`` of row ``r`` is ``pattern[2n - r + 2j]``,
-    where the pattern holds 0.0 at even and -0.0 at odd places but for 1.0
-    at ``2n`` and -1.0 at ``2n - 1``.  So ``-e_j`` carries the sign bit in
-    every entry, as ``-1.0 * e_j`` does."""
-    pattern = np.zeros(4 * n)
-    pattern[1::2] = -0.0
-    pattern[2 * n], pattern[2 * n - 1] = 1.0, -1.0
-    item = pattern.itemsize
-    return np.lib.stride_tricks.as_strided(pattern[2 * n:], shape=(2 * n, n),
-                                           strides=(-item, 2 * item), writeable=False)
 
 
 @dataclass(frozen=True, eq=False)

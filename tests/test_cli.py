@@ -77,11 +77,11 @@ def test_lipschitz_on_a_box_of_huge_normals_exits_cleanly(capsys):
 
 
 def test_lipschitz_reads_a_box_of_scaled_normals_as_the_unit_box(capsys):
-    # the Chebyshev LP and the interior floor read each row divided by a
-    # power of two near its norm, so the box [-1, 1]^2 lists its 4 vertices
-    # and reads the exact M and theoretical_L however its rows are written
+    # a halfspace set stores each row divided by a power of two near its
+    # norm, so the box [-1, 1]^2 lists its 4 vertices and reads the exact M
+    # and theoretical_L however its rows are written
     docs = {}
-    for scale in (1.0, 1e10, 1e200):
+    for scale in (1.0, 1e-200, 1e10, 1e200):
         rows = [{"normal": [s * scale * (j == i) for j in range(2)], "offset": scale}
                 for i in range(2) for s in (1, -1)]
         box_doc = json.dumps({"dim": 2, "center": [0, 0], "repr": {"halfspaces": rows}})
@@ -90,7 +90,7 @@ def test_lipschitz_reads_a_box_of_scaled_normals_as_the_unit_box(capsys):
         assert code == 0
         assert len(geometry.set_from_json(json.loads(box_doc)).representation
                    .extreme_points()) == 4
-    for scale in (1e10, 1e200):
+    for scale in (1e-200, 1e10, 1e200):
         assert docs[scale]["M"] == docs[1.0]["M"] == 2.0
         assert docs[scale]["theoretical_L"] == docs[1.0]["theoretical_L"] == 6.0
         assert docs[scale]["empirical_L"] == pytest.approx(docs[1.0]["empirical_L"], rel=1e-12)
@@ -98,8 +98,8 @@ def test_lipschitz_reads_a_box_of_scaled_normals_as_the_unit_box(capsys):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
 def test_gauge_reads_a_box_of_scaled_normals_as_the_unit_box(capsys, scale):
-    # the ratio formula's rise cut and the kernel's rank cut read each row
-    # divided by a power of two near its norm, so tiny rows are no kernel
+    # the ratio formula's rise cut and the kernel's rank cut read the rows
+    # stored divided by a power of two near their norms: tiny rows are no kernel
     rows = [{"normal": [s * scale * (j == i) for j in range(2)], "offset": scale}
             for i in range(2) for s in (1, -1)]
     box_doc = json.dumps({"dim": 2, "center": [0, 0], "repr": {"halfspaces": rows}})

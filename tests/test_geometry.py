@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 from scipy.special import ndtr
@@ -356,6 +356,76 @@ def test_symmetry_does_not_depend_on_the_row_scale(scale):
         slab = ConvexSet(2, Halfspaces(normals[:2], scale * np.array([right, 1.0])),
                          center=np.zeros(2))
         assert check_symmetry(slab, [0.0, 0.0]) == want
+
+
+@pytest.mark.parametrize("normal, offset", [(1e-200, 1e200), (1e-10, 1e300)])
+def test_symmetry_skips_a_row_whose_offset_over_its_norm_overflows(normal, offset):
+    # such a row is stored as written and bounds nothing: the box keeps its
+    # 4 vertices, and the slab's per-row LPs are not handed an infinite bound
+    rows = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0], [normal, 0]])
+    box_ = ConvexSet(2, Halfspaces(rows, np.array([1.0, 1.0, 1.0, 1.0, offset])),
+                     center=np.zeros(2))
+    assert len(box_.representation.extreme_points()) == 4
+    assert check_symmetry(box_, [0.0, 0.0])
+    slab = ConvexSet(2, Halfspaces(rows[[0, 1, 4]], np.array([1.0, 1.0, offset])),
+                     center=np.zeros(2))
+    assert check_symmetry(slab, [0.0, 0.0]) and not check_symmetry(slab, [0.5, 0.0])
+
+
+def _unit_rows(seed, n, kind):
+    """A box (rows +/- e_i, half-widths in [0.5, 2]) or a criterion-03
+    polytope (rows +/- r, r = I + 0.3 N, offsets 1 +/- r.p), symmetric
+    about its center p: normals, offsets and p."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.5, 0.5, n)
+    if kind == "box":
+        r, half = np.eye(n), rng.uniform(0.5, 2.0, n)
+    else:
+        r, half = np.eye(n) + 0.3 * rng.standard_normal((n, n)), np.ones(n)
+    return np.vstack([r, -r]), np.concatenate([half + r @ p, half - r @ p]), p
+
+
+def _answers(s, p):
+    """What a set answers, each as bytes or a plain value: membership,
+    relative interior and span at the center and a corner point, the
+    kernel, gauges, symmetry, extreme points, seeded samples and the M of
+    a Lipschitz certificate."""
+    rng = np.random.default_rng(5)
+    pts = p + rng.uniform(-2.5, 2.5, (40, s.dim))
+    rep = s.representation  # a corner point: the first n rows active
+    edge = np.linalg.lstsq(rep.normals[:s.dim], rep.offsets[:s.dim], rcond=None)[0]
+    g = Gauge.of_set(s)
+    f = ScalarFunction.from_expr(" + ".join(f"x{i + 1}^2" for i in range(s.dim)),
+                                 domain=box(s.dim, -100, 100), convex=True)
+    return {"contains": s.contains_many(pts).tobytes(),
+            "icr": [in_icr(s, x) for x in (p, edge)],
+            "span_dim": [span_of_difference(s, x).dim for x in (p, edge)],
+            "kernel_dim": kernel_of_gauge(g).dim,
+            "gauge": g.values(pts - p).tobytes(),
+            "symmetric": [check_symmetry(s, p), check_symmetry(s, p + 0.1)],
+            "extreme": np.array(s.representation.extreme_points()).tobytes(),
+            "sample": np.array(s.sample_members(np.random.default_rng(7), 20)).tobytes(),
+            "M": theoretical_constant(f, s, p, 0.5).M}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       kind=st.sampled_from(["box", "polytope"]), data=st.data())
+def test_each_row_scaled_by_its_own_power_of_two_is_the_same_set(seed, n, kind, data):
+    # a row and its offset times 2**k (k in [-900, 900], one per row) is the
+    # same halfspace: the stored rows are the unit-scale set's bytes, so
+    # every answer is equal, and a JSON round trip keeps those rows
+    normals, offsets, p = _unit_rows(seed, n, kind)
+    frac = np.log2(np.linalg.norm(normals, axis=1)) % 1.0
+    assume(np.all(np.abs(frac - 0.5) > 1e-6))  # away from the 2**(j + 1/2) boundaries
+    ks = np.array(data.draw(st.lists(st.integers(-900, 900), min_size=2 * n, max_size=2 * n)))
+    unit = ConvexSet(n, Halfspaces(normals, offsets), center=p)
+    scaled = ConvexSet(n, Halfspaces(np.ldexp(normals, ks[:, None]), np.ldexp(offsets, ks)),
+                       center=p)
+    for s in (scaled, set_from_json(json.loads(json.dumps(set_to_json(scaled))))):
+        assert s.representation.normals.tobytes() == unit.representation.normals.tobytes()
+        assert s.representation.offsets.tobytes() == unit.representation.offsets.tobytes()
+    assert _answers(scaled, p) == _answers(unit, p)
 
 
 def lp_symmetric(s, p):
@@ -876,6 +946,13 @@ def test_contains_many_matches_contains():
         assert s.contains_many(pts).tolist() == want
         assert [s.contains(p) for p in pts] == want
         assert any(want) and not all(want)
+    # the unit box written with normals and offsets 1e-200 is stored as the
+    # unit box, so its slack tolerance does not let in points far outside
+    unit = box(2).representation
+    tiny = ConvexSet(2, Halfspaces(1e-200 * unit.normals, 1e-200 * unit.offsets))
+    far = np.vstack([pts, [1e190, 0.0]])
+    assert tiny.contains_many(far).tolist() == box(2).contains_many(far).tolist()
+    assert not tiny.contains([1e190, 0.0])
     with pytest.raises(DimensionMismatchError):
         box(2).contains_many(np.zeros((3, 3)))
 

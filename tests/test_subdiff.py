@@ -1506,6 +1506,15 @@ def test_a_written_axis_after_the_signed_axes_is_a_negation_pair():
     assert np.array_equal(pairs, subdiff.Fan(fan.dense()).negation_pairs())
 
 
+def test_the_signed_axes_are_the_stacked_identity_rows():
+    # one strided view, shared by geometry and subdiff: the bytes of the
+    # written +/-eye rows, the sign bit of -0.0 included
+    assert subdiff._signed_axes is geometry._signed_axes
+    for n in range(1, 6):
+        want = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(-1, n)
+        assert geometry._signed_axes(n).tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(1, 1100), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_the_whole_space_projection_is_the_two_products(n, k, seed):

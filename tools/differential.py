@@ -6,8 +6,9 @@
 For each seed, the first ``--calculus`` queries of the ``calculus``
 workload, the first ``--certify`` queries of ``certify`` and the first
 ``--grid`` queries of ``grid`` are issued, followed by each workload's
-known-defect queries, then the fixed Python-API queries of
-:func:`api_queries`, which the benchmark never issues.  A CLI query's
+known-defect queries, then the fixed queries of :func:`api_queries`
+(Python-API calls, and CLI commands on rescaled rows), which the benchmark
+never issues.  A CLI query's
 output is its standard output; a
 ``grid`` query calls the Python API, and its output is an extraction's
 vector as the hex of its bytes (``tobytes()``) or a worked example's
@@ -173,6 +174,8 @@ API_SCALES = (-200, -45, -10, 0, 10, 45, 200)
 EXTRACT_SCALES = (-700, -60, 0, 600)
 #: the scales 2**k of the huge diamonds whose gauges are read
 DIAMOND_SCALES = (0, 512, 996)
+#: the scales 2**k of the rows of the README's unit square
+ROW_SCALES = (-600, -45, 0, 45, 600)
 
 
 def api_queries(seed: int) -> list:
@@ -194,13 +197,18 @@ def api_queries(seed: int) -> list:
     spanning a plane and over a segment spanning a line, and extraction on
     a prism gauge whose kernel is a line; and the gauge of the diamond
     ``+/- 2**k e_i`` at a random point, one kind per scale, which reads the
-    name of the error a side raises.  Each output is a JSON document, and
-    its check asks only that the document has the expected fields and
-    types."""
+    name of the error a side raises.  Each of these outputs is a JSON
+    document, and its check asks only that the document has the expected
+    fields and types.  Last, the README's ``gauge`` and ``lipschitz``
+    commands on its unit square written with each row and offset times
+    ``2**k``, one kind per scale (the same set, so a correct program prints
+    the unit square's output at every scale), issued through the CLI and
+    checked for exit code 0."""
     import numpy as np
     import gaugecalc as gc
     from gaugecalc.geometry import batch_callable
     from gaugecalc.rules import InnerMap, check_domination, verify_chain_rule_1
+    from workloads import run_cli
 
     rng = np.random.default_rng([seed, 0xA91])
     queries = []
@@ -328,6 +336,22 @@ def api_queries(seed: int) -> list:
                 return {"value": type(exc).__name__}
 
         add(f"api/gauge-huge-diamond 2^{k}", huge, {"value": (float, str)})
+
+    def cli(kind, argv):
+        def check(result):
+            ok = result[0] == 0
+            return SimpleNamespace(ok=ok, reason="" if ok else f"{kind}: exit {result[0]}")
+
+        queries.append(SimpleNamespace(kind=kind, run=lambda: run_cli(argv), check=check))
+
+    for k in ROW_SCALES:
+        rows = [{"normal": [2.0 ** k * sign * (j == i) for j in range(2)], "offset": 2.0 ** k}
+                for i in range(2) for sign in (1, -1)]
+        square = json.dumps({"dim": 2, "repr": {"halfspaces": rows}, "center": [0, 0]})
+        cli(f"api/halfspace-rows 2^{k}", ["gauge", "--set", square, "--point", "[0.5, 0.25]"])
+        cli(f"api/halfspace-rows 2^{k}",
+            ["lipschitz", "--set", square, "--fn", "x1^2 + x2^2", "--point", "[0, 0]",
+             "--eps", "0.5", "--pairs", "1000", "--convex"])
     return queries
 
 
