@@ -115,6 +115,12 @@ def _row_norms(xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stored_range(norms: np.ndarray) -> bool:
+    """Whether every row norm is in ``[2**-0.5, 2**0.5)``, where
+    :class:`Halfspaces` stores a row as written (true of no rows)."""
+    return bool(2.0 ** -0.5 <= norms.min(initial=1.0) <= norms.max(initial=1.0) < 2.0 ** 0.5)
+
+
 def _images(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """``m @ v`` for each row v of ``vs``: the same floats as one product
     per row (a stacked product multiplies each row on its own)."""
@@ -516,7 +522,7 @@ class Halfspaces(Representation):
     def __post_init__(self):
         a, b = np.asarray(self.normals, dtype=float), np.asarray(self.offsets, dtype=float).ravel()
         norms = _row_norms(a)
-        if not 2.0 ** -0.5 <= norms.min(initial=1.0) <= norms.max(initial=1.0) < 2.0 ** 0.5:
+        if not _stored_range(norms):
             frac, e = np.frexp(norms)
             e = np.where(norms > 0.0, e - (frac < 2.0 ** -0.5), 0)
             with np.errstate(over="ignore"):
@@ -526,6 +532,23 @@ class Halfspaces(Representation):
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "_norms", norms)
+
+    @classmethod
+    def _of_stored(cls, normals: np.ndarray, offsets: np.ndarray,
+                   norms: np.ndarray) -> "Halfspaces":
+        """The set of rows taken from stored sets, whose norms are
+        ``norms``, with new offsets.  When every norm is in range,
+        ``__post_init__`` would store the rows as written and compute these
+        norms again, so they are stored as given; otherwise the set is built
+        afresh, since a row stored as written because its offset overflowed
+        may scale with its new offset."""
+        if not _stored_range(norms):
+            return cls(normals, offsets)
+        out = object.__new__(cls)
+        object.__setattr__(out, "normals", normals)
+        object.__setattr__(out, "offsets", np.asarray(offsets, dtype=float).ravel())
+        object.__setattr__(out, "_norms", norms)
+        return out
 
     def contains_many(self, s, xs, tol):
         """Every slack ``b - a.x`` at least ``-tol (1 + |b|)``: one stacked product."""
@@ -664,13 +687,14 @@ class Halfspaces(Representation):
     def scaled(self, s, p, factor, q):
         # y = q + factor (z - p), z in s  <=>  a.y <= factor b + a.(q - factor p)
         offsets = factor * self.offsets + self.normals @ (q - factor * p)
-        return ConvexSet(s.dim, Halfspaces(self.normals.copy(), offsets), center=q)
+        return ConvexSet(s.dim, Halfspaces._of_stored(self.normals.copy(), offsets, self._norms),
+                         center=q)
 
     def symmetric_core(self, s, x0):
         refl_offsets = self.offsets - 2.0 * (self.normals @ x0)
-        return ConvexSet(s.dim, Halfspaces(np.vstack([self.normals, -self.normals]),
-                                           np.concatenate([self.offsets, refl_offsets])),
-                         center=x0)
+        return ConvexSet(s.dim, Halfspaces._of_stored(
+            np.vstack([self.normals, -self.normals]), np.concatenate([self.offsets, refl_offsets]),
+            np.concatenate([self._norms, self._norms])), center=x0)
 
     def extreme_points(self):
         """The vertices of a bounded set with interior, listed at most once

@@ -478,6 +478,22 @@ def _hull_fan(w: Subspace, seed: int) -> tuple[np.ndarray, Fan]:
                                                                                stream[k:]]))
 
 
+def _subsets_at_most(m: int, k: int, cap: int) -> bool:
+    """Whether ``math.comb(m, k) <= cap``, building the count only up to
+    the cap: ``comb(m, j)`` grows with ``j`` up to ``m / 2``, so the exact
+    product ``comb(m, j) = comb(m, j - 1) (m - j + 1) / j`` over ``j <=
+    min(k, m - k)`` stops once it passes (an n = 1000 extraction's full
+    count has about 600 digits)."""
+    if k > m:
+        return 0 <= cap
+    count = 1
+    for j in range(1, min(k, m - k) + 1):
+        count = count * (m - j + 1) // j
+        if count > cap:
+            return False
+    return count <= cap
+
+
 def _vertex_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The vertices of {z : a z <= b} (rows of ``a`` unit vectors): the
     solution of every nonsingular square subsystem of ``a.shape[1]`` rows,
@@ -563,7 +579,7 @@ def _optimizer(w: Subspace, fan: Fan, sups):
                 f"support value {target:.6g} in the objective direction is not "
                 f"attained (got {attained:.6g})")
 
-    if math.comb(len(fan), w.dim) <= _TABLE_SUBSETS:
+    if _subsets_at_most(len(fan), w.dim, _TABLE_SUBSETS):
         a_ub = w.coords(fan.dense())
         table = _vertex_table(a_ub, b_ub)
         if table.shape[0] == 0:

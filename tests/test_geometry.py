@@ -428,6 +428,33 @@ def test_each_row_scaled_by_its_own_power_of_two_is_the_same_set(seed, n, kind, 
     assert _answers(scaled, p) == _answers(unit, p)
 
 
+@pytest.mark.parametrize("kind", ["box", "polytope", "zero-row", "overflow-row"])
+def test_scaled_and_core_sets_store_what_a_fresh_build_stores(kind, count_calls):
+    # the two sets built from stored rows reuse their norms; a zero row,
+    # and a row stored as written because its offset overflowed, take the
+    # fresh build, where a new offset may scale that row
+    from gaugecalc import geometry
+
+    normals, offsets, p = _unit_rows(3, 3, "polytope" if kind == "polytope" else "box")
+    if kind == "zero-row":
+        normals, offsets = np.vstack([normals, np.zeros(3)]), np.append(offsets, 1.0)
+    if kind == "overflow-row":
+        normals, offsets = np.vstack([normals, [1e-300, 0.0, 0.0]]), np.append(offsets, 1e300)
+    s = ConvexSet(3, Halfspaces(normals, offsets), center=p)
+    rep, q, factor = s.representation, p + 0.25, 1e-300 if kind == "overflow-row" else 0.5
+    count_calls.wrap(geometry, "_row_norms")
+    scaled, core = rep.scaled(s, p, factor, q), rep.symmetric_core(s, p)
+    assert (count_calls["_row_norms"] == 0) == (kind in ("box", "polytope"))
+    fresh = (Halfspaces(rep.normals.copy(), factor * rep.offsets + rep.normals @ (q - factor * p)),
+             Halfspaces(np.vstack([rep.normals, -rep.normals]),
+                        np.concatenate([rep.offsets, rep.offsets - 2.0 * (rep.normals @ p)])))
+    for got, want in zip((scaled, core), fresh):
+        for field in ("normals", "offsets", "_norms"):
+            assert getattr(got.representation, field).tobytes() == getattr(want, field).tobytes()
+    if kind == "overflow-row":  # the smaller offset lets the scaled set's row scale
+        assert scaled.representation.normals[-1, 0] != 1e-300
+
+
 def lp_symmetric(s, p):
     """The per-row support LP test that a halfspace set without a vertex
     list still takes, kept as the reference for the vertex test."""

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gaugecalc import (
     run_example,
     subdiff_l2,
 )
+from gaugecalc import weighted_l2
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,97 @@ def test_run_all_keys():
     assert all(r["passed"] for r in out.values())
 
 
+def _reference_phi(grid, x):
+    """The discretized energy one point at a time."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1.0):
+        return math.inf
+    return float(np.sum(grid.weights * (x - grid.nodes) ** 2 / grid.nodes))
+
+
+def _reference_check(psi, x, candidate, seed, num_dirs=16, h=1e-6):
+    """The directional check one direction at a time: a fresh draw, a
+    normalization and two psi calls per direction."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(num_dirs):
+        d = rng.standard_normal(x.size)
+        d /= float(np.linalg.norm(d))
+        q = (psi(x + h * d) - psi(x - h * d)) / (2.0 * h)
+        p = float(candidate @ d)
+        worst = max(worst, abs(q - p) / (1.0 + abs(p)))
+    return worst
+
+
+def _reference_example(name, n, seed):
+    """A worked example's report, every energy and gradient evaluated one
+    point at a time."""
+    grid = WeightedGrid(n)
+    t = grid.nodes
+    x = t + 0.5 * t * t
+    phi_x = _reference_phi(grid, x)
+    outer = {"exp_chain": (math.exp, math.exp),
+             "sum": (lambda p: p + math.exp(p), lambda p: 1.0 + math.exp(p)),
+             "product": (lambda p: p * math.exp(p), lambda p: (1.0 + p) * math.exp(p))}
+    if name in outer:
+        g, dg = outer[name]
+        factor = dg(phi_x)
+        err = _reference_check(lambda v: g(_reference_phi(grid, v)), x,
+                               factor * (grid.weights * (2.0 * (x - t) / t)), seed)
+        return {"example": name, "n": n, "factor": factor, "max_rel_error": err,
+                "tolerance": 1e-6, "passed": bool(err <= 1e-6)}
+    if name == "inner_chain":
+        def psi(v):
+            return _reference_phi(grid, t * v)
+
+        err_p = _reference_check(psi, x, 2.0 * grid.weights * t * (x - 1.0), seed)
+        err_s = _reference_check(psi, x, 2.0 * grid.weights * (x - t), seed)
+        return {"example": name, "n": n, "pullback_rel_error": err_p,
+                "shortcut_rel_error": err_s,
+                "agrees_with": "pullback" if err_p < err_s else "shortcut",
+                "tolerance": 1e-6, "passed": bool(err_p <= 1e-6)}
+    d = t + 0.1 - x
+    target = _reference_phi(grid, t + 0.1) - phi_x
+
+    def slope(tau):
+        z = x + tau * d
+        return float(grid.weights * (2.0 * (z - t) / t) @ d)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    residual = abs(slope(tau) - target)
+    return {"example": name, "n": n, "tau": tau, "alpha": 1.0 - tau, "expected_tau": 0.5,
+            "residual": residual, "tolerance": 1e-9,
+            "passed": bool(abs(tau - 0.5) <= 1e-9 and residual <= 1e-9)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+@pytest.mark.parametrize("seed", [0, 42, 9173])
+def test_examples_match_the_point_at_a_time_reference(n, seed):
+    for name in EXAMPLES:
+        assert json.dumps(run_example(name, n=n, seed=seed)) == \
+            json.dumps(_reference_example(name, n, seed))
+
+
+@pytest.mark.parametrize("name", ["exp_chain", "sum", "product", "inner_chain"])
+def test_an_example_evaluates_its_probes_in_one_batch(name, count_calls, monkeypatch):
+    # the energy at the base (phi_l2, a one-row batch), then one batch of
+    # the 16 directions' 32 probe rows, read by every candidate gradient
+    rows, energy = [], weighted_l2._energy_rows
+    monkeypatch.setattr(weighted_l2, "_energy_rows",
+                        lambda grid, xs: rows.append(xs.shape) or energy(grid, xs))
+    count_calls.wrap(weighted_l2, "_directional_check")
+    assert run_example(name, n=200)["passed"]
+    assert count_calls["_directional_check"] == 1
+    assert rows == [(1, 200), (32, 200)]
+
+
 def test_unknown_example_rejected():
     with pytest.raises(ValueError):
         run_example("nope", n=10)
@@ -134,6 +227,16 @@ def test_batch_evaluators_match_the_scalar_calls(grid):
     assert f.many(ok).tolist() == [f(x) for x in ok]
     with pytest.raises(NonFiniteInputError):
         f.many(xs[4:7])
+    # phi_l2 is a one-row batch of the row evaluator: the same float per
+    # row, +inf at the rows below the box
+    rows = weighted_l2._energy_rows(grid, xs)
+    assert rows.tolist() == [phi_l2(grid, x) for x in xs]
+    assert rows[5] == rows[6] == math.inf
+    # a row holding NaN reads +inf when an entry is below -1, NaN otherwise
+    xs[7, 0], xs[5, 0] = math.nan, math.nan
+    rows = weighted_l2._energy_rows(grid, xs[[5, 7]])
+    assert rows[0] == phi_l2(grid, xs[5]) == math.inf
+    assert math.isnan(rows[1]) and math.isnan(phi_l2(grid, xs[7]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

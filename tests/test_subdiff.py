@@ -841,6 +841,14 @@ def table_size(w, fan):
     return math.comb(len(fan), w.dim)
 
 
+def test_the_capped_subset_count_matches_the_full_count():
+    # the product stops once it passes the cap, and takes the same branch
+    for cap in (0, 1, 7, subdiff._TABLE_SUBSETS, 10 ** 12):
+        for m in range(81):
+            for k in range(m + 3):
+                assert subdiff._subsets_at_most(m, k, cap) == (math.comb(m, k) <= cap)
+
+
 @pytest.mark.parametrize("src,x,dim", [("abs(x1) + x2^2", [0.0, 0.5], 2),
                                        ("abs(x1) + x2^2 + abs(x3)", [0.0, 0.5, 0.0], 3),
                                        ("max(x1 + x2, x1 - x2, -x1)", [0.0, 0.0], 2)])

@@ -176,6 +176,8 @@ EXTRACT_SCALES = (-700, -60, 0, 600)
 DIAMOND_SCALES = (0, 512, 996)
 #: the scales 2**k of the rows of the README's unit square
 ROW_SCALES = (-600, -45, 0, 45, 600)
+#: the grid sizes at which every worked example is run (the benchmark draws n >= 200)
+L2DEMO_SIZES = (1, 2, 7)
 
 
 def api_queries(seed: int) -> list:
@@ -191,7 +193,9 @@ def api_queries(seed: int) -> list:
     of its own point call on one row (so only a defect in the batch path
     moves its output); and ``extract_subgradient`` of ``abs(x1) + abs(x2)``
     at the origin of the unit box along the objective ``2**k * (1, 1)``,
-    one kind per scale (a correct extraction is ``(1, 1)`` at every scale).
+    one kind per scale (a correct extraction is ``(1, 1)`` at every scale);
+    and ``run_all``, every worked example on the weighted grid, at grid
+    sizes the benchmark never draws, one kind per size.
     Then questions in proper reduced spaces of R^3: ``subdifferential_hull``
     and ``extract_subgradient`` (along a random objective) over a hexagon
     spanning a plane and over a segment spanning a line, and extraction on
@@ -303,6 +307,10 @@ def api_queries(seed: int) -> list:
             lambda c=2.0 ** k * np.ones(2): {"zeta": gc.extract_subgradient(
                 kinks, np.zeros(2), gc.Gauge.of_set(gc.box(2)), objective=c).tolist()},
             {"zeta": list})
+
+    for n in L2DEMO_SIZES:
+        add(f"api/l2demo-n{n}", lambda n=n: gc.run_all(n=n, seed=seed),
+            dict.fromkeys(gc.EXAMPLES, dict))
 
     cube = gc.box(3, -5.0, 5.0, center=np.zeros(3))
     b1, b2 = np.array([1.0, 0.0, 2.0]), np.array([0.0, 1.0, -1.0])
