@@ -11,8 +11,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as expr_mod
-from .errors import GaugeCalcError, NonFiniteInputError
-from .geometry import ConvexSet, Oracle, _first_max, batch_callable, whole_space
+from .errors import DimensionMismatchError, NonFiniteInputError
+from .geometry import (ConvexSet, Oracle, _along, _first_max, _values, batch_callable,
+                       whole_space)
 
 
 @dataclass
@@ -28,71 +29,45 @@ class ScalarFunction:
     name: str = ""
 
     def __call__(self, x) -> float:
-        val = float(self.fn(np.asarray(x, dtype=float)))
-        if not np.isfinite(val):
-            raise NonFiniteInputError(
-                f"function {self.name or '<anonymous>'} returned {val} at {x}")
-        return val
+        """The value at one point: :meth:`many` on one row."""
+        return float(self.many(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
+
+    @property
+    def _label(self) -> str:
+        return f"function {self.name or '<anonymous>'}"
 
     def many(self, xs) -> np.ndarray:
-        """Values at the rows of ``xs``, each the float ``self(x)`` returns.
+        """Values at the rows of ``xs``, read by
+        :func:`~gaugecalc.geometry._values`, each of which must be finite.
 
-        A callable that carries a batch evaluator as its ``many`` attribute
-        (rows in, one value per row out) gets the whole matrix in one call;
-        compiled expressions and every composite built in this module carry
-        one (a composite's reads its parts' ``many``), and any other callable
-        is called once per row.  Raises the error of the first row
-        whose scalar call fails: a batch that raises is rerun one row at a
-        time, since an earlier row may return a non-finite value.  The batch
-        evaluator's axis evaluator (:attr:`many_along`) is not called here:
-        its values are the one exception to "the float ``self(x)``
-        returns", and may differ from it in the last bits.
+        A batch that raises (other than for its shape) is rerun one row at
+        a time, so the error raised is the first failing row's, a
+        non-finite value being an error too.  The batch evaluator's axis
+        evaluator (:attr:`many_along`) is not called here: its values may
+        differ from the batch evaluator's in the last bits.
         """
         xs = np.asarray(xs, dtype=float)
-        batch = getattr(self.fn, "many", None)
-        if batch is None:
-            return np.array([self(x) for x in xs], dtype=float)
         try:
-            vals = np.asarray(batch(xs), dtype=float)
-        except GaugeCalcError:
-            return np.array([self(x) for x in xs], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = int(bad[0])
-            raise NonFiniteInputError(
-                f"function {self.name or '<anonymous>'} returned {vals[i]} at {xs[i]}")
+            vals = _values(self.fn, xs, self._label)
+        except DimensionMismatchError:
+            raise
+        except Exception:
+            # any error, a plain callable's own included: an earlier row
+            # may hold a non-finite value, which is the first failing row
+            if len(xs) < 2:
+                raise
+            return np.concatenate([self.many(xs[i:i + 1]) for i in range(len(xs))])
+        if not np.isfinite(vals).all():
+            i = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise NonFiniteInputError(f"{self._label} returned {vals[i]} at {xs[i]}")
         return vals
 
     @property
     def many_along(self) -> Optional[Callable]:
-        """The batch evaluator's axis evaluator, or None when it carries
-        none.
-
-        A batch evaluator may carry, as its ``along`` attribute, an
-        evaluator ``along(x, cols, steps)`` of the values at the points
-        ``x + steps[k] * e_{cols[k]}``, one per step, which never writes
-        them (the weighted grid's energy replaces one term of its sum).
-        Its values may differ from :meth:`many`'s in the last bits.  Like
-        :meth:`many`, the evaluator returned here raises
-        :class:`NonFiniteInputError` naming the first point whose value is
-        not finite.  Expressions and composites carry none.
-        """
-        along = getattr(getattr(self.fn, "many", None), "along", None)
-        if along is None:
-            return None
-
-        def checked(x: np.ndarray, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
-            vals = np.asarray(along(x, cols, steps), dtype=float)
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i = int(bad[0])
-                point = x.copy()
-                point[cols[i]] += steps[i]
-                raise NonFiniteInputError(
-                    f"function {self.name or '<anonymous>'} returned {vals[i]} at {point}")
-            return vals
-
-        return checked
+        """The batch evaluator's checked axis evaluator (see
+        :func:`~gaugecalc.geometry._along`), or None when it carries none;
+        expressions and composites carry none."""
+        return _along(self.fn, self._label)
 
     @classmethod
     def from_expr(cls, source: str, domain: ConvexSet, convex: bool = False,

@@ -849,13 +849,63 @@ class Vertices(Representation):
         return cls(points)
 
 
-def _values(fn: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
-    """``fn`` at the rows of ``xs``: one call of its batch evaluator (its
-    ``many`` attribute) when it carries one, else one call per row."""
+def _values(fn: Callable, xs: np.ndarray, name: str, kind: type = float,
+            width: Optional[int] = None) -> np.ndarray:
+    """``fn`` at the rows of ``xs``, the one reader of an oracle's batch
+    evaluator: one call of its ``many`` attribute (rows in, one value per
+    row out) when it carries one, else ``kind(fn(x))`` row by row, which
+    raises the first failing row's error.  A map (``width`` given) gives
+    one row of ``width`` values per point.  Raises
+    :class:`DimensionMismatchError` naming the oracle ``name`` unless there
+    is one value (or image row) per row of ``xs``."""
+    shape = (len(xs),) if width is None else (len(xs), width)
     batch = getattr(fn, "many", None)
-    if batch is None:
-        return np.array([float(fn(x)) for x in xs], dtype=float)
-    return np.asarray(batch(xs), dtype=float)
+    if batch is not None:
+        vals = np.asarray(batch(xs), dtype=kind)
+    elif width is None:
+        vals = np.array([kind(fn(x)) for x in xs], dtype=kind)
+    else:
+        vals = np.array([fn(x) for x in xs] or np.empty(shape), dtype=kind)
+    return _one_per_point(vals, shape, name)
+
+
+def _one_per_point(vals: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``vals``, unless its shape is not ``shape``, one entry per point."""
+    if vals.shape != shape:
+        raise DimensionMismatchError(
+            f"{name} returned an array of shape {vals.shape} for {shape[0]} points, "
+            f"expected {shape}")
+    return vals
+
+
+def _along(fn: Callable, name: str, kind: type = float) -> Optional[Callable]:
+    """The axis evaluator that ``fn``'s batch evaluator carries as its
+    ``along`` attribute, checked, or None when it carries none.
+
+    ``along(x, cols, steps)`` gives the values at the points ``x + steps[k]
+    * e_{cols[k]}``, one per step, without writing them, and may differ
+    from the batch evaluator's in the last bits.  The checked evaluator
+    raises :class:`NonFiniteInputError` for a non-finite point, as
+    :func:`as_rows` does, and for the first point whose value is not
+    finite, and :class:`DimensionMismatchError` unless there is one value
+    per step.
+    """
+    along = getattr(getattr(fn, "many", None), "along", None)
+    if along is None:
+        return None
+
+    def checked(x: np.ndarray, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        if not (np.isfinite(x).all() and np.isfinite(x[cols] + steps).all()):
+            raise NonFiniteInputError("vector has non-finite entries")
+        vals = _one_per_point(np.asarray(along(x, cols, steps), dtype=kind), steps.shape, name)
+        if not np.isfinite(vals).all():
+            i = int(np.flatnonzero(~np.isfinite(vals))[0])
+            point = x.copy()
+            point[cols[i]] += steps[i]
+            raise NonFiniteInputError(f"{name} returned {vals[i]} at {point}")
+        return vals
+
+    return checked
 
 
 def _first_max(values: list[np.ndarray]) -> np.ndarray:
@@ -883,10 +933,8 @@ class Sublevel(Representation):
     only its sublevel set (a quasiconvex ``fn`` will do).
 
     A batch of points is tested against the base domain first and ``fn``
-    is evaluated, through its batch evaluator when it carries one (a
-    ``many`` attribute, as compiled expressions, scalar functions and the
-    scaled copies and cores built here do), only on the rows the base
-    domain accepts, since ``fn`` may raise outside it.  The sampler draws
+    is evaluated (by :func:`_values`) only on the rows the base domain
+    accepts, since ``fn`` may raise outside it.  The sampler draws
     its proposals in blocks from the base domain's own sampler.
     """
 
@@ -899,7 +947,7 @@ class Sublevel(Representation):
         rows = np.flatnonzero(base.representation.contains_many(base, xs, tol))
         inside = np.zeros(xs.shape[0], dtype=bool)
         if rows.size:
-            inside[rows] = (_values(self.fn, xs[rows])
+            inside[rows] = (_values(self.fn, xs[rows], "sublevel function")
                             <= self.level + tol * (1.0 + abs(self.level)))
         return inside
 
@@ -920,7 +968,7 @@ class Sublevel(Representation):
     def scaled(self, s, p, factor, q):
         """The sublevel set of ``fn(p + (y - q) / factor)`` over the base domain's copy."""
         fn, base = self.fn, self.base_domain.representation.scaled(self.base_domain, p, factor, q)
-        copy = batch_callable(lambda ys: _values(fn, p + (ys - q) / factor))
+        copy = batch_callable(lambda ys: _values(fn, p + (ys - q) / factor, "sublevel function"))
         return ConvexSet(s.dim, Sublevel(copy, self.level, base), center=q)
 
     def symmetric_core(self, s, x0):
@@ -932,7 +980,7 @@ class Sublevel(Representation):
         fn, base = self.fn, self.base_domain.representation.symmetric_core(self.base_domain, x0)
 
         def first_max(ys):
-            both = _values(fn, np.vstack([ys, 2.0 * x0 - ys]))
+            both = _values(fn, np.vstack([ys, 2.0 * x0 - ys]), "sublevel function")
             return _first_max([both[:len(ys)], both[len(ys):]])
 
         return ConvexSet(s.dim, Sublevel(batch_callable(first_max), self.level, base), center=x0)
@@ -971,29 +1019,13 @@ class Oracle(Representation):
     bounding_radius: float
 
     def contains_many(self, s, xs, tol):
-        """The member callback's batch evaluator (its ``many`` attribute,
-        rows in, one truth value per row out) when it carries one, else one
-        callback call per row."""
-        batch = getattr(self.member, "many", None)
-        if batch is None:
-            return np.array([bool(self.member(x)) for x in xs], dtype=bool)
-        return np.asarray(batch(xs), dtype=bool)
+        """The member callback's truth values, read by :func:`_values`."""
+        return _values(self.member, xs, "member test", bool)
 
     def contains_along(self, s):
-        """The batch evaluator's axis evaluator (its ``along`` attribute):
-        ``along(x, cols, steps)`` tells, without writing them, whether the
-        points ``x + steps[k] * e_{cols[k]}`` are members, the same truth
-        values as the batch evaluator's; None when it carries none."""
-        along = getattr(getattr(self.member, "many", None), "along", None)
-        if along is None:
-            return None
-
-        def checked(x: np.ndarray, cols: np.ndarray, steps: np.ndarray) -> np.ndarray:
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x[cols] + steps))):
-                raise NonFiniteInputError("vector has non-finite entries")
-            return np.asarray(along(x, cols, steps), dtype=bool)
-
-        return checked
+        """The member callback's axis evaluator (see :func:`_along`), whose
+        truth values are the batch evaluator's."""
+        return _along(self.member, "member test", bool)
 
     def propose_many(self, s, rng, k):
         """Normal draws about the anchor, of ``bounding_radius`` spread: one
@@ -1022,9 +1054,9 @@ class ConvexSet:
             object.__setattr__(self, "center", as_vector(self.center, self.dim))
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership of one point: the representation's batch test, on one row."""
+        """Membership of one point: :meth:`contains_many` on one row."""
         x = as_vector(x, self.dim)
-        return bool(self.representation.contains_many(self, x[None, :], tol)[0])
+        return bool(self.contains_many(x[None, :], tol)[0])
 
     __contains__ = contains
 
@@ -1180,15 +1212,14 @@ class Gauge:
 
     def values(self, us) -> np.ndarray:
         """The gauge at each row of ``us`` (see :func:`minkowski_gauge`); an
-        explicit evaluator is read through its batch evaluator (its ``many``
-        attribute) when it carries one, else once per row."""
+        explicit evaluator is read by :func:`_values` on the span's rows."""
         us = as_rows(us, self.dim)
         if self.fn is None:
             return self.set.representation.gauge_many(self, us)
         nonzero = us.any(axis=1)
         out = np.where(nonzero, math.inf, 0.0)
         on = nonzero & self.span.contains_many(us, self.tol * 10)
-        out[on] = _values(self.fn, us[on])
+        out[on] = _values(self.fn, us[on], "gauge")
         return out
 
     @property

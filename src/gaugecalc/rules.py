@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     ConditionViolationError,
     DegenerateGaugeError,
-    DimensionMismatchError,
     NonFiniteInputError,
 )
 from .functions import (
@@ -36,7 +35,8 @@ from .functions import (
     product_of,
     sum_of,
 )
-from .geometry import Gauge, Subspace, _first_max, _images, as_rows, as_vector, batch_callable
+from .geometry import (Gauge, Subspace, _first_max, _images, _values, as_rows, as_vector,
+                       batch_callable)
 from .subdiff import Fan, _direction_fan, _objective_count, _signed, _support_values, _vertices
 
 DEFAULT_RULE_TOL = 1e-4
@@ -246,11 +246,10 @@ def verify_chain_rule_2(g: Callable[[float], float], h: ScalarFunction, x,
 class InnerMap:
     """A differentiable map used as the inner factor of a pre-composition.
 
-    ``fn`` maps a point to its image.  One that carries a batch evaluator
-    as its ``many`` attribute (point rows in, image rows out, as
-    :func:`~gaugecalc.geometry.batch_callable` attaches) maps a whole
-    matrix in one call through :meth:`many`; any other is called once per
-    row, the convention of :meth:`ScalarFunction.many`.
+    ``fn`` maps a point to its image; it is read by
+    :func:`~gaugecalc.geometry._values`, one image row per point (a batch
+    evaluator, as :func:`~gaugecalc.geometry.batch_callable` attaches,
+    takes point rows and gives image rows).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -260,24 +259,15 @@ class InnerMap:
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.fn(as_vector(x, self.in_dim)), dtype=float)
+        """The image of one point: :meth:`many` on one row."""
+        return self.many(as_vector(x, self.in_dim)[None, :])[0]
 
     def many(self, xs) -> np.ndarray:
-        """The images of the rows of ``xs``, one row each: the batch
-        evaluator on the whole matrix, or :meth:`__call__` on each row when
-        ``fn`` carries none.  Raises :class:`DimensionMismatchError` unless
-        the images are rows of dimension :attr:`out_dim`."""
-        xs = as_rows(xs, self.in_dim)
-        batch = getattr(self.fn, "many", None)
-        if batch is None:
-            ys = np.array([self(x) for x in xs] or np.empty((0, self.out_dim)), dtype=float)
-        else:
-            ys = np.asarray(batch(xs), dtype=float)
-        if ys.shape != (len(xs), self.out_dim):
-            raise DimensionMismatchError(
-                f"inner map {self.name or '<anonymous>'} returned images of shape "
-                f"{ys.shape} for {len(xs)} points, expected rows of dimension {self.out_dim}")
-        return ys
+        """The images of the rows of ``xs``, one row each.  Raises
+        :class:`DimensionMismatchError` unless the images are rows of
+        dimension :attr:`out_dim`."""
+        return _values(self.fn, as_rows(xs, self.in_dim),
+                       f"inner map {self.name or '<anonymous>'}", width=self.out_dim)
 
 
 def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,

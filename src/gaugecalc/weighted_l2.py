@@ -23,6 +23,10 @@ from .geometry import ConvexSet, Gauge, Oracle, Subspace, batch_callable, root_o
 
 DEFAULT_N = 1000
 NUMERIC_TOL = 1e-6
+#: random unit directions, and the central-difference step along each, of
+#: a worked example's directional check
+_CHECK_DIRECTIONS = 16
+_CHECK_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,14 @@ def subdiff_l2(grid: WeightedGrid, x, representation: str = "pairing") -> np.nda
 def make_function(grid: WeightedGrid) -> ScalarFunction:
     """The energy as a scalar function on the grid box x >= -1.
 
-    The energy and the box membership carry batch evaluators (their
-    ``many`` attribute, one value per row of a matrix), so that
+    The energy and the box membership are batch callables (see
+    :func:`~gaugecalc.geometry.batch_callable`), so that
     :meth:`ScalarFunction.many` and :meth:`ConvexSet.contains_many` treat a
     whole direction fan in a few array operations; each row's value is
-    bit-identical to the scalar call's.
+    bit-identical to :func:`phi_l2`'s.
 
     Both batch evaluators carry an axis evaluator (their ``along``
-    attribute, see :attr:`ScalarFunction.many_along`): the values at
+    attribute, see :func:`~gaugecalc.geometry._along`): the values at
     ``x + steps[k] * e_{cols[k]}`` without writing those points.  The
     energy is a sum with one term per node, so each value is ``phi(x)``
     with the written coordinate's term replaced, within a few ulp of
@@ -103,9 +107,6 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
     """
     radius = 4.0 * math.sqrt(grid.n)
     floor = -1.0 - 1e-12
-
-    def energy(x):
-        return phi_l2(grid, x)
 
     def member_many(xs):
         return np.all(xs >= floor, axis=1)
@@ -129,8 +130,7 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
 
     member_many.along = member_along
     energy_many.along = energy_along
-    member = batch_callable(member_many)
-    energy.many = energy_many
+    member, energy = batch_callable(member_many), batch_callable(energy_many)
     domain = ConvexSet(grid.n, Oracle(member=member, bounding_radius=radius),
                        center=grid.nodes.copy())
     return ScalarFunction(fn=energy, domain=domain, convex=True, name="grid-energy")
@@ -147,20 +147,21 @@ def make_gauge(grid: WeightedGrid) -> Gauge:
 
 
 def _directional_check(psi: Callable[[np.ndarray], Sequence[float]], x: np.ndarray,
-                       candidates: Sequence[np.ndarray], num_dirs: int = 16,
-                       h: float = 1e-6, seed: int = 42) -> list[float]:
+                       candidates: Sequence[np.ndarray], seed: int = 42) -> list[float]:
     """Per candidate Euclidean gradient, the max relative gap between
     central-difference slopes of psi along random unit directions and the
     pairing against the candidate.
 
-    The directions are one ``standard_normal((num_dirs, n))`` block, the
-    floats of ``num_dirs`` draws of ``n``, each row divided by its own
-    ``np.linalg.norm``.  ``psi`` is a batch evaluator (rows in, one value
-    per row out), called once on the probe matrix, the rows ``x + h d``
-    then ``x - h d``: ``2 num_dirs n`` floats (256 KB at n = 1000), read by
+    The :data:`_CHECK_DIRECTIONS` directions are one ``standard_normal``
+    block, the floats of one draw of ``n`` per direction, each row divided
+    by its own ``np.linalg.norm``.  ``psi`` is a batch evaluator (rows in,
+    one value per row out), called once on the probe matrix, the rows
+    ``x + h d`` then ``x - h d`` for the step ``h`` = :data:`_CHECK_STEP`:
+    ``2 * _CHECK_DIRECTIONS * n`` floats (256 KB at n = 1000), read by
     every candidate.  Each slope and pairing is the float of the
     per-direction scalar computation.
     """
+    num_dirs, h = _CHECK_DIRECTIONS, _CHECK_STEP
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((num_dirs, x.size))
     for d in dirs:

@@ -1,15 +1,23 @@
 """The benchmark's tracer wraps gaugecalc's layers by name from outside the
-program (perfbench/tracing.py); a refactor that renames or drops a traced
-name must fail here, not later in ``perfbench/run.py --trace 1``.  This test
-only reads perfbench/."""
+program (perfbench/tracing.py), and its workloads check every answer against
+an independent reference (perfbench/workloads.py); a refactor that renames or
+drops a traced name, or fails a reference check, must fail here, not later in
+``perfbench/run.py``.  These tests only read perfbench/."""
 
 import importlib
 import importlib.util
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+#: the seeds whose leading timed queries are checked here
+BENCH_SEEDS = (1, 9173)
+#: the leading timed queries checked per workload and seed
+BENCH_QUERIES = 200
 MODULES = ["cli", "expr", "functions", "geometry", "lipschitz", "rules", "subdiff",
            "symmetrize", "weighted_l2"]
 
@@ -19,6 +27,19 @@ def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
     return mod
 
 
@@ -61,3 +82,30 @@ def test_install_then_uninstall_restores_the_originals(tracing):
     for (mod, cls), attrs in classes.items():
         now = vars(getattr(_module(mod), cls))
         assert all(now[k] is v for k, v in attrs.items())
+
+
+def _verdict(workloads, query):
+    """A query's verdict, as the benchmark's loop reads it: one that raises
+    fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = query.run()
+        except Exception as exc:
+            return workloads.Verdict(False, False, f"{query.kind}: raised {exc!r}")
+    return query.check(result)
+
+
+@pytest.mark.parametrize("name", ["certify", "calculus", "grid"])
+def test_the_benchmark_queries_pass_their_reference_checks(workloads, name):
+    # the leading queries, through the cover cycles that hold the traced
+    # set (which covers every timed kind); the known-defect queries may
+    # fail, but never contradict their references
+    wl = workloads.WORKLOADS[name]
+    for seed in BENCH_SEEDS:
+        timed = [wl.query(seed, i) for i in range(max(BENCH_QUERIES, wl.cover_cycles * wl.cycle))]
+        failed = [v.reason for v in (_verdict(workloads, q) for q in timed) if not v.ok]
+        assert failed == [], f"seed {seed}"
+        wrong = [v.reason for v in (_verdict(workloads, q) for q in wl.defect_set(seed))
+                 if v.wrong]
+        assert wrong == [], f"seed {seed}"

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecalc import (
+    ConvexSet,
+    DimensionMismatchError,
     ExprDomainError,
+    Gauge,
     InnerMap,
     NonFiniteInputError,
+    Oracle,
     ScalarFunction,
     box,
     max_of,
     product_of,
+    subdifferential_hull,
     sum_of,
 )
 from gaugecalc.cli import _OUTER_FUNCTIONS
@@ -131,3 +136,58 @@ def test_every_composite_keeps_its_parts_domain_and_name():
     assert comp.domain.dim == 3 and not comp.convex
     with pytest.raises(NonFiniteInputError):
         comp.domain.contains_many(np.array([[0.0, np.inf, 0.0]]))
+
+
+# -- one reader per oracle: a batch gives one value per row --------------------
+
+
+def test_a_summed_batch_fails_the_hull_instead_of_broadcasting():
+    # a batch evaluator that sums its rows into one value: the hull's fan
+    # values would otherwise be that one sum, repeated
+    summed = batch_callable(lambda xs: np.sum(np.abs(xs[:, 0]) + xs[:, 1] ** 2))
+    f = ScalarFunction(fn=summed, domain=PLANE, convex=True, name="summed")
+    with pytest.raises(DimensionMismatchError, match="function summed"):
+        subdifferential_hull(f, [0.0, 0.0], Gauge.of_set(box(2)))
+
+
+def test_a_batch_one_value_short_is_refused():
+    f = ScalarFunction(fn=batch_callable(lambda xs: xs[1:, 0] + 1.0), domain=PLANE,
+                       name="short")
+    with pytest.raises(DimensionMismatchError, match=r"short returned .* \(2,\) for 3 points"):
+        f.many(np.zeros((3, 2)))
+
+
+def test_a_scalar_member_batch_is_refused():
+    s = ConvexSet(2, Oracle(member=batch_callable(lambda xs: True), bounding_radius=1.0))
+    with pytest.raises(DimensionMismatchError, match="member test"):
+        s.contains_many(np.zeros((3, 2)))
+
+
+def test_a_plain_function_raises_its_first_failing_row():
+    # row 1 is NaN and row 2 raises: the NaN comes first
+    def plain(x):
+        if x[0] == 2.0:
+            raise ZeroDivisionError("row 2")
+        return math.nan if x[0] == 1.0 else float(x[0])
+
+    f = ScalarFunction(fn=plain, domain=PLANE, name="plain")
+    with pytest.raises(NonFiniteInputError, match=r"plain returned nan at \[1\. 0\.\]"):
+        f.many(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(ZeroDivisionError):
+        f.many(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
+    assert f.many(np.array([[0.5, 0.0], [3.0, 1.0]])).tolist() == [0.5, 3.0]
+
+
+def test_a_plain_member_answers_the_truth_of_what_it_returns():
+    answers = [None, 0, 1, "", np.bool_(True)]
+    s = ConvexSet(2, Oracle(member=lambda x: answers[int(x[0])], bounding_radius=1.0))
+    xs = np.array([[i, 0.0] for i in range(len(answers))])
+    assert s.contains_many(xs).tolist() == [bool(a) for a in answers]
+    assert [s.contains(x) for x in xs] == [bool(a) for a in answers]
+
+
+def test_an_inner_map_point_call_checks_the_image_width():
+    g = InnerMap(fn=lambda x: np.array([x[0], x[1], 0.0]), jacobian=lambda x: np.eye(3, 2),
+                 in_dim=2, out_dim=2, name="wide")
+    with pytest.raises(DimensionMismatchError, match="inner map wide"):
+        g([0.5, 0.25])

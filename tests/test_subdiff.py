@@ -459,15 +459,19 @@ def test_fan_ladder_matches_the_scalar_ladder(n, seed):
     assert got.tolist() == [w for w in want if w is not None]
 
 
-def test_a_smooth_convex_row_makes_three_batch_evaluations(plane, count_calls):
+def test_a_smooth_convex_row_makes_three_batch_evaluations(plane, monkeypatch):
     # a quadratic's quotients move by the same amount every octave, so they
     # never settle; the early rule fires at the third step, 2**-10, where the
-    # ladder started at 1 fires too, from the same two Richardson values
-    count_calls.wrap(ScalarFunction, "many")
+    # ladder started at 1 fires too, from the same two Richardson values;
+    # f(x) before them is a one-row batch
     f = fn("0.7*x1^2 + 1.3*x1*x2 + x2^2 - 0.4*x1", plane)
     x, d = np.array([0.3, -1.1]), np.array([0.6, -0.8])
+    rows, many = [], ScalarFunction.many
+    monkeypatch.setattr(ScalarFunction, "many",
+                        lambda self, xs: rows.append(np.array(xs)) or many(self, xs))
     got = dir_deriv(f, x, d)
-    assert count_calls["many"] == 3
+    monkeypatch.undo()
+    assert len(rows) == 4 and rows[0].tolist() == [x.tolist()]
     assert got == scalar_dir_deriv(f, x, d) == scalar_dir_deriv(f, x, d, start=1.0)
 
 
@@ -503,7 +507,7 @@ def test_grid_extraction_evaluates_three_energy_rows_per_fan_row(n):
     f.fn.many = many
     extract_subgradient(f, x, make_gauge(grid), objective=2.0 * (x - t) / (n * t))
     assert steps == [2 * n] * 3
-    assert rows == [2] * 3
+    assert rows == [1, 2, 2, 2]  # f(x), a one-row batch, then the three steps
 
 
 def test_fan_generalized_path_matches_per_row(plane, unit_gauge):
@@ -1367,8 +1371,9 @@ def test_sublinearity_check_reads_only_negation_pairs(plane, unit_gauge):
 @pytest.mark.parametrize("expr,convex", [("abs(x1) + x2^2", True),
                                          ("abs(x1) - abs(x2) + 0.3 * x1", False)])
 def test_lebourg_search_makes_no_scalar_call(expr, convex, plane, unit_gauge, monkeypatch):
-    # before the extraction at the witness: the scalar calls f(x) and f(y),
-    # the 513-point scan as one batch, then one batch per sectioning round
+    # before the extraction at the witness: the point calls f(x) and f(y),
+    # each a one-row batch, the 513-point scan as one batch, then one batch
+    # per sectioning round
     f = fn(expr, plane, convex=convex)
     events = []
     many, call, extract = ScalarFunction.many, ScalarFunction.__call__, subdiff._extract
@@ -1380,8 +1385,8 @@ def test_lebourg_search_makes_no_scalar_call(expr, convex, plane, unit_gauge, mo
                         lambda *a, **k: events.append("extract") or extract(*a, **k))
     lebourg_point(f, [-0.5, 0.2], [0.7, -0.3], unit_gauge)
     search = events[:events.index("extract")]
-    rounds = len(search) - 3
-    assert search == ["scalar", "scalar", 513] + [subdiff._SECTIONS] * rounds
+    rounds = len(search) - 5
+    assert search == ["scalar", 1, "scalar", 1, 513] + [subdiff._SECTIONS] * rounds
     assert 10 <= rounds < subdiff._SECTION_ROUNDS
 
 

@@ -172,18 +172,22 @@ def test_in_icr_reuses_the_span_of_the_same_point(count_calls):
     assert count_calls["contains"] == count_calls["contains_many"] == 0
 
 
-def test_core_spans_and_interior_probe_only_the_signed_axes(count_calls):
+def test_core_spans_and_interior_probe_only_the_signed_axes(count_calls, monkeypatch):
     # the README core example: both signed axes reach from x0 in S_a and in
     # C_a, so each span is R^n with no member drawn, and in_icr reads the
-    # axis probes its span kept
+    # axis probes its span kept; its one membership batch is the member
+    # check of x0, one row
     dom = interval(-1.0, 2.0, center=0.5)
     core = build_core(quadratic_on(dom), dom, [0.0], level=1.0)
     count_calls.wrap(geometry.ConvexSet, "sample_members")
     assert verify_span_equality(core)
     assert count_calls["sample_members"] == 0
-    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    rows, contains_many = [], geometry.ConvexSet.contains_many
+    monkeypatch.setattr(
+        geometry.ConvexSet, "contains_many",
+        lambda self, xs, *a, **k: rows.append(np.array(xs)) or contains_many(self, xs, *a, **k))
     assert verify_icr_membership(core)
-    assert count_calls["contains_many"] == 0
+    assert len(rows) == 1 and rows[0].tolist() == [[0.0]]
 
 
 def test_the_symmetry_draw_takes_a_few_membership_rounds(count_calls):
@@ -209,15 +213,12 @@ def test_build_core_evaluates_f_at_the_base_point_once(monkeypatch):
     dom = box(2, -5, 5, center=[0, 0])
     f = quadratic_on(dom)
     x0 = np.array([0.5, 0.2])
-    rows = []
-    call, many = ScalarFunction.__call__, ScalarFunction.many
-    monkeypatch.setattr(ScalarFunction, "__call__",
-                        lambda self, x: rows.append(np.asarray(x, float)) or call(self, x))
+    rows, many = [], ScalarFunction.many
     monkeypatch.setattr(ScalarFunction, "many",
                         lambda self, xs: rows.extend(np.asarray(xs, float)) or many(self, xs))
     build_core(f, dom, x0)
-    # f(x0) for the level, and the sublevel set's membership test of x0 (a
-    # one-row batch): rows of f at x0, over point calls and batches alike
+    # f(x0) for the level, and the sublevel set's membership test of x0:
+    # each a one-row batch, so every row of f is a row of a batch
     assert sum(np.array_equal(r, x0) for r in rows) == 2
 
 
