@@ -12,8 +12,8 @@ import numpy as np
 
 from . import expr as expr_mod
 from .errors import DimensionMismatchError, NonFiniteInputError
-from .geometry import (ConvexSet, Oracle, _along, _first_max, _values, batch_callable,
-                       whole_space)
+from .geometry import (ConvexSet, Oracle, _along, _first_max, _rows_of, _values, as_vector,
+                       batch_callable, whole_space)
 
 
 @dataclass
@@ -29,15 +29,16 @@ class ScalarFunction:
     name: str = ""
 
     def __call__(self, x) -> float:
-        """The value at one point: :meth:`many` on one row."""
-        return float(self.many(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
+        """The value at one point, checked here: :meth:`many` on one row."""
+        return float(self.many(as_vector(x, self.domain.dim)[None, :])[0])
 
     @property
     def _label(self) -> str:
         return f"function {self.name or '<anonymous>'}"
 
     def many(self, xs) -> np.ndarray:
-        """Values at the rows of ``xs``, read by
+        """Values at the rows of ``xs``, rows of the domain's dimension
+        (their finiteness shows in the values), read by
         :func:`~gaugecalc.geometry._values`, each of which must be finite.
 
         A batch that raises (other than for its shape) is rerun one row at
@@ -46,7 +47,7 @@ class ScalarFunction:
         evaluator (:attr:`many_along`) is not called here: its values may
         differ from the batch evaluator's in the last bits.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = _rows_of(xs, self.domain.dim)
         try:
             vals = _values(self.fn, xs, self._label)
         except DimensionMismatchError:
@@ -152,8 +153,7 @@ def frozen_block(f: ScalarFunction, x: np.ndarray, lo: int, hi: int,
         out[:, lo:hi] = vs
         return out
 
-    member = batch_callable(lambda vs: f.domain.contains_many(rows(vs)))
+    member = batch_callable(lambda vs: f.domain._contains_checked(rows(vs)))
     radius = 10.0 * (1.0 + float(np.linalg.norm(x)))
-    domain = ConvexSet(hi - lo, Oracle(member=member, bounding_radius=radius),
-                       center=x[lo:hi])
+    domain = ConvexSet._centered(hi - lo, Oracle(member=member, bounding_radius=radius), x[lo:hi])
     return _composite([f], lambda v: v[0], rows, domain, f.convex, name)

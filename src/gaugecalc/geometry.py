@@ -64,25 +64,33 @@ _TINY = np.finfo(float).tiny
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float array."""
     try:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"expected a numeric vector: {exc}") from None
     if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
+        if v.ndim != 0:
+            raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
+        v = v.reshape(1)
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteInputError("vector has non-finite entries")
     return v
 
 
 def as_rows(xs, dim: int) -> np.ndarray:
     """Validate and convert ``xs`` to a matrix of finite rows of dimension ``dim``."""
+    xs = _rows_of(xs, dim)
+    if not np.isfinite(xs).all():
+        raise NonFiniteInputError("vector has non-finite entries")
+    return xs
+
+
+def _rows_of(xs, dim: int) -> np.ndarray:
+    """:func:`as_rows`'s shape test alone."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise NonFiniteInputError("vector has non-finite entries")
     return xs
 
 
@@ -210,8 +218,8 @@ class Subspace:
             return np.ones(xs.shape[0], dtype=bool)
         return self.residuals(xs) <= tol * (1.0 + _row_norms(xs))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        return bool(self.contains_many(np.reshape(np.asarray(x, dtype=float), (1, -1)), tol)[0])
+    def contains(self, x, tol: float = 1e-8) -> bool:
+        return bool(self.contains_many(as_vector(x, self.ambient_dim)[None, :], tol)[0])
 
     def complement(self) -> "Subspace":
         """The orthogonal complement: the null space of the basis rows."""
@@ -245,10 +253,10 @@ class Representation:
     """Geometry from membership alone.
 
     Subclasses answer membership for rows only, ``contains_many(s, xs,
-    tol)`` (one truth value per row of a matrix that
-    :meth:`ConvexSet.contains_many` has checked; a point query is a one-row
-    batch), and supply ``propose_many(s, rng, k)`` (``k`` random points near
-    the set, for the rejection sampler).  Gauges too are answered for rows,
+    tol)`` (one truth value per row of a matrix of finite rows, checked
+    where input enters; a point query is a one-row batch), and supply
+    ``propose_many(s, rng, k)`` (``k`` random points near the set, for the
+    rejection sampler).  Gauges too are answered for rows,
     ``gauge_many(g, us)``.  Every method here needs only membership tests of
     the owning set ``s``, asked a batch at a time where the search allows,
     and is overridden where a representation has an exact formula.
@@ -256,7 +264,7 @@ class Representation:
 
     def anchor(self, s: "ConvexSet") -> np.ndarray:
         origin = np.zeros(s.dim)
-        if s.contains(origin):
+        if s._contains_checked(origin[None, :])[0]:
             return origin
         raise NotInSetError("oracle set without center: no anchor found")
 
@@ -317,7 +325,7 @@ class Representation:
                size: int) -> tuple[list[np.ndarray], np.ndarray]:
         """``size`` proposals and their membership, one batch test."""
         block = self.propose_many(s, rng, size)
-        return block, s.contains_many(np.array(block).reshape(-1, s.dim))
+        return block, s._contains_checked(np.array(block).reshape(-1, s.dim))
 
     def span(self, s: "ConvexSet", base: np.ndarray) -> Subspace:
         """Coordinate directions reachable from ``base`` (:func:`_axis_reaches`)
@@ -348,7 +356,7 @@ class Representation:
         """Every sampled member's reflection through ``p`` is a member (one
         batch test)."""
         members = np.array(s.sample_members(np.random.default_rng(0), SYMMETRY_SAMPLES))
-        return bool(np.all(s.contains_many(2.0 * p - members)))
+        return bool(np.all(s._contains_checked(2.0 * p - members)))
 
     def gauge_many(self, g: "Gauge", us: np.ndarray) -> np.ndarray:
         """``inf`` off the span and 0 at a zero row or on the kernel; every
@@ -376,13 +384,13 @@ class Representation:
                 probe_dirs.append((basis[i] - basis[j]) / math.sqrt(2))
         dirs = np.array(probe_dirs).reshape(-1, g.dim)
         r = KERNEL_PROBE_RADIUS
-        dirs = dirs[s.contains_many(p + r * dirs)]
-        return Subspace.from_spanning(dirs[s.contains_many(p - r * dirs)], g.dim)
+        dirs = dirs[s._contains_checked(p + r * dirs)]
+        return Subspace.from_spanning(dirs[s._contains_checked(p - r * dirs)], g.dim)
 
     def symmetric_core(self, s: "ConvexSet", x0: np.ndarray) -> "ConvexSet":
         """``s ∩ (2 x0 - s)``: the sublevel set, inside ``s``, of the reflection test."""
-        outside = batch_callable(lambda ys: np.where(s.contains_many(2.0 * x0 - ys), 0.0, 1.0))
-        return ConvexSet(s.dim, Sublevel(outside, 0.0, s), center=x0)
+        outside = batch_callable(lambda ys: np.where(s._contains_checked(2.0 * x0 - ys), 0.0, 1.0))
+        return ConvexSet._centered(s.dim, Sublevel(outside, 0.0, s), x0)
 
     def extreme_points(self) -> list[np.ndarray]:
         """Points known to include every extreme point of the set (empty when
@@ -397,7 +405,7 @@ def _bisected(g: "Gauge", x: np.ndarray) -> float:
     above ``1e15 |x|`` reads ``inf``: bounds relative to ``|x|``, so
     ``2**k x`` takes the same steps scaled by ``2**k``."""
     def pred(t: float) -> bool:
-        return g.set.contains(g.set.center + x / t)
+        return g.set._contains_checked((g.set.center + x / t)[None, :])[0]
 
     size = float(_row_norms(x[None, :])[0])
     floor, ceiling = g.tol * 1e-3 * size, 1e15 * size  # Python floats: inf, not a warning
@@ -440,7 +448,7 @@ def halving_steps(inside: Callable[[np.ndarray, np.ndarray], np.ndarray], t: np.
 def _reaches(s: "ConvexSet", x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """For each row ``d`` of ``dirs``: does some halving step ``t <= 1``
     keep ``x + t d`` in the set?"""
-    t = halving_steps(lambda rows, steps: s.contains_many(x + steps[:, None] * dirs[rows]),
+    t = halving_steps(lambda rows, steps: s._contains_checked(x + steps[:, None] * dirs[rows]),
                       np.ones(dirs.shape[0]), _SHRINK_FLOOR)
     return t > _SHRINK_FLOOR
 
@@ -493,7 +501,7 @@ def _pull_inside(s: "ConvexSet", anchor: np.ndarray, y: np.ndarray) -> np.ndarra
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if s.contains(anchor + mid * (y - anchor)):
+        if s._contains_checked((anchor + mid * (y - anchor))[None, :])[0]:
             lo = mid
         else:
             hi = mid
@@ -687,14 +695,14 @@ class Halfspaces(Representation):
     def scaled(self, s, p, factor, q):
         # y = q + factor (z - p), z in s  <=>  a.y <= factor b + a.(q - factor p)
         offsets = factor * self.offsets + self.normals @ (q - factor * p)
-        return ConvexSet(s.dim, Halfspaces._of_stored(self.normals.copy(), offsets, self._norms),
-                         center=q)
+        return ConvexSet._centered(
+            s.dim, Halfspaces._of_stored(self.normals.copy(), offsets, self._norms), q)
 
     def symmetric_core(self, s, x0):
         refl_offsets = self.offsets - 2.0 * (self.normals @ x0)
-        return ConvexSet(s.dim, Halfspaces._of_stored(
+        return ConvexSet._centered(s.dim, Halfspaces._of_stored(
             np.vstack([self.normals, -self.normals]), np.concatenate([self.offsets, refl_offsets]),
-            np.concatenate([self._norms, self._norms])), center=x0)
+            np.concatenate([self._norms, self._norms])), x0)
 
     def extreme_points(self):
         """The vertices of a bounded set with interior, listed at most once
@@ -833,7 +841,7 @@ class Vertices(Representation):
         return Subspace.zero(g.dim)  # a hull is bounded
 
     def scaled(self, s, p, factor, q):
-        return ConvexSet(s.dim, Vertices(q + factor * (self.points - p)), center=q)
+        return ConvexSet._centered(s.dim, Vertices(q + factor * (self.points - p)), q)
 
     def extreme_points(self):
         return list(self.points)
@@ -884,9 +892,10 @@ def _along(fn: Callable, name: str, kind: type = float) -> Optional[Callable]:
 
     ``along(x, cols, steps)`` gives the values at the points ``x + steps[k]
     * e_{cols[k]}``, one per step, without writing them, and may differ
-    from the batch evaluator's in the last bits.  The checked evaluator
-    raises :class:`NonFiniteInputError` for a non-finite point, as
-    :func:`as_rows` does, and for the first point whose value is not
+    from the batch evaluator's in the last bits.  The checked evaluator is
+    public (:attr:`ConvexSet.contains_along`), so it raises
+    :class:`NonFiniteInputError` for a non-finite point, as :func:`as_rows`
+    does where input enters, and for the first point whose value is not
     finite, and :class:`DimensionMismatchError` unless there is one value
     per step.
     """
@@ -956,7 +965,7 @@ class Sublevel(Representation):
         samples, tested in one batch."""
         probes = np.vstack([self.base_domain.anchor(),
                             *self.base_domain.sample_members(np.random.default_rng(0), 64)])
-        members = np.flatnonzero(s.contains_many(probes))
+        members = np.flatnonzero(s._contains_checked(probes))
         if members.size:
             return probes[members[0]]
         raise NotInSetError("could not locate a member of the sublevel set")
@@ -969,7 +978,7 @@ class Sublevel(Representation):
         """The sublevel set of ``fn(p + (y - q) / factor)`` over the base domain's copy."""
         fn, base = self.fn, self.base_domain.representation.scaled(self.base_domain, p, factor, q)
         copy = batch_callable(lambda ys: _values(fn, p + (ys - q) / factor, "sublevel function"))
-        return ConvexSet(s.dim, Sublevel(copy, self.level, base), center=q)
+        return ConvexSet._centered(s.dim, Sublevel(copy, self.level, base), q)
 
     def symmetric_core(self, s, x0):
         """The sublevel set of ``max(fn(y), fn(2 x0 - y))`` over the base
@@ -983,7 +992,8 @@ class Sublevel(Representation):
             both = _values(fn, np.vstack([ys, 2.0 * x0 - ys]), "sublevel function")
             return _first_max([both[:len(ys)], both[len(ys):]])
 
-        return ConvexSet(s.dim, Sublevel(batch_callable(first_max), self.level, base), center=x0)
+        return ConvexSet._centered(s.dim, Sublevel(batch_callable(first_max), self.level, base),
+                                   x0)
 
     def to_json(self) -> dict:
         # a lambda's or a ScalarFunction's name would not read back as its function
@@ -1037,7 +1047,7 @@ class Oracle(Representation):
         """``factor * (s - p) + q``."""
         copy = Oracle(member=batch_callable(lambda xs: s.contains_many(p + (xs - q) / factor)),
                       bounding_radius=factor * self.bounding_radius)
-        return ConvexSet(s.dim, copy, center=q)
+        return ConvexSet._centered(s.dim, copy, q)
 
     def to_json(self) -> dict:
         raise ValueError("oracle sets are not serializable")
@@ -1053,17 +1063,28 @@ class ConvexSet:
         if self.center is not None:
             object.__setattr__(self, "center", as_vector(self.center, self.dim))
 
+    @classmethod
+    def _centered(cls, dim: int, rep: Representation, center: np.ndarray) -> "ConvexSet":
+        """The set of a ``center`` that private code has checked, unchecked."""
+        s = cls(dim, rep)
+        object.__setattr__(s, "center", center)
+        return s
+
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership of one point: :meth:`contains_many` on one row."""
+        """Membership of one point, checked here: a one-row batch."""
         x = as_vector(x, self.dim)
-        return bool(self.contains_many(x[None, :], tol)[0])
+        return bool(self._contains_checked(x[None, :], tol)[0])
 
     __contains__ = contains
 
     def contains_many(self, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Membership of each row of ``xs``, which must be finite rows of
         the set's dimension (checked here, once per batch)."""
-        return self.representation.contains_many(self, as_rows(xs, self.dim), tol)
+        return self._contains_checked(as_rows(xs, self.dim), tol)
+
+    def _contains_checked(self, xs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """:meth:`contains_many` of rows that private code checked or built finite."""
+        return self.representation.contains_many(self, xs, tol)
 
     @property
     def contains_along(self) -> Optional[Callable]:
@@ -1106,10 +1127,11 @@ class ConvexSet:
 # ---------------------------------------------------------------------------
 
 
-def _member(s: ConvexSet, x, what: str) -> np.ndarray:
+def _member(s: ConvexSet, x, message: str) -> np.ndarray:
+    """``x``, checked once, or :class:`NotInSetError` with ``message``."""
     x = as_vector(x, s.dim)
-    if not s.contains(x):
-        raise NotInSetError(f"{what} is not a member of the set")
+    if not s._contains_checked(x[None, :])[0]:
+        raise NotInSetError(message)
     return x
 
 
@@ -1125,7 +1147,7 @@ def span_of_difference(s: ConvexSet, base) -> Subspace:
     next request at the same point, as are its coordinate probes, which
     :func:`in_icr` then reads at a point whose span is R^n.
     """
-    return s.span(_member(s, base, "base point"))
+    return s.span(_member(s, base, "base point is not a member of the set"))
 
 
 def in_icr(s: ConvexSet, x) -> bool:
@@ -1137,7 +1159,7 @@ def in_icr(s: ConvexSet, x) -> bool:
     sublevel and oracle sets (may report false positives on cusps), with no
     new probe where the point's span is R^n.
     """
-    x = _member(s, x, "point")
+    x = _member(s, x, "point is not a member of the set")
     return s.representation.in_icr(s, x)
 
 
@@ -1152,7 +1174,7 @@ def check_symmetry(s: ConvexSet, p) -> bool:
     reflections through ``p`` of :data:`SYMMETRY_SAMPLES` sampled members
     are tested as one batch.
     """
-    p = _member(s, p, "claimed symmetry point")
+    p = _member(s, p, "claimed symmetry point is not a member of the set")
     return s.representation.is_symmetric(s, p)
 
 
@@ -1160,7 +1182,7 @@ def spot_check_convexity(s: ConvexSet) -> bool:
     """Random midpoint test for oracle-style sets (caller contract check):
     the midpoints of sampled member pairs, tested as one batch."""
     pts = np.array(s.sample_members(np.random.default_rng(0), 2 * CONVEXITY_TRIALS))
-    return bool(np.all(s.contains_many(0.5 * (pts[::2] + pts[1::2]), tol=1e-7)))
+    return bool(np.all(s._contains_checked(0.5 * (pts[::2] + pts[1::2]), tol=1e-7)))
 
 
 # ---------------------------------------------------------------------------
@@ -1211,9 +1233,13 @@ class Gauge:
     __call__ = value
 
     def values(self, us) -> np.ndarray:
-        """The gauge at each row of ``us`` (see :func:`minkowski_gauge`); an
-        explicit evaluator is read by :func:`_values` on the span's rows."""
-        us = as_rows(us, self.dim)
+        """The gauge at each row of ``us`` (see :func:`minkowski_gauge`),
+        finite rows of the gauge's dimension, checked here."""
+        return self._values_checked(as_rows(us, self.dim))
+
+    def _values_checked(self, us: np.ndarray) -> np.ndarray:
+        """:meth:`values` of rows that private code checked or built finite;
+        an explicit evaluator is read by :func:`_values` on the span's rows."""
         if self.fn is None:
             return self.set.representation.gauge_many(self, us)
         nonzero = us.any(axis=1)
@@ -1237,7 +1263,7 @@ class Gauge:
 
 def minkowski_gauge(g: Gauge, x) -> float:
     """inf{t > 0 : x in t(S - p)}; +inf off the span, 0 on the kernel:
-    :meth:`Gauge.values` on one row.
+    :meth:`Gauge.values` on one row, ``x`` checked here, once.
 
     Exact for halfspace sets and vertex sets: the ratio formula
     ``max a.x / (b - a.p)`` over the rows, for a vertex set over the hull's
@@ -1245,7 +1271,7 @@ def minkowski_gauge(g: Gauge, x) -> float:
     representations are bracketed and bisected, one row at a time, on the
     monotone membership predicate to relative ``g.tol``.
     """
-    return float(g.values(as_vector(x, g.dim)[None, :])[0])
+    return float(g._values_checked(as_vector(x, g.dim)[None, :])[0])
 
 
 def kernel_of_gauge(g: Gauge) -> Subspace:
@@ -1289,8 +1315,7 @@ def set_from_json(doc: dict, fn_registry: Optional[dict] = None) -> ConvexSet:
         if not kinds:
             raise SetFormatError(f"unknown set representation keys: {sorted(doc['repr'])}")
         rep = _JSON_KINDS[kinds[0]].from_json(doc["repr"][kinds[0]], dim, fn_registry)
-        center = doc.get("center")
-        return ConvexSet(dim, rep, None if center is None else as_vector(center, dim))
+        return ConvexSet(dim, rep, doc.get("center"))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SetFormatError(f"malformed set document: {exc!r}") from exc
 

@@ -156,7 +156,8 @@ def _product_gauge(g1: Gauge, g2: Gauge) -> Gauge:
         np.vstack([embed(g1.kernel.basis, 0, n1), embed(g2.kernel.basis, n1, n2)]), n)
 
     return Gauge.from_callable(
-        batch_callable(lambda vs: _first_max([g1.values(vs[:, :n1]), g2.values(vs[:, n1:])])),
+        batch_callable(lambda vs: _first_max([g1._values_checked(vs[:, :n1]),
+                                              g2._values_checked(vs[:, n1:])])),
         span, kernel=kernel)
 
 
@@ -259,15 +260,17 @@ class InnerMap:
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        """The image of one point: :meth:`many` on one row."""
-        return self.many(as_vector(x, self.in_dim)[None, :])[0]
+        """The image of one point, checked here: a one-row batch."""
+        return self._images(as_vector(x, self.in_dim)[None, :])[0]
 
     def many(self, xs) -> np.ndarray:
-        """The images of the rows of ``xs``, one row each.  Raises
-        :class:`DimensionMismatchError` unless the images are rows of
+        """The images of the rows of ``xs`` (checked here), one row each.
+        Raises :class:`DimensionMismatchError` unless the images are rows of
         dimension :attr:`out_dim`."""
-        return _values(self.fn, as_rows(xs, self.in_dim),
-                       f"inner map {self.name or '<anonymous>'}", width=self.out_dim)
+        return self._images(as_rows(xs, self.in_dim))
+
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        return _values(self.fn, xs, f"inner map {self.name or '<anonymous>'}", width=self.out_dim)
 
 
 def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
@@ -275,15 +278,16 @@ def check_domination(inner: InnerMap, x, gauge_out: Gauge, gauge_in: Gauge,
     """Sampled check that the inner map contracts the gauges near x:
     mu(g(u) - g(w)) <= p(u - w).  The pairs are one normal block (the
     draws of u then w, pair by pair); the map reads each side's points in
-    one :meth:`InnerMap.many` batch, and each side's gauges are one batch.
-    Raises with the first violating pair as the witness."""
+    one batch, and each side's gauges are one batch.  Raises with the first
+    violating pair as the witness."""
     x = as_vector(x, inner.in_dim)
     rng = np.random.default_rng(seed)
     tol = _DOMINATION_TOL
     pairs = x + _DOMINATION_RADIUS * rng.standard_normal((_DOMINATION_PAIRS, 2, inner.in_dim))
     us, ws = pairs[:, 0], pairs[:, 1]
-    lhs = gauge_out.values(inner.many(us) - inner.many(ws))
-    rhs = gauge_in.values(us - ws)
+    # the map's images are not checked where they come out, so their differences are
+    lhs = gauge_out.values(inner._images(us) - inner._images(ws))
+    rhs = gauge_in._values_checked(us - ws)
     bad = np.flatnonzero(np.isfinite(rhs) & (lhs > rhs * (1.0 + tol) + tol))
     if bad.size:
         i = int(bad[0])

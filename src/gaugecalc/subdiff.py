@@ -205,7 +205,7 @@ class Fan:
         domain's axis evaluator when it has one.  Returns ``t``, updated in
         place."""
         def inside(search, steps):
-            return self.at(domain.contains_many, base, rows[search], steps,
+            return self.at(domain._contains_checked, base, rows[search], steps,
                            None if base_rows is None else base_rows[search],
                            domain.contains_along)
 
@@ -327,11 +327,11 @@ def _generalized(f: ScalarFunction, x: np.ndarray, fan: Fan, g: Gauge, seed: int
     best = np.full(m, -math.inf)
     for r in _RADII:
         us = g.span.project_many(rng.standard_normal((_PROBES, x.size)))
-        mu = g.values(us)
+        mu = g._values_checked(us)
         scale = np.where(np.isfinite(mu) & (mu > 1e-9), mu, _row_norms(us))
         keep = scale > 1e-14
         probes = x + (r / scale[keep])[:, None] * us[keep]
-        ys = np.vstack([x, probes[f.domain.contains_many(probes)]])
+        ys = np.vstack([x, probes[f.domain._contains_checked(probes)]])
         fy = f.many(ys)
         dir_rows = np.repeat(live, ys.shape[0])
         base_rows = np.tile(np.arange(ys.shape[0]), live.size)
@@ -655,7 +655,7 @@ def _vertices(w: Subspace, fan: Fan, sups, rows) -> list[np.ndarray]:
     return list(grads)
 
 
-def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
+def _extract(f: ScalarFunction, x: np.ndarray, g: Gauge, objective, seed: int,
              signs=(1,)) -> list[np.ndarray]:
     """Subgradients maximizing <z, s * objective> for each sign s on one fan
     at x; the objective defaults to the first reduced basis vector."""
@@ -664,8 +664,7 @@ def _extract(f: ScalarFunction, x, g: Gauge, objective, seed: int,
         raise DegenerateGaugeError("the gauge kernel fills its span; the quotient "
                                    "is zero-dimensional")
     # the first basis vector, lifted from its coordinates: no identity is written
-    obj = w.lift(np.eye(1, w.dim))[0] if objective is None else \
-        as_vector(objective, f.domain.dim)
+    obj = w.lift(np.eye(1, w.dim))[0] if objective is None else objective
     fan = _direction_fan(w, _LP_FAN, seed, extra=[obj])
     face = _optimizer(w, fan, _support_values(f, x, fan, g, seed))
     # one pick per sign: the lexicographically smallest vertex of the face
@@ -717,7 +716,8 @@ def extract_subgradient(f: ScalarFunction, x, g: Gauge, objective=None,
     fan written dense.  Raises
     :class:`SupportMismatchError` when the optimum misses the objective's
     support value by more than a relative 1e-5."""
-    return _extract(f, as_vector(x, f.domain.dim), g, objective, seed)[0]
+    x = as_vector(x, f.domain.dim)
+    return _extract(f, x, g, None if objective is None else as_vector(objective, x.size), seed)[0]
 
 
 @dataclass

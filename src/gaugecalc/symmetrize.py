@@ -18,6 +18,7 @@ from .functions import ScalarFunction
 from .geometry import (
     ConvexSet,
     Sublevel,
+    _member,
     as_vector,
     check_symmetry,
     in_icr,
@@ -28,6 +29,8 @@ from .geometry import (
 _SUBLEVEL_PROBES, _SUBLEVEL_SEED = 64, 0
 #: scales alpha at which literal_ca_member tries the scaled reflection
 _ALPHA_GRID = tuple(2.0 ** (-k) for k in range(21))
+#: largest span residual of a basis row at which verify_span_equality holds
+_SPAN_TOL = 1e-8
 
 
 @dataclass
@@ -62,8 +65,7 @@ def sublevel_set(f: ScalarFunction, domain: ConvexSet, level: float) -> ConvexSe
         raise EmptySublevelError(
             f"level {level} lies below the function value at every probe point")
     best = candidates[feasible[np.argmin(values[feasible])]]
-    return ConvexSet(domain.dim, Sublevel(fn=f, level=level, base_domain=domain),
-                     center=best)
+    return ConvexSet._centered(domain.dim, Sublevel(fn=f, level=level, base_domain=domain), best)
 
 
 def symmetric_core(s_a: ConvexSet, x0) -> ConvexSet:
@@ -75,9 +77,7 @@ def symmetric_core(s_a: ConvexSet, x0) -> ConvexSet:
     domain's core; vertex and oracle sets become the sublevel set, inside
     themselves, of a reflection membership test.
     """
-    x0 = as_vector(x0, s_a.dim)
-    if not s_a.contains(x0):
-        raise NotInSetError("base point is not in the sublevel set")
+    x0 = _member(s_a, x0, "base point is not in the sublevel set")
     return s_a.representation.symmetric_core(s_a, x0)
 
 
@@ -91,9 +91,7 @@ def literal_ca_member(s_a: ConvexSet, x0, x) -> bool:
     on asymmetric sets this predicate does not describe a symmetric set.
     """
     x0 = as_vector(x0, s_a.dim)
-    x = as_vector(x, s_a.dim)
-    if not s_a.contains(x):
-        raise NotInSetError("probe point is not in the sublevel set")
+    x = _member(s_a, x, "probe point is not in the sublevel set")
     steps = np.array(_ALPHA_GRID)[:, None] * (x - x0)
     inside = s_a.contains_many(np.vstack([x0 + steps, x0 - steps]))
     return bool(np.any(inside[:len(_ALPHA_GRID)] & inside[len(_ALPHA_GRID):]))
@@ -117,12 +115,13 @@ def build_core(f: ScalarFunction, domain: ConvexSet, x0,
     return SublevelCore(s_a=s_a, c_a=c_a, x0=x0, level=float(level), source=f)
 
 
-def verify_span_equality(core: SublevelCore, tol: float = 1e-8) -> bool:
+def verify_span_equality(core: SublevelCore) -> bool:
     """Do the core and the sublevel set span the same subspace?"""
     span_s = span_of_difference(core.s_a, core.x0)
     span_c = span_of_difference(core.c_a, core.x0)
-    return (span_s.dim == span_c.dim and bool(np.all(span_c.residuals(span_s.basis) <= tol))
-            and bool(np.all(span_s.residuals(span_c.basis) <= tol)))
+    return (span_s.dim == span_c.dim
+            and bool(np.all(span_c.residuals(span_s.basis) <= _SPAN_TOL))
+            and bool(np.all(span_s.residuals(span_c.basis) <= _SPAN_TOL)))
 
 
 def verify_icr_membership(core: SublevelCore) -> bool:

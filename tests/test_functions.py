@@ -191,3 +191,35 @@ def test_an_inner_map_point_call_checks_the_image_width():
                  in_dim=2, out_dim=2, name="wide")
     with pytest.raises(DimensionMismatchError, match="inner map wide"):
         g([0.5, 0.25])
+
+
+KINKED = ScalarFunction.from_expr("max(0, x1) + x2", box(2))
+
+
+def test_a_point_call_refuses_a_nan_point():
+    # max(0, NaN) is 0: unchecked, the point would read 0.0
+    with pytest.raises(NonFiniteInputError, match="vector has non-finite entries"):
+        KINKED([math.nan, 0.0])
+
+
+def test_a_point_call_refuses_a_point_too_wide():
+    # unchecked, the third entry would go unread and the point read 0.75
+    with pytest.raises(DimensionMismatchError, match="expected dimension 2, got 3"):
+        KINKED([0.5, 0.25, 7.0])
+
+
+def test_a_point_call_refuses_a_point_too_narrow():
+    # unchecked, reading x2 would raise an untyped IndexError
+    with pytest.raises(DimensionMismatchError, match="expected dimension 2, got 1"):
+        KINKED([0.0])
+
+
+def test_a_batch_refuses_rows_of_the_wrong_width():
+    # unchecked, two rows of R^3 would read [0, 0]
+    f = ScalarFunction.from_expr("x1 + x2", box(2))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"expected rows of dimension 2, got shape \(2, 3\)"):
+        f.many(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"expected rows of dimension 2, got shape \(1, 1, 2\)"):
+        f.many([[[0.5, 0.25]]])

@@ -1306,3 +1306,24 @@ def test_derived_batch_evaluators_equal_their_scalar_calls():
         assert 0 < len(rows) < len(pts)
         with pytest.raises(ValueError):
             set_to_json(s)
+
+
+def test_a_subspace_refuses_a_nan_point():
+    # unchecked, the whole plane would hold (NaN, 0) and a line would not
+    line = Subspace.from_spanning([[1.0, 1.0]], 2)
+    for span in (Subspace.full(2), line):
+        with pytest.raises(NonFiniteInputError, match="vector has non-finite entries"):
+            span.contains([math.nan, 0.0])
+
+
+def test_a_subspace_refuses_a_point_of_another_width():
+    # unchecked, the whole plane would hold (0, 0, 0)
+    with pytest.raises(DimensionMismatchError, match="expected dimension 2, got 3"):
+        Subspace.full(2).contains([0.0, 0.0, 0.0])
+
+
+def test_a_subspace_refuses_a_string():
+    # unchecked, numpy would raise an untyped ValueError
+    line = Subspace.from_spanning([[1.0, 1.0]], 2)
+    with pytest.raises(DimensionMismatchError, match="expected a numeric vector"):
+        line.contains("ab")

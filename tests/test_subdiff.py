@@ -279,8 +279,9 @@ def counting_fn(src, dom, convex):
 def test_gen_dir_deriv_scans_only_the_reported_shells(plane, unit_gauge, monkeypatch):
     f, calls = counting_fn("abs(x1) + x2^2", plane, convex=False)
     gauge_rows = []
-    values = unit_gauge.values
-    monkeypatch.setattr(unit_gauge, "values", lambda us: gauge_rows.append(len(us)) or values(us))
+    values = unit_gauge._values_checked
+    monkeypatch.setattr(unit_gauge, "_values_checked",
+                        lambda us: gauge_rows.append(len(us)) or values(us))
     got = gen_dir_deriv(f, [0.0, 0.5], [1.0, 0.0], unit_gauge)
     # two shells of 12 probes each, plus the base point: 2 * 13 quotients;
     # each shell's probes are gauged in one batch

@@ -176,24 +176,25 @@ def test_core_spans_and_interior_probe_only_the_signed_axes(count_calls, monkeyp
     # the README core example: both signed axes reach from x0 in S_a and in
     # C_a, so each span is R^n with no member drawn, and in_icr reads the
     # axis probes its span kept; its one membership batch is the member
-    # check of x0, one row
+    # check of x0, one row (of the unchecked entry, after in_icr's check)
     dom = interval(-1.0, 2.0, center=0.5)
     core = build_core(quadratic_on(dom), dom, [0.0], level=1.0)
     count_calls.wrap(geometry.ConvexSet, "sample_members")
     assert verify_span_equality(core)
     assert count_calls["sample_members"] == 0
-    rows, contains_many = [], geometry.ConvexSet.contains_many
+    rows, members = [], geometry.ConvexSet._contains_checked
     monkeypatch.setattr(
-        geometry.ConvexSet, "contains_many",
-        lambda self, xs, *a, **k: rows.append(np.array(xs)) or contains_many(self, xs, *a, **k))
+        geometry.ConvexSet, "_contains_checked",
+        lambda self, xs, *a, **k: rows.append(np.array(xs)) or members(self, xs, *a, **k))
     assert verify_icr_membership(core)
     assert len(rows) == 1 and rows[0].tolist() == [[0.0]]
 
 
 def test_the_symmetry_draw_takes_a_few_membership_rounds(count_calls):
     # criterion-02 cores: rounds sized by the acceptance so far fill the
-    # 128 members in at most 3 membership batches
-    count_calls.wrap(geometry.ConvexSet, "contains_many")
+    # 128 members in at most 3 membership batches (of the unchecked entry:
+    # the proposals are built finite)
+    count_calls.wrap(geometry.ConvexSet, "_contains_checked", "contains_many")
     for i in range(20):
         dim = 1 + i % 6
         rng = np.random.default_rng(1000 + i)

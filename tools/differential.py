@@ -207,7 +207,10 @@ def api_queries(seed: int) -> list:
     commands on its unit square written with each row and offset times
     ``2**k``, one kind per scale (the same set, so a correct program prints
     the unit square's output at every scale), issued through the CLI and
-    checked for exit code 0."""
+    checked for exit code 0.  Then bad input through the CLI: a
+    wrong-width, a NaN and a non-numeric ``--point``, and a ``--set`` with a
+    wrong-width normal, each checked for exit code 2, so that their
+    standard error lines are compared byte for byte."""
     import numpy as np
     import gaugecalc as gc
     from gaugecalc.geometry import batch_callable
@@ -345,9 +348,9 @@ def api_queries(seed: int) -> list:
 
         add(f"api/gauge-huge-diamond 2^{k}", huge, {"value": (float, str)})
 
-    def cli(kind, argv):
+    def cli(kind, argv, code=0):
         def check(result):
-            ok = result[0] == 0
+            ok = result[0] == code
             return SimpleNamespace(ok=ok, reason="" if ok else f"{kind}: exit {result[0]}")
 
         queries.append(SimpleNamespace(kind=kind, run=lambda: run_cli(argv), check=check))
@@ -360,6 +363,17 @@ def api_queries(seed: int) -> list:
         cli(f"api/halfspace-rows 2^{k}",
             ["lipschitz", "--set", square, "--fn", "x1^2 + x2^2", "--point", "[0, 0]",
              "--eps", "0.5", "--pairs", "1000", "--convex"])
+
+    square = json.dumps({"dim": 2, "repr": {"halfspaces": [
+        {"normal": [s * (j == i) for j in range(2)], "offset": 1.0}
+        for i in range(2) for s in (1, -1)]}, "center": [0, 0]})
+    for what, point in (("wide", "[0.5, 0.25, 1]"), ("nan", "[NaN, 0.25]"),
+                        ("text", '["a", 0.25]')):
+        cli(f"api/bad-input point-{what}", ["gauge", "--set", square, "--point", point], 2)
+        cli(f"api/bad-input point-{what}", ["subdiff", "--set", square, "--fn", "abs(x1) + x2",
+                                            "--point", point], 2)
+    wide = json.dumps({"dim": 2, "repr": {"halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}})
+    cli("api/bad-input normal-wide", ["gauge", "--set", wide, "--point", "[0.5, 0.25]"], 2)
     return queries
 
 
