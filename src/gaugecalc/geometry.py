@@ -22,9 +22,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-from scipy.special import ndtr
 
 from .errors import (
     DimensionMismatchError,
@@ -61,6 +58,38 @@ MAX_VERTICES = 10**5
 _TINY = np.finfo(float).tiny
 
 
+# scipy is imported by the first call that needs it: most questions solve no
+# LP and run no qhull, and importing scipy.optimize costs more than answering
+# them.  Each name stays a module attribute, so a caller can wrap it.
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
+def ConvexHull(points):
+    """``scipy.spatial.ConvexHull``."""
+    from scipy.spatial import ConvexHull as hull
+
+    return hull(points)
+
+
+def HalfspaceIntersection(halfspaces, interior_point):
+    """``scipy.spatial.HalfspaceIntersection``."""
+    from scipy.spatial import HalfspaceIntersection as intersection
+
+    return intersection(halfspaces, interior_point)
+
+
+def ndtr(x):
+    """``scipy.special.ndtr``, the standard normal CDF."""
+    from scipy.special import ndtr as cdf
+
+    return cdf(x)
+
+
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float array."""
     try:
@@ -88,7 +117,10 @@ def as_rows(xs, dim: int) -> np.ndarray:
 
 def _rows_of(xs, dim: int) -> np.ndarray:
     """:func:`as_rows`'s shape test alone."""
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"expected numeric rows: {exc}") from None
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {xs.shape}")
     return xs
@@ -730,6 +762,8 @@ class Halfspaces(Representation):
             if up.all() or not up.any():
                 return []
             return [np.array([ends[~up].max()]), np.array([ends[up].min()])]
+        from scipy.spatial import QhullError
+
         try:
             with np.errstate(divide="ignore", invalid="ignore"):  # dual facets through 0
                 hs = HalfspaceIntersection(np.hstack([a, -b[:, None]]), center)
@@ -1329,8 +1363,7 @@ def box(dim: int, lo: float = -1.0, hi: float = 1.0,
     offsets = np.concatenate([np.full(dim, hi), np.full(dim, -lo)])
     if center is None and abs(hi + lo) < 1e-15:
         center = np.zeros(dim)
-    return ConvexSet(dim, Halfspaces(normals, offsets),
-                     None if center is None else np.asarray(center, dtype=float))
+    return ConvexSet(dim, Halfspaces(normals, offsets), center)
 
 
 def whole_space(dim: int) -> ConvexSet:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConvexityFlagError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .functions import ScalarFunction
 from .geometry import (Gauge, Subspace, _row_norms, _signed_axes, _units, as_vector,
-                       halving_steps)
+                       halving_steps, linprog)
 
 _STEP_FLOOR = 5e-7
 _SETTLE_TOL = 1e-10

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import UsageError
 from .functions import ScalarFunction
-from .geometry import ConvexSet, Gauge, Oracle, Subspace, batch_callable, root_of_squares
+from .geometry import (ConvexSet, Gauge, Oracle, Subspace, as_vector, batch_callable,
+                       root_of_squares)
 
 DEFAULT_N = 1000
 NUMERIC_TOL = 1e-6
@@ -62,27 +63,44 @@ def _energy_rows(grid: WeightedGrid, xs: np.ndarray) -> np.ndarray:
 
 
 def phi_l2(grid: WeightedGrid, x) -> float:
-    """Discretized energy; +inf outside the x >= -1 box.  A one-row batch
-    of :func:`_energy_rows`."""
-    return float(_energy_rows(grid, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
+    """Discretized energy; +inf outside the x >= -1 box.  ``x`` is checked
+    (finite, one entry per node)."""
+    return _phi(grid, as_vector(x, grid.n))
+
+
+def _phi(grid: WeightedGrid, x: np.ndarray) -> float:
+    """:func:`phi_l2` of a checked ``x``: a one-row batch of :func:`_energy_rows`."""
+    return float(_energy_rows(grid, x[None, :])[0])
 
 
 def mu_l2(grid: WeightedGrid, v) -> float:
     """Discretized seminorm (a genuine norm on the grid: all nodes positive),
-    rescaled where its weighted sum of squares would overflow or underflow."""
+    rescaled where its weighted sum of squares would overflow or underflow.
+    ``v`` is checked (finite, one entry per node)."""
+    return _mu(grid, as_vector(v, grid.n))
+
+
+def _mu(grid: WeightedGrid, v: np.ndarray) -> float:
+    """:func:`mu_l2` of a checked ``v``."""
     return root_of_squares(lambda u: float(np.sum(grid.weights * u * u / grid.nodes)), v)
 
 
 def subdiff_l2(grid: WeightedGrid, x, representation: str = "pairing") -> np.ndarray:
     """Gradient of the energy: ``2 (x_i - t_i) / t_i`` in the weighted
-    pairing, ``2 w_i (x_i - t_i) / t_i`` as a Euclidean vector."""
-    x = np.asarray(x, dtype=float)
+    pairing, ``2 w_i (x_i - t_i) / t_i`` as a Euclidean vector.  ``x`` is
+    checked (finite, one entry per node)."""
+    return _gradient(grid, as_vector(x, grid.n), representation)
+
+
+def _gradient(grid: WeightedGrid, x: np.ndarray, representation: str) -> np.ndarray:
+    """:func:`subdiff_l2` at a checked ``x``."""
     a = 2.0 * (x - grid.nodes) / grid.nodes
     if representation == "pairing":
         return a
     if representation == "euclidean":
         return grid.weights * a
-    raise ValueError(f"unknown representation {representation!r}")
+    raise UsageError(f"unknown representation {representation!r}; "
+                     "choose from pairing, euclidean")
 
 
 def make_function(grid: WeightedGrid) -> ScalarFunction:
@@ -138,7 +156,7 @@ def make_function(grid: WeightedGrid) -> ScalarFunction:
 
 def make_gauge(grid: WeightedGrid) -> Gauge:
     """The seminorm as a gauge (full span, trivial kernel on the grid)."""
-    return Gauge.from_callable(lambda v: mu_l2(grid, v), Subspace.full(grid.n))
+    return Gauge.from_callable(lambda v: _mu(grid, v), Subspace.full(grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +227,8 @@ def run_example(name: str, n: int = DEFAULT_N, seed: int = 42) -> dict:
     grid = WeightedGrid(n)
     t = grid.nodes
     x = _base_state(grid)
-    base = subdiff_l2(grid, x, representation="euclidean")
-    phi_x = phi_l2(grid, x)
+    base = _gradient(grid, x, "euclidean")
+    phi_x = _phi(grid, x)
 
     if name in _OUTER:
         g, dg = _OUTER[name]
@@ -239,11 +257,11 @@ def run_example(name: str, n: int = DEFAULT_N, seed: int = 42) -> dict:
     if name == "lebourg":
         y = t + 0.1
         d = y - x
-        target = phi_l2(grid, y) - phi_x
+        target = _phi(grid, y) - phi_x
         buf = np.empty(n)
 
         def slope(tau):
-            # subdiff_l2's euclidean gradient at x + tau d, paired with d,
+            # _gradient's euclidean gradient at x + tau d, paired with d,
             # in the same operation order in one buffer
             np.multiply(tau, d, out=buf)
             np.add(x, buf, out=buf)
@@ -267,7 +285,7 @@ def run_example(name: str, n: int = DEFAULT_N, seed: int = 42) -> dict:
                 "residual": residual, "tolerance": 1e-9,
                 "passed": bool(abs(tau_star - 0.5) <= 1e-9 and residual <= 1e-9)}
 
-    raise ValueError(f"unknown example {name!r}; choose from exp_chain, sum, "
+    raise UsageError(f"unknown example {name!r}; choose from exp_chain, sum, "
                      "product, inner_chain, lebourg")
 
 

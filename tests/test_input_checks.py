@@ -15,6 +15,7 @@ from gaugecalc import (
     Halfspaces,
     InnerMap,
     ScalarFunction,
+    WeightedGrid,
     box,
     build_core,
     check_domination,
@@ -29,9 +30,12 @@ from gaugecalc import (
     literal_ca_member,
     local_witness,
     minkowski_gauge,
+    mu_l2,
+    phi_l2,
     scale_about,
     set_from_json,
     span_of_difference,
+    subdiff_l2,
     subdifferential_hull,
     sublevel_set,
     symmetric_core,
@@ -61,6 +65,7 @@ F4 = ScalarFunction.from_expr("abs(x1) + x2 + x3^2 + abs(x4)", box(4))
 INNER = InnerMap(fn=batch_callable(lambda vs: 0.5 * vs), jacobian=lambda v: 0.5 * np.eye(2),
                  in_dim=2, out_dim=2, name="half")
 CORE = build_core(F, SQUARE, [0.0, 0.0])
+GRID = WeightedGrid(2)
 S_A = sublevel_set(F, SQUARE, 1.0)
 ORIGIN = [0.0, 0.0]
 SQUARE_DOC = {"dim": 2, "repr": {"halfspaces": [
@@ -112,6 +117,9 @@ POINT_ENTRIES = {
     "literal_ca_member(x0)": lambda v: literal_ca_member(S_A, v, ORIGIN),
     "literal_ca_member(x)": lambda v: literal_ca_member(S_A, ORIGIN, v),
     "build_core": lambda v: build_core(F, SQUARE, v),
+    "phi_l2": lambda v: phi_l2(GRID, v),
+    "mu_l2": lambda v: mu_l2(GRID, v),
+    "subdiff_l2": lambda v: subdiff_l2(GRID, v),
 }
 
 #: every exported entry that takes rows, with the bad value as its rows
@@ -135,13 +143,11 @@ POINT_ERRORS = {
 ROW_ERRORS = {
     "wide": ("DimensionMismatchError", "expected rows of dimension 2, got shape (1, 3)"),
     "nan": NONFINITE, "inf": NONFINITE,
-    # a row entry reads its rows with numpy, whose error is not typed
-    "text": ("ValueError", NUMERIC),
+    "text": ("DimensionMismatchError", f"expected numeric rows: {NUMERIC}"),
     "nested": ("DimensionMismatchError", "expected rows of dimension 2, got shape (1, 1, 2)"),
 }
 #: entries whose errors differ from the table's, by entry and kind
 EXCEPTIONS = {
-    ("box(center)", "text"): ("ValueError", NUMERIC),
     ("verify_partial_rule", "wide"): ("DimensionMismatchError", "expected dimension 4, got 6"),
     ("verify_partial_rule", "nested"): ("DimensionMismatchError",
                                         "expected a vector, got shape (1, 4)"),

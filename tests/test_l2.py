@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecalc import (
     EXAMPLES,
     NonFiniteInputError,
+    UsageError,
     WeightedGrid,
     make_function,
     make_gauge,
@@ -66,7 +67,7 @@ def test_subdiff_representations(grid):
     eucl = subdiff_l2(grid, x, representation="euclidean")
     assert np.allclose(eucl, grid.weights * pairing)
     assert np.allclose(pairing, grid.nodes)  # 2 (x - t)/t = t here
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="unknown representation 'weird'"):
         subdiff_l2(grid, x, representation="weird")
 
 
@@ -210,7 +211,7 @@ def test_an_example_evaluates_its_probes_in_one_batch(name, count_calls, monkeyp
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="unknown example 'nope'"):
         run_example("nope", n=10)
 
 
@@ -232,11 +233,12 @@ def test_batch_evaluators_match_the_scalar_calls(grid):
     rows = weighted_l2._energy_rows(grid, xs)
     assert rows.tolist() == [phi_l2(grid, x) for x in xs]
     assert rows[5] == rows[6] == math.inf
-    # a row holding NaN reads +inf when an entry is below -1, NaN otherwise
+    # a row holding NaN reads +inf when an entry is below -1, NaN otherwise;
+    # phi_l2 refuses such a point, its unchecked one-row path reads the row
     xs[7, 0], xs[5, 0] = math.nan, math.nan
     rows = weighted_l2._energy_rows(grid, xs[[5, 7]])
-    assert rows[0] == phi_l2(grid, xs[5]) == math.inf
-    assert math.isnan(rows[1]) and math.isnan(phi_l2(grid, xs[7]))
+    assert rows[0] == weighted_l2._phi(grid, xs[5]) == math.inf
+    assert math.isnan(rows[1]) and math.isnan(weighted_l2._phi(grid, xs[7]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
