@@ -16,6 +16,7 @@ solely for non-convex counterexample fixtures.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -67,6 +68,10 @@ class Dot:
 
 Node = object
 
+#: the deepest nesting :func:`parse` reads: the whole expression is level 1,
+#: and each parenthesis, call and unary minus opens one level more
+MAX_NESTING = 100
+
 _UNARY_CALLS = {"abs", "exp", "sqrt", "floor"}
 _VARIADIC_CALLS = {"max", "min"}
 
@@ -101,6 +106,7 @@ class _Parser:
         self.arity = arity
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -137,10 +143,18 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
+        # every nesting level passes through here once; an error ends the
+        # parse, so the depth needs restoring only on a normal return
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
         if self.peek()[1] == "-":
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -235,7 +249,6 @@ def _compile(node: Node, path: str):
     ``np.errstate(all="ignore")``: as in Python float arithmetic, an
     overflow or a NaN is a value here, not a warning.
     """
-    at = path or "<root>"
     if isinstance(node, Const):
         value = node.value
         return lambda xs: np.full(xs.shape[0], value, dtype=float)
@@ -245,34 +258,24 @@ def _compile(node: Node, path: str):
     if isinstance(node, Neg):
         a = _compile(node.operand, path + ".neg")
         return lambda xs: -a(xs)
-    if isinstance(node, BinOp):
-        a = _compile(node.left, path + ".l")
-        b = _compile(node.right, path + ".r")
-        if node.op == "+":
-            return lambda xs: a(xs) + b(xs)
-        if node.op == "-":
-            return lambda xs: a(xs) - b(xs)
-        if node.op == "*":
-            return lambda xs: a(xs) * b(xs)
+    if isinstance(node, (BinOp, Pow)):
+        # operator chains (a + b + c, a^2^3) nest to the left: their spine is
+        # walked in a loop, so a long chain compiles and runs without recursion
+        spine = []
+        while isinstance(node, (BinOp, Pow)):
+            spine.append(_link(node, path))
+            node, path = ((node.left, path + ".l") if isinstance(node, BinOp)
+                          else (node.base, path + ".pow"))
+        first = _compile(node, path)
+        links = spine[::-1]
 
-        def divide(xs):
-            num, den = a(xs), b(xs)
-            if np.any(den == 0.0):
-                raise ExprDomainError("division by zero", at)
-            return num / den
+        def chain(xs):
+            v = first(xs)
+            for link in links:
+                v = link(v, xs)
+            return v
 
-        return divide
-    if isinstance(node, Pow):
-        base = _compile(node.base, path + ".pow")
-        e = node.exponent
-
-        def power(xs):
-            v = base(xs)
-            if e < 0 and np.any(v == 0.0):
-                raise ExprDomainError("zero raised to a negative power", at)
-            return _exact_map(pow, v, "power overflows", at, e)
-
-        return power
+        return chain
     if isinstance(node, Dot):
         c = np.array(node.coeffs, dtype=float)
         k = c.size
@@ -318,6 +321,36 @@ def _compile(node: Node, path: str):
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _link(node: Node, path: str):
+    """One link of an operator chain: ``node``'s values from its left
+    operand's (or its base's) values ``v`` and the rows ``xs``."""
+    at = path or "<root>"
+    if isinstance(node, Pow):
+        e = node.exponent
+
+        def power(v, xs):
+            if e < 0 and np.any(v == 0.0):
+                raise ExprDomainError("zero raised to a negative power", at)
+            return _exact_map(pow, v, "power overflows", at, e)
+
+        return power
+    b = _compile(node.right, path + ".r")
+    if node.op != "/":
+        op = _BINARY[node.op]
+        return lambda v, xs: op(v, b(xs))
+
+    def divide(v, xs):
+        den = b(xs)
+        if np.any(den == 0.0):
+            raise ExprDomainError("division by zero", at)
+        return v / den
+
+    return divide
+
+
 def _at_point(evaluator, x) -> float:
     """``evaluator``'s value at the point ``x``, as a one-row batch."""
     with np.errstate(all="ignore"):
@@ -332,18 +365,25 @@ def evaluate(node: Node, x) -> float:
 
 
 def to_source(node: Node) -> str:
-    """Print an AST back to parseable source (round-trips to an equal AST)."""
+    """Print an AST back to source, which parses to an equal AST while its
+    parentheses nest at most :data:`MAX_NESTING` deep."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return f"x{node.index + 1}"
     if isinstance(node, Neg):
         return f"-({to_source(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Pow):
-        return f"({to_source(node.base)})^{node.exponent}" if node.exponent >= 0 \
-            else f"({to_source(node.base)})^-{-node.exponent}"
+    if isinstance(node, (BinOp, Pow)):
+        # an operator chain's spine, walked in a loop as in _compile
+        tails = []
+        while isinstance(node, (BinOp, Pow)):
+            if isinstance(node, BinOp):
+                tails.append(f" {node.op} {to_source(node.right)})")
+                node = node.left
+            else:
+                tails.append(f")^{node.exponent}")
+                node = node.base
+        return "(" * len(tails) + to_source(node) + "".join(reversed(tails))
     if isinstance(node, Dot):
         return "dot(" + ", ".join(repr(c) for c in node.coeffs) + ")"
     if isinstance(node, Call):

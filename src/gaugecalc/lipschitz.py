@@ -26,11 +26,14 @@ from .functions import ScalarFunction
 from .geometry import (
     ConvexSet,
     Gauge,
+    Vertices,
     as_vector,
     check_symmetry,
     in_icr,
     interval,
+    whole_space,
 )
+from .subdiff import fermat_check
 from .symmetrize import SublevelCore
 
 KERNEL_GAUGE_EPS = 1e-12
@@ -198,12 +201,13 @@ def local_witness(f: ScalarFunction, core: SublevelCore, x, eps: float) -> Local
 
 
 def counterexample_suite(seed: int = 42) -> dict:
-    """Reproduce the three failure modes of the slope bound.
+    """Reproduce the four failure modes of the slope bound and its gauges.
 
     (a) a convex function whose slope blows up at the gauge-unit boundary, so
         the eps-shrink is necessary; (b) a quasiconvex (integer part) function
         breaking the bound entirely; (c) an asymmetric set whose degenerate
-        gauge contradicts any Lipschitz claim.
+        gauge contradicts any Lipschitz claim; (d) a degenerate gauge blind to
+        a direction, so a point that is no minimum passes the stationarity check.
     """
     report = {}
 
@@ -256,5 +260,22 @@ def counterexample_suite(seed: int = 42) -> dict:
         "value_gap_across_zero_gauge": delta,
         "kernel_violation_flagged": kernel_flagged,
         "reproduced": bool(reproduced_c),
+    }
+
+    # (d) stationarity blindness of a degenerate gauge: the segment gauge
+    # |x1| on the plane cannot see the second coordinate, so the paraboloid
+    # looks critical at every (0, y)
+    segment = ConvexSet(2, Vertices(np.array([[-1.0, 0.0], [1.0, 0.0]])),
+                        center=np.zeros(2))
+    bowl = ScalarFunction.from_expr("x1^2 + x2^2", domain=whole_space(2), convex=True)
+    probe = np.array([0.0, 0.7])
+    check = fermat_check(bowl, probe, Gauge.of_set(segment), seed=seed)
+    value = bowl(probe)
+    report["kernel_blind_stationarity"] = {
+        "probe": list(map(float, probe)),
+        "fermat": check,
+        "value_at_probe": value,
+        "value_at_minimum": 0.0,
+        "reproduced": bool(check["is_critical"] and value > 0.0),
     }
     return report

@@ -1,10 +1,11 @@
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from gaugecalc import NonFiniteInputError, cli, functions, geometry, rules, subdiff
+from gaugecalc import NonFiniteInputError, cli, functions, geometry, lipschitz, rules, subdiff
 from gaugecalc.cli import main
 from gaugecalc.geometry import box, set_to_json
 
@@ -345,7 +346,9 @@ def test_verify_partial_command(capsys):
     ["gauge", "--set", EMPTY_HALFSPACES, "--point", "[0, 0]"],
     ["verify", "max", "--set", EMPTY_HALFSPACES, "--fn", "abs(x1)", "--fn2", "x2",
      "--point", "[0, 0]"],
-    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--seed", "-1"],
+    # parentheses nested past expr.MAX_NESTING: a syntax error, not a RecursionError
+    ["fermat", "--set", UNIT_BOX_2D, "--fn", "(" * 3000 + "x1" + ")" * 3000,
+     "--point", "[0, 0]"],
     ["subdiff", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]", "--seed", "-1"],
     ["gauge", "--set", SEGMENT_2D, "--point", "[0, 0.5]", "--tol", "1"],
     ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.5]", "--tol", "1e300"],
@@ -377,6 +380,89 @@ def test_bad_input_exits_2_with_one_error_line(argv, capsys):
 def test_bad_option_errors_name_the_option(option, argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {option} must ")
+
+
+CORE_ARGV = ["core", "--set", INTERVAL_1D, "--fn", "x1^2", "--point", "[0]"]
+LIPSCHITZ_ARGV = ["lipschitz", "--set", UNIT_BOX_2D, "--fn", "x1^2", "--point", "[0, 0]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--set", UNIT_BOX_2D, "--point", "[0.5, 0.25]", "--seed", "-1"],
+    CORE_ARGV + ["--seed", "1"],
+    CORE_ARGV + ["--tol", "5"],
+    LIPSCHITZ_ARGV + ["--tol", "1e-6"],
+    ["l2demo", "sum", "--tol", "1e-6"],
+    ["counterexamples", "--tol", "1e-6"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    # no handler of these commands reads the option, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+#: each command's options and positionals: the values a command line can set
+COMMAND_OPTIONS = {
+    "gauge": ["--out", "--point", "--set", "--tol"],
+    "core": ["--convex", "--fn", "--level", "--out", "--point", "--set"],
+    "lipschitz": ["--convex", "--eps", "--fn", "--out", "--pairs", "--point", "--seed",
+                  "--set"],
+    "subdiff": ["--convex", "--fn", "--out", "--point", "--seed", "--set", "--tol"],
+    "fermat": ["--convex", "--fn", "--out", "--point", "--seed", "--set", "--tol"],
+    "lebourg": ["--convex", "--fn", "--out", "--point", "--point2", "--seed", "--set",
+                "--tol"],
+    "verify": ["--convex", "--fn", "--fn2", "--out", "--outer", "--point", "--seed", "--set",
+               "--set2", "--tol", "rule"],
+    "l2demo": ["--grid-n", "--out", "--seed", "example"],
+    "counterexamples": ["--out", "--seed"],
+}
+
+
+def test_each_command_declares_the_options_its_handler_reads():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: sorted(a.option_strings[-1] if a.option_strings else a.dest
+                        for a in p._actions if a.dest != "help")
+           for name, p in commands.items()}
+    assert got == COMMAND_OPTIONS
+    assert sum(map(len, got.values())) == 57
+
+
+#: each rule's command line with the inputs it needs
+RULE_ARGV = {rule: ["verify", rule, "--set", UNIT_BOX_2D, "--fn", "abs(x1) + x2^2",
+                    "--point", "[0.0, 0.5]"] + extra
+             for rule, extra in (("sum", ["--fn2", "x1^2"]), ("product", ["--fn2", "x1^2"]),
+                                 ("max", ["--fn2", "x1^2"]), ("chain2", []), ("chain1", []),
+                                 ("partial", ["--set2", INTERVAL_1D]))}
+RULE_OPTIONS = {"--fn2": ("x1^2", ("sum", "product", "max")),
+                "--set2": (INTERVAL_1D, ("partial",)), "--outer": ("square", ("chain2",))}
+
+
+@pytest.mark.parametrize("rule, option", [(rule, option) for option, (_, readers)
+                                          in RULE_OPTIONS.items()
+                                          for rule in RULE_ARGV if rule not in readers])
+def test_verify_refuses_an_option_its_rule_does_not_read(rule, option, capsys):
+    argv = RULE_ARGV[rule] + [option, RULE_OPTIONS[option][0]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the {rule} rule does not read {option}"]
+
+
+def test_counterexamples_command_prints_the_suite(capsys):
+    # the command is one library call: its JSON is the suite's
+    for seed in (7, 9173):
+        assert main(["counterexamples", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            lipschitz.counterexample_suite(seed=seed), sort_keys=True, indent=2) + "\n"
+
+
+def test_a_long_chain_exits_0(capsys):
+    # the chain's spine compiles and runs in a loop: 1,500 terms nest 1,500
+    # deep, which recursion could not evaluate
+    fn = " + ".join(["abs(x1)"] + ["0.001*x2^2"] * 1500)
+    code, doc = run(capsys, "fermat", "--set", UNIT_BOX_2D, "--fn", fn, "--point", "[0, 0]")
+    assert code == 0 and doc["is_critical"]
 
 
 def test_false_convex_flag_exits_2(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaugecalc import ExprDomainError, ExprSyntaxError
 from gaugecalc.expr import (
+    MAX_NESTING,
     BinOp,
     Call,
     Const,
@@ -270,3 +271,44 @@ def test_floor_of_a_non_finite_value_is_a_domain_error():
     with pytest.raises(ExprDomainError) as err:
         fn.many(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert err.value.path == ".l.floor"
+
+
+# -- long chains and deep nesting ----------------------------------------------
+
+
+def test_a_long_chain_sums_left_to_right():
+    # a chain's spine compiles and runs in a loop: 5,000 terms nest 5,000 deep
+    coeffs = [1.0 / (k + 1) for k in range(5000)]
+    fn = make_callable(parse(" + ".join(f"{c!r}*x1" for c in coeffs), 1))
+    want = 0.0
+    for c in coeffs:
+        want = want + c * 0.3
+    assert fn([0.3]) == want
+    assert fn.many(np.array([[0.3], [0.3]])).tolist() == [want, want]
+    assert fn.source.startswith("(" * 4999) and fn.source.endswith(" * x1))")
+
+
+def test_a_long_power_chain_runs_in_a_loop():
+    fn = make_callable(parse("x1" + "^1" * 3000, 1))
+    assert fn([1.5]) == 1.5 and fn.source == "(" * 3000 + "x1" + ")^1" * 3000
+
+
+@pytest.mark.parametrize("src, path", [("1 + 1 + 1/x1 + 1 + 1", ".l.l.r"),
+                                       ("x1^2^-1 + 1", ".l"),
+                                       ("1 / (x1 - 1) * 2 - 5 / x1", ".r")])
+def test_a_failing_link_names_its_path(src, path):
+    fn = make_callable(parse(src, 1))
+    for call in (lambda: fn([0.0]), lambda: fn.many(np.array([[0.5], [0.0]]))):
+        with pytest.raises(ExprDomainError) as err:
+            call()
+        assert err.value.path == path
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    assert evaluate(parse("(" * (MAX_NESTING - 1) + "x1" + ")" * (MAX_NESTING - 1), 1),
+                    [2.0]) == 2.0
+    assert abs(evaluate(parse("-" * (MAX_NESTING - 1) + "x1", 1), [2.0])) == 2.0
+    for src in ("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, "-" * MAX_NESTING + "x1",
+                "abs(" * 3000 + "x1" + ")" * 3000, "(" * 3000 + "x1" + ")" * 3000):
+        with pytest.raises(ExprSyntaxError, match=f"nesting deeper than {MAX_NESTING}"):
+            parse(src, 1)

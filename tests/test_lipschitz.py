@@ -209,7 +209,8 @@ def test_local_witness_requires_interior_point():
 
 def test_counterexample_suite_reproduces_all_sections():
     report = counterexample_suite()
-    assert set(report) == {"sqrt_boundary", "floor_quasiconvex", "asymmetric_set"}
+    assert set(report) == {"sqrt_boundary", "floor_quasiconvex", "asymmetric_set",
+                           "kernel_blind_stationarity"}
     assert all(section["reproduced"] for section in report.values())
     # frozen anchor values
     assert report["floor_quasiconvex"]["bound"] == pytest.approx(19.0, abs=1e-9)

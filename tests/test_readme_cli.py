@@ -12,14 +12,17 @@ alters an output on purpose regenerates the file:
 import contextlib
 import io
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from gaugecalc.cli import main
+from gaugecalc.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme_cli.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SQUARE = {"dim": 2,
           "repr": {"halfspaces": [{"normal": [1, 0], "offset": 1},
@@ -73,6 +76,45 @@ def golden():
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_readme_command_matches_golden(name, golden, tmp_path):
     assert run_command(COMMANDS[name], _square(tmp_path)) == golden[name]
+
+
+def readme_commands() -> list:
+    """The argv of each command in the README's "Command-line usage" sh
+    block: backslash continuations joined, a quoted argument may span
+    lines, comment lines skipped."""
+    usage = README.read_text().split("## Command-line usage", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", usage, re.S).group(1)
+    commands, pending = [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        if not pending and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        pending += line + "\n"
+        try:
+            argv = shlex.split(pending)
+        except ValueError:  # a quotation still open
+            continue
+        commands.append(argv)
+        pending = ""
+    assert not pending
+    return commands
+
+
+def _as_data(arg: str):
+    """A JSON-valued argument as its parsed value, any other as itself."""
+    try:
+        return json.loads(arg)
+    except json.JSONDecodeError:
+        return arg
+
+
+def test_readme_usage_block_is_the_golden_command_list():
+    readme = readme_commands()
+    assert [argv[0] for argv in readme] == ["gaugecalc"] * len(COMMANDS)
+    assert [list(map(_as_data, argv[1:])) for argv in readme] == \
+        [list(map(_as_data, argv)) for argv in COMMANDS.values()]
+    parser = build_parser()
+    for argv in readme:
+        parser.parse_args(argv[1:])  # a refused option exits 2
 
 
 if __name__ == "__main__":
